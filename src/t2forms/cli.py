@@ -52,7 +52,7 @@ class JobSpec:
         return "\n".join(lines) + "\n"
 
 
-_PARAM_KEYS = ("claim", "n", "n1", "n2", "fields", "pairs")
+_PARAM_KEYS = ("claim", "n", "fields", "pairs")
 
 
 def parse_spec(text):
@@ -233,13 +233,18 @@ def _plus_to_commas(text):
 
 
 def _parse_form_atom(level, text):
+    atom = text
     scale = None
     if text.startswith("<"):
-        close = text.index(">")
+        close = text.find(">")
+        if close < 0:
+            raise ParseError(f"bad form literal {atom!r}: '<' without closing '>'")
         scale = level.parse(text[1:close])
         text = text[close + 1 :].strip()
     if "*" in text and text.endswith("H"):
-        k_text, _, _ = text.partition("*")
+        k_text = text.partition("*")[0].strip()
+        if not k_text.isdecimal():
+            raise ParseError(f"bad form literal {atom!r}: plane count must be a whole number")
         q = quadform.QuadraticForm.hyperbolic(level, int(k_text))
     elif text == "H":
         q = quadform.QuadraticForm.hyperbolic(level, 1)
@@ -247,7 +252,7 @@ def _parse_form_atom(level, text):
         a_text, b_text = _split_args(text[1:-1], 2)
         q = quadform.QuadraticForm.binary(level, level.parse(a_text), level.parse(b_text))
     else:
-        raise ParseError(f"bad form literal {text!r}")
+        raise ParseError(f"bad form literal {atom!r}")
     if scale is not None:
         q = q.scale(scale)
     return q
@@ -356,9 +361,14 @@ def _job_verify(job, level):
         params["n"] = _int_list(job.params["n"])
     if "pairs" in job.params:
         params["pairs"] = _pair_list(job.params["pairs"])
-    if "fields" in job.params:
-        params["fields"] = tuple(str(job.params["fields"]).split(","))
     claim = job.params.get("claim", "all")
+    if "fields" in job.params:
+        if claim in theorems.CLAIM_IDS and claim not in theorems.FIELD_GRID_CLAIMS:
+            raise ParseError(
+                f"fields={job.params['fields']}: claim {claim} runs over a fixed field; "
+                f"fields= is read by {', '.join(theorems.FIELD_GRID_CLAIMS)} and all"
+            )
+        params["fields"] = tuple(str(job.params["fields"]).split(","))
     reports = theorems.run_verification(claim, params, job.seed)
     return reports
 

@@ -10,7 +10,9 @@ Constructed algebras carry a splitting representation: matrix algebras
 act on columns, quaternions get an explicit 2x2 representation over the
 Artin-Schreier extension of their second slot, cyclic crossed products
 get the regular G x G matrix over E, and tensor products combine factor
-representations as Kronecker products.  The representation makes trace
+representations as Kronecker products.  Commutative algebras (F[x]/(f)
+and tower extensions E/F) carry their left regular representation, so
+their trace form, the Revoy form, comes out of the same pipeline.  The representation makes trace
 forms of large algebras cheap; the independent route through the left
 regular representation and the polynomial n-th root stays available as
 :func:`reduced_charpoly` and the two are cross-checked in the tests.
@@ -44,7 +46,9 @@ class NotCSA(AlgebraError):
 
 
 class SplittingRep:
-    """Sparse matrix images of the algebra basis over a splitting field."""
+    """Sparse matrix images of the algebra basis over a splitting field
+    (for commutative algebras: the left regular representation over the
+    algebra's own field)."""
 
     def __init__(self, level, size, images):
         self.level = level
@@ -149,12 +153,6 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.label or 'unnamed'}, dim={self.dim} over {self.field!r})"
-
-
-@dataclass
-class Subspace:
-    algebra: Algebra
-    rows: list
 
 
 @dataclass(frozen=True)
@@ -327,6 +325,28 @@ def _kron_build(lvl, ra, rb):
     return SplittingRep(lvl, n, images)
 
 
+def _commutative_algebra(field, d, coords, label):
+    """Commutative algebra with basis e_0 = 1, ..., e_(d-1), where
+    ``coords(i, j)`` gives the coordinates of e_i e_j.  Its left regular
+    representation is its splitting representation: image k is the
+    matrix of multiplication by e_k."""
+    table = {}
+    images = [{} for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            pairs = tuple((k, c) for k, c in enumerate(coords(i, j)) if not field.is_zero(c))
+            table[(i, j)] = pairs
+            for k, c in pairs:
+                images[i][(k, j)] = c
+
+    def product(i, j):
+        return table[(i, j)]
+
+    one = [field.zero] * d
+    one[0] = field.one
+    return Algebra(field, d, product, one, label=label, rep=SplittingRep(field, d, images))
+
+
 def commutative_quotient(field, fpoly, label=None):
     """F[x]/(f) as an algebra with basis 1, x, ..., x^(deg-1).
 
@@ -342,14 +362,16 @@ def commutative_quotient(field, fpoly, label=None):
     for _ in range(2 * d - 1):
         pows.append(cur)
         cur = fields.poly_mod(field, fields.poly_mul(field, cur, (field.zero, field.one)), fpoly)
+    return _commutative_algebra(field, d, lambda i, j: pows[i + j], label or "quotient")
 
-    def product(i, j):
-        p = pows[i + j]
-        return tuple((k, c) for k, c in enumerate(p) if not field.is_zero(c))
 
-    one = [field.zero] * d
-    one[0] = field.one
-    return Algebra(field, d, product, one, label=label or "quotient")
+def extension_algebra(E, F):
+    """The tower extension E/F as an F-algebra on the product basis of
+    E over F (whose first vector is 1)."""
+    basis = E.basis_over(F)
+    return _commutative_algebra(
+        F, len(basis), lambda i, j: E.coords_over(F, E.mul(basis[i], basis[j])), f"{E!r}/{F!r}"
+    )
 
 
 # -- cyclic crossed products ---------------------------------------------
@@ -490,22 +512,22 @@ def reduced_charpoly(A, x):
     return ReducedCharPoly(n, root)
 
 
-def _coerce_down(field, value, what):
-    if value >= field.order:
+def _rep_values(A, coefficient, what):
+    """A characteristic coefficient of every basis image of the splitting
+    representation, brought down to the algebra's field when the
+    representation lives over a proper extension of it."""
+    lvl = A.rep.level
+    vals = [coefficient(lvl, img) for img in A.rep.images]
+    if lvl != A.field and any(v >= A.field.order for v in vals):
         raise AlgebraError(f"{what} does not lie in the base field")
-    return value
+    return vals
 
 
 def t1_vector(A):
     """Values of the reduced trace on the basis."""
     if A._t1 is None:
         if A.rep is not None:
-            lvl = A.rep.level
-            vals = []
-            for img in A.rep.images:
-                tr = linalg.sparse_trace(lvl, img)
-                vals.append(_coerce_down(A.field, tr, "reduced trace"))
-            A._t1 = vals
+            A._t1 = _rep_values(A, linalg.sparse_trace, "reduced trace")
         else:
             A._t1 = [reduced_charpoly(A, A.basis_vector(k)).t1 for k in range(A.dim)]
     return A._t1
@@ -515,12 +537,9 @@ def t2_diagonal(A):
     """Values of the second reduced coefficient on the basis."""
     if A._t2diag is None:
         if A.rep is not None:
-            lvl = A.rep.level
-            vals = []
-            for img in A.rep.images:
-                v = linalg.sparse_second_coefficient(lvl, img)
-                vals.append(_coerce_down(A.field, v, "second trace coefficient"))
-            A._t2diag = vals
+            A._t2diag = _rep_values(
+                A, linalg.sparse_second_coefficient, "second trace coefficient"
+            )
         else:
             A._t2diag = [reduced_charpoly(A, A.basis_vector(k)).t2 for k in range(A.dim)]
     return A._t2diag
@@ -582,7 +601,9 @@ def t2_form(A):
 
 
 def trace_zero_subspace(A):
-    """Kernel of the reduced trace functional, as sparse basis rows."""
+    """Kernel of the reduced trace functional, as a list of sparse basis
+    rows: e_k + (t1(e_k) / t1(e_k0)) e_k0 for every k other than the
+    first index k0 where the trace is nonzero."""
     f = A.field
     t1 = t1_vector(A)
     k0 = next((k for k, v in enumerate(t1) if not f.is_zero(v)), None)
@@ -599,7 +620,7 @@ def trace_zero_subspace(A):
         if not f.is_zero(lam):
             row[k0] = lam
         rows.append(row)
-    return Subspace(A, rows)
+    return rows
 
 
 def second_trace_form(A):
@@ -612,8 +633,7 @@ def second_trace_form(A):
     q = t2_form(A)
     if A.degree % 2 == 0:
         return q
-    sub = trace_zero_subspace(A)
-    return q.restricted(sub.rows)
+    return q.restricted(trace_zero_subspace(A))
 
 
 def b_subspace_form(A):

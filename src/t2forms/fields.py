@@ -56,8 +56,9 @@ class Level:
     """One finite field in an extension chain starting at GF(2).
 
     Never instantiated directly: use the module constant ``GF2`` and
-    :meth:`extend`.  Levels are immutable; all operations are safe to
-    share between threads.
+    :meth:`extend`.  A level's arithmetic never changes after
+    construction, but other modules attach caches to it (``linalg``'s
+    scaling tables, the verification harness's ``_tensor_cache``).
     """
 
     is_finite = True
@@ -592,7 +593,8 @@ def _monic_polys(field, degree):
 def poly_factor_witness(field, p):
     """A nontrivial monic factorization (g, h) of p, or None if p is
     irreducible.  Root search first, then a distinct-degree gcd for
-    degree 4, exhaustive trial division beyond that."""
+    degree 4, exhaustive trial division beyond that and for quartics
+    that split into two distinct irreducible quadratics."""
     p = poly_monic(field, p)
     d = poly_deg(p)
     if d <= 1:
@@ -605,13 +607,17 @@ def poly_factor_witness(field, p):
     if d <= 3:
         return None
     if d == 4:
-        # gcd with x^(q^2) - x catches irreducible quadratic factors
+        # x^(q^2) - x is the product of the monic irreducibles of degree
+        # 1 and 2; without roots, its gcd with p is 1 (p irreducible),
+        # g for p = g^2, or p itself for two distinct quadratic factors,
+        # which the trial division below finds
         q2 = field.order**2
         xq = _xpow_mod(field, q2, p)
         g = poly_gcd(field, poly_add(field, xq, (0, field.one)), p)
-        if 0 < poly_deg(g) < d:
+        if poly_deg(g) == 0:
+            return None
+        if poly_deg(g) < d:
             return g, poly_divmod(field, p, g)[0]
-        return None
     for deg in range(2, d // 2 + 1):
         for g in _monic_polys(field, deg):
             quot, rem = poly_divmod(field, p, g)
@@ -829,10 +835,6 @@ def parse_poly(level, text, allow_new=True):
     if peek()[0] != "end":
         raise FieldError("trailing input in expression")
     return state["var"], poly_trim(value)
-
-
-def parse_element(level, text):
-    return level.parse(text)
 
 
 def poly_to_str(field, p, var):

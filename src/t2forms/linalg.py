@@ -1,89 +1,23 @@
-"""Dense and bit-packed exact linear algebra for characteristic two.
+"""Exact linear algebra for characteristic two, in two row layouts.
 
-Two data layouts are used:
+* list rows: a matrix is a list of rows, a row is a list of field
+  elements, and everything is duck-typed over the field object.  The
+  rational function field backend uses only this layout; finite levels
+  use it for small dense matrices (products, characteristic
+  polynomials).
+* packed rows, for finite levels: a row is a single int holding
+  ``field.bits`` bits per entry, so row addition is integer xor.  Scalar
+  multiples of packed rows go through per-chunk lookup tables cached on
+  the field object.  GF(2) is the 1-bit case: its packed rows are plain
+  bit vectors and scaling is never needed.
 
-* generic dense: a matrix is a list of rows, a row is a list of field
-  elements, and everything is duck-typed over the field object (this
-  path also serves the rational function field),
-* packed: a row is a single int holding ``field.bits`` bits per entry.
-  Row addition is integer xor.  Scalar multiples of packed rows go
-  through per-chunk lookup tables cached on the field object, which is
-  what makes elimination on large GF(2) and GF(4) matrices cheap.
-
-The GF(2) helpers at the top work on plain ints with one bit per entry
-and need no field object at all.
+:class:`PackedEchelon` is the one elimination engine on packed rows.
+:func:`solve_gf2` runs on it, and :func:`kernel` and :func:`rank` use it
+for finite levels up to 12 bits, falling back to list-row elimination
+otherwise.
 """
 
 from __future__ import annotations
-
-
-# -- GF(2) rows as plain ints -------------------------------------------
-
-
-def rref_gf2(rows, ncols):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [r for r in rows if r]
-    out = []
-    pivots = []
-    for c in range(ncols):
-        sel = None
-        for i, r in enumerate(rows):
-            if (r >> c) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        piv = rows.pop(sel)
-        out = [r ^ piv if (r >> c) & 1 else r for r in out]
-        rows = [r ^ piv if (r >> c) & 1 else r for r in rows]
-        rows = [r for r in rows if r]
-        out.append(piv)
-        pivots.append(c)
-        if not rows:
-            break
-    return out, pivots
-
-
-def rank_gf2(rows, ncols):
-    return len(rref_gf2(rows, ncols)[0])
-
-
-def kernel_gf2(rows, ncols):
-    """Basis of {v : sum_c v_c * column_c = 0}, vectors as ints."""
-    red, pivots = rref_gf2(rows, ncols)
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v = 1 << free
-        for row, p in zip(red, pivots):
-            if (row >> free) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
-
-
-def solve_gf2(rows, ncols, rhs):
-    """One solution x (as an int) of the system rows * x = rhs, or None.
-
-    ``rhs`` packs the right hand side with bit r for equation r.
-    """
-    aug = [row | (((rhs >> i) & 1) << ncols) for i, row in enumerate(rows)]
-    red, pivots = rref_gf2(aug, ncols)
-    x = 0
-    for row, p in zip(red, pivots):
-        if (row >> ncols) & 1:
-            x |= 1 << p
-    # rows that reduced to "0 = 1" mean inconsistency
-    for row in aug:
-        r = row
-        for prow, p in zip(red, pivots):
-            if (r >> p) & 1:
-                r ^= prow
-        if r:
-            return None
-    return x
 
 
 # -- packed rows over a finite level -------------------------------------
@@ -236,6 +170,27 @@ class PackedEchelon:
         return basis
 
 
+def solve_gf2(rows, ncols, rhs):
+    """One solution x (as an int) of the GF(2) system rows * x = rhs, or
+    None.  ``rows`` are bit vectors; ``rhs`` packs the right hand side
+    with bit r for equation r.
+
+    The right hand side rides along as column ``ncols``; the system is
+    inconsistent exactly when a pivot lands on that column.
+    """
+    from .fields import GF2
+
+    ech = PackedEchelon(GF2, ncols + 1)
+    for i, row in enumerate(rows):
+        ech.insert(row | (((rhs >> i) & 1) << ncols))
+    if ncols in ech.rows:
+        return None
+    x = 0
+    for p, prow in ech.rows.items():
+        x |= ((prow >> ncols) & 1) << p
+    return x
+
+
 # -- dispatching helpers on row lists ------------------------------------
 
 
@@ -360,32 +315,6 @@ def mat_vec(field, A, v):
     return out
 
 
-def mat_trace(field, A):
-    acc = field.zero
-    for i in range(len(A)):
-        acc = field.add(acc, A[i][i])
-    return acc
-
-
-def second_coefficient(field, A):
-    """Sum of the principal 2x2 minors, the second elementary symmetric
-    function of the eigenvalues (signs are immaterial here)."""
-    n = len(A)
-    acc = field.zero
-    running = field.zero
-    for i in range(n):
-        d = A[i][i]
-        if not field.is_zero(d):
-            acc = field.add(acc, field.mul(d, running))
-            running = field.add(running, d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = A[i][j], A[j][i]
-            if not field.is_zero(a) and not field.is_zero(b):
-                acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
 def sparse_trace(field, entries):
     acc = field.zero
     for (r, c), v in entries.items():
@@ -395,7 +324,9 @@ def sparse_trace(field, entries):
 
 
 def sparse_second_coefficient(field, entries):
-    """Same as :func:`second_coefficient` for {(row, col): value} dicts."""
+    """Sum of the principal 2x2 minors of a {(row, col): value} matrix,
+    the second elementary symmetric function of the eigenvalues (signs
+    are immaterial here)."""
     acc = field.zero
     running = field.zero
     for (r, c), v in sorted(entries.items()):

@@ -173,9 +173,6 @@ class QuadraticForm:
         polar = [[f.mul(c, x) for x in row] for row in self.polar]
         return QuadraticForm(f, diag, polar, validate=False)
 
-    def perp(self, other):
-        return direct_sum(self, other)
-
     def __repr__(self):
         return f"QuadraticForm(dim={self.dim} over {self.field!r})"
 
@@ -194,10 +191,6 @@ def direct_sum(q1, q2):
         for j in range(n2):
             polar[n1 + i][n1 + j] = q2.polar[i][j]
     return QuadraticForm(f, diag, polar, validate=False)
-
-
-def scale(c, q):
-    return q.scale(c)
 
 
 def radical(q):
@@ -370,22 +363,33 @@ def _decompose_gf2(q):
     )
 
 
-def arf_sum(q):
-    """Raw Arf representative: sum of a_i b_i over the decomposition
-    blocks (blocks with a_i = 0 contribute nothing after the swap
-    [0,b] = [b,0]).  Works over any field; raises on singular forms."""
-    dec = block_decompose(q)
-    if dec.radical_dim:
-        raise SingularForm(f"radical has dimension {dec.radical_dim}")
-    f = q.field
-    acc = f.zero
+def _block_symbols(f, dec):
+    """The pairs (a_i, a_i b_i) over the decomposition blocks [a_i, b_i],
+    swapped to a_i != 0 by [0,b] = [b,0]; hyperbolic blocks [0,0] give
+    none."""
+    out = []
     for a, b in dec.blocks:
         if f.is_zero(a):
             a, b = b, a
-        if f.is_zero(a):
-            continue
-        acc = f.add(acc, f.mul(a, b))
+        if not f.is_zero(a):
+            out.append((a, f.mul(a, b)))
+    return out
+
+
+def _arf_acc(f, dec):
+    acc = f.zero
+    for _, ab in _block_symbols(f, dec):
+        acc = f.add(acc, ab)
     return acc
+
+
+def arf_sum(q):
+    """Raw Arf representative: sum of a_i b_i over the decomposition
+    blocks.  Works over any field; raises on singular forms."""
+    dec = block_decompose(q)
+    if dec.radical_dim:
+        raise SingularForm(f"radical has dimension {dec.radical_dim}")
+    return _arf_acc(q.field, dec)
 
 
 def arf(q):
@@ -423,23 +427,7 @@ def witt_class(q):
         raise NotFiniteField("Witt classification implemented for finite fields")
     dec = block_decompose(q)
     f = q.field
-    acc = f.zero
-    for a, b in dec.blocks:
-        if f.is_zero(a):
-            a, b = b, a
-        if f.is_zero(a):
-            continue
-        acc = f.add(acc, f.mul(a, b))
-    return WittClass(f, 2 * len(dec.blocks), f.wp_class_rep(acc), dec.radical_dim)
-
-
-def is_witt_equivalent(q1, q2):
-    w1, w2 = witt_class(q1), witt_class(q2)
-    return (w1.field, w1.arf, w1.radical_dim) == (w2.field, w2.arf, w2.radical_dim)
-
-
-def is_isometric(q1, q2):
-    return witt_class(q1) == witt_class(q2)
+    return WittClass(f, 2 * len(dec.blocks), f.wp_class_rep(_arf_acc(f, dec)), dec.radical_dim)
 
 
 def isotropic_split_oracle(q):
@@ -768,15 +756,7 @@ def clifford_symbols(q):
     dec = block_decompose(q)
     if dec.radical_dim:
         raise SingularForm("Clifford invariant needs a nonsingular form")
-    f = q.field
-    out = []
-    for a, b in dec.blocks:
-        if f.is_zero(a):
-            a, b = b, a
-        if f.is_zero(a):
-            continue
-        out.append((a, f.mul(a, b)))
-    return out
+    return _block_symbols(q.field, dec)
 
 
 def clifford_invariant(q):

@@ -55,9 +55,6 @@ class FunctionField:
             den = poly_scale(k, inv, den)
         return Rat(num, den)
 
-    def from_poly(self, p):
-        return self.make(p)
-
     def is_zero(self, x):
         return not x.num
 

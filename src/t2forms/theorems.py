@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from . import csa, fields, linalg, quadform, rational
-from .quadform import BrauerClass, QuadraticForm, WittClass
+from .quadform import BrauerClass, WittClass
 
 CLAIM_IDS = (
     "prop1",
@@ -76,51 +76,20 @@ def witt_to_dict(w):
 
 
 def same_witt_class(w1, w2):
-    """Witt equivalence: equal Arf class and radical, dimензия ignored."""
+    """Witt equivalence: equal Arf class and radical, dimension ignored."""
     return (w1.field, w1.arf, w1.radical_dim) == (w2.field, w2.arf, w2.radical_dim)
 
 
 # -- Revoy trace form ------------------------------------------------------
 
 
-def _form_from_mult_maps(field, mats):
-    """Trace form data of a commutative algebra given by the
-    multiplication matrices of its basis."""
-    d = len(mats)
-    t1 = [linalg.mat_trace(field, M) for M in mats]
-    diag = [linalg.second_coefficient(field, M) for M in mats]
-    polar = [[field.zero] * d for _ in range(d)]
-    for i in range(d):
-        Mi = mats[i]
-        for j in range(i + 1, d):
-            # b(e_i, e_j) = T1(e_i e_j) + T1(e_i) T1(e_j); e_i e_j is column j of M_i
-            acc = field.mul(t1[i], t1[j])
-            for k in range(d):
-                v = Mi[k][j]
-                if not field.is_zero(v) and not field.is_zero(t1[k]):
-                    acc = field.add(acc, field.mul(v, t1[k]))
-            if not field.is_zero(acc):
-                polar[i][j] = acc
-                polar[j][i] = acc
-    return t1, QuadraticForm(field, diag, polar, validate=False)
-
-
-def _restrict_to_kernel(field, t1, q):
-    k0 = next((k for k, v in enumerate(t1) if not field.is_zero(v)), None)
-    if k0 is None:
-        raise quadform.FormError("trace functional vanishes identically")
-    inv = field.inv(t1[k0])
-    rows = []
-    for k in range(q.dim):
-        if k == k0:
-            continue
-        row = [field.zero] * q.dim
-        row[k] = field.one
-        lam = field.mul(t1[k], inv)
-        if not field.is_zero(lam):
-            row[k0] = lam
-        rows.append(row)
-    return q.restricted(rows)
+def _revoy_form(alg):
+    """t2 of a commutative algebra of degree d = dim over its field: on the
+    whole algebra for even d, on the trace-zero hyperplane for odd d."""
+    q = csa.t2_form(alg)
+    if alg.dim % 2 == 0:
+        return q
+    return q.restricted(csa.trace_zero_subspace(alg))
 
 
 def revoy_trace_form(field, fpoly):
@@ -128,30 +97,12 @@ def revoy_trace_form(field, fpoly):
     polynomial coefficient of multiplication maps, on the whole algebra
     for even degree and on the trace kernel for odd degree.  ``f`` need
     not be irreducible (the quotient may be etale)."""
-    fpoly = fields.poly_monic(field, fpoly)
-    d = fields.poly_deg(fpoly)
-    alg = csa.commutative_quotient(field, fpoly)
-    mats = [csa.left_regular_matrix(alg, alg.basis_vector(t)) for t in range(d)]
-    t1, q = _form_from_mult_maps(field, mats)
-    if d % 2 == 0:
-        return q
-    if d == 1:
-        return QuadraticForm(field, [], [])
-    return _restrict_to_kernel(field, t1, q)
+    return _revoy_form(csa.commutative_quotient(field, fpoly))
 
 
 def revoy_trace_form_of_extension(E, F):
-    """Same form for a tower extension E/F, from field arithmetic."""
-    n = E.degree_over(F)
-    basis = E.basis_over(F)
-    mats = []
-    for e in basis:
-        cols = [E.coords_over(F, E.mul(e, b)) for b in basis]
-        mats.append([[cols[c][r] for c in range(n)] for r in range(n)])
-    t1, q = _form_from_mult_maps(F, mats)
-    if n % 2 == 0:
-        return q
-    return _restrict_to_kernel(F, t1, q)
+    """Same form for a tower extension E/F, on E's product basis over F."""
+    return _revoy_form(csa.extension_algebra(E, F))
 
 
 # -- predictions -----------------------------------------------------------
@@ -923,6 +874,9 @@ def _run_example1(params, seed):
         )
     ]
 
+
+# the claims whose runners read params["fields"]
+FIELD_GRID_CLAIMS = ("prop1", "cor2", "thm3")
 
 _RUNNERS = {
     "prop1": _run_prop1,

@@ -1,8 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from t2forms import cli, theorems
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "verify_all_reference.json"
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +41,8 @@ def test_parse_spec_errors():
         cli.parse_spec("cmd=form\nfield=GF2\nfield=GF2\n")
     with pytest.raises(cli.ParseError):
         cli.parse_spec("cmd=form\nwhatever=1\n")
+    with pytest.raises(cli.ParseError):
+        cli.parse_spec("cmd=verify\nclaim=thm2\nn1=3\n")
 
 
 def test_field_spec_parsing(gf4):
@@ -190,3 +196,37 @@ def test_cli_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc[0]["verdict"] == "pass"
+
+
+def test_cli_rejects_negative_plane_count(capsys):
+    code, out, err = run_cli(capsys, "--field", "GF2", "--form", "[1,1]+-1*H", "--cmd", "witt")
+    assert code == 2 and out == ""
+    assert "'-1*H'" in err
+
+
+def test_cli_rejects_unclosed_scale(capsys):
+    code, out, err = run_cli(capsys, "--field", "GF2", "--form", "<1[1,1]", "--cmd", "witt")
+    assert code == 2 and out == ""
+    assert "'<1[1,1]'" in err
+
+
+def test_cli_rejects_non_numeric_plane_count(capsys):
+    code, out, err = run_cli(capsys, "--field", "GF2", "--form", "x*H", "--cmd", "witt")
+    assert code == 2 and out == ""
+    assert "'x*H'" in err
+
+
+def test_cli_rejects_fields_for_fixed_field_claims(capsys):
+    for claim in ("remark2", "thm2", "cor3", "cor4", "thm4"):
+        code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", claim, "--fields", "GF4")
+        assert code == 2 and out == "", claim
+        assert "fields=GF4" in err and claim in err
+
+
+def test_cli_verify_all_matches_reference_digest(capsys):
+    # the claim-set output must stay byte-identical across refactors
+    expected = json.loads(REFERENCE.read_text())["sha256"]["0"]
+    code, out, _ = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--seed", "0")
+    assert code == 0
+    text = json.dumps(json.loads(out), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

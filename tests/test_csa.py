@@ -36,9 +36,9 @@ def test_quaternion_trace_vector(gf4):
     # space is spanned by 1, e, ef
     Q = csa.quaternion_algebra(gf4, gf4.gen, gf4.gen ^ 1)
     assert csa.t1_vector(Q) == [0, 0, 1, 0]
-    sub = csa.trace_zero_subspace(Q)
-    assert len(sub.rows) == 3
-    for row in sub.rows:
+    rows = csa.trace_zero_subspace(Q)
+    assert len(rows) == 3
+    for row in rows:
         assert row[2] == 0  # no f component needed
 
 
@@ -172,13 +172,13 @@ def test_q1_rank_zero(gf4):
 
 def test_trace_zero_subspace(gf4):
     M3 = csa.matrix_algebra(GF2, 3)
-    sub = csa.trace_zero_subspace(M3)
-    assert len(sub.rows) == 8
-    for row in sub.rows:
+    rows = csa.trace_zero_subspace(M3)
+    assert len(rows) == 8
+    for row in rows:
         assert csa.t1_of(M3, row) == 0
     # scalars are orthogonal to the trace-zero hyperplane
     q = csa.t2_form(M3)
-    for row in sub.rows:
+    for row in rows:
         assert q.bilinear(M3.one, row) == 0
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -146,6 +147,27 @@ def test_irreducibility_degrees(gf4):
     assert poly_roots(GF2, p) == []
     assert not poly_is_irreducible(GF2, p)
     assert poly_is_irreducible(GF2, (1, 1, 0, 0, 1))  # x^4+x+1
+
+
+def test_extend_rejects_two_distinct_quadratics(gf4):
+    # b^4+b^3+1 has no root over GF(4) but is the product of two distinct
+    # irreducible quadratics
+    with pytest.raises(RejectsReducible) as exc:
+        fields.GF2.extend("a^2+a+1").extend("b^4+b^3+1")
+    g, h = exc.value.factors
+    assert poly_mul(gf4, g, h) == (1, 0, 0, 1, 1)
+
+
+def test_quartics_over_gf4_match_exhaustive_division(gf4):
+    elems = range(gf4.order)
+    divisors = [tuple(low) + (1,) for k in (1, 2) for low in itertools.product(elems, repeat=k)]
+    for low in itertools.product(elems, repeat=4):
+        p = tuple(low) + (1,)
+        reducible = any(not fields.poly_divmod(gf4, p, g)[1] for g in divisors)
+        witness = fields.poly_factor_witness(gf4, p)
+        assert (witness is not None) == reducible, p
+        if witness:
+            assert poly_mul(gf4, *witness) == p
 
 
 def test_find_irreducible_big(gf8):

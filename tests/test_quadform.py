@@ -174,7 +174,7 @@ def test_witt_class_examples(gf4):
     assert (w.dim, w.arf) == (4, 0)  # [1,1]+[1,1] = 2H
     assert qf.witt_class(QuadraticForm.binary(GF2, 1, 0)).arf == 0  # [1,0] = H
     assert qf.witt_class(QuadraticForm.binary(gf4, 1, 1)).arf == 0  # 1 is x^2+x over GF(4)
-    assert qf.is_witt_equivalent(two11, QuadraticForm.hyperbolic(GF2, 2))
+    assert w == qf.witt_class(QuadraticForm.hyperbolic(GF2, 2))
 
 
 def test_oracle_examples():

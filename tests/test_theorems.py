@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from t2forms import csa, fields, quadform as qf, theorems
+from t2forms import csa, fields, linalg, quadform as qf, theorems
 from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm, WittClass
 
@@ -24,10 +25,60 @@ def test_revoy_degree_one():
     assert q.dim == 0
 
 
-def test_revoy_quotient_matches_extension(gf4):
-    q1 = theorems.revoy_trace_form(GF2, (1, 1, 1))
-    q2 = theorems.revoy_trace_form_of_extension(gf4, GF2)
-    assert q1.diag == q2.diag and q1.polar == q2.polar
+def test_revoy_quotient_matches_extension(gf4, gf8):
+    # over GF(2) the product basis of a simple extension is the power
+    # basis of the quotient by its defining polynomial
+    for E in (gf4, gf8, GF2.extend("a^5+a^2+1")):
+        q1 = theorems.revoy_trace_form(GF2, E.poly)
+        q2 = theorems.revoy_trace_form_of_extension(E, GF2)
+        assert q1.dim == E.bits - E.bits % 2
+        assert q1.diag == q2.diag and q1.polar == q2.polar
+
+
+def _charpoly_revoy_form(field, fpoly):
+    """Oracle for the Revoy form: t1 and t2 read off the characteristic
+    polynomial of left multiplication, the polar form as
+    t2(x+y) + t2(x) + t2(y), and for odd degree the trace-kernel basis
+    e_k + (t1(e_k) / t1(e_k0)) e_k0, k != k0."""
+    alg = csa.commutative_quotient(field, fpoly)
+    d = alg.dim
+
+    def coeff(x, i):
+        return linalg.charpoly(field, csa.left_regular_matrix(alg, x))[d - i]
+
+    basis = [alg.basis_vector(k) for k in range(d)]
+    if d % 2:
+        t1 = [coeff(e, 1) for e in basis]
+        k0 = next(k for k, v in enumerate(t1) if v)
+        lam = field.inv(t1[k0])
+        basis = [
+            alg.add(e, alg.scalar_mul(field.mul(t1[k], lam), basis[k0]))
+            for k, e in enumerate(basis)
+            if k != k0
+        ]
+    diag = [coeff(v, 2) for v in basis]
+    m = len(basis)
+    polar = [[field.zero] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            b = field.add(coeff(alg.add(basis[i], basis[j]), 2), field.add(diag[i], diag[j]))
+            polar[i][j] = polar[j][i] = b
+    return diag, polar
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    fname=st.sampled_from(["GF2", "GF4"]),
+    degree=st.integers(min_value=2, max_value=7),
+    data=st.data(),
+)
+def test_revoy_form_matches_charpoly_oracle(fname, degree, data):
+    field = theorems.standard_field(fname)
+    low = data.draw(st.lists(st.integers(0, field.order - 1), min_size=degree, max_size=degree))
+    fpoly = tuple(low) + (field.one,)
+    q = theorems.revoy_trace_form(field, fpoly)
+    diag, polar = _charpoly_revoy_form(field, fpoly)
+    assert q.diag == diag and q.polar == polar
 
 
 def test_predicted_matrix_class_table(gf4):
