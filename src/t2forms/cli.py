@@ -355,22 +355,32 @@ def _job_galois(job, level):
     return theorems.galois_obstruction(level, coeffs)
 
 
+def _claim_readers(key):
+    return ", ".join(c for c, keys in theorems.CLAIM_PARAMS.items() if key in keys)
+
+
 def _job_verify(job, level):
+    claim = job.params.get("claim", "all")
+    if level != fields.GF2:
+        raise ParseError(
+            f"field={job.field_spec}: claim {claim} does not read field=; verify takes "
+            f"its fields from fields=, which {_claim_readers('fields')} and all read"
+        )
+    # ``all`` reads every key; an unknown claim id is rejected by the harness
+    for key in ("n", "fields", "pairs"):
+        if key in job.params and key not in theorems.CLAIM_PARAMS.get(claim, (key,)):
+            raise ParseError(
+                f"{key}={job.params[key]}: claim {claim} does not read {key}=; "
+                f"{key}= is read by {_claim_readers(key)} and all"
+            )
     params = {}
     if "n" in job.params:
         params["n"] = _int_list(job.params["n"])
     if "pairs" in job.params:
         params["pairs"] = _pair_list(job.params["pairs"])
-    claim = job.params.get("claim", "all")
     if "fields" in job.params:
-        if claim in theorems.CLAIM_IDS and claim not in theorems.FIELD_GRID_CLAIMS:
-            raise ParseError(
-                f"fields={job.params['fields']}: claim {claim} runs over a fixed field; "
-                f"fields= is read by {', '.join(theorems.FIELD_GRID_CLAIMS)} and all"
-            )
         params["fields"] = tuple(str(job.params["fields"]).split(","))
-    reports = theorems.run_verification(claim, params, job.seed)
-    return reports
+    return theorems.run_verification(claim, params, job.seed)
 
 
 def execute(job, include_ms=False):

@@ -23,6 +23,7 @@ caches; verification work on independent algebras can run concurrently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import fields, linalg
@@ -253,7 +254,9 @@ def quaternion_algebra(field, a, b):
         field, 4, product, [one, 0, 0, 0],
         label=f"Quat({field.show(a)},{field.show(b)})", degree=2, is_csa=True, rep=rep,
     )
-    _assert_associative_all(alg)
+    bad = _first_nonassociative_triple(alg, itertools.product(range(4), repeat=3))
+    if bad is not None:
+        raise AlgebraError("associativity fails on basis triple ({},{},{})".format(*bad))
     _assert_center_trivial(alg)
     return alg
 
@@ -394,10 +397,12 @@ def crossed_product(E, F, cocycle="trivial", label=None):
     """Crossed product of the Galois extension E/F with the given
     normalized cocycle table over the Frobenius-power group order.
 
-    Basis: u_sigma^i e_t with e_t the product basis of E over F; the
-    multiplication is (u_s c)(u_t d) = u_(st) Phi(s,t) t(c) d.  The
-    construction is rejected unless the resulting product is associative
-    on all basis triples, which is the cocycle condition in disguise.
+    Basis: u_i e_t with u_i standing for sigma^i, sigma the Frobenius of
+    E/F, and e_t the product basis of E over F; the multiplication is
+    (u_i c)(u_j d) = u_(i+j) Phi(i,j) sigma^j(c) d.  The table is rejected
+    unless Phi(i+j,k) sigma^k(Phi(i,j)) = Phi(i,j+k) Phi(j,k) for all
+    group triples (i,j,k), which is equivalent to associativity on all
+    basis triples.
     """
     if not E.is_extension_of(F):
         raise AlgebraError("need a tower extension E/F")
@@ -419,27 +424,14 @@ def crossed_product(E, F, cocycle="trivial", label=None):
     basis_E = E.basis_over(F)
     sig = [[E.relative_frobenius(F, e, j) for e in basis_E] for j in range(n)]
 
-    # associativity == cocycle condition; e_r enters linearly so (s,t)
-    # pairs of E-basis vectors suffice
+    # the cocycle identity; associativity on the basis triples
+    # (u_i e_s, u_j e_t, u_k e_r) is this identity times sig^(j+k)(e_s) sig^k(e_t)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                pik = phi[(i + j) % n][k]
-                pjk = phi[j][k]
-                pij_k = phi[i][(j + k) % n]
-                for s in range(n):
-                    cs = sig[j][s]
-                    lhs_core = E.mul(phi[i][j], cs)
-                    for t in range(n):
-                        lhs = E.mul(pik, E.relative_frobenius(F, E.mul(lhs_core, basis_E[t]), k))
-                        rhs = E.mul(
-                            E.mul(pij_k, E.relative_frobenius(F, basis_E[s], (j + k) % n)),
-                            E.mul(pjk, E.relative_frobenius(F, basis_E[t], k)),
-                        )
-                        if lhs != rhs:
-                            raise CocycleInvalid(
-                                f"associativity fails on group triple ({i},{j},{k})"
-                            )
+                lhs = E.mul(phi[(i + j) % n][k], E.relative_frobenius(F, phi[i][j], k))
+                if lhs != E.mul(phi[i][(j + k) % n], phi[j][k]):
+                    raise CocycleInvalid(f"associativity fails on group triple ({i},{j},{k})")
 
     dim = n * n
     table = {}
@@ -658,15 +650,15 @@ def b_subspace_form(A):
 # -- sanity checking -------------------------------------------------------
 
 
-def _assert_associative_all(A):
-    f = A.field
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                lhs = A.mul(A.element_from(A.product(i, j)), A.basis_vector(k))
-                rhs = A.mul(A.basis_vector(i), A.element_from(A.product(j, k)))
-                if lhs != rhs:
-                    raise AlgebraError(f"associativity fails on basis triple ({i},{j},{k})")
+def _first_nonassociative_triple(A, triples):
+    """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
+    or None."""
+    for i, j, k in triples:
+        lhs = A.mul(A.element_from(A.product(i, j)), A.basis_vector(k))
+        rhs = A.mul(A.basis_vector(i), A.element_from(A.product(j, k)))
+        if lhs != rhs:
+            return (i, j, k)
+    return None
 
 
 def _center_rank(A, stop_at=None):
@@ -679,14 +671,10 @@ def _center_rank(A, stop_at=None):
     for i in range(m):
         rows = {}
         for j in range(m):
-            for k, v in A.product(i, j):
-                rows[k] = rows.get(k, 0)
-                cur = linalg.row_entry(f, rows[k], j)
-                rows[k] = rows[k] ^ ((cur ^ f.add(cur, v)) << (j * bits))
-            for k, v in A.product(j, i):
-                rows[k] = rows.get(k, 0)
-                cur = linalg.row_entry(f, rows[k], j)
-                rows[k] = rows[k] ^ ((cur ^ f.add(cur, v)) << (j * bits))
+            shift = j * bits
+            for pairs in (A.product(i, j), A.product(j, i)):
+                for k, v in pairs:
+                    rows[k] = rows.get(k, 0) ^ (v << shift)
         for row in rows.values():
             if row:
                 ech.insert(row)
@@ -705,7 +693,6 @@ def sanity_check_csa(A, sample_triples=None, rng=None):
     """Report-valued checker: associativity, identity laws, perfect
     square dimension, trivial center.  Returns a dict with pass/fail and
     witnesses rather than raising."""
-    f = A.field
     report = {"passed": True, "failures": [], "dim": A.dim}
     root = int(round(A.dim**0.5))
     if root * root != A.dim:
@@ -718,12 +705,7 @@ def sanity_check_csa(A, sample_triples=None, rng=None):
             report["failures"].append(("identity", k))
             break
     if sample_triples is None and A.dim <= 32:
-        triples = (
-            (i, j, k)
-            for i in range(A.dim)
-            for j in range(A.dim)
-            for k in range(A.dim)
-        )
+        triples = itertools.product(range(A.dim), repeat=3)
     else:
         import random as _random
 
@@ -733,13 +715,10 @@ def sanity_check_csa(A, sample_triples=None, rng=None):
             (rng.randrange(A.dim), rng.randrange(A.dim), rng.randrange(A.dim))
             for _ in range(count)
         )
-    for i, j, k in triples:
-        lhs = A.mul(A.element_from(A.product(i, j)), A.basis_vector(k))
-        rhs = A.mul(A.basis_vector(i), A.element_from(A.product(j, k)))
-        if lhs != rhs:
-            report["passed"] = False
-            report["failures"].append(("associativity", (i, j, k)))
-            break
+    bad = _first_nonassociative_triple(A, triples)
+    if bad is not None:
+        report["passed"] = False
+        report["failures"].append(("associativity", bad))
     ech = _center_rank(A)
     center_dim = A.dim - ech.rank
     report["center_dim"] = center_dim

@@ -55,24 +55,29 @@ class QuadraticForm:
 
     ``diag[i]`` is q(e_i); ``polar`` is symmetric with zero diagonal
     (alternating, as forced in characteristic two).  ``basis`` may carry
-    the rows that define the form inside an ambient space, for audit.
+    the rows that define the form inside an ambient space, for audit; it
+    is kept as given.  A validated form copies ``diag`` and ``polar``;
+    with ``validate=False`` the lists are neither checked nor copied, so
+    the caller hands over freshly built lists.
     """
 
     def __init__(self, field, diag, polar, basis=None, validate=True):
         self.field = field
-        self.diag = list(diag)
-        self.polar = [list(r) for r in polar]
-        self.dim = len(self.diag)
-        self.basis = basis
         if validate:
-            if len(self.polar) != self.dim or any(len(r) != self.dim for r in self.polar):
+            diag = list(diag)
+            polar = [list(r) for r in polar]
+            if len(polar) != len(diag) or any(len(r) != len(diag) for r in polar):
                 raise DimensionMismatch("polar matrix shape does not match diagonal")
-            for i in range(self.dim):
-                if not field.is_zero(self.polar[i][i]):
+            for i in range(len(diag)):
+                if not field.is_zero(polar[i][i]):
                     raise FormError("polar matrix must have zero diagonal")
                 for j in range(i):
-                    if self.polar[i][j] != self.polar[j][i]:
+                    if polar[i][j] != polar[j][i]:
                         raise FormError("polar matrix must be symmetric")
+        self.diag = diag
+        self.polar = polar
+        self.dim = len(diag)
+        self.basis = basis
         self._decomp = None
 
     @classmethod
@@ -130,7 +135,8 @@ class QuadraticForm:
         """The form pulled back to the span of the given row vectors.
 
         Row supports are collected once, so sparse restriction bases
-        (hyperplanes, subspace spans) stay cheap at large dimension.
+        (hyperplanes, subspace spans) stay cheap at large dimension.  The
+        result keeps ``rows`` itself, not a copy, as its ``basis``.
         """
         f = self.field
         sup = [
@@ -163,7 +169,7 @@ class QuadraticForm:
                 if not f.is_zero(acc):
                     polar[i][j] = acc
                     polar[j][i] = acc
-        return QuadraticForm(f, diag, polar, basis=[list(r) for r in rows], validate=False)
+        return QuadraticForm(f, diag, polar, basis=rows, validate=False)
 
     def scale(self, c):
         f = self.field

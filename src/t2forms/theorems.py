@@ -18,20 +18,23 @@ from dataclasses import dataclass
 from . import csa, fields, linalg, quadform, rational
 from .quadform import BrauerClass, WittClass
 
-CLAIM_IDS = (
-    "prop1",
-    "thm1",
-    "cor1",
-    "cor2",
-    "thm2",
-    "cor3",
-    "cor4",
-    "thm3",
-    "thm4",
-    "remark2",
-    "remark3",
-    "example1",
-)
+# the claim ids, each with the grid keys of ``params`` its runner reads
+# (single-field runners also take ``field``, which the CLI never sets)
+CLAIM_PARAMS = {
+    "prop1": ("n", "fields"),
+    "thm1": ("n",),
+    "cor1": ("n",),
+    "cor2": ("n", "fields"),
+    "thm2": ("pairs",),
+    "cor3": ("n",),
+    "cor4": ("n",),
+    "thm3": ("n", "fields"),
+    "thm4": ("pairs",),
+    "remark2": (),
+    "remark3": ("n",),
+    "example1": (),
+}
+CLAIM_IDS = tuple(CLAIM_PARAMS)
 
 
 @dataclass
@@ -874,9 +877,6 @@ def _run_example1(params, seed):
         )
     ]
 
-
-# the claims whose runners read params["fields"]
-FIELD_GRID_CLAIMS = ("prop1", "cor2", "thm3")
 
 _RUNNERS = {
     "prop1": _run_prop1,

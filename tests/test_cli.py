@@ -230,3 +230,25 @@ def test_cli_verify_all_matches_reference_digest(capsys):
     assert code == 0
     text = json.dumps(json.loads(out), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def test_cli_verify_rejects_field_other_than_gf2(capsys):
+    # over GF(4) cor4 at n=2 has Arf class 0; the GF(2) answer "1" must not
+    # come back under a field the claim never reads
+    code, out, err = run_cli(
+        capsys, "--field", 'extend(GF2,"a^2+a+1")', "--cmd", "verify", "--claim", "cor4", "--n", "2"
+    )
+    assert code == 2 and out == ""
+    assert 'field=extend(GF2,"a^2+a+1")' in err and "cor4" in err and "fields=" in err
+
+
+def test_cli_rejects_n_for_claims_without_degree_grid(capsys):
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "remark2", "--n", "5")
+    assert code == 2 and out == ""
+    assert "n=5" in err and "remark2" in err
+
+
+def test_cli_rejects_pairs_for_claims_without_pair_grid(capsys):
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor1", "--pairs", "3x5")
+    assert code == 2 and out == ""
+    assert "pairs=3x5" in err and "cor1" in err

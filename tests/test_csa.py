@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from t2forms import csa, fields, linalg, quadform as qf
 from t2forms.fields import GF2, NotAPower
@@ -366,6 +367,107 @@ def test_cocycle_validation(gf8):
     notnorm = [[1, 1, 1], [1, 1, 1], [1, gf8.gen, 1]]
     with pytest.raises(csa.CocycleInvalid):
         csa.crossed_product(gf8, GF2, notnorm)
+
+
+def _basis_pair_first_failure(E, F, phi):
+    """Independent oracle: the first group triple (i, j, k) on which the
+    crossed-product multiplication is not associative on some pair of
+    E-basis vectors, or None: the direct n^5 check that the n^3 cocycle
+    identity in crossed_product must agree with."""
+    n = E.degree_over(F)
+    basis_E = E.basis_over(F)
+    sig = [[E.relative_frobenius(F, e, j) for e in basis_E] for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                pik = phi[(i + j) % n][k]
+                pjk = phi[j][k]
+                pij_k = phi[i][(j + k) % n]
+                for s in range(n):
+                    cs = sig[j][s]
+                    lhs_core = E.mul(phi[i][j], cs)
+                    for t in range(n):
+                        lhs = E.mul(pik, E.relative_frobenius(F, E.mul(lhs_core, basis_E[t]), k))
+                        rhs = E.mul(
+                            E.mul(pij_k, E.relative_frobenius(F, basis_E[s], (j + k) % n)),
+                            E.mul(pjk, E.relative_frobenius(F, basis_E[t], k)),
+                        )
+                        if lhs != rhs:
+                            return (i, j, k)
+    return None
+
+
+def _draw_extension(data, gf4, gf8, gf64_tower):
+    return data.draw(st.sampled_from([(gf4, GF2), (gf8, GF2), (gf64_tower, gf4)]))
+
+
+def _draw_coboundary_cocycle(data, E, F):
+    """gamma^[i+j >= n] sigma^j(c_i) c_j / c_(i+j) with c_0 = 1: the
+    cyclic cocycle of gamma in the basis u_i c_i."""
+    n = E.degree_over(F)
+    gamma = data.draw(st.integers(1, F.order - 1))
+    c = [E.one] + [data.draw(st.integers(1, E.order - 1)) for _ in range(n - 1)]
+    return [
+        [
+            E.mul(
+                gamma if i + j >= n else E.one,
+                E.mul(E.mul(E.relative_frobenius(F, c[i], j), c[j]), E.inv(c[(i + j) % n])),
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(data=st.data())
+def test_cocycle_identity_matches_basis_pair_oracle(gf4, gf8, gf64_tower, data):
+    E, F = _draw_extension(data, gf4, gf8, gf64_tower)
+    n = E.degree_over(F)
+    if data.draw(st.booleans()):
+        phi = [[E.one] * n] + [
+            [E.one] + [data.draw(st.integers(1, E.order - 1)) for _ in range(n - 1)]
+            for _ in range(n - 1)
+        ]
+    else:
+        # a valid table, possibly with one interior entry changed
+        phi = _draw_coboundary_cocycle(data, E, F)
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(1, n - 1))
+            j = data.draw(st.integers(1, n - 1))
+            phi[i][j] = E.mul(phi[i][j], data.draw(st.integers(2, E.order - 1)))
+    expected = _basis_pair_first_failure(E, F, phi)
+    if expected is None:
+        csa.crossed_product(E, F, phi)
+    else:
+        with pytest.raises(csa.CocycleInvalid) as err:
+            csa.crossed_product(E, F, phi)
+        assert str(err.value) == "associativity fails on group triple ({},{},{})".format(*expected)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_coboundary_cocycles_give_csas(gf4, gf8, gf64_tower, data):
+    E, F = _draw_extension(data, gf4, gf8, gf64_tower)
+    phi = _draw_coboundary_cocycle(data, E, F)
+    A = csa.crossed_product(E, F, phi)
+    assert csa.sanity_check_csa(A)["passed"]
+
+
+def test_crossed_product_frobenius_calls_are_cubic(monkeypatch):
+    # the cocycle check takes one Frobenius power per group triple and
+    # the twisted basis n^2 more; a check over E-basis pairs takes n^5
+    E = GF2.extend("a^5+a^2+1")
+    calls = []
+    frobenius = fields.Level.relative_frobenius
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return frobenius(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.Level, "relative_frobenius", counting)
+    csa.crossed_product(E, GF2)
+    assert 0 < len(calls) <= 5**3 + 5**2
 
 
 def test_sanity_check_reports_associativity_witness(gf8):

@@ -174,6 +174,21 @@ def test_run_verification_unknown_claim():
         theorems.run_verification("nope")
 
 
+def test_claim_params_table_matches_runners():
+    # each runner is handed empty grids and must ask for exactly the grid
+    # keys the table lists for it
+    class Recorder(dict):
+        def get(self, key, default=None):
+            self.read.add(key)
+            return () if key in ("n", "fields", "pairs") else default
+
+    for cid in theorems.CLAIM_IDS:
+        params = Recorder()
+        params.read = set()
+        theorems._RUNNERS[cid](params, 0)
+        assert params.read & {"n", "fields", "pairs"} == set(theorems.CLAIM_PARAMS[cid]), cid
+
+
 def test_verification_reports_order_independent():
     r1 = theorems.run_verification("cor1", {"n": [3, 5]})
     r2 = theorems.run_verification("cor1", {"n": [5, 3]})
