@@ -554,48 +554,85 @@ def b_t2(A, x, y):
     return f.add(t1_of(A, A.mul(x, y)), f.mul(t1_of(A, x), t1_of(A, y)))
 
 
+def _trace_products(A):
+    """Trd(e_i e_j) for the basis pairs j > i, as one {j: value} dict
+    per i (the values are symmetric in i and j).
+
+    With a splitting representation, Trd(e_i e_j) = tr(rho_i rho_j) is
+    the sum over positions (r, c) of rho_i[r, c] rho_j[c, r], found
+    through an index from each position to the images with an entry
+    there; no structure constants are read.  Without one, it is the sum
+    over e_i e_j = sum v_k e_k of v_k t1(e_k).
+    """
+    f = A.field
+    if A.rep is None:
+        t1 = t1_vector(A)
+        out = []
+        for i in range(A.dim):
+            upper = {}
+            for j in range(i + 1, A.dim):
+                acc = f.zero
+                for k, v in A.product(i, j):
+                    acc = f.add(acc, f.mul(v, t1[k]))
+                if not f.is_zero(acc):
+                    upper[j] = acc
+            out.append(upper)
+        return out
+    lvl = A.rep.level
+    at = {}
+    for j, img in enumerate(A.rep.images):
+        for pos, w in img.items():
+            at.setdefault(pos, []).append((j, w))
+    out = []
+    for i, img in enumerate(A.rep.images):
+        upper = {}
+        for (r, c), v in img.items():
+            for j, w in at.get((c, r), ()):
+                if j > i:
+                    upper[j] = lvl.add(upper.get(j, lvl.zero), lvl.mul(v, w))
+        out.append(upper)
+    if lvl != f and any(v >= f.order for upper in out for v in upper.values()):
+        raise AlgebraError("reduced trace of a basis product does not lie in the base field")
+    return out
+
+
 def t2_form(A):
-    """The quadratic form x -> t2(x) on the whole algebra, materialized
-    as basis values plus the polar matrix from the trace identity."""
+    """The quadratic form x -> t2(x) on the whole algebra: the basis
+    values t2(e_i) and the polar rows b(e_i, e_j) = Trd(e_i e_j) +
+    t1(e_i) t1(e_j) for j != i, packed over a finite field."""
     f = A.field
     m = A.dim
-    diag = list(t2_diagonal(A))
     t1 = t1_vector(A)
-    polar = [[f.zero] * m for _ in range(m)]
-    prod = A.product
-    gf2 = getattr(f, "is_finite", False) and f.order == 2
-    if gf2:
-        for i in range(m):
-            ti = t1[i]
-            row = polar[i]
-            for j in range(i + 1, m):
-                acc = ti & t1[j]
-                for k, v in prod(i, j):
-                    acc ^= v & t1[k]
-                if acc:
-                    row[j] = acc
-                    polar[j][i] = acc
+    trd = _trace_products(A)
+    if getattr(f, "is_finite", False):
+        bits = f.bits
+        emask = (1 << bits) - 1
+        rows = [0] * m
+        for i, upper in enumerate(trd):
+            for j, v in upper.items():
+                rows[i] ^= v << (j * bits)
+                rows[j] ^= v << (i * bits)
+        T = linalg.pack_row(f, t1)
+        for i, ti in enumerate(t1):
+            if ti:
+                rows[i] ^= linalg.scale_row(f, T, ti) & ~(emask << (i * bits))
     else:
-        fadd, fmul, fzero = f.add, f.mul, f.is_zero
-        for i in range(m):
-            ti = t1[i]
-            row = polar[i]
+        rows = [[f.zero] * m for _ in range(m)]
+        for i, upper in enumerate(trd):
             for j in range(i + 1, m):
-                acc = fmul(ti, t1[j])
-                for k, v in prod(i, j):
-                    tk = t1[k]
-                    if not fzero(v) and not fzero(tk):
-                        acc = fadd(acc, fmul(v, tk))
-                if not fzero(acc):
-                    row[j] = acc
-                    polar[j][i] = acc
-    return QuadraticForm(f, diag, polar, validate=False)
+                v = upper.get(j, f.zero)
+                if not (f.is_zero(t1[i]) or f.is_zero(t1[j])):
+                    v = f.add(v, f.mul(t1[i], t1[j]))
+                rows[i][j] = rows[j][i] = v
+    return QuadraticForm.from_rows(f, list(t2_diagonal(A)), rows)
 
 
-def trace_zero_subspace(A):
+def trace_zero_subspace(A, packed=False):
     """Kernel of the reduced trace functional, as a list of sparse basis
     rows: e_k + (t1(e_k) / t1(e_k0)) e_k0 for every k other than the
-    first index k0 where the trace is nonzero."""
+    first index k0 where the trace is nonzero.  Rows are coordinate
+    lists, or with ``packed`` ints in the packed layout of finite-level
+    forms."""
     f = A.field
     t1 = t1_vector(A)
     k0 = next((k for k, v in enumerate(t1) if not f.is_zero(v)), None)
@@ -606,9 +643,12 @@ def trace_zero_subspace(A):
     for k in range(A.dim):
         if k == k0:
             continue
+        lam = f.mul(t1[k], inv)
+        if packed:
+            rows.append((f.one << (k * f.bits)) | (lam << (k0 * f.bits)))
+            continue
         row = [f.zero] * A.dim
         row[k] = f.one
-        lam = f.mul(t1[k], inv)
         if not f.is_zero(lam):
             row[k0] = lam
         rows.append(row)
@@ -625,7 +665,7 @@ def second_trace_form(A):
     q = t2_form(A)
     if A.degree % 2 == 0:
         return q
-    return q.restricted(trace_zero_subspace(A))
+    return q.restricted(trace_zero_subspace(A, packed=q.packed))
 
 
 def b_subspace_form(A):

@@ -339,6 +339,10 @@ class Level:
 
     def coords_over(self, sub, x):
         """Coordinates of x in the product basis of this level over sub."""
+        if self is sub:
+            return (x,)
+        if self.parent is sub:
+            return self.coeffs(x)
         if self == sub:
             return (x,)
         out = []

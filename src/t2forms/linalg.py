@@ -43,15 +43,12 @@ def _scale_table(field, c):
         chunk_bits, _ = _chunk_conf(field)
         bits = field.bits
         emask = (1 << bits) - 1
-        tbl = []
-        for chunk in range(1 << chunk_bits):
-            out = 0
-            shift = 0
-            while chunk:
-                out |= field.mul(c, chunk & emask) << shift
-                chunk >>= bits
-                shift += bits
-            tbl.append(out)
+        prod = [field.mul(c, e) for e in range(1 << bits)]
+        tbl = [0] * (1 << chunk_bits)
+        # a chunk scales to its lowest entry's product below the scaled
+        # rest, which is a smaller chunk and already in the table
+        for chunk in range(1, 1 << chunk_bits):
+            tbl[chunk] = prod[chunk & emask] | (tbl[chunk >> bits] << bits)
         tables[c] = tbl
     return tbl
 
@@ -102,8 +99,18 @@ def row_entry(field, row, c):
     return (row >> (c * bits)) & ((1 << bits) - 1)
 
 
-def _leading_col(field, row):
-    return (row & -row).bit_length() - 1 if row else -1
+def row_items(field, row):
+    """The nonzero entries of a packed row as (column, value) pairs,
+    lowest column first; the cost is per nonzero entry."""
+    bits = field.bits
+    emask = (1 << bits) - 1
+    out = []
+    while row:
+        shift = (((row & -row).bit_length() - 1) // bits) * bits
+        e = (row >> shift) & emask
+        out.append((shift // bits, e))
+        row ^= e << shift
+    return out
 
 
 class PackedEchelon:
@@ -126,13 +133,17 @@ class PackedEchelon:
         """Fully reduce a row against the stored pivot rows.
 
         Pivot rows are zero at every other pivot column, so one pass
-        over the pivots suffices.
+        over the pivots suffices.  Entries equal to one need no scaling,
+        which covers every entry over GF(2).
         """
         field = self.field
+        bits = field.bits
+        emask = (1 << bits) - 1
+        one = field.one
         for p, prow in self.rows.items():
-            e = row_entry(field, row, p)
+            e = (row >> (p * bits)) & emask
             if e:
-                row ^= scale_row(field, prow, e)
+                row ^= prow if e == one else scale_row(field, prow, e)
         return row
 
     def insert(self, row):
@@ -141,15 +152,20 @@ class PackedEchelon:
         row = self.reduce(row)
         if not row:
             return False
-        c = _leading_col(field, row) // field.bits
-        e = row_entry(field, row, c)
-        if e != field.one:
+        bits = field.bits
+        emask = (1 << bits) - 1
+        one = field.one
+        c = ((row & -row).bit_length() - 1) // bits
+        shift = c * bits
+        e = (row >> shift) & emask
+        if e != one:
             row = scale_row(field, row, field.inv(e))
-        for p, prow in list(self.rows.items()):
-            pe = row_entry(field, prow, c)
+        rows = self.rows
+        for p, prow in rows.items():
+            pe = (prow >> shift) & emask
             if pe:
-                self.rows[p] = prow ^ scale_row(field, row, pe)
-        self.rows[c] = row
+                rows[p] = prow ^ (row if pe == one else scale_row(field, row, pe))
+        rows[c] = row
         return True
 
     def kernel(self):

@@ -6,13 +6,21 @@ The single evaluation rule
 
     q(sum x_i e_i) = sum x_i**2 q(e_i) + sum_{i<j} x_i x_j b(e_i, e_j)
 
-is the source of truth for everything else.  Block decomposition is a
-symplectic reduction; over GF(2) it runs on bit-packed rows so that
-forms of dimension around a thousand stay cheap.
+is the source of truth for everything else.
 
-Forms are treated as immutable after construction (the only mutation is
-an internal decomposition cache), so independent forms can be processed
-concurrently.
+Over a finite level the polar matrix is held as packed rows, one int per
+row with ``field.bits`` bits per entry (the layout of
+:class:`linalg.PackedEchelon`), so row operations are integer xors plus
+``linalg.scale_row`` for scalars other than one.  Restriction to a
+sparse basis and the symplectic block reduction both run on these rows,
+at every finite level.  List rows remain only for the rational function
+field backend (``rational.FunctionField``), with its own generic
+restriction and reduction.  ``QuadraticForm.polar`` and the rows of a
+decomposition are list views, unpacked only when read.
+
+Forms are treated as immutable after construction (the only mutations
+are internal caches: the decomposition and the unpacked views), so
+independent forms can be processed concurrently.
 """
 
 from __future__ import annotations
@@ -53,16 +61,20 @@ class DimensionTooLarge(FormError):
 class QuadraticForm:
     """A quadratic form given by diagonal values and a polar matrix.
 
-    ``diag[i]`` is q(e_i); ``polar`` is symmetric with zero diagonal
-    (alternating, as forced in characteristic two).  ``basis`` may carry
-    the rows that define the form inside an ambient space, for audit; it
-    is kept as given.  A validated form copies ``diag`` and ``polar``;
-    with ``validate=False`` the lists are neither checked nor copied, so
-    the caller hands over freshly built lists.
+    ``diag[i]`` is q(e_i); the polar matrix is symmetric with zero
+    diagonal (alternating, as forced in characteristic two).  ``rows``
+    holds it in the storage layout: packed ints over a finite level
+    (``packed`` is then true), lists over a function field.  The
+    constructor takes list rows; a validated form copies ``diag`` and
+    ``polar``, and with ``validate=False`` the lists are neither checked
+    nor copied, so the caller hands over freshly built lists.
+    :meth:`from_rows` takes rows already in the storage layout.
+
+    ``basis`` may carry the rows that define the form inside an ambient
+    space, for audit; it is kept as given and read back as lists.
     """
 
     def __init__(self, field, diag, polar, basis=None, validate=True):
-        self.field = field
         if validate:
             diag = list(diag)
             polar = [list(r) for r in polar]
@@ -74,10 +86,28 @@ class QuadraticForm:
                 for j in range(i):
                     if polar[i][j] != polar[j][i]:
                         raise FormError("polar matrix must be symmetric")
+        if getattr(field, "is_finite", False):
+            polar = [linalg.pack_row(field, r) for r in polar]
+        self._init(field, diag, polar, basis, None)
+
+    @classmethod
+    def from_rows(cls, field, diag, rows, basis=None, basis_ncols=None):
+        """A form from polar rows in the storage layout, taken over
+        without checks or copies.  A packed ``basis`` is unpacked to
+        ``basis_ncols`` entries per row when first read."""
+        q = cls.__new__(cls)
+        q._init(field, diag, rows, basis, basis_ncols)
+        return q
+
+    def _init(self, field, diag, rows, basis, basis_ncols):
+        self.field = field
         self.diag = diag
-        self.polar = polar
+        self.rows = rows
         self.dim = len(diag)
-        self.basis = basis
+        self.packed = getattr(field, "is_finite", False)
+        self._bits = field.bits if self.packed else 0
+        self._basis = basis
+        self._basis_ncols = basis_ncols
         self._decomp = None
 
     @classmethod
@@ -98,8 +128,29 @@ class QuadraticForm:
         n = len(values)
         return cls(field, list(values), [[field.zero] * n for _ in range(n)])
 
+    @property
+    def basis(self):
+        b = self._basis
+        if b and isinstance(b[0], int):
+            self._basis = b = [linalg.unpack_row(self.field, r, self._basis_ncols) for r in b]
+        return b
+
     def polar_entry(self, i, j):
-        return self.polar[i][j]
+        if self.packed:
+            return (self.rows[i] >> (j * self._bits)) & ((1 << self._bits) - 1)
+        return self.rows[i][j]
+
+    def polar_row(self, i):
+        """Row i of the polar matrix as a new list."""
+        if self.packed:
+            return linalg.unpack_row(self.field, self.rows[i], self.dim)
+        return list(self.rows[i])
+
+    @property
+    def polar(self):
+        """The polar matrix as new lists; changing them leaves the form
+        as it is."""
+        return [self.polar_row(i) for i in range(self.dim)]
 
     def evaluate(self, v):
         if len(v) != self.dim:
@@ -107,15 +158,12 @@ class QuadraticForm:
         f = self.field
         support = [i for i, x in enumerate(v) if not f.is_zero(x)]
         acc = f.zero
-        for i in support:
+        for a, i in enumerate(support):
             acc = f.add(acc, f.mul(f.mul(v[i], v[i]), self.diag[i]))
-        for a in range(len(support)):
-            i = support[a]
-            row = self.polar[i]
-            for b in range(a + 1, len(support)):
-                j = support[b]
-                if not f.is_zero(row[j]):
-                    acc = f.add(acc, f.mul(f.mul(v[i], v[j]), row[j]))
+            for j in support[a + 1 :]:
+                bij = self.polar_entry(i, j)
+                if not f.is_zero(bij):
+                    acc = f.add(acc, f.mul(f.mul(v[i], v[j]), bij))
         return acc
 
     def bilinear(self, u, v):
@@ -125,24 +173,86 @@ class QuadraticForm:
         for i, x in enumerate(u):
             if f.is_zero(x):
                 continue
-            row = self.polar[i]
             for j, y in enumerate(v):
-                if not f.is_zero(y) and not f.is_zero(row[j]):
-                    acc = f.add(acc, f.mul(f.mul(x, y), row[j]))
+                if not f.is_zero(y):
+                    bij = self.polar_entry(i, j)
+                    if not f.is_zero(bij):
+                        acc = f.add(acc, f.mul(f.mul(x, y), bij))
         return acc
 
     def restricted(self, rows):
         """The form pulled back to the span of the given row vectors.
 
-        Row supports are collected once, so sparse restriction bases
-        (hyperplanes, subspace spans) stay cheap at large dimension.  The
-        result keeps ``rows`` itself, not a copy, as its ``basis``.
+        Rows are coordinate lists or, over a finite level, packed ints;
+        the result keeps ``rows`` itself, not a copy, as its ``basis``.
+        """
+        if self.packed:
+            diag, polar = self._restrict_packed(rows)
+        else:
+            diag, polar = self._restrict_lists(rows)
+        return QuadraticForm.from_rows(self.field, diag, polar, basis=rows, basis_ncols=self.dim)
+
+    def _restrict_packed(self, rows):
+        """Diagonal and packed polar rows of R B R^T, R the basis rows.
+
+        Row a is (r_a B) R^T: the polar rows along r_a's support,
+        combined, then mapped by R^T.  Columns of R that hold the next
+        unit vector in order map as slices of the packed row; only the
+        other nonzero columns are scaled and added.  On the trace-zero
+        hyperplane e_k + l_k e_k0, row a is thus b_k + l_k b_k0 plus its
+        entry at k0 times (l_k), with column k0 dropped: a few xors.
         """
         f = self.field
-        sup = [
-            [(k, x) for k, x in enumerate(r) if not f.is_zero(x)] for r in rows
-        ]
-        B = self.polar
+        bits = self._bits
+        emask = (1 << bits) - 1
+        mul, scale = f.mul, linalg.scale_row
+        B, d = self.rows, self.diag
+        sup = [linalg.row_items(f, r if isinstance(r, int) else linalg.pack_row(f, r)) for r in rows]
+        cols = [0] * self.dim
+        for a, s in enumerate(sup):
+            for k, x in s:
+                cols[k] |= x << (a * bits)
+        runs = []  # [first column, end column, first target] of each slice
+        extra = []
+        b = 0
+        for k, col in enumerate(cols):
+            if col == 1 << (b * bits):
+                if runs and runs[-1][1] == k:
+                    runs[-1][1] = k + 1
+                else:
+                    runs.append([k, k + 1, b])
+                b += 1
+            elif col:
+                extra.append((k * bits, col))
+        slices = [(k0 * bits, (1 << ((k1 - k0) * bits)) - 1, t * bits) for k0, k1, t in runs]
+        diag = []
+        polar = []
+        for s in sup:
+            v = 0
+            acc = 0
+            for a, (k, x) in enumerate(s):
+                rowk = B[k]
+                v ^= scale(f, rowk, x)
+                acc ^= mul(mul(x, x), d[k])
+                for l, y in s[a + 1 :]:
+                    e = (rowk >> (l * bits)) & emask
+                    if e:
+                        acc ^= mul(mul(x, y), e)
+            diag.append(acc)
+            out = 0
+            for shift, mask, target in slices:
+                out |= ((v >> shift) & mask) << target
+            for shift, col in extra:
+                e = (v >> shift) & emask
+                if e:
+                    out ^= scale(f, col, e)
+            polar.append(out)
+        return diag, polar
+
+    def _restrict_lists(self, rows):
+        f = self.field
+        sup = [[(k, x) for k, x in enumerate(r) if not f.is_zero(x)] for r in rows]
+        B = self.rows
         diag = []
         for s in sup:
             acc = f.zero
@@ -169,15 +279,18 @@ class QuadraticForm:
                 if not f.is_zero(acc):
                     polar[i][j] = acc
                     polar[j][i] = acc
-        return QuadraticForm(f, diag, polar, basis=rows, validate=False)
+        return diag, polar
 
     def scale(self, c):
         f = self.field
         if f.is_zero(c):
             raise FormError("scaling by zero")
         diag = [f.mul(c, d) for d in self.diag]
-        polar = [[f.mul(c, x) for x in row] for row in self.polar]
-        return QuadraticForm(f, diag, polar, validate=False)
+        if self.packed:
+            rows = [linalg.scale_row(f, r, c) for r in self.rows]
+        else:
+            rows = [[f.mul(c, x) for x in row] for row in self.rows]
+        return QuadraticForm.from_rows(f, diag, rows)
 
     def __repr__(self):
         return f"QuadraticForm(dim={self.dim} over {self.field!r})"
@@ -189,59 +302,81 @@ def direct_sum(q1, q2):
     f = q1.field
     n1, n2 = q1.dim, q2.dim
     diag = list(q1.diag) + list(q2.diag)
-    polar = [[f.zero] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            polar[i][j] = q1.polar[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            polar[n1 + i][n1 + j] = q2.polar[i][j]
-    return QuadraticForm(f, diag, polar, validate=False)
+    if q1.packed:
+        shift = n1 * q1._bits
+        rows = list(q1.rows) + [r << shift for r in q2.rows]
+    else:
+        rows = [list(r) + [f.zero] * n2 for r in q1.rows]
+        rows += [[f.zero] * n1 + list(r) for r in q2.rows]
+    return QuadraticForm.from_rows(f, diag, rows)
 
 
 def radical(q):
     """Basis of the radical of the polar form, as coordinate rows."""
-    return linalg.kernel(q.field, q.polar, q.dim)
+    if q.packed:
+        ech = linalg.PackedEchelon(q.field, q.dim)
+        for r in q.rows:
+            ech.insert(r)
+        return [linalg.unpack_row(q.field, v, q.dim) for v in ech.kernel()]
+    return linalg.kernel(q.field, q.rows, q.dim)
 
 
 def is_nonsingular(q):
     return block_decompose(q).radical_dim == 0
 
 
-@dataclass
 class Decomposition:
     """Result of the symplectic reduction of a form.
 
     ``blocks`` are the binary forms [a_i, b_i] with cross coefficient 1;
     ``pairs`` hold the corresponding basis vectors (rows in the original
     coordinates); the radical rows carry their quasilinear diagonal
-    values.
+    values.  Given ``ncols``, the pair and radical rows are packed and
+    are unpacked to lists of that length when first read.
     """
 
-    field: object
-    blocks: list
-    pairs: list
-    radical_rows: list
-    radical_diag: list
+    def __init__(self, field, blocks, pairs, radical_rows, radical_diag, ncols=None):
+        self.field = field
+        self.blocks = blocks
+        self.radical_diag = radical_diag
+        self._pairs = pairs
+        self._radical_rows = radical_rows
+        self._ncols = ncols
+
+    def _unpack(self):
+        if self._ncols is not None:
+            f, n = self.field, self._ncols
+            self._pairs = [
+                (linalg.unpack_row(f, u, n), linalg.unpack_row(f, v, n)) for u, v in self._pairs
+            ]
+            self._radical_rows = [linalg.unpack_row(f, u, n) for u in self._radical_rows]
+            self._ncols = None
+
+    @property
+    def pairs(self):
+        self._unpack()
+        return self._pairs
+
+    @property
+    def radical_rows(self):
+        self._unpack()
+        return self._radical_rows
 
     @property
     def radical_dim(self):
-        return len(self.radical_rows)
+        return len(self._radical_rows)
 
 
 def block_decompose(q):
     if q._decomp is None:
-        if getattr(q.field, "is_finite", False) and q.field.order == 2:
-            q._decomp = _decompose_gf2(q)
-        else:
-            q._decomp = _decompose_generic(q)
+        q._decomp = _decompose_packed(q) if q.packed else _decompose_generic(q)
     return q._decomp
 
 
 def _decompose_generic(q):
     f = q.field
     n = q.dim
-    B = [list(r) for r in q.polar]
+    B = [q.polar_row(i) for i in range(n)]
     d = list(q.diag)
     basis = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
     active = list(range(n))
@@ -303,69 +438,77 @@ def _decompose_generic(q):
     return Decomposition(f, blocks, pairs, rad_rows, rad_diag)
 
 
-def _decompose_gf2(q):
+def _decompose_packed(q):
+    """The symplectic reduction on packed rows, at any finite level.
+
+    Same pivot order as :func:`_decompose_generic`: the first active
+    index with an active neighbour, paired with its lowest one.  Every
+    other affected basis vector e_r becomes e_r + lam e_i + mu e_j,
+    orthogonal to the pivot pair; only entries other than one are
+    scaled, so over GF(2) each update is a pair of xors.
+    """
     f = q.field
     n = q.dim
-    B = [linalg.pack_row(f, row) for row in q.polar]
+    bits = f.bits
+    emask = (1 << bits) - 1
+    one = f.one
+    mul, scale = f.mul, linalg.scale_row
+    B = list(q.rows)
     d = list(q.diag)
-    basis = [1 << i for i in range(n)]
-    active_mask = (1 << n) - 1
+    basis = [one << (i * bits) for i in range(n)]
+    active = (1 << (n * bits)) - 1
     order = list(range(n))
     blocks = []
     pairs = []
     while True:
         pivot = None
         for i in order:
-            m = B[i] & active_mask & ~(1 << i)
+            m = B[i] & active
             if m:
-                j = (m & -m).bit_length() - 1
-                pivot = (i, j)
+                pivot = (i, ((m & -m).bit_length() - 1) // bits)
                 break
-        if not pivot:
+        if pivot is None:
             break
         i, j = pivot
-        row_i = B[i]
-        row_j = B[j]
-        bas_i = basis[i]
-        bas_j = basis[j]
+        row_i, row_j = B[i], B[j]
+        bas_i, bas_j = basis[i], basis[j]
         di, dj = d[i], d[j]
-        affected = (row_i | row_j) & active_mask & ~(1 << i) & ~(1 << j)
-        m = affected
+        p = (row_i >> (j * bits)) & emask
+        pinv = one if p == one else f.inv(p)
+        active &= ~((emask << (i * bits)) | (emask << (j * bits)))
+        m = (row_i | row_j) & active
         while m:
-            low = m & -m
-            r = low.bit_length() - 1
-            m ^= low
-            mu = (row_i >> r) & 1
-            lam = (row_j >> r) & 1
-            d[r] ^= (lam & di) ^ (mu & dj) ^ (lam & mu)
-            upd = 0
-            bupd = 0
+            shift = (((m & -m).bit_length() - 1) // bits) * bits
+            m &= ~(emask << shift)
+            r = shift // bits
+            lam = (row_j >> shift) & emask  # b(e_r, e_j)
+            mu = (row_i >> shift) & emask  # b(e_r, e_i)
+            if pinv != one:
+                lam, mu = mul(lam, pinv), mul(mu, pinv)
+            # q(e_r + lam e_i + mu e_j) = q(e_r) + lam^2 d_i + mu^2 d_j + lam mu p
+            dr = d[r]
+            upd = bupd = 0
             if lam:
-                upd ^= row_i
-                bupd ^= bas_i
+                upd ^= scale(f, row_i, lam)
+                bupd ^= scale(f, bas_i, lam)
+                dr ^= mul(mul(lam, lam), di)
             if mu:
-                upd ^= row_j
-                bupd ^= bas_j
+                upd ^= scale(f, row_j, mu)
+                bupd ^= scale(f, bas_j, mu)
+                dr ^= mul(mul(mu, mu), dj)
+                if lam:
+                    dr ^= mul(mul(lam, mu), p)
+            d[r] = dr
             B[r] ^= upd
             basis[r] ^= bupd
-        blocks.append((di, dj))
-        pairs.append((bas_i, bas_j))
-        active_mask &= ~((1 << i) | (1 << j))
+        blocks.append((di, mul(dj, mul(pinv, pinv))))
+        pairs.append((bas_i, scale(f, bas_j, pinv)))
         order.remove(i)
         order.remove(j)
-    rad_rows = []
-    rad_diag = []
     for r in order:
-        assert B[r] & active_mask == 0
-        rad_rows.append(basis[r])
-        rad_diag.append(d[r])
-    tobits = lambda v: [(v >> k) & 1 for k in range(n)]
+        assert B[r] & active == 0
     return Decomposition(
-        f,
-        blocks,
-        [(tobits(u), tobits(v)) for u, v in pairs],
-        [tobits(u) for u in rad_rows],
-        rad_diag,
+        f, blocks, pairs, [basis[r] for r in order], [d[r] for r in order], ncols=n
     )
 
 
@@ -445,7 +588,7 @@ def isotropic_split_oracle(q):
         raise SearchSpaceTooLarge("oracle limited to field order <= 8")
     if q.dim > 6:
         raise SearchSpaceTooLarge("oracle limited to dimension <= 6")
-    if linalg.kernel(f, q.polar, q.dim):
+    if radical(q):
         raise SingularForm("oracle expects a nonsingular form")
     planes = 0
     cur = q
@@ -556,7 +699,7 @@ class CliffordWords:
                 out = {}
                 for m, c in self.mul_word_gen(rest, j).items():
                     out[m | (1 << s)] = c
-                bsj = self.form.polar[s][j]
+                bsj = self.form.polar_entry(s, j)
                 if not f.is_zero(bsj):
                     prev = out.get(rest, f.zero)
                     v = f.add(prev, bsj)
@@ -604,7 +747,7 @@ def clifford_algebra(q):
 
     degree = None
     even = q.dim % 2 == 0
-    if even and q.dim and not linalg.kernel(f, q.polar, q.dim):
+    if even and q.dim and not radical(q):
         degree = 1 << (q.dim // 2)
     one = [f.zero] * dim
     one[0] = f.one
@@ -632,7 +775,7 @@ def arf_via_even_clifford_center(q):
         raise FormError("even Clifford center oracle needs even dimension")
     if n > 8:
         raise DimensionTooLarge("even Clifford center oracle capped at dimension 8")
-    if linalg.kernel(f, q.polar, n):
+    if radical(q):
         raise SingularForm("form must be nonsingular")
     words = CliffordWords(q)
     masks = [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]

@@ -36,6 +36,28 @@ CLAIM_PARAMS = {
 }
 CLAIM_IDS = tuple(CLAIM_PARAMS)
 
+# the degrees n each claim that reads n= admits: (least degree, parity)
+DEGREE_RULES = {
+    "prop1": (2, None),
+    "thm1": (2, None),
+    "cor1": (3, 1),
+    "cor2": (3, 1),
+    "cor3": (2, 0),
+    "cor4": (2, None),
+    "thm3": (2, 0),
+    "remark3": (2, None),
+}
+
+
+def admits_degree(claim, n):
+    least, parity = DEGREE_RULES[claim]
+    return n >= least and (parity is None or n % 2 == parity)
+
+
+def degree_rule_text(claim):
+    least, parity = DEGREE_RULES[claim]
+    return {None: "", 0: "even ", 1: "odd "}[parity] + f"n >= {least}"
+
 
 @dataclass
 class Prediction:
@@ -92,7 +114,7 @@ def _revoy_form(alg):
     q = csa.t2_form(alg)
     if alg.dim % 2 == 0:
         return q
-    return q.restricted(csa.trace_zero_subspace(alg))
+    return q.restricted(csa.trace_zero_subspace(alg, packed=q.packed))
 
 
 def revoy_trace_form(field, fpoly):
@@ -900,9 +922,13 @@ def run_verification(claim, params=None, seed=0):
     independent."""
     params = params or {}
     if claim == "all":
+        # each claim runs on the degrees of the n list that it admits
         out = []
         for cid in CLAIM_IDS:
-            out.extend(_RUNNERS[cid](params if params else {}, seed))
+            p = params
+            if "n" in params and cid in DEGREE_RULES:
+                p = {**params, "n": [n for n in params["n"] if admits_degree(cid, n)]}
+            out.extend(_RUNNERS[cid](p, seed))
     elif claim in _RUNNERS:
         out = _RUNNERS[claim](params, seed)
     else:

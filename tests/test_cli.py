@@ -252,3 +252,34 @@ def test_cli_rejects_pairs_for_claims_without_pair_grid(capsys):
     code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor1", "--pairs", "3x5")
     assert code == 2 and out == ""
     assert "pairs=3x5" in err and "cor1" in err
+
+
+def _degree_reports(doc):
+    return {(r["claim"], r["params"]["n"]) for r in doc if "n" in r["params"]}
+
+
+def test_cli_verify_all_n5_runs_the_claims_admitting_5(capsys):
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--n", "5")
+    assert code == 0, err
+    got = _degree_reports(json.loads(out))
+    assert got == {(c, 5) for c in ("prop1", "thm1", "cor1", "cor2", "cor4", "remark3")}
+
+
+def test_cli_verify_all_n4_5_splits_by_degree_rule(capsys):
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--n", "4,5")
+    assert code == 0, err
+    got = _degree_reports(json.loads(out))
+    assert {n for c, n in got if c == "cor1"} == {5}
+    assert {n for c, n in got if c == "cor3"} == {4}
+    assert got == {
+        (c, n) for c in theorems.DEGREE_RULES for n in (4, 5) if theorems.admits_degree(c, n)
+    }
+
+
+def test_cli_verify_rejects_degrees_no_claim_admits(capsys):
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--n", "1")
+    assert code == 2 and out == ""
+    assert "n=1" in err and "cor1 admits odd n >= 3" in err and "cor3 admits even n >= 2" in err
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor1", "--n", "3,4")
+    assert code == 2 and out == ""
+    assert "n=4: cor1 admits odd n >= 3" in err

@@ -470,6 +470,93 @@ def test_crossed_product_frobenius_calls_are_cubic(monkeypatch):
     assert 0 < len(calls) <= 5**3 + 5**2
 
 
+def test_crossed_product_coords_over_calls_are_quartic(monkeypatch):
+    # one coords_over call per structure-table entry: the level right
+    # above the base answers with its own coefficients, without recursing
+    # once per coefficient
+    E = GF2.extend("a^5+a^2+1")
+    calls = []
+    coords_over = fields.Level.coords_over
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return coords_over(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.Level, "coords_over", counting)
+    csa.crossed_product(E, GF2)
+    assert 0 < len(calls) <= 5**4
+
+
+def _rep_less_tensor(gf4):
+    a = gf4.gen
+    A = csa.tensor_product(
+        csa.quaternion_algebra(gf4, 1, a), csa.quaternion_algebra(gf4, 1, gf4.mul(a, a))
+    )
+    assert A.rep is None  # the factors split over different extensions
+    return A
+
+
+def _draw_small_algebra(data, gf4, gf8, gf64_tower):
+    """An algebra of dimension at most 16: a Mat/Quat tensor over
+    GF(2)/GF(4)/GF(8), the rep-less quaternion pair, a crossed product
+    with trivial or cyclic cocycle, or a commutative quotient."""
+    kind = data.draw(st.sampled_from(["tensor", "rep-less", "crossed", "quotient"]))
+    if kind == "rep-less":
+        return _rep_less_tensor(gf4)
+    if kind == "crossed":
+        gf16 = GF2.extend("a^4+a+1")
+        E, F = data.draw(st.sampled_from([(gf4, GF2), (gf8, GF2), (gf16, GF2), (gf64_tower, gf4)]))
+        if data.draw(st.booleans()):
+            return csa.crossed_product(E, F)
+        gamma = data.draw(st.integers(1, F.order - 1))
+        return csa.crossed_product(E, F, csa.cyclic_cocycle(E, F, gamma))
+    F = data.draw(st.sampled_from([GF2, gf4, gf8]))
+    if kind == "quotient":
+        d = data.draw(st.integers(1, 5))
+        low = [data.draw(st.integers(0, F.order - 1)) for _ in range(d)]
+        return csa.commutative_quotient(F, tuple(low) + (F.one,))
+
+    def factor(max_mat):
+        if data.draw(st.booleans()):
+            return csa.matrix_algebra(F, data.draw(st.integers(1, max_mat)))
+        a = data.draw(st.integers(1, F.order - 1))
+        return csa.quaternion_algebra(F, a, data.draw(st.integers(0, F.order - 1)))
+
+    A = factor(4)
+    if A.dim <= 4:
+        A = csa.tensor_product(A, factor(2))
+    return A
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_t2_form_polar_matches_b_t2_on_basis_pairs(gf4, gf8, gf64_tower, data):
+    # the polar rows come from the splitting representation (or, without
+    # one, from the structure constants); b_t2 multiplies through A.mul
+    A = _draw_small_algebra(data, gf4, gf8, gf64_tower)
+    q = csa.t2_form(A)
+    basis = [A.basis_vector(k) for k in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert q.polar_entry(i, j) == csa.b_t2(A, basis[i], basis[j]), (A, i, j)
+
+
+def test_second_trace_form_reads_no_structure_constants():
+    # with a splitting representation the trace form never multiplies
+    # basis vectors; the identity check in the constructor has already run
+    A = csa.tensor_product(csa.matrix_algebra(GF2, 5), csa.matrix_algebra(GF2, 7))
+    calls = []
+    product = A.product
+
+    def counting(i, j):
+        calls.append((i, j))
+        return product(i, j)
+
+    A.product = counting
+    q = csa.second_trace_form(A)
+    assert q.dim == 1224 and calls == []
+
+
 def test_sanity_check_reports_associativity_witness(gf8):
     # fault injection: corrupt one product of a valid crossed product and
     # feed the raw table to the checker

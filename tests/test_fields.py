@@ -236,3 +236,15 @@ def test_parse_rejects_junk(gf4):
         gf4.parse("q+1")
     with pytest.raises(fields.FieldError):
         fields.parse_poly(gf4, "x^2 + y")  # two unknown names
+
+
+def test_coords_over_equal_but_distinct_levels():
+    # a level equal by signature but built separately is the same base
+    F1 = GF2.extend("a^2+a+1")
+    F2 = GF2.extend("a^2+a+1")
+    assert F1 == F2 and F1 is not F2
+    E = F1.extend("b^3+b+1")
+    for x in range(E.order):
+        assert E.coords_over(F2, x) == E.coords_over(F1, x) == E.coeffs(x)
+        assert E.coords_over(GF2, x) == tuple((x >> k) & 1 for k in range(6))
+        assert E.coords_over(E, x) == (x,)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from t2forms import linalg, quadform as qf
 from t2forms.fields import GF2
@@ -99,9 +100,9 @@ def test_witt_class_isometry_invariant(gf4):
             assert qf.arf(q2) == qf.arf(q)
 
 
-def test_block_decompose_preserves_form(gf4):
+def test_block_decompose_preserves_form(gf4, gf8):
     rng = random.Random(12)
-    for fld in (GF2, gf4):
+    for fld in (GF2, gf4, gf8):
         for dim in (2, 4, 6):
             q = qf.random_nonsingular_form(fld, dim, rng)
             dec = qf.block_decompose(q)
@@ -312,7 +313,82 @@ def test_decompose_gf2_matches_generic_path():
     for _ in range(40):
         dim = rng.choice([2, 4, 6, 8])
         q = qf.random_nonsingular_form(GF2, dim, rng)
-        dec1 = qf._decompose_gf2(q)
+        dec1 = qf._decompose_packed(q)
         dec2 = qf._decompose_generic(q)
         assert dec1.blocks == dec2.blocks
         assert dec1.pairs == dec2.pairs
+
+
+def _draw_form(data, fields_, max_dim):
+    """A random form, possibly singular, over one of the given fields."""
+    f = data.draw(st.sampled_from(fields_))
+    n = data.draw(st.integers(0, max_dim))
+    el = st.integers(0, f.order - 1)
+    polar = [[f.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            polar[i][j] = polar[j][i] = data.draw(el)
+    return QuadraticForm(f, [data.draw(el) for _ in range(n)], polar), el
+
+
+def _value(q, v):
+    """q(v) by the evaluation rule, read off diag and polar_entry."""
+    f = q.field
+    acc = f.zero
+    for i, x in enumerate(v):
+        acc = f.add(acc, f.mul(f.mul(x, x), q.diag[i]))
+        for j in range(i + 1, len(v)):
+            acc = f.add(acc, f.mul(f.mul(x, v[j]), q.polar_entry(i, j)))
+    return acc
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_restricted_matches_evaluation_rule(gf4, gf8, data):
+    q, el = _draw_form(data, [GF2, gf4, gf8], 7)
+    f, n = q.field, q.dim
+    kind = data.draw(st.sampled_from(["hyperplane", "kernel", "coordinates", "arbitrary"]))
+    if kind == "hyperplane" and n:
+        # e_k + lam_k e_k0, the shape of the trace-zero subspace
+        k0 = data.draw(st.integers(0, n - 1))
+        lam = [data.draw(el) for _ in range(n)]
+        rows = [[f.one if c == k else lam[k] if c == k0 else f.zero for c in range(n)]
+                for k in range(n) if k != k0]
+    elif kind == "kernel":
+        eqs = [[data.draw(el) for _ in range(n)] for _ in range(data.draw(st.integers(0, n)))]
+        rows = linalg.kernel(f, eqs, n)
+    elif kind == "coordinates":
+        picked = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+        rows = [[f.one if c == k else f.zero for c in range(n)] for k in picked]
+    else:
+        rows = [[data.draw(el) for _ in range(n)] for _ in range(data.draw(st.integers(0, n + 1)))]
+    coeffs = [data.draw(el) for _ in rows]
+    combo = [f.zero] * n
+    for c, row in zip(coeffs, rows):
+        combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, row)]
+    for given_rows in (rows, [linalg.pack_row(f, r) for r in rows]):
+        r = q.restricted(given_rows)
+        assert r.dim == len(rows) and r.basis == rows
+        for a, ra in enumerate(rows):
+            assert r.diag[a] == _value(q, ra)
+            assert r.polar_entry(a, a) == f.zero
+            for b in range(a + 1, len(rows)):
+                rb = rows[b]
+                both = _value(q, [f.add(x, y) for x, y in zip(ra, rb)])
+                expect = f.add(f.add(both, _value(q, ra)), _value(q, rb))
+                assert r.polar_entry(a, b) == r.polar_entry(b, a) == expect
+        assert _value(r, coeffs) == _value(q, combo)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_decompose_packed_matches_generic_path_all_levels(gf4, gf8, data):
+    # the packed reduction scales rows where GF(2) only xors them; the
+    # generic one works entry by entry on list rows of the same form
+    q, _ = _draw_form(data, [GF2, gf4, gf8], 8)
+    dec1 = qf._decompose_packed(q)
+    dec2 = qf._decompose_generic(q)
+    assert dec1.blocks == dec2.blocks
+    assert dec1.pairs == dec2.pairs
+    assert dec1.radical_rows == dec2.radical_rows
+    assert dec1.radical_diag == dec2.radical_diag

@@ -189,6 +189,21 @@ def test_claim_params_table_matches_runners():
         assert params.read & {"n", "fields", "pairs"} == set(theorems.CLAIM_PARAMS[cid]), cid
 
 
+def test_degree_rules_cover_the_claims_reading_n():
+    assert set(theorems.DEGREE_RULES) == {c for c, keys in theorems.CLAIM_PARAMS.items() if "n" in keys}
+    # each rule admits the claim's own default degrees
+    class Recorder(dict):
+        def get(self, key, default=None):
+            if key == "n":
+                self.default = default
+            return () if key in ("n", "fields", "pairs") else default
+
+    for cid in theorems.DEGREE_RULES:
+        params = Recorder()
+        theorems._RUNNERS[cid](params, 0)
+        assert all(theorems.admits_degree(cid, n) for n in params.default), cid
+
+
 def test_verification_reports_order_independent():
     r1 = theorems.run_verification("cor1", {"n": [3, 5]})
     r2 = theorems.run_verification("cor1", {"n": [5, 3]})
