@@ -359,18 +359,6 @@ def _claim_readers(key):
     return ", ".join(c for c, keys in theorems.CLAIM_PARAMS.items() if key in keys)
 
 
-def _check_degrees(claim, ns):
-    """Every degree must be admitted by the claim, or under ``all`` by at
-    least one claim that reads n=."""
-    rules = theorems.DEGREE_RULES
-    readers = list(rules) if claim == "all" else [c for c in (claim,) if c in rules]
-    for n in ns:
-        if readers and not any(theorems.admits_degree(c, n) for c in readers):
-            admitted = "; ".join(f"{c} admits {theorems.degree_rule_text(c)}" for c in readers)
-            lead = "no claim admits it; " if claim == "all" else ""
-            raise ParseError(f"n={n}: {lead}{admitted}")
-
-
 def _job_verify(job, level):
     claim = job.params.get("claim", "all")
     if level != fields.GF2:
@@ -388,7 +376,6 @@ def _job_verify(job, level):
     params = {}
     if "n" in job.params:
         params["n"] = _int_list(job.params["n"])
-        _check_degrees(claim, params["n"])
     if "pairs" in job.params:
         params["pairs"] = _pair_list(job.params["pairs"])
     if "fields" in job.params:

@@ -627,18 +627,19 @@ def t2_form(A):
     return QuadraticForm.from_rows(f, list(t2_diagonal(A)), rows)
 
 
-def trace_zero_subspace(A, packed=False):
+def trace_zero_subspace(A):
     """Kernel of the reduced trace functional, as a list of sparse basis
     rows: e_k + (t1(e_k) / t1(e_k0)) e_k0 for every k other than the
-    first index k0 where the trace is nonzero.  Rows are coordinate
-    lists, or with ``packed`` ints in the packed layout of finite-level
-    forms."""
+    first index k0 where the trace is nonzero.  Over a finite level the
+    rows are packed ints, the layout of finite-level forms; otherwise
+    they are coordinate lists."""
     f = A.field
     t1 = t1_vector(A)
     k0 = next((k for k, v in enumerate(t1) if not f.is_zero(v)), None)
     if k0 is None:
         raise AlgebraError("reduced trace vanishes identically")
     inv = f.inv(t1[k0])
+    packed = getattr(f, "is_finite", False)
     rows = []
     for k in range(A.dim):
         if k == k0:
@@ -665,7 +666,7 @@ def second_trace_form(A):
     q = t2_form(A)
     if A.degree % 2 == 0:
         return q
-    return q.restricted(trace_zero_subspace(A, packed=q.packed))
+    return q.restricted(trace_zero_subspace(A))
 
 
 def b_subspace_form(A):

@@ -12,9 +12,9 @@
   bit vectors and scaling is never needed.
 
 :class:`PackedEchelon` is the one elimination engine on packed rows.
-:func:`solve_gf2` runs on it, and :func:`kernel` and :func:`rank` use it
-for finite levels up to 12 bits, falling back to list-row elimination
-otherwise.
+:func:`solve_gf2` runs on it, and :func:`kernel`, :func:`packed_kernel`
+and :func:`rank` use it for finite levels up to 12 bits, falling back to
+list-row elimination otherwise.
 """
 
 from __future__ import annotations
@@ -216,12 +216,20 @@ def _packable(field):
 
 def kernel(field, rows, ncols):
     """Kernel basis of the linear map v -> rows * v, rows as lists."""
-    if _packable(field):
-        ech = PackedEchelon(field, ncols)
-        for r in rows:
-            ech.insert(pack_row(field, r))
-        return [unpack_row(field, v, ncols) for v in ech.kernel()]
+    if getattr(field, "is_finite", False):
+        return packed_kernel(field, [pack_row(field, r) for r in rows], ncols)
     return _kernel_generic(field, rows, ncols)
+
+
+def packed_kernel(field, rows, ncols):
+    """Kernel basis, as coordinate lists, of v -> rows * v for packed
+    rows over a finite level."""
+    if not _packable(field):
+        return _kernel_generic(field, [unpack_row(field, r, ncols) for r in rows], ncols)
+    ech = PackedEchelon(field, ncols)
+    for r in rows:
+        ech.insert(r)
+    return [unpack_row(field, v, ncols) for v in ech.kernel()]
 
 
 def rank(field, rows, ncols):

@@ -314,10 +314,7 @@ def direct_sum(q1, q2):
 def radical(q):
     """Basis of the radical of the polar form, as coordinate rows."""
     if q.packed:
-        ech = linalg.PackedEchelon(q.field, q.dim)
-        for r in q.rows:
-            ech.insert(r)
-        return [linalg.unpack_row(q.field, v, q.dim) for v in ech.kernel()]
+        return linalg.packed_kernel(q.field, q.rows, q.dim)
     return linalg.kernel(q.field, q.rows, q.dim)
 
 

@@ -36,13 +36,14 @@ CLAIM_PARAMS = {
 }
 CLAIM_IDS = tuple(CLAIM_PARAMS)
 
-# the degrees n each claim that reads n= admits: (least degree, parity)
+# the degrees n each claim that reads n= admits: (least degree, parity);
+# the predictions and runners check their degrees against this table
 DEGREE_RULES = {
     "prop1": (2, None),
     "thm1": (2, None),
     "cor1": (3, 1),
     "cor2": (3, 1),
-    "cor3": (2, 0),
+    "cor3": (2, None),
     "cor4": (2, None),
     "thm3": (2, 0),
     "remark3": (2, None),
@@ -57,6 +58,25 @@ def admits_degree(claim, n):
 def degree_rule_text(claim):
     least, parity = DEGREE_RULES[claim]
     return {None: "", 0: "even ", 1: "odd "}[parity] + f"n >= {least}"
+
+
+def require_degree(claim, n):
+    if not admits_degree(claim, n):
+        raise ValueError(f"n={n}: {claim} admits {degree_rule_text(claim)}")
+
+
+def claim_degrees(claim, ns):
+    """The degrees of ``ns`` each claim that reads n= runs on: all of
+    them for a single claim, whose rule must admit each, and under
+    ``all`` the ones each claim's rule admits.  A degree that no claim
+    admits raises ValueError naming the rules."""
+    readers = [c for c in (CLAIM_IDS if claim == "all" else (claim,)) if c in DEGREE_RULES]
+    for n in ns:
+        if readers and not any(admits_degree(c, n) for c in readers):
+            rules = "; ".join(f"{c} admits {degree_rule_text(c)}" for c in readers)
+            lead = "no claim admits it; " if claim == "all" else ""
+            raise ValueError(f"n={n}: {lead}{rules}")
+    return {c: [n for n in ns if admits_degree(c, n)] for c in readers}
 
 
 @dataclass
@@ -114,7 +134,7 @@ def _revoy_form(alg):
     q = csa.t2_form(alg)
     if alg.dim % 2 == 0:
         return q
-    return q.restricted(csa.trace_zero_subspace(alg, packed=q.packed))
+    return q.restricted(csa.trace_zero_subspace(alg))
 
 
 def revoy_trace_form(field, fpoly):
@@ -146,8 +166,7 @@ def _class_notes(field):
 def predicted_matrix_class(field, n):
     """The mod-8 table for matrix algebras: hyperbolic class for
     n = 0,1,2,7 and the [1,1] class for n = 3,4,5,6 (mod 8)."""
-    if n < 2:
-        raise ValueError("table starts at degree 2")
+    require_degree("prop1", n)
     rep = _one_class(field) if n % 8 in (3, 4, 5, 6) else field.zero
     dim = n * n if n % 2 == 0 else n * n - 1
     return Prediction(
@@ -161,8 +180,7 @@ def predicted_matrix_class(field, n):
 def predicted_crossed_odd(field, n):
     """Odd-degree crossed products: m H for n = 1,7 and
     [1,1] + (m-1) H for n = 3,5 (mod 8), where n = 2m+1."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError("odd degree >= 3 expected")
+    require_degree("cor1", n)
     m = (n - 1) // 2
     rep = _one_class(field) if n % 8 in (3, 5) else field.zero
     return Prediction(
@@ -218,8 +236,7 @@ def predicted_invariants(field, n):
     """Arf and Clifford of an even-degree algebra's trace form: the
     integer part of n/4 mod 2, and the n/2-th Brauer power of the
     algebra's class (trivial over finite fields, label retained)."""
-    if n % 2:
-        raise ValueError("even degree expected")
+    require_degree("thm3", n)
     rep = _one_class(field) if (n // 4) % 2 == 1 else field.zero
     cls = BrauerClass.trivial(field, label=f"[A]^{n // 2}")
     return Prediction("thm3", {"n": n}, arf=rep, clifford=cls, notes=_class_notes(field))
@@ -547,6 +564,14 @@ def _ext_of_degree(base, degree, seed=0):
     return base.extend(poly, fields.fresh_gen_name(base))
 
 
+def _degrees(claim, params, default):
+    """The runner's degree grid, each degree checked against its rule."""
+    ns = params.get("n", default)
+    for n in ns:
+        require_degree(claim, n)
+    return ns
+
+
 def _report(claim, params, predicted, computed, ok, t0, verdict=None):
     return VerificationReport(
         claim,
@@ -559,7 +584,7 @@ def _report(claim, params, predicted, computed, ok, t0, verdict=None):
 
 
 def _run_prop1(params, seed):
-    ns = params.get("n", range(2, 10))
+    ns = _degrees("prop1", params, range(2, 10))
     field_names = params.get("fields", ("GF2", "GF4"))
     out = []
     for name in field_names:
@@ -584,7 +609,7 @@ def _run_prop1(params, seed):
 
 
 def _run_thm1(params, seed):
-    ns = params.get("n", (2, 3, 4, 5, 7, 9))
+    ns = _degrees("thm1", params, (2, 3, 4, 5, 7, 9))
     out = []
     base = fields.GF2
     for n in ns:
@@ -615,7 +640,7 @@ def _run_thm1(params, seed):
 
 
 def _run_cor1(params, seed):
-    ns = params.get("n", (3, 5, 7, 9))
+    ns = _degrees("cor1", params, (3, 5, 7, 9))
     out = []
     base = fields.GF2
     for n in ns:
@@ -632,7 +657,7 @@ def _run_cor1(params, seed):
 
 
 def _run_cor2(params, seed):
-    degrees = params.get("n", (3, 5, 7, 9))
+    degrees = _degrees("cor2", params, (3, 5, 7, 9))
     field_names = params.get("fields", ("GF2", "GF4", "GF8"))
     out = []
     for name in field_names:
@@ -725,7 +750,7 @@ def _run_cor3(params, seed):
     a trace form in one of the two classes attainable with even k."""
     fld = standard_field(params.get("field", "GF2"))
     out = []
-    degrees = params.get("n", (2, 4, 6, 8))
+    degrees = _degrees("cor3", params, (2, 4, 6, 8))
     for n in degrees:
         t0 = time.perf_counter()
         w = matrix_trace_witt(fld, n)
@@ -745,7 +770,7 @@ def _run_cor3(params, seed):
 
 def _run_cor4(params, seed):
     fld = standard_field(params.get("field", "GF2"))
-    degrees = params.get("n", (2, 3, 4))
+    degrees = _degrees("cor4", params, (2, 3, 4))
     out = []
     for n in degrees:
         t0 = time.perf_counter()
@@ -776,7 +801,7 @@ def _thm3_algebras(field, n):
 
 
 def _run_thm3(params, seed):
-    ns = params.get("n", (2, 4, 6, 8))
+    ns = _degrees("thm3", params, (2, 4, 6, 8))
     field_names = params.get("fields", ("GF2", "GF4", "GF8"))
     out = []
     for name in field_names:
@@ -850,13 +875,14 @@ def _run_remark2(params, seed):
 
 
 def _run_remark3(params, seed):
-    """Odd-degree algebras all land in the matrix-algebra class.
+    """Odd-degree algebras all land in the matrix-algebra class (even
+    degrees are compared with it the same way).
 
     Nontrivial cyclic cocycles need a wrap-around scalar in the base
     field, so those cases run over GF(4) where the unit group is larger.
     """
     out = []
-    degrees = params.get("n", (3, 5))
+    degrees = _degrees("remark3", params, (3, 5))
     cases = [("GF2", "trivial"), ("GF4", "trivial"), ("GF4", "cyclic")]
     for n in degrees:
         for name, style in cases:
@@ -921,16 +947,11 @@ def run_verification(claim, params=None, seed=0):
     reports sorted by (claim, params) so aggregation is order
     independent."""
     params = params or {}
-    if claim == "all":
-        # each claim runs on the degrees of the n list that it admits
-        out = []
-        for cid in CLAIM_IDS:
-            p = params
-            if "n" in params and cid in DEGREE_RULES:
-                p = {**params, "n": [n for n in params["n"] if admits_degree(cid, n)]}
-            out.extend(_RUNNERS[cid](p, seed))
-    elif claim in _RUNNERS:
-        out = _RUNNERS[claim](params, seed)
-    else:
+    if claim != "all" and claim not in _RUNNERS:
         raise ValueError(f"unknown claim {claim!r}")
+    degrees = claim_degrees(claim, params["n"]) if "n" in params else {}
+    out = []
+    for cid in CLAIM_IDS if claim == "all" else (claim,):
+        p = {**params, "n": degrees[cid]} if cid in degrees else params
+        out.extend(_RUNNERS[cid](p, seed))
     return sorted(out, key=lambda r: (r.claim, sorted(r.params.items()).__repr__()))

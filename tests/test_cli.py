@@ -262,7 +262,7 @@ def test_cli_verify_all_n5_runs_the_claims_admitting_5(capsys):
     code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--n", "5")
     assert code == 0, err
     got = _degree_reports(json.loads(out))
-    assert got == {(c, 5) for c in ("prop1", "thm1", "cor1", "cor2", "cor4", "remark3")}
+    assert got == {(c, 5) for c in ("prop1", "thm1", "cor1", "cor2", "cor3", "cor4", "remark3")}
 
 
 def test_cli_verify_all_n4_5_splits_by_degree_rule(capsys):
@@ -270,7 +270,8 @@ def test_cli_verify_all_n4_5_splits_by_degree_rule(capsys):
     assert code == 0, err
     got = _degree_reports(json.loads(out))
     assert {n for c, n in got if c == "cor1"} == {5}
-    assert {n for c, n in got if c == "cor3"} == {4}
+    assert {n for c, n in got if c == "thm3"} == {4}
+    assert {n for c, n in got if c == "cor3"} == {4, 5}
     assert got == {
         (c, n) for c in theorems.DEGREE_RULES for n in (4, 5) if theorems.admits_degree(c, n)
     }
@@ -279,7 +280,16 @@ def test_cli_verify_all_n4_5_splits_by_degree_rule(capsys):
 def test_cli_verify_rejects_degrees_no_claim_admits(capsys):
     code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--n", "1")
     assert code == 2 and out == ""
-    assert "n=1" in err and "cor1 admits odd n >= 3" in err and "cor3 admits even n >= 2" in err
+    assert "n=1" in err and "cor1 admits odd n >= 3" in err and "thm3 admits even n >= 2" in err
     code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor1", "--n", "3,4")
     assert code == 2 and out == ""
     assert "n=4: cor1 admits odd n >= 3" in err
+    # n=0 is rejected before any runner starts (its field search never ends)
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "thm1", "--n", "0")
+    assert code == 2 and "n=0: thm1 admits n >= 2" in err
+
+
+def test_cli_verify_cor3_takes_odd_degrees(capsys):
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor3", "--n", "3")
+    assert code == 0, err
+    assert _degree_reports(json.loads(out)) == {("cor3", 3)}

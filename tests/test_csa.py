@@ -37,7 +37,7 @@ def test_quaternion_trace_vector(gf4):
     # space is spanned by 1, e, ef
     Q = csa.quaternion_algebra(gf4, gf4.gen, gf4.gen ^ 1)
     assert csa.t1_vector(Q) == [0, 0, 1, 0]
-    rows = csa.trace_zero_subspace(Q)
+    rows = [linalg.unpack_row(gf4, r, Q.dim) for r in csa.trace_zero_subspace(Q)]
     assert len(rows) == 3
     for row in rows:
         assert row[2] == 0  # no f component needed
@@ -173,7 +173,7 @@ def test_q1_rank_zero(gf4):
 
 def test_trace_zero_subspace(gf4):
     M3 = csa.matrix_algebra(GF2, 3)
-    rows = csa.trace_zero_subspace(M3)
+    rows = [linalg.unpack_row(GF2, r, M3.dim) for r in csa.trace_zero_subspace(M3)]
     assert len(rows) == 8
     for row in rows:
         assert csa.t1_of(M3, row) == 0

@@ -204,6 +204,28 @@ def test_degree_rules_cover_the_claims_reading_n():
         assert all(theorems.admits_degree(cid, n) for n in params.default), cid
 
 
+def test_every_runner_and_prediction_rejects_degrees_outside_its_rule():
+    for cid, (least, parity) in theorems.DEGREE_RULES.items():
+        bad = [least - 1] + ([least + 1] if parity is not None else [])
+        for n in bad:
+            assert not theorems.admits_degree(cid, n)
+            with pytest.raises(ValueError, match=f"n={n}: {cid} admits"):
+                theorems._RUNNERS[cid]({"n": [n]}, 0)
+            with pytest.raises(ValueError, match=f"n={n}: {cid} admits"):
+                theorems.run_verification(cid, {"n": [n]})
+    for predict, cid in (
+        (theorems.predicted_matrix_class, "prop1"),
+        (theorems.predicted_crossed_odd, "cor1"),
+        (theorems.predicted_invariants, "thm3"),
+    ):
+        for n in range(0, 10):
+            if theorems.admits_degree(cid, n):
+                predict(GF2, n)
+            else:
+                with pytest.raises(ValueError, match=f"{cid} admits"):
+                    predict(GF2, n)
+
+
 def test_verification_reports_order_independent():
     r1 = theorems.run_verification("cor1", {"n": [3, 5]})
     r2 = theorems.run_verification("cor1", {"n": [5, 3]})
