@@ -99,6 +99,7 @@ class Level:
         self._exp = None
         self._log = None
         self._nonresidue = None
+        self._trace_mask = None
         self._signature = (
             (None,) if parent is None else parent._signature + (self.poly, self.gen_name)
         )
@@ -262,14 +263,22 @@ class Level:
         return x == 0
 
     def trace(self, x):
-        """Absolute trace down to GF(2), returned as 0 or 1."""
-        acc = x
-        y = x
-        for _ in range(self.bits - 1):
-            y = self.square(y)
-            acc ^= y
-        assert acc in (0, 1)
-        return acc
+        """Absolute trace down to GF(2), returned as 0 or 1.
+
+        The trace is GF(2)-linear, so it is the parity of the bits of x
+        under a mask whose bit i is the trace of 1 << i, built on the
+        first call (most levels of a tower never take a trace)."""
+        if self._trace_mask is None:
+            mask = 0
+            for i in range(self.bits):
+                acc = y = 1 << i
+                for _ in range(self.bits - 1):
+                    y = self.square(y)
+                    acc ^= y
+                assert acc in (0, 1)
+                mask |= acc << i
+            self._trace_mask = mask
+        return (x & self._trace_mask).bit_count() & 1
 
     def artin_schreier_solve(self, c):
         """A solution of x**2 + x = c, or None when there is none.
@@ -523,17 +532,20 @@ def poly_divmod(field, p, q):
     q = poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
+    mul, add, is_zero = field.mul, field.add, field.is_zero
     r = list(poly_trim(p))
     dq = poly_deg(q)
     lead_inv = field.inv(q[-1])
+    # the leading term cancels by construction; zero terms change nothing
+    low = [(i, qc) for i, qc in enumerate(q[:-1]) if not is_zero(qc)]
     quot = [field.zero] * max(0, len(r) - dq)
-    while len(r) - 1 >= dq and r:
+    while len(r) > dq:
         k = len(r) - 1 - dq
-        c = field.mul(r[-1], lead_inv)
+        c = mul(r.pop(), lead_inv)
         quot[k] = c
-        for i, qc in enumerate(q):
-            r[k + i] = field.add(r[k + i], field.mul(c, qc))
-        while r and field.is_zero(r[-1]):
+        for i, qc in low:
+            r[k + i] = add(r[k + i], mul(c, qc))
+        while r and is_zero(r[-1]):
             r.pop()
     return poly_trim(quot), poly_trim(r)
 
@@ -584,62 +596,74 @@ def poly_roots(field, p):
     return roots
 
 
-def _monic_polys(field, degree):
-    """Iterate all monic polynomials of exactly the given degree."""
-    elems = list(field.elements())
-    stack = [()]
-    for _ in range(degree):
-        stack = [p + (c,) for p in stack for c in elems]
-    for low in stack:
-        yield poly_trim(low + (field.one,))
-
-
 def poly_factor_witness(field, p):
     """A nontrivial monic factorization (g, h) of p, or None if p is
-    irreducible.  Root search first, then a distinct-degree gcd for
-    degree 4, exhaustive trial division beyond that and for quartics
-    that split into two distinct irreducible quadratics."""
+    irreducible.
+
+    Distinct-degree scan (Ben-Or's form of Rabin's test): for k = 1, 2,
+    ..., deg(p)/2, h_k = x^(q^k) mod p and g_k = gcd(h_k - x, p) is the
+    product of the distinct monic irreducible factors of p whose degree
+    divides k.  The first nontrivial g_k holds the factors of the least
+    degree k, and g is the one among them with the least coefficient
+    tuple (c_0, ..., c_(k-1)): the divisor that trial division over the
+    monic polynomials of degree k, in that order, meets first.  No field
+    element is enumerated, so levels of any size are accepted."""
     p = poly_monic(field, p)
-    d = poly_deg(p)
-    if d <= 1:
-        return None
-    roots = poly_roots(field, p)
-    if roots:
-        r = roots[0]
-        g = (r, field.one)
-        return g, poly_divmod(field, p, g)[0]
-    if d <= 3:
-        return None
-    if d == 4:
-        # x^(q^2) - x is the product of the monic irreducibles of degree
-        # 1 and 2; without roots, its gcd with p is 1 (p irreducible),
-        # g for p = g^2, or p itself for two distinct quadratic factors,
-        # which the trial division below finds
-        q2 = field.order**2
-        xq = _xpow_mod(field, q2, p)
-        g = poly_gcd(field, poly_add(field, xq, (0, field.one)), p)
-        if poly_deg(g) == 0:
-            return None
-        if poly_deg(g) < d:
+    x = (field.zero, field.one)
+    h = x
+    for k in range(1, poly_deg(p) // 2 + 1):
+        for _ in range(field.bits):  # h^q, q = 2^bits
+            h = _square_mod(field, h, p)
+        g = poly_gcd(field, p, poly_add(field, h, x))
+        if poly_deg(g) > 0:
+            g = min(_equal_degree_factors(field, g, k))
             return g, poly_divmod(field, p, g)[0]
-    for deg in range(2, d // 2 + 1):
-        for g in _monic_polys(field, deg):
-            quot, rem = poly_divmod(field, p, g)
-            if not rem:
-                return g, quot
     return None
 
 
-def _xpow_mod(field, e, modulus):
-    """x**e reduced modulo the given polynomial."""
-    result = (field.one,)
-    base = poly_mod(field, (field.zero, field.one), modulus)
-    while e:
-        if e & 1:
-            result = poly_mod(field, poly_mul(field, result, base), modulus)
-        base = poly_mod(field, poly_mul(field, base, base), modulus)
-        e >>= 1
-    return result
+def _square_mod(field, h, p):
+    """h^2 mod p: the squared coefficients go to the even positions,
+    then one reduction."""
+    sq = [field.zero] * (2 * len(h) - 1)
+    sq[::2] = [field.square(c) for c in h]
+    return poly_mod(field, sq, p)
+
+
+def _equal_degree_factors(field, g, k):
+    """The monic irreducible factors of g, a product of distinct monic
+    irreducibles of degree k (char-2 equal-degree splitting).
+
+    Modulo each factor f, T(a) = sum_(i < k*bits) a^(2^i) is the
+    absolute trace of a in F[x]/(f) = GF(2^(k*bits)), a constant 0 or 1,
+    so gcd(T(a), piece) splits a piece by that value.  a runs over c*x^j
+    for c in the GF(2)-basis 1 << i of the field and 1 <= j < deg(g).
+    With the constants, whose trace is the same modulo every factor,
+    these span F[x]/(g) over GF(2), and the trace form of each factor is
+    nondegenerate, so every pair of factors is parted by some a.  No
+    random draw is made."""
+    pieces = [g]
+    for j in range(1, poly_deg(g)):
+        for i in range(field.bits):
+            if all(poly_deg(f) == k for f in pieces):
+                return pieces
+            a = (field.zero,) * j + (1 << i,)
+            pieces = [s for f in pieces for s in _trace_split(field, f, a, k)]
+    assert all(poly_deg(f) == k for f in pieces)
+    return pieces
+
+
+def _trace_split(field, f, a, k):
+    """f split by the value of T(a) modulo its factors: one or two pieces."""
+    if poly_deg(f) == k:
+        return [f]
+    y = t = poly_mod(field, a, f)
+    for _ in range(k * field.bits - 1):
+        y = _square_mod(field, y, f)
+        t = poly_add(field, t, y)
+    s = poly_gcd(field, f, t)
+    if 0 < poly_deg(s) < poly_deg(f):
+        return [s, poly_divmod(field, f, s)[0]]
+    return [f]
 
 
 def poly_is_irreducible(field, p):
@@ -648,7 +672,7 @@ def poly_is_irreducible(field, p):
 
 def poly_factorize(field, p):
     """Full monic factorization as a list of (irreducible, multiplicity)
-    pairs, by recursive trial splitting (desk scale only)."""
+    pairs, by recursive splitting at the factor witness."""
     p = poly_monic(field, p)
     if poly_deg(p) < 1:
         return []
@@ -684,6 +708,8 @@ def monic_divisors(field, p):
 
 def find_irreducible(field, degree, rng):
     """Random monic irreducible polynomial of the given degree."""
+    if degree < 1:
+        raise FieldError(f"no irreducible polynomial of degree {degree}: degree must be >= 1")
     while True:
         coeffs = tuple(field.random_element(rng) for _ in range(degree)) + (field.one,)
         if poly_is_irreducible(field, coeffs):

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from t2forms import fields
 from t2forms.fields import (
@@ -170,6 +172,28 @@ def test_quartics_over_gf4_match_exhaustive_division(gf4):
             assert poly_mul(gf4, *witness) == p
 
 
+def test_extension_above_the_enumeration_limit():
+    # GF(2^15) is too large to enumerate, so the witness must not
+    # search it for roots
+    E = GF2.extend("a^3+a+1").extend("b^5+b^2+1")
+    assert E.order > 1 << 14
+    L = E.extend("c^2+c+1")  # trace(1) = 1 in GF(2^15), so no root
+    assert L.order == 1 << 30
+    assert L.mul(L.gen, L.gen) == L.gen ^ 1
+    # trace(b) = 0, so c^2+c+b has two roots in GF(2^15)
+    with pytest.raises(RejectsReducible) as exc:
+        E.extend("c^2+c+b")
+    g, h = exc.value.factors
+    assert poly_mul(E, g, h) == (E.gen, 1, 1)
+    assert fields.poly_deg(g) == fields.poly_deg(h) == 1
+
+
+def test_find_irreducible_rejects_degree_below_one():
+    for degree in (0, -1):
+        with pytest.raises(fields.FieldError, match=f"degree {degree}"):
+            fields.find_irreducible(GF2, degree, random.Random(0))
+
+
 def test_find_irreducible_big(gf8):
     rng = random.Random(0)
     p = fields.find_irreducible(gf8, 5, rng)
@@ -178,6 +202,174 @@ def test_find_irreducible_big(gf8):
     assert E.order == 8**5
     x = 123456 % E.order
     assert E.mul(x, E.inv(x or 1)) in (0, 1)
+
+
+def _monic_polys(field, degree):
+    """Iterate all monic polynomials of exactly the given degree."""
+    elems = list(field.elements())
+    stack = [()]
+    for _ in range(degree):
+        stack = [p + (c,) for p in stack for c in elems]
+    for low in stack:
+        yield fields.poly_trim(low + (field.one,))
+
+
+def _xpow_mod(field, e, modulus):
+    """x**e reduced modulo the given polynomial."""
+    result = (field.one,)
+    base = fields.poly_mod(field, (field.zero, field.one), modulus)
+    while e:
+        if e & 1:
+            result = fields.poly_mod(field, fields.poly_mul(field, result, base), modulus)
+        base = fields.poly_mod(field, fields.poly_mul(field, base, base), modulus)
+        e >>= 1
+    return result
+
+
+def _trial_division_witness(field, p):
+    """Independent oracle: a nontrivial monic factorization (g, h) of p,
+    or None if p is irreducible.  Root search first, then a
+    distinct-degree gcd for degree 4, exhaustive trial division beyond
+    that and for quartics that split into two distinct irreducible
+    quadratics."""
+    p = fields.poly_monic(field, p)
+    d = fields.poly_deg(p)
+    if d <= 1:
+        return None
+    roots = poly_roots(field, p)
+    if roots:
+        r = roots[0]
+        g = (r, field.one)
+        return g, fields.poly_divmod(field, p, g)[0]
+    if d <= 3:
+        return None
+    if d == 4:
+        # x^(q^2) - x is the product of the monic irreducibles of degree
+        # 1 and 2; without roots, its gcd with p is 1 (p irreducible),
+        # g for p = g^2, or p itself for two distinct quadratic factors,
+        # which the trial division below finds
+        q2 = field.order**2
+        xq = _xpow_mod(field, q2, p)
+        g = fields.poly_gcd(field, fields.poly_add(field, xq, (0, field.one)), p)
+        if fields.poly_deg(g) == 0:
+            return None
+        if fields.poly_deg(g) < d:
+            return g, fields.poly_divmod(field, p, g)[0]
+    for deg in range(2, d // 2 + 1):
+        for g in _monic_polys(field, deg):
+            quot, rem = fields.poly_divmod(field, p, g)
+            if not rem:
+                return g, quot
+    return None
+
+
+def _draw_monic(data, F, degree):
+    return tuple(data.draw(st.integers(0, F.order - 1)) for _ in range(degree)) + (1,)
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(F, k):
+    """Every monic irreducible of degree k over F, by the oracle."""
+    return [f for f in _monic_polys(F, k) if _trial_division_witness(F, f) is None]
+
+
+def _draw_oracle_input(data, F, top):
+    """A polynomial of degree <= top over F: random, a square or cube,
+    or a product of distinct irreducibles of one degree (two or three
+    where F has that many, so that the equal-degree split has factors to
+    part), possibly times a random cofactor."""
+    kind = data.draw(st.sampled_from(["random", "square", "cube", "same_degree"]))
+    if kind == "random":
+        p = _draw_monic(data, F, data.draw(st.integers(0, top)))
+    elif kind in ("square", "cube"):
+        e = 2 if kind == "square" else 3
+        p = fields.poly_pow(F, _draw_monic(data, F, data.draw(st.integers(1, top // e))), e)
+    else:
+        k = data.draw(st.integers(1, top // 2))
+        irreducibles = _irreducibles(F, k)
+        picks = data.draw(st.lists(st.sampled_from(irreducibles), min_size=1,
+                                   max_size=min(3, top // k), unique=True))
+        p = (1,)
+        for f in picks:
+            p = poly_mul(F, p, f)
+    room = top - fields.poly_deg(p)
+    if room > 0 and data.draw(st.booleans()):
+        p = poly_mul(F, p, _draw_monic(data, F, data.draw(st.integers(1, room))))
+    return fields.poly_scale(F, data.draw(st.integers(1, F.order - 1)), p)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_witness_equals_trial_division_oracle(gf4, gf8, data):
+    F, top = data.draw(st.sampled_from([(GF2, 14), (gf4, 8), (gf8, 6)]))
+    p = _draw_oracle_input(data, F, top)
+    witness = fields.poly_factor_witness(F, p)
+    assert witness == _trial_division_witness(F, p), p
+    if witness is not None:
+        assert poly_mul(F, *witness) == fields.poly_monic(F, p)
+
+
+def test_irreducibility_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    cases = []
+    for d in range(1, 41):
+        cases += [tuple(rng.randrange(2) for _ in range(d)) + (1,) for _ in range(3)]
+        cases.append(fields.find_irreducible(GF2, d, rng))
+        if d % 2 == 0:
+            f = fields.find_irreducible(GF2, d // 2, rng)
+            cases += [poly_mul(GF2, f, f), poly_mul(GF2, f, fields.find_irreducible(GF2, d // 2, rng))]
+    verdicts = []
+    for p in cases:
+        expected = sympy.Poly(list(reversed(p)), x, modulus=2).is_irreducible
+        assert poly_is_irreducible(GF2, p) == expected, p
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def test_witness_divisions_are_few(monkeypatch):
+    # x^24+x^7+x^2+x+1 is irreducible: the scan takes 12 Frobenius steps
+    # and 12 gcds, 121 divisions in all; trial division would try every
+    # monic divisor of degree <= 12, thousands of divisions
+    p = tuple(int(i in (0, 1, 2, 7, 24)) for i in range(25))
+    calls = []
+    divmod_ = fields.poly_divmod
+
+    def counting(*args):
+        calls.append(args)
+        return divmod_(*args)
+
+    monkeypatch.setattr(fields, "poly_divmod", counting)
+    assert fields.poly_factor_witness(GF2, p) is None
+    assert 0 < len(calls) <= 130
+
+
+def _trace_by_squaring(lvl, x):
+    acc = y = x
+    for _ in range(lvl.bits - 1):
+        y = lvl.square(y)
+        acc ^= y
+    return acc
+
+
+@pytest.fixture(scope="module")
+def large_levels(gf4, gf8):
+    return [
+        GF2.extend("a^13+a^4+a^3+a+1"),
+        gf4.extend(fields.find_irreducible(gf4, 8, random.Random(2)), "b"),
+        gf8.extend("b^5+b^2+1"),
+    ]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_masked_trace_equals_squaring_sum(large_levels, data):
+    lvl = data.draw(st.sampled_from(large_levels))
+    x = data.draw(st.integers(0, lvl.order - 1))
+    y = data.draw(st.integers(0, lvl.order - 1))
+    assert lvl.trace(x) == _trace_by_squaring(lvl, x)
+    assert lvl.trace(x ^ y) == lvl.trace(x) ^ lvl.trace(y)
 
 
 def test_poly_nth_root_examples():
