@@ -17,6 +17,15 @@ forms of large algebras cheap; the independent route through the left
 regular representation and the polynomial n-th root stays available as
 :func:`reduced_charpoly` and the two are cross-checked in the tests.
 
+The constructor checks the identity law, 1 e_k = e_k = e_k 1, on every
+basis vector: raw structure constants, matrix, quaternion, crossed-product
+and commutative algebras and Clifford algebras all get this full check.
+A tensor product checks its two factors instead, which is exact: its
+identity is 1_A (x) 1_B and its product is bilinear, so
+(1_A (x) 1_B)(e_i (x) f_j) = (1_A e_i) (x) (1_B f_j) = e_i (x) f_j when
+both factor laws hold.  Only when a factor fails does the tensor run the
+full check, which names the first failing basis vector of A (x) B.
+
 Algebras are immutable after construction apart from internal trace
 caches; verification work on independent algebras can run concurrently.
 """
@@ -88,7 +97,10 @@ class Algebra:
     simple of that degree.
     """
 
-    def __init__(self, field, dim, product, one, label="", degree=None, is_csa=False, rep=None):
+    def __init__(
+        self, field, dim, product, one, label="", degree=None, is_csa=False, rep=None,
+        *, _identity_known=False,
+    ):
         self.field = field
         self.dim = dim
         self.product = product
@@ -99,9 +111,14 @@ class Algebra:
         self.rep = rep
         self._t1 = None
         self._t2diag = None
-        self._check_identity()
+        if not _identity_known:
+            k = self._identity_failure()
+            if k is not None:
+                raise AlgebraError(f"identity law fails on basis vector {k}")
 
-    def _check_identity(self):
+    def _identity_failure(self):
+        """The first basis index k with 1 e_k != e_k or e_k 1 != e_k, or
+        None when ``one`` is a two-sided identity."""
         f = self.field
         support = [(i, x) for i, x in enumerate(self.one) if not f.is_zero(x)]
         for k in range(self.dim):
@@ -116,7 +133,8 @@ class Algebra:
                         else:
                             acc[kk] = w
                 if acc != {k: f.one}:
-                    raise AlgebraError(f"identity law fails on basis vector {k}")
+                    return k
+        return None
 
     def basis_vector(self, k):
         v = [self.field.zero] * self.dim
@@ -294,10 +312,16 @@ def tensor_product(A, B):
                 one[k1 * nB + k2] = f.mul(x, y)
     degree = A.degree * B.degree if (A.degree and B.degree) else None
     rep = _kronecker_rep(A.rep, B.rep)
+    # (1_A (x) 1_B)(e_i (x) f_j) = (1_A e_i) (x) (1_B f_j) by bilinearity, so
+    # the law on both factors is the law on the tensor; if a factor fails,
+    # the full check in the constructor names the tensor's first failing
+    # basis vector
+    factors_ok = A._identity_failure() is None and B._identity_failure() is None
     return Algebra(
         f, dim, product, one,
         label=f"Tensor({A.label},{B.label})",
         degree=degree, is_csa=A.is_csa and B.is_csa, rep=rep,
+        _identity_known=factors_ok,
     )
 
 

@@ -686,6 +686,18 @@ def poly_factorize(field, p):
     return sorted(combined.items())
 
 
+def linear_factor_roots(field, p):
+    """All roots in the coefficient field, with multiplicity and in
+    ascending order, read off the linear factors x + c of the full
+    factorization (the root is c in characteristic two).  No field
+    element is enumerated."""
+    roots = []
+    for fac, mult in poly_factorize(field, p):
+        if poly_deg(fac) == 1:
+            roots.extend([fac[0]] * mult)
+    return roots
+
+
 def monic_divisors(field, p):
     """All monic divisors of p, including 1 and p itself."""
     factors = poly_factorize(field, p)

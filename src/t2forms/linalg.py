@@ -308,37 +308,6 @@ def identity(field, n):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(field, A, B):
-    n = len(A)
-    m = len(B[0]) if B else 0
-    k = len(B)
-    out = [[field.zero] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if field.is_zero(a):
-                continue
-            Bt = B[t]
-            for j in range(m):
-                b = Bt[j]
-                if not field.is_zero(b):
-                    Oi[j] = field.add(Oi[j], field.mul(a, b))
-    return out
-
-
-def mat_vec(field, A, v):
-    out = []
-    for row in A:
-        acc = field.zero
-        for a, x in zip(row, v):
-            if not field.is_zero(a) and not field.is_zero(x):
-                acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
-    return out
-
-
 def sparse_trace(field, entries):
     acc = field.zero
     for (r, c), v in entries.items():

@@ -642,23 +642,6 @@ def oracle_witt_class(q):
     return WittClass(f, 2 * planes + aniso.dim, rep, 0), planes
 
 
-def random_nonsingular_form(field, dim, rng):
-    """Random even-dimensional nonsingular form, by rejection."""
-    assert dim % 2 == 0
-    f = field
-    while True:
-        diag = [f.random_element(rng) for _ in range(dim)]
-        polar = [[f.zero] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                v = f.random_element(rng)
-                polar[i][j] = v
-                polar[j][i] = v
-        q = QuadraticForm(f, diag, polar, validate=False)
-        if not linalg.kernel(f, polar, dim):
-            return q
-
-
 # -- Clifford algebra ----------------------------------------------------
 
 

@@ -298,7 +298,7 @@ def galois_obstruction(field, fpoly):
             fields.poly_to_str(field, g, "x"),
             fields.poly_to_str(field, h, "x"),
         ]
-        roots = fields.poly_roots(field, fpoly)
+        roots = fields.linear_factor_roots(field, fpoly)
         report["roots"] = [field.show(r) for r in roots]
         report["note"] = "quotient is not a field, a fortiori not a Galois field extension"
         return report
@@ -551,11 +551,26 @@ _FIELD_BUILDERS = {
 }
 
 
+_standard_fields = {}
+
+
 def standard_field(name):
-    try:
-        return _FIELD_BUILDERS[name]()
-    except KeyError:
-        raise ValueError(f"unknown field shorthand {name!r}") from None
+    """The level a field shorthand names.  Each level is built once per
+    process, so the claims of one run share its tables and caches;
+    :func:`clear_standard_fields` drops them."""
+    if name not in _standard_fields:
+        try:
+            build = _FIELD_BUILDERS[name]
+        except KeyError:
+            raise ValueError(f"unknown field shorthand {name!r}") from None
+        _standard_fields[name] = build()
+    return _standard_fields[name]
+
+
+def clear_standard_fields():
+    """Forget the levels :func:`standard_field` built; the next call
+    builds a fresh one (GF2 stays the module constant)."""
+    _standard_fields.clear()
 
 
 def _ext_of_degree(base, degree, seed=0):

@@ -103,6 +103,20 @@ def test_cli_galois_check_example(capsys):
     assert "a+1" in doc["roots"]
 
 
+def test_cli_galois_check_above_the_enumeration_limit(capsys):
+    # GF(8^5) has 2^15 elements; the roots come from the factorization
+    code, out, _ = run_cli(
+        capsys,
+        "--field", 'extend(extend(GF2,"a^3+a+1"),"b^5+b^2+1")',
+        "--ext", "x^3+b",
+        "--cmd", "galois-check",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "documented-discrepancy"
+    assert doc["roots"] == ["b^4+b^3"]
+
+
 def test_cli_verify_pass_and_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "--cmd", "verify", "--claim", "prop1", "--n", "2..3", "--fields", "GF2")
     assert code == 0

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from t2forms import csa, fields, linalg, quadform as qf
 from t2forms.fields import GF2, NotAPower
 
+from support import mat_mul
+
 
 def test_matrix_algebra_basics(gf4):
     M1 = csa.matrix_algebra(GF2, 1)
@@ -24,7 +26,7 @@ def test_left_regular_examples():
     assert linalg.charpoly(GF2, L) == (0, 0, 1, 0, 1)  # x^4 + x^2
     Q = csa.quaternion_algebra(GF2, 1, 1)
     Le = csa.left_regular_matrix(Q, Q.basis_vector(1))
-    assert linalg.mat_mul(GF2, Le, Le) == linalg.identity(GF2, 4)  # e^2 = 1
+    assert mat_mul(GF2, Le, Le) == linalg.identity(GF2, 4)  # e^2 = 1
 
 
 def test_matrix_algebra_m4_sanity():
@@ -88,7 +90,7 @@ def test_quaternion_splitting_rep(gf4, gf8):
                 y = Q.random_element(rng)
                 px = Q.rep.dense(x)
                 py = Q.rep.dense(y)
-                assert linalg.mat_mul(R, px, py) == Q.rep.dense(Q.mul(x, y))
+                assert mat_mul(R, px, py) == Q.rep.dense(Q.mul(x, y))
 
 
 def test_tensor_examples(gf4):
@@ -543,7 +545,7 @@ def test_t2_form_polar_matches_b_t2_on_basis_pairs(gf4, gf8, gf64_tower, data):
 
 def test_second_trace_form_reads_no_structure_constants():
     # with a splitting representation the trace form never multiplies
-    # basis vectors; the identity check in the constructor has already run
+    # basis vectors; the identity law was checked on the factors at construction
     A = csa.tensor_product(csa.matrix_algebra(GF2, 5), csa.matrix_algebra(GF2, 7))
     calls = []
     product = A.product
@@ -555,6 +557,156 @@ def test_second_trace_form_reads_no_structure_constants():
     A.product = counting
     q = csa.second_trace_form(A)
     assert q.dim == 1224 and calls == []
+
+
+def _identity_oracle(A):
+    """Independent oracle: the basis-vector loop of the identity law,
+    1 e_k = e_k = e_k 1 for every k, as every algebra ran it before
+    tensor products were checked on their factors."""
+    f = A.field
+    support = [(i, x) for i, x in enumerate(A.one) if not f.is_zero(x)]
+    for k in range(A.dim):
+        for left in (True, False):
+            acc = {}
+            for i, x in support:
+                pairs = A.product(i, k) if left else A.product(k, i)
+                for kk, v in pairs:
+                    w = f.add(acc.get(kk, f.zero), f.mul(x, v))
+                    if f.is_zero(w):
+                        acc.pop(kk, None)
+                    else:
+                        acc[kk] = w
+            if acc != {k: f.one}:
+                raise csa.AlgebraError(f"identity law fails on basis vector {k}")
+
+
+def _oracle_verdict(A, B):
+    """The oracle's message on A tensor B (None if it accepts), for a
+    tensor built with the identity check switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(csa.Algebra, "_identity_failure", lambda self: None)
+        T = csa.tensor_product(A, B)
+    try:
+        _identity_oracle(T)
+    except csa.AlgebraError as err:
+        return str(err)
+    return None
+
+
+def _tensor_verdict(A, B):
+    try:
+        csa.tensor_product(A, B)
+    except csa.AlgebraError as err:
+        return str(err)
+    return None
+
+
+def _draw_identity_factor(data, F, gf4, gf8, gf64_tower):
+    """A matrix, quaternion, crossed-product or nested-tensor factor over
+    F (GF(2) or GF(4)), or over GF(4) the rep-less quaternion pair; then
+    possibly broken after construction: its identity scaled, one entry
+    of it changed, or one structure constant corrupted."""
+    kinds = ["matrix", "quaternion", "crossed", "nested"] + (["rep-less"] if F == gf4 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    nonzero = st.integers(1, F.order - 1)
+    if kind == "matrix":
+        X = csa.matrix_algebra(F, data.draw(st.integers(1, 3)))
+    elif kind == "quaternion":
+        X = csa.quaternion_algebra(F, data.draw(nonzero), data.draw(st.integers(0, F.order - 1)))
+    elif kind == "crossed":
+        E = data.draw(st.sampled_from([gf4, gf8] if F == GF2 else [gf64_tower]))
+        X = csa.crossed_product(E, F)
+    elif kind == "nested":
+        X = csa.tensor_product(
+            csa.matrix_algebra(F, 2), csa.quaternion_algebra(F, F.one, data.draw(nonzero))
+        )
+    else:
+        X = _rep_less_tensor(gf4)
+    fault = data.draw(st.sampled_from(["none", "scale", "entry", "product"]))
+    if fault == "scale":
+        c = data.draw(nonzero)
+        X.one = [F.mul(c, x) for x in X.one]
+    elif fault == "entry":
+        k = data.draw(st.integers(0, X.dim - 1))
+        X.one[k] = F.add(X.one[k], data.draw(nonzero))
+    elif fault == "product":
+        bad = (data.draw(st.integers(0, X.dim - 1)), data.draw(st.integers(0, X.dim - 1)))
+        extra = ((data.draw(st.integers(0, X.dim - 1)), data.draw(nonzero)),)
+        product = X.product
+        X.product = lambda i, j: product(i, j) + (extra if (i, j) == bad else ())
+    return X
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_tensor_identity_check_matches_basis_vector_oracle(gf4, gf8, gf64_tower, data):
+    F = data.draw(st.sampled_from([GF2, gf4]))
+    A = _draw_identity_factor(data, F, gf4, gf8, gf64_tower)
+    B = _draw_identity_factor(data, F, gf4, gf8, gf64_tower)
+    assert _tensor_verdict(A, B) == _oracle_verdict(A, B)
+
+
+def test_tensor_of_broken_factor_raises_oracle_message():
+    for side in ("one", "product"):
+        A, B = csa.matrix_algebra(GF2, 2), csa.matrix_algebra(GF2, 3)
+        if side == "one":
+            A.one[3] = 0  # 1_A = E_00: E_01 E_00 = 0
+        else:
+            product = A.product
+            A.product = lambda i, j: () if (i, j) == (1, 3) else product(i, j)  # E_01 E_11
+        expected = _oracle_verdict(A, B)
+        assert expected == "identity law fails on basis vector 9"
+        with pytest.raises(csa.AlgebraError) as err:
+            csa.tensor_product(A, B)
+        assert str(err.value) == expected
+
+
+def test_tensor_identity_falls_back_when_both_factors_fail(gf4):
+    # 1_A scaled by a and 1_B by a^2 = a^-1: both factor laws fail, yet
+    # their tensor is the identity of A tensor B, which the full check accepts
+    a = gf4.gen
+    A, B = csa.matrix_algebra(gf4, 2), csa.quaternion_algebra(gf4, 1, a)
+    A.one = [gf4.mul(a, x) for x in A.one]
+    B.one = [gf4.mul(gf4.mul(a, a), x) for x in B.one]
+    for X in (A, B):
+        with pytest.raises(csa.AlgebraError):
+            _identity_oracle(X)
+    assert _oracle_verdict(A, B) is None
+    assert csa.tensor_product(A, B).one == csa.tensor_product(
+        csa.matrix_algebra(gf4, 2), csa.quaternion_algebra(gf4, 1, a)
+    ).one
+
+
+def test_raw_structure_constants_keep_the_full_identity_check():
+    M2 = csa.matrix_algebra(GF2, 2)
+    with pytest.raises(csa.AlgebraError, match="identity law fails on basis vector 1"):
+        csa.Algebra(GF2, 4, M2.product, [1, 0, 0, 0], label="raw")
+
+
+def test_tensor_identity_check_reads_factors_only(monkeypatch):
+    # the law on Mat(5) tensor Mat(7) follows from the law on the factors:
+    # 2 * 25 * 5 + 2 * 49 * 7 factor products, none of the tensor's; the
+    # basis-vector loop on the tensor takes 2 * 1225 * 35 = 85,750
+    A, B = csa.matrix_algebra(GF2, 5), csa.matrix_algebra(GF2, 7)
+    factor_calls = []
+    for X in (A, B):
+        product = X.product
+        X.product = lambda i, j, product=product: factor_calls.append((i, j)) or product(i, j)
+    tensor_calls = []
+    init = csa.Algebra.__init__
+
+    def counting_init(self, field, dim, product, *args, **kwargs):
+        def counted(i, j):
+            tensor_calls.append((i, j))
+            return product(i, j)
+
+        init(self, field, dim, counted, *args, **kwargs)
+
+    monkeypatch.setattr(csa.Algebra, "__init__", counting_init)
+    T = csa.tensor_product(A, B)
+    assert T.dim == 1225
+    assert tensor_calls == []
+    assert 0 < len(factor_calls) <= 2 * 25 * 5 + 2 * 49 * 7
 
 
 def test_sanity_check_reports_associativity_witness(gf8):

@@ -19,6 +19,9 @@ from t2forms.fields import (
     poly_to_str,
 )
 
+_GF4 = GF2.extend("a^2+a+1")
+_GF8 = GF2.extend("a^3+a+1")
+
 
 def test_extend_gf4(gf4):
     assert gf4.order == 4
@@ -139,6 +142,26 @@ def test_poly_roots_multiplicity(gf4):
     p = poly_mul(gf4, poly_pow(gf4, (a, 1), 2), (1, 1))
     roots = poly_roots(gf4, p)
     assert sorted(roots) == sorted([a, a, 1])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    fname=st.sampled_from(["GF2", "GF4", "GF8"]),
+    data=st.data(),
+)
+def test_linear_factor_roots_equal_enumerated_roots(fname, data):
+    # the factorization route of galois-check against the enumerating
+    # poly_roots, on products of linear and random factors
+    field = {"GF2": GF2, "GF4": _GF4, "GF8": _GF8}[fname]
+    elem = st.integers(0, field.order - 1)
+    p = (field.one,)
+    for r in data.draw(st.lists(elem, min_size=1, max_size=4)):
+        p = poly_mul(field, p, (r, field.one))
+    for low in data.draw(st.lists(st.lists(elem, min_size=1, max_size=4), max_size=2)):
+        p = poly_mul(field, p, tuple(low) + (field.one,))
+    roots = fields.linear_factor_roots(field, p)
+    assert roots == poly_roots(field, p)
+    assert roots == sorted(roots)
 
 
 def test_irreducibility_degrees(gf4):

@@ -4,6 +4,8 @@ import random
 from t2forms import linalg
 from t2forms.fields import GF2
 
+from support import mat_mul, mat_vec
+
 
 def charpoly_leibniz(f, M):
     """Reference charpoly via permutation expansion; char 2 drops signs."""
@@ -68,7 +70,7 @@ def test_cayley_hamilton(gf4):
                 for i in range(n):
                     for j in range(n):
                         acc[i][j] = f.add(acc[i][j], f.mul(c, P[i][j]))
-            P = linalg.mat_mul(f, P, M)
+            P = mat_mul(f, P, M)
         assert all(all(f.is_zero(v) for v in row) for row in acc)
 
 
@@ -105,7 +107,7 @@ def test_packed_kernel_matches_generic(gf4, gf8):
         assert k1 == k2
         assert linalg.packed_kernel(f, [linalg.pack_row(f, r) for r in rows], nc) == k1
         for v in k1 + k2:
-            assert all(f.is_zero(x) for x in linalg.mat_vec(f, rows, v))
+            assert all(f.is_zero(x) for x in mat_vec(f, rows, v))
         assert linalg.rank(f, rows, nc) == nc - len(k1)
 
 
@@ -125,7 +127,7 @@ def test_solve_generic(gf4):
         n = rng.randrange(1, 5)
         rows = [[gf4.random_element(rng) for _ in range(n)] for _ in range(n)]
         x = [gf4.random_element(rng) for _ in range(n)]
-        rhs = linalg.mat_vec(gf4, rows, x)
+        rhs = mat_vec(gf4, rows, x)
         sol = linalg.solve(gf4, rows, rhs)
         assert sol is not None
-        assert linalg.mat_vec(gf4, rows, sol) == rhs
+        assert mat_vec(gf4, rows, sol) == rhs

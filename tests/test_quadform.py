@@ -7,6 +7,8 @@ from t2forms import linalg, quadform as qf
 from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
+from support import random_nonsingular_form
+
 
 def test_evaluate_examples(gf4):
     q = QuadraticForm.binary(GF2, 1, 1)
@@ -36,7 +38,7 @@ def test_polarization_identity(gf4):
     rng = random.Random(11)
     for fld in (GF2, gf4):
         for dim in (2, 4, 6):
-            q = qf.random_nonsingular_form(fld, dim, rng)
+            q = random_nonsingular_form(fld, dim, rng)
             for _ in range(500):
                 x = [fld.random_element(rng) for _ in range(dim)]
                 y = [fld.random_element(rng) for _ in range(dim)]
@@ -90,7 +92,7 @@ def test_witt_class_isometry_invariant(gf4):
     for fld in (GF2, gf4):
         for _ in range(15):
             dim = rng.choice([2, 4, 6])
-            q = qf.random_nonsingular_form(fld, dim, rng)
+            q = random_nonsingular_form(fld, dim, rng)
             while True:
                 U = [[fld.random_element(rng) for _ in range(dim)] for _ in range(dim)]
                 if linalg.rank(fld, U, dim) == dim:
@@ -104,7 +106,7 @@ def test_block_decompose_preserves_form(gf4, gf8):
     rng = random.Random(12)
     for fld in (GF2, gf4, gf8):
         for dim in (2, 4, 6):
-            q = qf.random_nonsingular_form(fld, dim, rng)
+            q = random_nonsingular_form(fld, dim, rng)
             dec = qf.block_decompose(q)
             assert dec.radical_dim == 0
             vecs = [v for pair in dec.pairs for v in pair]
@@ -142,8 +144,8 @@ def test_arf_additive(gf4):
     rng = random.Random(13)
     for fld in (GF2, gf4):
         for _ in range(40):
-            q1 = qf.random_nonsingular_form(fld, rng.choice([2, 4]), rng)
-            q2 = qf.random_nonsingular_form(fld, rng.choice([2, 4]), rng)
+            q1 = random_nonsingular_form(fld, rng.choice([2, 4]), rng)
+            q2 = random_nonsingular_form(fld, rng.choice([2, 4]), rng)
             s = fld.add(qf.arf_sum(q1), qf.arf_sum(q2))
             assert qf.arf(qf.direct_sum(q1, q2)) == fld.wp_class_rep(s)
 
@@ -202,7 +204,7 @@ def test_witt_matches_oracle_random(gf4):
     rng = random.Random(15)
     for _ in range(60):
         fld = rng.choice([GF2, gf4])
-        q = qf.random_nonsingular_form(fld, rng.choice([2, 4]), rng)
+        q = random_nonsingular_form(fld, rng.choice([2, 4]), rng)
         w1 = qf.witt_class(q)
         w2, planes = qf.oracle_witt_class(q)
         assert w1 == w2
@@ -254,7 +256,7 @@ def test_clifford_algebra_quaternion_relations(gf8):
 
 def test_clifford_dimension_cap():
     rng = random.Random(17)
-    q = qf.random_nonsingular_form(GF2, 12, rng)
+    q = random_nonsingular_form(GF2, 12, rng)
     with pytest.raises(qf.DimensionTooLarge):
         qf.clifford_algebra(q)
 
@@ -271,7 +273,7 @@ def test_arf_dual_path_random(gf4):
     for _ in range(30):
         fld = rng.choice([GF2, gf4])
         dim = rng.choice([2, 4, 6])
-        q = qf.random_nonsingular_form(fld, dim, rng)
+        q = random_nonsingular_form(fld, dim, rng)
         assert qf.arf(q) == qf.arf_via_even_clifford_center(q)
 
 
@@ -312,7 +314,7 @@ def test_decompose_gf2_matches_generic_path():
     rng = random.Random(20)
     for _ in range(40):
         dim = rng.choice([2, 4, 6, 8])
-        q = qf.random_nonsingular_form(GF2, dim, rng)
+        q = random_nonsingular_form(GF2, dim, rng)
         dec1 = qf._decompose_packed(q)
         dec2 = qf._decompose_generic(q)
         assert dec1.blocks == dec2.blocks

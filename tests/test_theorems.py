@@ -81,6 +81,18 @@ def test_revoy_form_matches_charpoly_oracle(fname, degree, data):
     assert q.diag == diag and q.polar == polar
 
 
+def test_standard_field_built_once_per_name():
+    theorems.clear_standard_fields()
+    gf4 = theorems.standard_field("GF4")
+    assert theorems.standard_field("GF4") is gf4
+    assert theorems.standard_field("GF2") is GF2
+    theorems.clear_standard_fields()
+    fresh = theorems.standard_field("GF4")
+    assert fresh is not gf4 and fresh == gf4
+    with pytest.raises(ValueError, match="unknown field shorthand"):
+        theorems.standard_field("GF3")
+
+
 def test_predicted_matrix_class_table(gf4):
     for n, expect_one in ((2, False), (3, True), (4, True), (7, False), (8, False)):
         p = theorems.predicted_matrix_class(GF2, n)
