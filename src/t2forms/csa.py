@@ -4,7 +4,8 @@ An :class:`Algebra` stores its multiplication sparsely: ``product(i, j)``
 returns the expansion of e_i e_j as ``((k, value), ...)`` pairs.  Large
 algebras (tensor products, Clifford algebras) keep the product lazy so
 that nothing quadratic in the dimension is ever materialized besides
-the forms themselves.
+the forms themselves; a crossed product memoizes each entry of its
+structure table on first use.
 
 Constructed algebras carry a splitting representation: matrix algebras
 act on columns, quaternions get an explicit 2x2 representation over the
@@ -27,7 +28,8 @@ both factor laws hold.  Only when a factor fails does the tensor run the
 full check, which names the first failing basis vector of A (x) B.
 
 Algebras are immutable after construction apart from internal trace
-caches; verification work on independent algebras can run concurrently.
+caches and the crossed-product table memo, whose entries are fixed
+values; verification work on independent algebras can run concurrently.
 """
 
 from __future__ import annotations
@@ -458,20 +460,20 @@ def crossed_product(E, F, cocycle="trivial", label=None):
                     raise CocycleInvalid(f"associativity fails on group triple ({i},{j},{k})")
 
     dim = n * n
+    # each entry is computed on first use: the identity and center checks
+    # read a small part of the n^4 table and the trace forms none of it
     table = {}
-    for i in range(n):
-        for s in range(n):
-            for j in range(n):
-                for t in range(n):
-                    w = E.mul(E.mul(phi[i][j], sig[j][s]), basis_E[t])
-                    coords = E.coords_over(F, w)
-                    entry = tuple(
-                        (((i + j) % n) * n + r, c) for r, c in enumerate(coords) if c
-                    )
-                    table[(i * n + s, j * n + t)] = entry
 
-    def product(i, j):
-        return table[(i, j)]
+    def product(a, b):
+        entry = table.get((a, b))
+        if entry is None:
+            i, s = divmod(a, n)
+            j, t = divmod(b, n)
+            w = E.mul(E.mul(phi[i][j], sig[j][s]), basis_E[t])
+            base = ((i + j) % n) * n
+            entry = tuple((base + r, c) for r, c in enumerate(E.coords_over(F, w)) if c)
+            table[(a, b)] = entry
+        return entry
 
     one = [F.zero] * dim
     one[0] = F.one  # u_id * 1

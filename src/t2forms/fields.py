@@ -12,6 +12,19 @@ Consequences used throughout the package:
 * an element of a lower level embeds into every level above it with the
   same int value, and membership in a sublevel is ``x < sub.order``.
 
+Routes for multiplication and inversion, by level:
+
+* a level of order up to 2^11 multiplies and inverts through exp/log
+  tables built once from its raw multiply;
+* a level directly over GF(2) takes its element int as the polynomial in
+  the generator: the raw multiply is a shift-xor carry-less product
+  reduced by the defining polynomial held as a bit mask, and a table-free
+  inverse is extended Euclid on ints, one shift-xor step at a time;
+* a deeper table-free level (such as GF(8^5) or GF(4^8)) multiplies
+  coefficient by coefficient over its parent and inverts by extended
+  Euclid in parent[y]/(poly) (von zur Gathen & Gerhard, *Modern Computer
+  Algebra*, ch. 3-4).
+
 Polynomials over a level are trimmed tuples of element ints, lowest
 degree first; the zero polynomial is the empty tuple.  The polynomial
 helpers are duck-typed over their field argument so they also work for
@@ -26,6 +39,9 @@ import string
 from . import linalg
 
 _TABLE_LIMIT = 1 << 11  # exp/log tables are built for orders up to this
+# a parsed factor p^e with deg(p) * e above this is refused before
+# poly_pow; no claim or test writes a degree near it
+_MAX_PARSED_DEGREE = 1 << 10
 
 
 class FieldError(ValueError):
@@ -67,6 +83,7 @@ class Level:
         self.parent = parent
         if parent is None:
             self.poly = None
+            self._poly_mask = None
             self.gen_name = None
             self.rel_degree = 1
             self.bits = 1
@@ -89,6 +106,10 @@ class Level:
                     factors=witness,
                 )
             self.poly = tuple(poly)
+            # over GF(2) the defining polynomial as a bit mask, bit i = poly[i]
+            self._poly_mask = (
+                sum(c << i for i, c in enumerate(self.poly)) if parent.parent is None else None
+            )
             self.gen_name = gen_name
             self.rel_degree = len(poly) - 1
             self.bits = parent.bits * self.rel_degree
@@ -182,6 +203,8 @@ class Level:
     def _mul_raw(self, x, y):
         if self.parent is None:
             return x & y
+        if self._poly_mask is not None:
+            return _clmul_mod(x, y, self._poly_mask, self.rel_degree)
         par = self.parent
         d = self.rel_degree
         xs = self.coeffs(x)
@@ -242,7 +265,21 @@ class Level:
         if self._log is not None:
             n = self.order - 1
             return self._exp[(-self._log[x]) % n]
-        return self._pow_raw(x, self.order - 2)
+        if self._poly_mask is not None:
+            return _clinv_mod(x, self._poly_mask)
+        return self._inv_euclid(x)
+
+    def _inv_euclid(self, x):
+        """Inverse by extended Euclid in parent[y]/(poly): s * x = r mod
+        poly holds for both rows, and r ends at a nonzero constant."""
+        par = self.parent
+        r0, r1 = self.poly, poly_trim(self.coeffs(x))
+        s0, s1 = (), (par.one,)
+        while len(r1) > 1:
+            q, r = poly_divmod(par, r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, poly_add(par, s0, poly_mul(par, q, s1))
+        return self.from_coeffs(poly_scale(par, par.inv(r1[0]), s1))
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -460,6 +497,41 @@ def fresh_gen_name(level):
     raise FieldError("ran out of generator names")
 
 
+def _clmul_mod(x, y, mask, d):
+    """x * y in GF(2)[z]/(mask), both of degree < d: a carry-less product
+    by shift and xor, then the bits at d and above cleared from the top
+    with shifted copies of the defining polynomial."""
+    if x.bit_length() < y.bit_length():
+        x, y = y, x
+    r = 0
+    while y:
+        if y & 1:
+            r ^= x
+        x <<= 1
+        y >>= 1
+    top = r.bit_length() - 1
+    while top >= d:
+        r ^= mask << (top - d)
+        top = r.bit_length() - 1
+    return r
+
+
+def _clinv_mod(x, mask):
+    """The inverse of nonzero x in GF(2)[z]/(mask), mask irreducible.
+
+    Extended Euclid on ints: g * x = u and h * x = v modulo mask hold
+    throughout, each step cancels the leading bit of the longer of u and
+    v, and u reaches 1 with g of degree below that of mask."""
+    u, v, g, h = x, mask, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g, h, j = v, u, h, g, -j
+        u ^= v << j
+        g ^= h << j
+    return g
+
+
 def _prime_factors(n):
     out = []
     d = 2
@@ -670,13 +742,16 @@ def poly_is_irreducible(field, p):
     return poly_deg(p) >= 1 and poly_factor_witness(field, p) is None
 
 
-def poly_factorize(field, p):
+def poly_factorize(field, p, witness=None):
     """Full monic factorization as a list of (irreducible, multiplicity)
-    pairs, by recursive splitting at the factor witness."""
+    pairs, by recursive splitting at the factor witness.  A caller that
+    already holds ``poly_factor_witness`` of a reducible p passes it as
+    ``witness`` and p is not tested again."""
     p = poly_monic(field, p)
     if poly_deg(p) < 1:
         return []
-    witness = poly_factor_witness(field, p)
+    if witness is None:
+        witness = poly_factor_witness(field, p)
     if witness is None:
         return [(p, 1)]
     g, h = witness
@@ -686,13 +761,13 @@ def poly_factorize(field, p):
     return sorted(combined.items())
 
 
-def linear_factor_roots(field, p):
+def linear_factor_roots(field, p, witness=None):
     """All roots in the coefficient field, with multiplicity and in
     ascending order, read off the linear factors x + c of the full
     factorization (the root is c in characteristic two).  No field
-    element is enumerated."""
+    element is enumerated.  ``witness`` is as for :func:`poly_factorize`."""
     roots = []
-    for fac, mult in poly_factorize(field, p):
+    for fac, mult in poly_factorize(field, p, witness):
         if poly_deg(fac) == 1:
             roots.extend([fac[0]] * mult)
     return roots
@@ -843,6 +918,11 @@ def parse_poly(level, text, allow_new=True):
             if kind != "int":
                 raise FieldError("exponent must be an integer literal")
             advance()
+            if poly_deg(val) * num > _MAX_PARSED_DEGREE:
+                raise FieldError(
+                    f"exponent {num} gives degree {poly_deg(val) * num}, "
+                    f"above the limit {_MAX_PARSED_DEGREE}"
+                )
             val = poly_pow(level, val, num)
         return val
 

@@ -5,6 +5,13 @@ Only what the Artin-Schreier membership test and the Galois obstruction
 need: exact field arithmetic, perfect-square detection for denominators,
 and membership in {u**2 + u} decided by linearizing the semilinear
 equation s**2 + s*r = numerator over the prime field.
+
+``FunctionField.make`` reduces an arbitrary fraction by a full gcd.
+``add`` and ``mul`` take operands already in lowest terms and return
+lowest terms without one, by Henrici's formulas (Knuth, TAOCP vol. 2,
+section 4.5.1): only gcds of a numerator against the other denominator,
+or of the two denominators, are taken, and none when a denominator is 1,
+so sums and products of polynomials take no gcd at all.
 """
 
 from __future__ import annotations
@@ -60,8 +67,19 @@ class FunctionField:
 
     def add(self, x, y):
         k = self.coeff
-        num = poly_add(k, poly_mul(k, x.num, y.den), poly_mul(k, y.num, x.den))
-        return self.make(num, poly_mul(k, x.den, y.den))
+        b, d = x.den, y.den
+        g = (k.one,) if (k.one,) in (b, d) else poly_gcd(k, b, d)
+        if poly_deg(g) == 0:
+            num = poly_add(k, poly_mul(k, x.num, d), poly_mul(k, y.num, b))
+            return Rat(num, poly_mul(k, b, d)) if num else self.zero
+        # b = g b', d = g d': a/b + c/d = (a d' + c b') / (g b' d'), and a
+        # factor the new numerator t shares with that denominator divides g
+        b1, d1 = _quo(k, b, g), _quo(k, d, g)
+        t = poly_add(k, poly_mul(k, x.num, d1), poly_mul(k, y.num, b1))
+        if not t:
+            return self.zero
+        g2 = poly_gcd(k, t, g)
+        return Rat(_quo(k, t, g2), poly_mul(k, b1, _quo(k, d, g2)))
 
     sub = add  # characteristic two
 
@@ -69,16 +87,31 @@ class FunctionField:
         return x
 
     def mul(self, x, y):
+        # (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)), g1 = gcd(a, d) and
+        # g2 = gcd(c, b); a denominator 1 makes its gcd 1
         k = self.coeff
-        return self.make(poly_mul(k, x.num, y.num), poly_mul(k, x.den, y.den))
+        if not x.num or not y.num:
+            return self.zero
+        one = (k.one,)
+        g1 = one if y.den == one else poly_gcd(k, x.num, y.den)
+        g2 = one if x.den == one else poly_gcd(k, y.num, x.den)
+        return Rat(
+            poly_mul(k, _quo(k, x.num, g1), _quo(k, y.num, g2)),
+            poly_mul(k, _quo(k, x.den, g2), _quo(k, y.den, g1)),
+        )
 
     def square(self, x):
-        return self.mul(x, x)
+        # num and den are coprime, so their squares are too
+        k = self.coeff
+        return Rat(poly_mul(k, x.num, x.num), poly_mul(k, x.den, x.den))
 
     def inv(self, x):
         if not x.num:
             raise ZeroDivisionError("inverse of zero")
-        return self.make(x.den, x.num)
+        # already in lowest terms: only the leading coefficient moves
+        k = self.coeff
+        c = k.inv(x.num[-1])
+        return Rat(poly_scale(k, c, x.den), poly_scale(k, c, x.num))
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -118,6 +151,11 @@ class FunctionField:
 
     def __repr__(self):
         return f"{self.coeff!r}({self.var})"
+
+
+def _quo(k, p, g):
+    """p / g for a monic divisor g of p."""
+    return p if len(g) == 1 else poly_divmod(k, p, g)[0]
 
 
 def wp_member(ff, c, witness=False):

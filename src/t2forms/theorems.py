@@ -298,7 +298,7 @@ def galois_obstruction(field, fpoly):
             fields.poly_to_str(field, g, "x"),
             fields.poly_to_str(field, h, "x"),
         ]
-        roots = fields.linear_factor_roots(field, fpoly)
+        roots = fields.linear_factor_roots(field, fpoly, witness)
         report["roots"] = [field.show(r) for r in roots]
         report["note"] = "quotient is not a field, a fortiori not a Galois field extension"
         return report
@@ -552,6 +552,7 @@ _FIELD_BUILDERS = {
 
 
 _standard_fields = {}
+_extensions = {}  # (base, degree, seed) -> level, see _ext_of_degree
 
 
 def standard_field(name):
@@ -568,15 +569,22 @@ def standard_field(name):
 
 
 def clear_standard_fields():
-    """Forget the levels :func:`standard_field` built; the next call
-    builds a fresh one (GF2 stays the module constant)."""
+    """Forget the levels :func:`standard_field` built and the extensions
+    the claims drew from them; the next call builds a fresh one (GF2
+    stays the module constant)."""
     _standard_fields.clear()
+    _extensions.clear()
 
 
 def _ext_of_degree(base, degree, seed=0):
-    rng = random.Random((seed, base.bits, degree).__hash__() & 0xFFFF)
-    poly = fields.find_irreducible(base, degree, rng)
-    return base.extend(poly, fields.fresh_gen_name(base))
+    """The seeded extension of the given degree, built once per
+    (base, degree, seed) with ``base`` compared by signature."""
+    key = (base, degree, seed)
+    if key not in _extensions:
+        rng = random.Random((seed, base.bits, degree).__hash__() & 0xFFFF)
+        poly = fields.find_irreducible(base, degree, rng)
+        _extensions[key] = base.extend(poly, fields.fresh_gen_name(base))
+    return _extensions[key]
 
 
 def _degrees(claim, params, default):

@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: dense matrix products and random
-nonsingular quadratic forms."""
+"""Helpers that only the tests use: dense matrix products, random
+nonsingular quadratic forms, and reference implementations of the field
+multiply and the crossed-product structure table."""
 
 from t2forms import linalg
 from t2forms.quadform import QuadraticForm
@@ -51,3 +52,49 @@ def random_nonsingular_form(field, dim, rng):
         q = QuadraticForm(f, diag, polar, validate=False)
         if not linalg.kernel(f, polar, dim):
             return q
+
+
+def mul_by_coefficients(level, x, y):
+    """x * y in a level by its coordinates over the parent: schoolbook
+    product with parent multiplies, then reduction of the top
+    coefficients by the defining polynomial."""
+    par = level.parent
+    d = level.rel_degree
+    xs = level.coeffs(x)
+    ys = level.coeffs(y)
+    prod = [0] * (2 * d - 1)
+    for i, xc in enumerate(xs):
+        if xc:
+            for j, yc in enumerate(ys):
+                if yc:
+                    prod[i + j] ^= par.mul(xc, yc)
+    # reduce with gen**d = sum(poly[i] * gen**i), i < d
+    low = level.poly[:-1]
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for i, pc in enumerate(low):
+                if pc:
+                    prod[k - d + i] ^= par.mul(c, pc)
+    return level.from_coeffs(prod[:d])
+
+
+def crossed_product_table(E, F, phi):
+    """The full structure table of the crossed product of E/F with
+    cocycle table phi, every entry built up front:
+    (u_i e_s)(u_j e_t) = u_(i+j) phi(i,j) sigma^j(e_s) e_t."""
+    n = E.degree_over(F)
+    basis = E.basis_over(F)
+    sig = [[E.relative_frobenius(F, e, j) for e in basis] for j in range(n)]
+    table = {}
+    for i in range(n):
+        for s in range(n):
+            for j in range(n):
+                for t in range(n):
+                    w = E.mul(E.mul(phi[i][j], sig[j][s]), basis[t])
+                    coords = E.coords_over(F, w)
+                    table[(i * n + s, j * n + t)] = tuple(
+                        (((i + j) % n) * n + r, c) for r, c in enumerate(coords) if c
+                    )
+    return table

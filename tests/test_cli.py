@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import t2forms
 from t2forms import cli, theorems
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "verify_all_reference.json"
@@ -115,6 +119,18 @@ def test_cli_galois_check_above_the_enumeration_limit(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "documented-discrepancy"
     assert doc["roots"] == ["b^4+b^3"]
+
+
+def test_cli_huge_exponent_exits_2_at_once():
+    # poly_pow would build a polynomial of degree 999999999; the parser
+    # refuses the factor before that
+    src = str(Path(t2forms.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "t2forms.cli", "--cmd", "galois-check", "--ext", "x^999999999"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=2,
+    )
+    assert proc.returncode == 2
+    assert "above the limit" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_verify_pass_and_exit_codes(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from t2forms import csa, fields, linalg, quadform as qf
 from t2forms.fields import GF2, NotAPower
 
-from support import mat_mul
+from support import crossed_product_table, mat_mul
 
 
 def test_matrix_algebra_basics(gf4):
@@ -221,6 +221,40 @@ def test_crossed_product_construction(gf4, gf8):
     assert csa.b_subspace_form(A8).dim == 0
     w = qf.witt_class(csa.second_trace_form(A8))
     assert (w.dim, w.arf) == (8, 1)
+
+
+def test_lazy_crossed_product_entries_equal_eager_table(gf4, gf64_tower):
+    cases = [
+        (GF2.extend("d^5+d^2+1"), GF2, "trivial"),
+        (gf64_tower, gf4, "cyclic"),
+        (gf64_tower, GF2, "trivial"),
+    ]
+    for E, F, style in cases:
+        cocycle = "trivial" if style == "trivial" else csa.cyclic_cocycle(E, F, F.gen)
+        A = csa.crossed_product(E, F, cocycle)
+        eager = crossed_product_table(E, F, A.crossed_data["phi"])
+        assert len(eager) == A.dim**2
+        for (a, b), entry in eager.items():
+            assert A.product(a, b) == entry, (E, F, style, a, b)
+
+
+def test_crossed_product_builds_only_the_entries_it_reads(monkeypatch):
+    # GF(2^11)/GF(2): the identity and center checks read a few thousand
+    # of the 11^4 = 14,641 table entries; each entry takes one coords_over
+    E = GF2.extend("d^11+d^2+1")
+    entries = []
+    coords_over = E.coords_over
+
+    def counting(sub, x):
+        entries.append(x)
+        return coords_over(sub, x)
+
+    monkeypatch.setattr(E, "coords_over", counting)
+    A = csa.crossed_product(E, GF2)
+    built = len(entries)
+    assert 0 < built <= 3000
+    assert qf.witt_class(csa.second_trace_form(A)).arf == 1
+    assert len(entries) == built  # the trace form reads no structure constants
 
 
 def test_b_subspace_dim_matches_extension_degree():

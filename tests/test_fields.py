@@ -19,6 +19,8 @@ from t2forms.fields import (
     poly_to_str,
 )
 
+from support import mul_by_coefficients
+
 _GF4 = GF2.extend("a^2+a+1")
 _GF8 = GF2.extend("a^3+a+1")
 
@@ -393,6 +395,63 @@ def test_masked_trace_equals_squaring_sum(large_levels, data):
     y = data.draw(st.integers(0, lvl.order - 1))
     assert lvl.trace(x) == _trace_by_squaring(lvl, x)
     assert lvl.trace(x ^ y) == lvl.trace(x) ^ lvl.trace(y)
+
+
+@functools.lru_cache(maxsize=None)
+def _level_over_gf2(degree):
+    # degrees up to 11 are table-backed, 12 to 16 table-free
+    return GF2.extend(fields.find_irreducible(GF2, degree, random.Random(degree)), "a")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_int_multiply_equals_coefficient_multiply(data):
+    lvl = _level_over_gf2(data.draw(st.integers(2, 16)))
+    x = data.draw(st.integers(0, lvl.order - 1))
+    y = data.draw(st.integers(0, lvl.order - 1))
+    want = mul_by_coefficients(lvl, x, y)
+    assert lvl._mul_raw(x, y) == want
+    assert lvl.mul(x, y) == want
+
+
+def test_table_entries_equal_coefficient_multiply(gf4, gf8):
+    # the exp tables are built by the int multiply: exp[i+1] = exp[i] * g
+    for lvl in (gf4, gf8, GF2.extend("a^11+a^2+1")):
+        g = lvl._exp[1]
+        n = lvl.order - 1
+        for i, v in enumerate(lvl._exp):
+            assert lvl._exp[(i + 1) % n] == mul_by_coefficients(lvl, v, g)
+    for x, y in itertools.product(range(8), repeat=2):
+        assert gf8.mul(x, y) == mul_by_coefficients(gf8, x, y)
+
+
+@pytest.fixture(scope="module")
+def table_free_levels(large_levels, gf4):
+    # GF(2^13), GF(4^8), GF(8^5) and a three-level tower GF(64^3)
+    gf64 = gf4.extend("b^3+b+1")
+    top = gf64.extend(fields.find_irreducible(gf64, 3, random.Random(5)), "c")
+    return large_levels + [top]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_euclid_inverse_equals_power(table_free_levels, data):
+    lvl = data.draw(st.sampled_from(table_free_levels))
+    assert lvl._log is None
+    x = data.draw(st.integers(1, lvl.order - 1))
+    inv = lvl.inv(x)
+    assert inv == lvl._pow_raw(x, lvl.order - 2)
+    assert lvl.mul(x, inv) == 1
+
+
+def test_parsed_power_degree_is_bounded(gf4):
+    with pytest.raises(fields.FieldError, match="above the limit"):
+        fields.parse_poly(gf4, "x^999999999")
+    with pytest.raises(fields.FieldError, match="above the limit"):
+        fields.parse_poly(gf4, "(x^2+a)^600")
+    # a constant base costs a few squarings whatever the exponent
+    assert fields.parse_poly(gf4, "x^3+a^999999999") == ("x", (gf4.pow(gf4.gen, 999999999), 0, 0, 1))
+    assert fields.parse_poly(GF2, "(x+1)^1024")[1] == (1,) + (0,) * 1023 + (1,)
 
 
 def test_poly_nth_root_examples():

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from t2forms import fields, rational, theorems
-from t2forms.fields import GF2
+from t2forms.fields import GF2, poly_add, poly_mul
 
 
 def _clmul(a, b):
@@ -67,6 +68,40 @@ def test_arithmetic_roundtrip(gf4):
         assert ff.show(ff.add(ff.mul(t, t), ff.one)) == "t^2+1"
     with pytest.raises(ZeroDivisionError):
         rational.FunctionField(GF2).inv(rational.FunctionField(GF2).zero)
+
+
+_FUNCTION_FIELDS = (rational.FunctionField(GF2), rational.FunctionField(GF2.extend("a^2+a+1")))
+
+
+def _draw_rat(data, ff):
+    k = ff.coeff
+    coeff = st.integers(0, k.order - 1)
+    num = data.draw(st.lists(coeff, max_size=5))
+    den = data.draw(st.lists(coeff, max_size=3)) + [data.draw(st.integers(1, k.order - 1))]
+    common = data.draw(st.lists(coeff, max_size=2)) + [1]
+    if data.draw(st.booleans()):
+        den = [1]  # a polynomial
+    # a shared factor that make() must cancel
+    return ff.make(poly_mul(k, num, common), poly_mul(k, den, common))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_henrici_add_mul_equal_full_gcd(data):
+    ff = data.draw(st.sampled_from(_FUNCTION_FIELDS))
+    k = ff.coeff
+    x, y = _draw_rat(data, ff), _draw_rat(data, ff)
+    if data.draw(st.booleans()):
+        # a common denominator factor exercises the gcd branch of add
+        g = (data.draw(st.integers(0, k.order - 1)), k.one)
+        x, y = (ff.make(z.num, poly_mul(k, z.den, g)) for z in (x, y))
+    cross = poly_add(k, poly_mul(k, x.num, y.den), poly_mul(k, y.num, x.den))
+    assert ff.add(x, y) == ff.make(cross, poly_mul(k, x.den, y.den))
+    assert ff.mul(x, y) == ff.make(poly_mul(k, x.num, y.num), poly_mul(k, x.den, y.den))
+    assert ff.square(x) == ff.make(poly_mul(k, x.num, x.num), poly_mul(k, x.den, x.den))
+    assert ff.add(x, x) == ff.zero
+    if x.num:
+        assert ff.inv(x) == ff.make(x.den, x.num)
 
 
 def test_lowest_terms_invariant():

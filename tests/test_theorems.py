@@ -93,6 +93,35 @@ def test_standard_field_built_once_per_name():
         theorems.standard_field("GF3")
 
 
+def test_ext_of_degree_built_once_per_key():
+    theorems.clear_standard_fields()
+    E = theorems._ext_of_degree(GF2, 5, seed=3)
+    assert theorems._ext_of_degree(GF2, 5, seed=3) is E
+    # the base is compared by signature, not identity
+    gf4, twin = GF2.extend("a^2+a+1"), GF2.extend("a^2+a+1")
+    assert theorems._ext_of_degree(twin, 3) is theorems._ext_of_degree(gf4, 3)
+    assert theorems._ext_of_degree(GF2, 5, seed=4) is not E
+    theorems.clear_standard_fields()
+    fresh = theorems._ext_of_degree(GF2, 5, seed=3)
+    assert fresh is not E and fresh == E
+
+
+def test_galois_obstruction_tests_reducible_f_once(gf8, monkeypatch):
+    f = (1, 0, 0, 0, 0, 1, 1, 1)  # x^7+x^6+x^5+1 = (x+1)^3 (x^4+x+1)
+    on_f = []
+    witness = fields.poly_factor_witness
+
+    def counting(field, p):
+        if tuple(p) == f:
+            on_f.append(p)
+        return witness(field, p)
+
+    monkeypatch.setattr(fields, "poly_factor_witness", counting)
+    rep = theorems.galois_obstruction(gf8, f)
+    assert rep["reducible"] and rep["roots"]
+    assert len(on_f) == 1
+
+
 def test_predicted_matrix_class_table(gf4):
     for n, expect_one in ((2, False), (3, True), (4, True), (7, False), (8, False)):
         p = theorems.predicted_matrix_class(GF2, n)
