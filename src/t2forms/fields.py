@@ -18,12 +18,11 @@ Routes for multiplication and inversion, by level:
   tables built once from its raw multiply;
 * a level directly over GF(2) takes its element int as the polynomial in
   the generator: the raw multiply is a shift-xor carry-less product
-  reduced by the defining polynomial held as a bit mask, and a table-free
-  inverse is extended Euclid on ints, one shift-xor step at a time;
-* a deeper table-free level (such as GF(8^5) or GF(4^8)) multiplies
-  coefficient by coefficient over its parent and inverts by extended
-  Euclid in parent[y]/(poly) (von zur Gathen & Gerhard, *Modern Computer
-  Algebra*, ch. 3-4).
+  reduced by the defining polynomial held as a bit mask;
+* any other level multiplies coefficient by coefficient over its parent;
+* every table-free level (such as GF(2^13), GF(8^5) or GF(4^8)) inverts
+  by extended Euclid in parent[y]/(poly) (von zur Gathen & Gerhard,
+  *Modern Computer Algebra*, ch. 3-4).
 
 Polynomials over a level are trimmed tuples of element ints, lowest
 degree first; the zero polynomial is the empty tuple.  The polynomial
@@ -265,8 +264,6 @@ class Level:
         if self._log is not None:
             n = self.order - 1
             return self._exp[(-self._log[x]) % n]
-        if self._poly_mask is not None:
-            return _clinv_mod(x, self._poly_mask)
         return self._inv_euclid(x)
 
     def _inv_euclid(self, x):
@@ -516,22 +513,6 @@ def _clmul_mod(x, y, mask, d):
     return r
 
 
-def _clinv_mod(x, mask):
-    """The inverse of nonzero x in GF(2)[z]/(mask), mask irreducible.
-
-    Extended Euclid on ints: g * x = u and h * x = v modulo mask hold
-    throughout, each step cancels the leading bit of the longer of u and
-    v, and u reaches 1 with g of degree below that of mask."""
-    u, v, g, h = x, mask, 1, 0
-    while u != 1:
-        j = u.bit_length() - v.bit_length()
-        if j < 0:
-            u, v, g, h, j = v, u, h, g, -j
-        u ^= v << j
-        g ^= h << j
-    return g
-
-
 def _prime_factors(n):
     out = []
     d = 2
@@ -742,16 +723,13 @@ def poly_is_irreducible(field, p):
     return poly_deg(p) >= 1 and poly_factor_witness(field, p) is None
 
 
-def poly_factorize(field, p, witness=None):
+def poly_factorize(field, p):
     """Full monic factorization as a list of (irreducible, multiplicity)
-    pairs, by recursive splitting at the factor witness.  A caller that
-    already holds ``poly_factor_witness`` of a reducible p passes it as
-    ``witness`` and p is not tested again."""
+    pairs, by recursive splitting at the factor witness."""
     p = poly_monic(field, p)
     if poly_deg(p) < 1:
         return []
-    if witness is None:
-        witness = poly_factor_witness(field, p)
+    witness = poly_factor_witness(field, p)
     if witness is None:
         return [(p, 1)]
     g, h = witness
@@ -761,13 +739,13 @@ def poly_factorize(field, p, witness=None):
     return sorted(combined.items())
 
 
-def linear_factor_roots(field, p, witness=None):
+def linear_factor_roots(field, p):
     """All roots in the coefficient field, with multiplicity and in
     ascending order, read off the linear factors x + c of the full
     factorization (the root is c in characteristic two).  No field
-    element is enumerated.  ``witness`` is as for :func:`poly_factorize`."""
+    element is enumerated."""
     roots = []
-    for fac, mult in poly_factorize(field, p, witness):
+    for fac, mult in poly_factorize(field, p):
         if poly_deg(fac) == 1:
             roots.extend([fac[0]] * mult)
     return roots

@@ -298,7 +298,10 @@ def galois_obstruction(field, fpoly):
             fields.poly_to_str(field, g, "x"),
             fields.poly_to_str(field, h, "x"),
         ]
-        roots = fields.linear_factor_roots(field, fpoly, witness)
+        # the roots of f are those of g and of h, with multiplicity
+        roots = sorted(
+            fields.linear_factor_roots(field, g) + fields.linear_factor_roots(field, h)
+        )
         report["roots"] = [field.show(r) for r in roots]
         report["note"] = "quotient is not a field, a fortiori not a Galois field extension"
         return report
@@ -552,7 +555,7 @@ _FIELD_BUILDERS = {
 
 
 _standard_fields = {}
-_extensions = {}  # (base, degree, seed) -> level, see _ext_of_degree
+_extensions = {}  # (base, degree, seed) -> level, one seed at a time
 
 
 def standard_field(name):
@@ -578,9 +581,13 @@ def clear_standard_fields():
 
 def _ext_of_degree(base, degree, seed=0):
     """The seeded extension of the given degree, built once per
-    (base, degree, seed) with ``base`` compared by signature."""
+    (base, degree, seed) with ``base`` compared by signature.  The memo
+    holds the levels of the seed last asked for only, so a caller that
+    walks many seeds keeps one seed's levels at a time."""
     key = (base, degree, seed)
     if key not in _extensions:
+        if _extensions and next(iter(_extensions))[2] != seed:
+            _extensions.clear()
         rng = random.Random((seed, base.bits, degree).__hash__() & 0xFFFF)
         poly = fields.find_irreducible(base, degree, rng)
         _extensions[key] = base.extend(poly, fields.fresh_gen_name(base))

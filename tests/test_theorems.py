@@ -106,6 +106,17 @@ def test_ext_of_degree_built_once_per_key():
     assert fresh is not E and fresh == E
 
 
+def test_ext_of_degree_memo_keeps_one_seed():
+    theorems.clear_standard_fields()
+    for seed in range(6):
+        for n in (3, 5, 7):
+            theorems._ext_of_degree(GF2, n, seed)
+    assert sorted(theorems._extensions) == [(GF2, n, 5) for n in (3, 5, 7)]
+    E = theorems._ext_of_degree(GF2, 3, seed=5)
+    assert theorems._ext_of_degree(GF2, 3, seed=5) is E
+    theorems.clear_standard_fields()
+
+
 def test_galois_obstruction_tests_reducible_f_once(gf8, monkeypatch):
     f = (1, 0, 0, 0, 0, 1, 1, 1)  # x^7+x^6+x^5+1 = (x+1)^3 (x^4+x+1)
     on_f = []
