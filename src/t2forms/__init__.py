@@ -12,7 +12,6 @@ from .fields import (
     Level,
     NotAPower,
     RejectsReducible,
-    extend_field,
     find_irreducible,
     poly_is_irreducible,
     poly_nth_root,

@@ -62,7 +62,7 @@ def parse_spec(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        for chunk in _split_top_level(line):
+        for chunk in _split(line):
             if "=" not in chunk:
                 raise ParseError(f"line {lineno}: expected key=value, got {chunk!r}")
             key, _, value = chunk.partition("=")
@@ -74,28 +74,32 @@ def parse_spec(text):
     return _job_from_dict(data)
 
 
-def _split_top_level(line):
-    """Split a line into key=value chunks at top-level whitespace."""
-    out = []
+def _split(text, sep=None, expected=None):
+    """Split ``text`` at each ``sep`` (whitespace when None) outside
+    quotes and brackets.  Pieces come back stripped; blank text gives
+    none, and whitespace splitting drops empty pieces."""
+    pieces = []
     depth = 0
     quote = False
-    cur = []
-    for ch in line:
+    start = 0
+    for i, ch in enumerate(text):
         if ch == '"':
             quote = not quote
-        elif ch in "([<" and not quote:
+        elif quote:
+            continue
+        elif ch in "([<":
             depth += 1
-        elif ch in ")]>" and not quote:
+        elif ch in ")]>":
             depth -= 1
-        if ch.isspace() and depth == 0 and not quote:
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+        elif depth == 0 and (ch.isspace() if sep is None else ch == sep):
+            pieces.append(text[start:i].strip())
+            start = i + 1
+    pieces.append(text[start:].strip())
+    if sep is None or not text.strip():
+        pieces = [p for p in pieces if p]
+    if expected is not None and len(pieces) != expected:
+        raise ParseError(f"expected {expected} arguments in {text!r}")
+    return pieces
 
 
 def _job_from_dict(data):
@@ -121,61 +125,51 @@ def _job_from_dict(data):
 
 
 # -- field / algebra / form spec parsing ----------------------------------
+#
+# Each parser takes an optional ``max_degree`` and checks every degree it
+# learns against it before building anything of that degree: a level's
+# absolute degree, an algebra's degree, a polynomial's degree, and a form
+# literal's dimension against ``max_degree**2``.
 
 
-def parse_field_spec(text):
+def _check_cap(what, degree, cap):
+    if cap is not None and degree > cap:
+        raise ParseError(f"{what} {degree} exceeds --max-degree {cap}")
+
+
+def parse_field_spec(text, max_degree=None):
     text = text.strip()
     if text == "GF2":
         return fields.GF2
     if text.startswith("extend(") and text.endswith(")"):
-        inner = text[len("extend(") : -1]
-        base_text, poly_text = _split_args(inner, 2)
-        base = parse_field_spec(base_text)
-        poly = poly_text.strip()
-        if not (poly.startswith('"') and poly.endswith('"')):
+        base_text, poly = _split(text[len("extend(") : -1], ",", 2)
+        base = parse_field_spec(base_text, max_degree)
+        if not (len(poly) > 1 and poly.startswith('"') and poly.endswith('"')):
             raise ParseError("defining polynomial must be quoted")
-        return base.extend(poly[1:-1])
+        var, coeffs = fields.parse_poly(base, poly[1:-1])
+        _check_cap("field degree", base.bits * fields.poly_deg(coeffs), max_degree)
+        return base.extend(coeffs, var)
     raise ParseError(f"bad field spec {text!r}")
 
 
-def _split_args(text, expected=None):
-    args = []
-    depth = 0
-    quote = False
-    cur = []
-    for ch in text:
-        if ch == '"':
-            quote = not quote
-        elif ch in "([" and not quote:
-            depth += 1
-        elif ch in ")]" and not quote:
-            depth -= 1
-        if ch == "," and depth == 0 and not quote:
-            args.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur or args:
-        args.append("".join(cur).strip())
-    if expected is not None and len(args) != expected:
-        raise ParseError(f"expected {expected} arguments in {text!r}")
-    return args
-
-
-def parse_algebra_spec(level, text):
+def parse_algebra_spec(level, text, max_degree=None):
     text = text.strip()
     if text.startswith("Mat(") and text.endswith(")"):
-        return csa.matrix_algebra(level, int(text[4:-1]))
+        n = int(text[4:-1])
+        _check_cap("algebra degree", n, max_degree)
+        return csa.matrix_algebra(level, n)
     if text.startswith("Quat(") and text.endswith(")"):
-        a_text, b_text = _split_args(text[5:-1], 2)
+        a_text, b_text = _split(text[5:-1], ",", 2)
+        _check_cap("algebra degree", 2, max_degree)
         return csa.quaternion_algebra(level, level.parse(a_text), level.parse(b_text))
     if text.startswith("Tensor(") and text.endswith(")"):
-        s1, s2 = _split_args(text[7:-1], 2)
-        return csa.tensor_product(parse_algebra_spec(level, s1), parse_algebra_spec(level, s2))
+        A, B = (parse_algebra_spec(level, s, max_degree) for s in _split(text[7:-1], ",", 2))
+        _check_cap("algebra degree", A.degree * B.degree, max_degree)
+        return csa.tensor_product(A, B)
     if text.startswith("Crossed(") and text.endswith(")"):
         ext_text = None
         cocycle = "trivial"
-        for arg in _split_args(text[8:-1]):
+        for arg in _split(text[8:-1], ","):
             key, _, value = arg.partition("=")
             key = key.strip()
             value = value.strip()
@@ -189,7 +183,9 @@ def parse_algebra_spec(level, text):
                 raise ParseError(f"bad Crossed argument {arg!r}")
         if ext_text is None:
             raise ParseError("Crossed needs ext=\"...\"")
-        E = level.extend(ext_text)
+        var, coeffs = fields.parse_poly(level, ext_text)
+        _check_cap("algebra degree", fields.poly_deg(coeffs), max_degree)
+        E = level.extend(coeffs, var)
         if cocycle != "trivial":
             cocycle = _parse_cocycle_table(E, cocycle)
         return csa.crossed_product(E, level, cocycle)
@@ -201,84 +197,78 @@ def _parse_cocycle_table(E, text):
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError("cocycle table must be [[...],[...]]")
     rows = []
-    for row_text in _split_args(text[1:-1]):
-        row_text = row_text.strip()
+    for row_text in _split(text[1:-1], ","):
         if not (row_text.startswith("[") and row_text.endswith("]")):
             raise ParseError("cocycle table rows must be bracketed")
-        rows.append([E.parse(v) for v in _split_args(row_text[1:-1])])
+        rows.append([E.parse(v) for v in _split(row_text[1:-1], ",")])
     return rows
 
 
-def parse_form_literal(level, text):
-    """Form literals: [a,b], H, k*H, <c>[a,b], and + for orthogonal sums."""
-    total = None
-    for part in _split_args(_plus_to_commas(text)):
-        q = _parse_form_atom(level, part.strip())
-        total = q if total is None else quadform.direct_sum(total, q)
-    if total is None:
+def parse_form_literal(level, text, max_degree=None):
+    """Form literals: [a,b], H, k*H, <c>[a,b], and + for orthogonal sums.
+    The whole dimension is checked before any summand is built."""
+    atoms = [_form_atom(part) for part in _split(text, "+")]
+    if not atoms:
         raise ParseError("empty form literal")
+    dim = sum(2 * planes for _, planes, _ in atoms)
+    if max_degree is not None and dim > max_degree**2:
+        raise ParseError(f"form dimension {dim} exceeds --max-degree {max_degree} squared")
+    total = None
+    for scale, planes, entries in atoms:
+        if entries is None:
+            q = quadform.QuadraticForm.hyperbolic(level, planes)
+        else:
+            q = quadform.QuadraticForm.binary(level, *(level.parse(e) for e in entries))
+        if scale is not None:
+            q = q.scale(level.parse(scale))
+        total = q if total is None else quadform.direct_sum(total, q)
     return total
 
 
-def _plus_to_commas(text):
-    out = []
-    depth = 0
-    for ch in text:
-        if ch in "[<(":
-            depth += 1
-        elif ch in "]>)":
-            depth -= 1
-        out.append("," if ch == "+" and depth == 0 else ch)
-    return "".join(out)
-
-
-def _parse_form_atom(level, text):
-    atom = text
+def _form_atom(atom):
+    """One summand as (scale text or None, hyperbolic plane count, and
+    the two entry texts of a binary form or None)."""
+    text = atom
     scale = None
     if text.startswith("<"):
         close = text.find(">")
         if close < 0:
             raise ParseError(f"bad form literal {atom!r}: '<' without closing '>'")
-        scale = level.parse(text[1:close])
-        text = text[close + 1 :].strip()
+        scale, text = text[1:close], text[close + 1 :].strip()
+    if text == "H":
+        return scale, 1, None
     if "*" in text and text.endswith("H"):
         k_text = text.partition("*")[0].strip()
         if not k_text.isdecimal():
             raise ParseError(f"bad form literal {atom!r}: plane count must be a whole number")
-        q = quadform.QuadraticForm.hyperbolic(level, int(k_text))
-    elif text == "H":
-        q = quadform.QuadraticForm.hyperbolic(level, 1)
-    elif text.startswith("[") and text.endswith("]"):
-        a_text, b_text = _split_args(text[1:-1], 2)
-        q = quadform.QuadraticForm.binary(level, level.parse(a_text), level.parse(b_text))
-    else:
-        raise ParseError(f"bad form literal {atom!r}")
-    if scale is not None:
-        q = q.scale(scale)
-    return q
+        return scale, int(k_text), None
+    if text.startswith("[") and text.endswith("]"):
+        return scale, 1, _split(text[1:-1], ",", 2)
+    raise ParseError(f"bad form literal {atom!r}")
 
 
 # -- command execution ------------------------------------------------------
 
 
-def _int_list(text):
+def _int_list(text, cap=None):
+    """A comma list of integers and lo..hi ranges; with a cap, a value
+    or range end above it in size is refused before a range expands."""
     out = []
-    for part in str(text).split(","):
-        part = part.strip()
+    for part in _split(str(text), ","):
         if not part:
             continue
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, dots, hi = part.partition("..")
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+        if cap is not None and max(abs(lo), abs(hi)) > cap:
+            raise ParseError(f"n={part} exceeds --max-degree {cap}")
+        out.extend(range(lo, hi + 1))
     return out
 
 
 def _pair_list(text):
     out = []
-    for part in str(text).split(","):
-        part = part.strip()
+    for part in _split(str(text), ","):
         if not part:
             continue
         a, _, b = part.partition("x")
@@ -314,44 +304,37 @@ def _invariants_dict(level, q):
     return out
 
 
-def _job_form(job, level):
+def _job_quadratic_form(job, level, cap):
+    """The form the job names: its form literal, or its algebra's second
+    trace form."""
     if job.form_spec:
-        q = parse_form_literal(level, job.form_spec)
-    elif job.algebra_spec:
-        A = parse_algebra_spec(level, job.algebra_spec)
-        q = csa.second_trace_form(A)
-    else:
-        raise ParseError("form command needs algebra= or form=")
+        return parse_form_literal(level, job.form_spec, cap)
+    if job.algebra_spec:
+        return csa.second_trace_form(parse_algebra_spec(level, job.algebra_spec, cap))
+    raise ParseError(f"{job.cmd} command needs algebra= or form=")
+
+
+def _job_form(job, level, cap):
+    q = _job_quadratic_form(job, level, cap)
     return _form_to_dict(level, q, include_polar=q.dim <= 64)
 
 
-def _job_invariants(job, level):
-    if job.form_spec:
-        q = parse_form_literal(level, job.form_spec)
-    elif job.algebra_spec:
-        q = csa.second_trace_form(parse_algebra_spec(level, job.algebra_spec))
-    else:
-        raise ParseError("invariants command needs algebra= or form=")
-    return _invariants_dict(level, q)
+def _job_invariants(job, level, cap):
+    return _invariants_dict(level, _job_quadratic_form(job, level, cap))
 
 
-def _job_witt(job, level):
-    if job.form_spec:
-        q = parse_form_literal(level, job.form_spec)
-    elif job.algebra_spec:
-        q = csa.second_trace_form(parse_algebra_spec(level, job.algebra_spec))
-    else:
-        raise ParseError("witt command needs algebra= or form=")
-    w = quadform.witt_class(q)
+def _job_witt(job, level, cap):
+    w = quadform.witt_class(_job_quadratic_form(job, level, cap))
     out = theorems.witt_to_dict(w)
     out["planes"] = w.dim // 2
     return out
 
 
-def _job_galois(job, level):
+def _job_galois(job, level, cap):
     if not job.ext:
         raise ParseError("galois-check needs ext=\"poly\"")
     var, coeffs = fields.parse_poly(level, job.ext)
+    _check_cap("ext degree", fields.poly_deg(coeffs), cap)
     return theorems.galois_obstruction(level, coeffs)
 
 
@@ -359,7 +342,7 @@ def _claim_readers(key):
     return ", ".join(c for c, keys in theorems.CLAIM_PARAMS.items() if key in keys)
 
 
-def _job_verify(job, level):
+def _job_verify(job, level, cap):
     claim = job.params.get("claim", "all")
     if level != fields.GF2:
         raise ParseError(
@@ -375,31 +358,35 @@ def _job_verify(job, level):
             )
     params = {}
     if "n" in job.params:
-        params["n"] = _int_list(job.params["n"])
+        params["n"] = _int_list(job.params["n"], cap)
     if "pairs" in job.params:
         params["pairs"] = _pair_list(job.params["pairs"])
     if "fields" in job.params:
         params["fields"] = tuple(str(job.params["fields"]).split(","))
-    return theorems.run_verification(claim, params, job.seed)
+    return theorems.run_verification(claim, params, job.seed, max_degree=cap)
 
 
-def execute(job, include_ms=False):
-    """Run a job; returns (jsonable document, exit code)."""
-    level = parse_field_spec(job.field_spec)
+_JOBS = {
+    "form": _job_form,
+    "invariants": _job_invariants,
+    "witt": _job_witt,
+    "galois-check": _job_galois,
+}
+
+
+def execute(job, include_ms=False, max_degree=None):
+    """Run a job; returns (jsonable document, exit code).  With
+    ``max_degree``, every degree the job names is checked against it
+    before anything of that degree is built."""
+    level = parse_field_spec(job.field_spec, max_degree)
     if job.cmd == "verify":
-        reports = _job_verify(job, level)
+        reports = _job_verify(job, level, max_degree)
         doc = [r.to_json(include_ms=include_ms) for r in reports]
         code = 0 if all(r.verdict in ("pass", "documented-discrepancy") for r in reports) else 1
         return doc, code
-    if job.cmd == "form":
-        return _job_form(job, level), 0
-    if job.cmd == "invariants":
-        return _job_invariants(job, level), 0
-    if job.cmd == "witt":
-        return _job_witt(job, level), 0
-    if job.cmd == "galois-check":
-        return _job_galois(job, level), 0
-    raise ParseError(f"unhandled command {job.cmd!r}")
+    if job.cmd not in _JOBS:
+        raise ParseError(f"unhandled command {job.cmd!r}")
+    return _JOBS[job.cmd](job, level, max_degree), 0
 
 
 def _render_table(doc):
@@ -434,7 +421,12 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--timings", action="store_true", help="include wall times in reports")
-    parser.add_argument("--max-degree", type=int, default=35)
+    parser.add_argument(
+        "--max-degree", type=int, default=35,
+        help="largest degree a job may name: algebra degree, absolute field degree, "
+        "polynomial degree, verify degrees (n^2 for cor4, n1*n2 for pairs); "
+        "form literals may reach dimension max-degree^2",
+    )
     parser.add_argument("--out", help="write the report to a file instead of stdout")
     args = parser.parse_args(argv)
 
@@ -445,15 +437,14 @@ def main(argv=None):
         else:
             data = {}
             for key in ("field", "algebra", "form", "ext", "cmd", "claim", "n", "fields", "pairs"):
-                value = getattr(args, key.replace("-", "_"), None)
+                value = getattr(args, key)
                 if value is not None:
                     data[key] = value
             data.setdefault("cmd", None)
             if args.seed:
                 data["seed"] = str(args.seed)
             job = _job_from_dict(data)
-        _enforce_degree_cap(job, args.max_degree)
-        doc, code = execute(job, include_ms=args.timings)
+        doc, code = execute(job, include_ms=args.timings, max_degree=args.max_degree)
     except (ParseError, fields.FieldError, quadform.FormError, csa.AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -467,37 +458,6 @@ def main(argv=None):
     else:
         print(text)
     return code
-
-
-def _algebra_degree(text):
-    text = text.strip()
-    if text.startswith("Mat("):
-        return int(text[4:-1])
-    if text.startswith("Quat("):
-        return 2
-    if text.startswith("Tensor("):
-        s1, s2 = _split_args(text[7:-1], 2)
-        return _algebra_degree(s1) * _algebra_degree(s2)
-    if text.startswith("Crossed("):
-        for arg in _split_args(text[8:-1]):
-            key, _, value = arg.partition("=")
-            if key.strip() == "ext":
-                return _poly_degree_guess(value.strip().strip('"'))
-    return 1
-
-
-def _poly_degree_guess(poly_text):
-    import re
-
-    degs = [int(m) for m in re.findall(r"\^(\d+)", poly_text)]
-    return max(degs) if degs else 1
-
-
-def _enforce_degree_cap(job, cap):
-    if job.algebra_spec:
-        deg = _algebra_degree(job.algebra_spec)
-        if deg > cap:
-            raise ParseError(f"combined degree {deg} exceeds --max-degree {cap}")
 
 
 if __name__ == "__main__":

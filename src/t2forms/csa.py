@@ -765,12 +765,10 @@ def sanity_check_csa(A, sample_triples=None, rng=None):
     if root * root != A.dim:
         report["passed"] = False
         report["failures"].append(("dimension", f"{A.dim} is not a perfect square"))
-    for k in range(A.dim):
-        e = A.basis_vector(k)
-        if A.mul(A.one, e) != e or A.mul(e, A.one) != e:
-            report["passed"] = False
-            report["failures"].append(("identity", k))
-            break
+    k = A._identity_failure()
+    if k is not None:
+        report["passed"] = False
+        report["failures"].append(("identity", k))
     if sample_triples is None and A.dim <= 32:
         triples = itertools.product(range(A.dim), repeat=3)
     else:

@@ -38,8 +38,8 @@ import string
 from . import linalg
 
 _TABLE_LIMIT = 1 << 11  # exp/log tables are built for orders up to this
-# a parsed factor p^e with deg(p) * e above this is refused before
-# poly_pow; no claim or test writes a degree near it
+# a parsed power p^e or product p*q of degree above this is refused
+# before it is built; no claim or test writes a degree near it
 _MAX_PARSED_DEGREE = 1 << 10
 
 
@@ -481,11 +481,6 @@ class Level:
 GF2 = Level(None)
 
 
-def extend_field(level, poly, name=None):
-    """Functional form of :meth:`Level.extend`."""
-    return level.extend(poly, name)
-
-
 def fresh_gen_name(level):
     used = set(level.gen_map())
     for ch in string.ascii_lowercase:
@@ -885,7 +880,13 @@ def parse_poly(level, text, allow_new=True):
         val = parse_factor()
         while peek()[0] == "*":
             advance()
-            val = poly_mul(level, val, parse_factor())
+            rhs = parse_factor()
+            if poly_deg(val) + poly_deg(rhs) > _MAX_PARSED_DEGREE:
+                raise FieldError(
+                    f"product of degree {poly_deg(val) + poly_deg(rhs)} "
+                    f"above the limit {_MAX_PARSED_DEGREE}"
+                )
+            val = poly_mul(level, val, rhs)
         return val
 
     def parse_factor():

@@ -11,10 +11,10 @@
   the field object.  GF(2) is the 1-bit case: its packed rows are plain
   bit vectors and scaling is never needed.
 
-:class:`PackedEchelon` is the one elimination engine on packed rows.
-:func:`solve_gf2` runs on it, and :func:`kernel`, :func:`packed_kernel`
-and :func:`rank` use it for finite levels up to 12 bits, falling back to
-list-row elimination otherwise.
+:class:`PackedEchelon` is the one elimination engine on packed rows:
+:func:`solve_gf2`, :func:`kernel` and :func:`packed_kernel` run on it
+for every finite level.  List-row elimination (:func:`solve`, and
+:func:`kernel` over other fields) serves the rational function field.
 """
 
 from __future__ import annotations
@@ -210,10 +210,6 @@ def solve_gf2(rows, ncols, rhs):
 # -- dispatching helpers on row lists ------------------------------------
 
 
-def _packable(field):
-    return getattr(field, "is_finite", False) and field.bits <= 12
-
-
 def kernel(field, rows, ncols):
     """Kernel basis of the linear map v -> rows * v, rows as lists."""
     if getattr(field, "is_finite", False):
@@ -224,22 +220,10 @@ def kernel(field, rows, ncols):
 def packed_kernel(field, rows, ncols):
     """Kernel basis, as coordinate lists, of v -> rows * v for packed
     rows over a finite level."""
-    if not _packable(field):
-        return _kernel_generic(field, [unpack_row(field, r, ncols) for r in rows], ncols)
     ech = PackedEchelon(field, ncols)
     for r in rows:
         ech.insert(r)
     return [unpack_row(field, v, ncols) for v in ech.kernel()]
-
-
-def rank(field, rows, ncols):
-    if _packable(field):
-        ech = PackedEchelon(field, ncols)
-        for r in rows:
-            ech.insert(pack_row(field, r))
-        return ech.rank
-    red, pivots = _rref_generic(field, rows)
-    return len(pivots)
 
 
 def _rref_generic(field, rows):

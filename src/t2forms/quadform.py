@@ -829,16 +829,25 @@ def arf_via_even_clifford_center(q):
 
 # -- Brauer classes ------------------------------------------------------
 
+def quaternion_is_split(field, a, b):
+    """Whether the quaternion algebra with e**2=a, f**2+f=b, ef+fe=e is
+    split.  Over a finite level it always is: the norm map of the
+    Artin-Schreier extension is surjective (Wedderburn).  Other fields
+    raise :class:`NotFiniteField`."""
+    if field.is_zero(a):
+        raise FormError("first quaternion symbol entry must be nonzero")
+    if not getattr(field, "is_finite", False):
+        raise NotFiniteField("quaternion splitting decided over finite fields only")
+    return True
+
+
 _split_cache = {}
 
 
-def quaternion_is_split(field, a, b):
-    """Whether the quaternion algebra with e**2=a, f**2+f=b, ef+fe=e is
-    split: b in {x**2+x}, or a a norm from the Artin-Schreier extension.
-    Over finite fields norms are surjective, so this always holds; both
-    branches are computed anyway."""
-    if field.is_zero(a):
-        raise FormError("first quaternion symbol entry must be nonzero")
+def quaternion_split_by_norm_search(field, a, b):
+    """Test oracle for :func:`quaternion_is_split` on levels whose
+    Artin-Schreier extension has at most 2^12 elements: b in {x**2+x},
+    or a a norm found by enumerating the extension."""
     if field.wp_member(b):
         return True
     key = (field, b)
@@ -851,10 +860,7 @@ def quaternion_is_split(field, a, b):
     if ext.order > 1 << 12:
         raise SearchSpaceTooLarge("norm search limited to small fields")
     e = field.order + 1  # norm map is y -> y**(1+|F|)
-    for y in range(1, ext.order):
-        if ext.pow(y, e) == a:
-            return True
-    return False
+    return any(ext.pow(y, e) == a for y in range(1, ext.order))
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,38 @@ DEGREE_RULES = {
     "remark3": (2, None),
 }
 
+# each runner's grid when params give none: degrees n, or (n1, n2) pairs
+DEFAULT_DEGREES = {
+    "prop1": range(2, 10),
+    "thm1": (2, 3, 4, 5, 7, 9),
+    "cor1": (3, 5, 7, 9),
+    "cor2": (3, 5, 7, 9),
+    "cor3": (2, 4, 6, 8),
+    "cor4": (2, 3, 4),
+    "thm3": (2, 4, 6, 8),
+    "remark3": (3, 5),
+}
+THM2_PAIRS = (
+    (3, 5), (3, 7), (2, 2), (2, 6), (4, 2), (4, 4),
+    (4, 3), (4, 5), (2, 5), (2, 3), (2, 7), (6, 3),
+)
+DEFAULT_PAIRS = {"thm2": THM2_PAIRS, "thm4": THM2_PAIRS + ((5, 7),)}
+# the degree of the one algebra a claim without a grid builds
+_FIXED_DEGREES = {"remark2": 9, "example1": 3}
 
-def admits_degree(claim, n):
+
+def built_degree(claim, n):
+    """The degree of the algebra a claim builds at n: cor4 takes the
+    tensor square of M_n, every other claim an algebra of degree n."""
+    return n * n if claim == "cor4" else n
+
+
+def admits_degree(claim, n, cap=None):
+    """Whether the claim's rule admits n; a cap bounds the degree it
+    builds from above."""
     least, parity = DEGREE_RULES[claim]
+    if cap is not None and built_degree(claim, n) > cap:
+        return False
     return n >= least and (parity is None or n % 2 == parity)
 
 
@@ -65,18 +94,38 @@ def require_degree(claim, n):
         raise ValueError(f"n={n}: {claim} admits {degree_rule_text(claim)}")
 
 
-def claim_degrees(claim, ns):
+def _cap_error(subject, degree, cap):
+    return ValueError(f"{subject} builds degree {degree}, which exceeds --max-degree {cap}")
+
+
+def claim_degrees(claim, ns, cap=None):
     """The degrees of ``ns`` each claim that reads n= runs on: all of
-    them for a single claim, whose rule must admit each, and under
-    ``all`` the ones each claim's rule admits.  A degree that no claim
-    admits raises ValueError naming the rules."""
+    them for a single claim, whose rule and cap must admit each, and
+    under ``all`` the ones each claim's rule and cap admit.  A degree
+    that no claim admits raises ValueError naming the rules, or the cap
+    when only the cap refuses it."""
     readers = [c for c in (CLAIM_IDS if claim == "all" else (claim,)) if c in DEGREE_RULES]
     for n in ns:
-        if readers and not any(admits_degree(c, n) for c in readers):
+        if readers and not any(admits_degree(c, n, cap) for c in readers):
+            over = [c for c in readers if admits_degree(c, n)]
+            if over:
+                raise _cap_error(f"n={n}: {over[0]}", built_degree(over[0], n), cap)
             rules = "; ".join(f"{c} admits {degree_rule_text(c)}" for c in readers)
             lead = "no claim admits it; " if claim == "all" else ""
             raise ValueError(f"n={n}: {lead}{rules}")
-    return {c: [n for n in ns if admits_degree(c, n)] for c in readers}
+    return {c: [n for n in ns if admits_degree(c, n, cap)] for c in readers}
+
+
+def _largest_built_degree(claim, params):
+    """The largest degree the claim builds on ``params`` (its default
+    grid where params give none)."""
+    if claim in DEGREE_RULES:
+        ns = params.get("n", DEFAULT_DEGREES[claim])
+        return max((built_degree(claim, n) for n in ns), default=0)
+    if claim in DEFAULT_PAIRS:
+        pairs = params.get("pairs", DEFAULT_PAIRS[claim])
+        return max((n1 * n2 for n1, n2 in pairs), default=0)
+    return _FIXED_DEGREES[claim]
 
 
 @dataclass
@@ -499,7 +548,6 @@ def _as_solvable_bounded(ext, d, bound):
     for coord in range(3):
         for j in range(ncoef):
             for bit in range(nbits):
-                e = k.one << bit if nbits > 1 else 1
                 e = 1 << bit
                 col = var_index(coord, j, bit)
                 # square part: (e t^j x^coord)^2 = e^2 t^(2j) * (x^coord)^2
@@ -594,9 +642,9 @@ def _ext_of_degree(base, degree, seed=0):
     return _extensions[key]
 
 
-def _degrees(claim, params, default):
+def _degrees(claim, params):
     """The runner's degree grid, each degree checked against its rule."""
-    ns = params.get("n", default)
+    ns = params.get("n", DEFAULT_DEGREES[claim])
     for n in ns:
         require_degree(claim, n)
     return ns
@@ -614,7 +662,7 @@ def _report(claim, params, predicted, computed, ok, t0, verdict=None):
 
 
 def _run_prop1(params, seed):
-    ns = _degrees("prop1", params, range(2, 10))
+    ns = _degrees("prop1", params)
     field_names = params.get("fields", ("GF2", "GF4"))
     out = []
     for name in field_names:
@@ -639,7 +687,7 @@ def _run_prop1(params, seed):
 
 
 def _run_thm1(params, seed):
-    ns = _degrees("thm1", params, (2, 3, 4, 5, 7, 9))
+    ns = _degrees("thm1", params)
     out = []
     base = fields.GF2
     for n in ns:
@@ -670,7 +718,7 @@ def _run_thm1(params, seed):
 
 
 def _run_cor1(params, seed):
-    ns = _degrees("cor1", params, (3, 5, 7, 9))
+    ns = _degrees("cor1", params)
     out = []
     base = fields.GF2
     for n in ns:
@@ -687,7 +735,7 @@ def _run_cor1(params, seed):
 
 
 def _run_cor2(params, seed):
-    degrees = _degrees("cor2", params, (3, 5, 7, 9))
+    degrees = _degrees("cor2", params)
     field_names = params.get("fields", ("GF2", "GF4", "GF8"))
     out = []
     for name in field_names:
@@ -708,22 +756,6 @@ def _run_cor2(params, seed):
                 )
             )
     return out
-
-
-THM2_PAIRS = (
-    (3, 5),
-    (3, 7),
-    (2, 2),
-    (2, 6),
-    (4, 2),
-    (4, 4),
-    (4, 3),
-    (4, 5),
-    (2, 5),
-    (2, 3),
-    (2, 7),
-    (6, 3),
-)
 
 
 def _tensor_form_cache(field):
@@ -751,7 +783,7 @@ def matrix_trace_witt(field, n):
 
 
 def _run_thm2(params, seed):
-    pairs = params.get("pairs", THM2_PAIRS)
+    pairs = params.get("pairs", DEFAULT_PAIRS["thm2"])
     fld = standard_field(params.get("field", "GF2"))
     out = []
     for n1, n2 in pairs:
@@ -780,7 +812,7 @@ def _run_cor3(params, seed):
     a trace form in one of the two classes attainable with even k."""
     fld = standard_field(params.get("field", "GF2"))
     out = []
-    degrees = _degrees("cor3", params, (2, 4, 6, 8))
+    degrees = _degrees("cor3", params)
     for n in degrees:
         t0 = time.perf_counter()
         w = matrix_trace_witt(fld, n)
@@ -800,7 +832,7 @@ def _run_cor3(params, seed):
 
 def _run_cor4(params, seed):
     fld = standard_field(params.get("field", "GF2"))
-    degrees = _degrees("cor4", params, (2, 3, 4))
+    degrees = _degrees("cor4", params)
     out = []
     for n in degrees:
         t0 = time.perf_counter()
@@ -831,7 +863,7 @@ def _thm3_algebras(field, n):
 
 
 def _run_thm3(params, seed):
-    ns = _degrees("thm3", params, (2, 4, 6, 8))
+    ns = _degrees("thm3", params)
     field_names = params.get("fields", ("GF2", "GF4", "GF8"))
     out = []
     for name in field_names:
@@ -862,7 +894,7 @@ def _run_thm3(params, seed):
 
 def _run_thm4(params, seed):
     fld = standard_field(params.get("field", "GF2"))
-    pairs = params.get("pairs", THM2_PAIRS + ((5, 7),))
+    pairs = params.get("pairs", DEFAULT_PAIRS["thm4"])
     out = []
     for n1, n2 in pairs:
         t0 = time.perf_counter()
@@ -912,7 +944,7 @@ def _run_remark3(params, seed):
     field, so those cases run over GF(4) where the unit group is larger.
     """
     out = []
-    degrees = _degrees("remark3", params, (3, 5))
+    degrees = _degrees("remark3", params)
     cases = [("GF2", "trivial"), ("GF4", "trivial"), ("GF4", "cyclic")]
     for n in degrees:
         for name, style in cases:
@@ -972,16 +1004,25 @@ _RUNNERS = {
 }
 
 
-def run_verification(claim, params=None, seed=0):
+def run_verification(claim, params=None, seed=0, max_degree=None):
     """Run one claim (or ``all``) over its parameter grid; returns the
     reports sorted by (claim, params) so aggregation is order
-    independent."""
+    independent.  With ``max_degree``, every degree a claim would build
+    is checked against it before any claim runs."""
     params = params or {}
     if claim != "all" and claim not in _RUNNERS:
         raise ValueError(f"unknown claim {claim!r}")
-    degrees = claim_degrees(claim, params["n"]) if "n" in params else {}
+    degrees = claim_degrees(claim, params["n"], max_degree) if "n" in params else {}
+    runs = [
+        (cid, {**params, "n": degrees[cid]} if cid in degrees else params)
+        for cid in (CLAIM_IDS if claim == "all" else (claim,))
+    ]
+    if max_degree is not None:
+        for cid, p in runs:
+            top = _largest_built_degree(cid, p)
+            if top > max_degree:
+                raise _cap_error(cid, top, max_degree)
     out = []
-    for cid in CLAIM_IDS if claim == "all" else (claim,):
-        p = {**params, "n": degrees[cid]} if cid in degrees else params
+    for cid, p in runs:
         out.extend(_RUNNERS[cid](p, seed))
     return sorted(out, key=lambda r: (r.claim, sorted(r.params.items()).__repr__()))

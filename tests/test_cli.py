@@ -333,3 +333,62 @@ def test_cli_verify_cor3_takes_odd_degrees(capsys):
     code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor3", "--n", "3")
     assert code == 0, err
     assert _degree_reports(json.loads(out)) == {("cor3", 3)}
+
+
+# each of these named a degree far above the default cap of 35 and ran for
+# tens of seconds or built a huge form; now the cap refuses it at once
+_DEG40 = "+".join(f"b^{k}*b^{k}" for k in range(20, 0, -1)) + "+1"
+_OVER_DEFAULT_CAP = {
+    "crossed_ext_written_with_products": (
+        "--cmd", "witt", "--algebra", f'Crossed(ext="{_DEG40}")'),
+    "galois_ext": ("--cmd", "galois-check", "--ext", "x^1001+x+1"),
+    "field_tower": (
+        "--cmd", "form", "--field", 'extend(GF2,"a^1001+a^17+1")', "--form", "[a,1]"),
+    "verify_degree": ("--cmd", "verify", "--claim", "cor1", "--n", "41"),
+    "hyperbolic_planes": ("--cmd", "witt", "--form", "30000*H"),
+    "verify_range": ("--cmd", "verify", "--claim", "prop1", "--n", "2..1000000000"),
+    "thm4_pair": ("--cmd", "verify", "--claim", "thm4", "--pairs", "7x9"),
+    "cor4_tensor_square": ("--cmd", "verify", "--claim", "cor4", "--n", "6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_DEFAULT_CAP))
+def test_cli_default_cap_refuses_at_once(capsys, case):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *_OVER_DEFAULT_CAP[case])
+    assert time.perf_counter() - t0 < 2
+    assert code == 2 and out == ""
+    assert "exceeds --max-degree 35" in err
+
+
+def test_cli_cap_reads_the_parsed_ext_degree(capsys):
+    # b^2*b^3 is the degree-5 polynomial b^5; the cap sees the same degree
+    for ext in ("b^5+b^2+1", "b^2*b^3+b^2+1"):
+        algebra = f'Crossed(ext="{ext}")'
+        code, _, err = run_cli(capsys, "--cmd", "witt", "--algebra", algebra, "--max-degree", "4")
+        assert code == 2 and "algebra degree 5 exceeds --max-degree 4" in err, ext
+        code, out, err = run_cli(capsys, "--cmd", "witt", "--algebra", algebra, "--max-degree", "5")
+        assert code == 0, err
+        assert json.loads(out)["planes"] == 12
+
+
+def test_cli_cap_on_default_grids_and_under_all(capsys):
+    # a claim's own default grid counts too: thm4's includes 5x7
+    code, _, err = run_cli(capsys, "--cmd", "verify", "--claim", "thm4", "--max-degree", "12")
+    assert code == 2 and "thm4 builds degree 35, which exceeds --max-degree 12" in err
+    # under all, cor4 drops n=6 (its tensor square has degree 36) and the
+    # other claims admitting 6 still run
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--n", "6")
+    assert code == 0, err
+    got = _degree_reports(json.loads(out))
+    assert ("cor4", 6) not in got and {("prop1", 6), ("cor3", 6), ("thm3", 6)} <= got
+
+
+def test_cli_invariants_over_a_level_above_the_norm_search(capsys):
+    # the Artin-Schreier extension of GF(2^7) has 2^14 elements, beyond the
+    # norm search; splitting over a finite level needs no search
+    code, out, err = run_cli(
+        capsys, "--field", 'extend(GF2,"a^7+a+1")', "--algebra", "Mat(4)", "--cmd", "invariants"
+    )
+    assert code == 0, err
+    assert json.loads(out)["clifford"] == {"symbols": [], "trivial": True}

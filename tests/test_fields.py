@@ -454,6 +454,13 @@ def test_parsed_power_degree_is_bounded(gf4):
     assert fields.parse_poly(GF2, "(x+1)^1024")[1] == (1,) + (0,) * 1023 + (1,)
 
 
+def test_parsed_product_degree_is_bounded():
+    # a chain of products grows the degree without any large exponent
+    with pytest.raises(fields.FieldError, match="product of degree 1025 above the limit"):
+        fields.parse_poly(GF2, "*".join(["x^25"] * 41))
+    assert fields.parse_poly(GF2, "x^512*x^512")[1] == (0,) * 1024 + (1,)
+
+
 def test_poly_nth_root_examples():
     assert poly_nth_root(GF2, (1, 0, 1), 2) == (1, 1)
     assert poly_nth_root(GF2, poly_pow(GF2, (1, 1), 9), 9) == (1, 1)

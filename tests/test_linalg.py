@@ -92,8 +92,8 @@ def test_second_coefficient_matches_charpoly(gf4, gf8):
 
 
 def test_packed_kernel_matches_generic(gf4, gf8):
-    # the packed engine (up to 12 bits) and list-row elimination (wider
-    # levels) give the same basis: the one read off the reduced echelon form
+    # the packed engine and list-row elimination give the same basis, the
+    # one read off the reduced echelon form, on levels of every width
     rng = random.Random(5)
     wide = gf8.extend("c^5+c^2+1")
     assert wide.bits > 12
@@ -108,7 +108,6 @@ def test_packed_kernel_matches_generic(gf4, gf8):
         assert linalg.packed_kernel(f, [linalg.pack_row(f, r) for r in rows], nc) == k1
         for v in k1 + k2:
             assert all(f.is_zero(x) for x in mat_vec(f, rows, v))
-        assert linalg.rank(f, rows, nc) == nc - len(k1)
 
 
 def test_packed_echelon_early_stop(gf4):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from t2forms import linalg, quadform as qf
+from t2forms import linalg, quadform as qf, rational
 from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
@@ -95,7 +95,7 @@ def test_witt_class_isometry_invariant(gf4):
             q = random_nonsingular_form(fld, dim, rng)
             while True:
                 U = [[fld.random_element(rng) for _ in range(dim)] for _ in range(dim)]
-                if linalg.rank(fld, U, dim) == dim:
+                if not linalg.kernel(fld, U, dim):
                     break
             q2 = q.restricted(U)
             assert qf.witt_class(q2) == qf.witt_class(q)
@@ -284,6 +284,24 @@ def test_quaternion_is_split(gf4):
     assert qf.quaternion_is_split(gf4, a, a)
     with pytest.raises(qf.FormError):
         qf.quaternion_is_split(GF2, 0, 1)
+
+
+def test_quaternion_is_split_matches_norm_search(gf4, gf8):
+    # the norm search finds a norm for every pair on levels small enough
+    # to enumerate, as Wedderburn's theorem says it must
+    for fld in (GF2, gf4, gf8):
+        for a in range(1, fld.order):
+            for b in range(fld.order):
+                assert qf.quaternion_split_by_norm_search(fld, a, b)
+                assert qf.quaternion_is_split(fld, a, b)
+    big = GF2.extend("a^7+a+1")
+    c = next(x for x in range(big.order) if not big.wp_member(x))
+    with pytest.raises(qf.SearchSpaceTooLarge):
+        qf.quaternion_split_by_norm_search(big, big.gen, c)
+    assert qf.quaternion_is_split(big, big.gen, c)
+    ff = rational.FunctionField(GF2)
+    with pytest.raises(qf.NotFiniteField):
+        qf.quaternion_is_split(ff, ff.one, ff.one)
 
 
 def test_clifford_invariant(gf8):

@@ -292,3 +292,30 @@ def test_tensor_rule_over_gf4():
     assert all(r.verdict == "pass" for r in reports)
     both_two = next(r for r in reports if r.params == {"n1": 2, "n2": 2})
     assert both_two.predicted["arf"] == "0"  # 1 lies in {x^2+x} over GF(4)
+
+
+def test_degree_cap_is_the_upper_end_of_each_rule():
+    # cor4 builds tensor squares, so its cap is on n^2
+    assert theorems.admits_degree("cor4", 5, cap=25) and not theorems.admits_degree("cor4", 6, cap=35)
+    assert theorems.admits_degree("cor1", 35, cap=35) and not theorems.admits_degree("cor1", 37, cap=35)
+    assert theorems.claim_degrees("all", [5, 6], cap=35)["cor4"] == [5]
+    assert theorems.claim_degrees("all", [5, 6], cap=35)["prop1"] == [5, 6]
+    with pytest.raises(ValueError, match="n=6: cor4 builds degree 36, which exceeds --max-degree 35"):
+        theorems.claim_degrees("cor4", [6], cap=35)
+    # the rule still speaks first when it refuses the degree itself
+    with pytest.raises(ValueError, match="n=4: cor1 admits odd n >= 3"):
+        theorems.claim_degrees("cor1", [4], cap=3)
+
+
+def test_run_verification_checks_the_cap_before_any_claim_runs(monkeypatch):
+    ran = []
+    for cid in theorems.CLAIM_IDS:
+        monkeypatch.setitem(theorems._RUNNERS, cid, lambda p, s, cid=cid: ran.append(cid) or [])
+    with pytest.raises(ValueError, match="thm2 builds degree 21, which exceeds --max-degree 20"):
+        theorems.run_verification("all", {"n": [3]}, max_degree=20)
+    with pytest.raises(ValueError, match="remark2 builds degree 9, which exceeds --max-degree 8"):
+        theorems.run_verification("remark2", max_degree=8)
+    assert ran == []
+    # every default grid lies within the default cap of 35
+    theorems.run_verification("all", max_degree=35)
+    assert ran == list(theorems.CLAIM_IDS)
