@@ -54,6 +54,17 @@ class JobSpec:
 
 _PARAM_KEYS = ("claim", "n", "fields", "pairs")
 
+# the keys each command reads besides field=, which they all read; a
+# command refuses any other key it is given.  algebra= and form= name the
+# same input, so a command takes one of them.
+_COMMAND_KEYS = {
+    "form": ("algebra", "form"),
+    "invariants": ("algebra", "form"),
+    "witt": ("algebra", "form"),
+    "galois-check": ("ext",),
+    "verify": ("claim", "n", "fields", "pairs", "seed"),
+}
+
 
 def parse_spec(text):
     """Parse key=value lines into a job."""
@@ -304,6 +315,27 @@ def _invariants_dict(level, q):
     return out
 
 
+def _refuse_unread_keys(job):
+    reads = _COMMAND_KEYS[job.cmd]
+    # the keys the job sets besides cmd= and field=; seed 0 is the default
+    given = {"algebra": job.algebra_spec, "form": job.form_spec, "ext": job.ext}
+    given = {key: value for key, value in given.items() if value is not None}
+    given.update(job.params)
+    if job.seed:
+        given["seed"] = job.seed
+    for key, value in given.items():
+        if key not in reads:
+            readers = ", ".join(c for c, keys in _COMMAND_KEYS.items() if key in keys)
+            raise ParseError(
+                f"{key}={value}: {job.cmd} does not read {key}=; {key}= is read by {readers}"
+            )
+    if "algebra" in given and "form" in given:
+        raise ParseError(
+            f"algebra={job.algebra_spec}: {job.cmd} reads form= or algebra=, not both "
+            f"(form={job.form_spec})"
+        )
+
+
 def _job_quadratic_form(job, level, cap):
     """The form the job names: its form literal, or its algebra's second
     trace form."""
@@ -377,15 +409,17 @@ _JOBS = {
 def execute(job, include_ms=False, max_degree=None):
     """Run a job; returns (jsonable document, exit code).  With
     ``max_degree``, every degree the job names is checked against it
-    before anything of that degree is built."""
+    before anything of that degree is built, and a key the command does
+    not read is refused."""
     level = parse_field_spec(job.field_spec, max_degree)
+    if job.cmd not in _COMMAND_KEYS:
+        raise ParseError(f"unhandled command {job.cmd!r}")
+    _refuse_unread_keys(job)
     if job.cmd == "verify":
         reports = _job_verify(job, level, max_degree)
         doc = [r.to_json(include_ms=include_ms) for r in reports]
         code = 0 if all(r.verdict in ("pass", "documented-discrepancy") for r in reports) else 1
         return doc, code
-    if job.cmd not in _JOBS:
-        raise ParseError(f"unhandled command {job.cmd!r}")
     return _JOBS[job.cmd](job, level, max_degree), 0
 
 

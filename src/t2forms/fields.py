@@ -120,6 +120,7 @@ class Level:
         self._log = None
         self._nonresidue = None
         self._trace_mask = None
+        self._as_matrix = None
         self._signature = (
             (None,) if parent is None else parent._signature + (self.poly, self.gen_name)
         )
@@ -318,20 +319,20 @@ class Level:
         """A solution of x**2 + x = c, or None when there is none.
 
         The squaring map is GF(2)-linear, so the equation is solved as a
-        linear system over the bit coordinates.
+        linear system over the bit coordinates.  Its matrix is built on
+        the first call, the same way as the trace mask.
         """
-        rows = []
-        for i in range(self.bits):
-            e = 1 << i
-            col = self.square(e) ^ e
-            rows.append(col)
-        # transpose: system M z = c with M[r][i] = bit r of (e_i^2 + e_i)
-        mat = [0] * self.bits
-        for i, col in enumerate(rows):
-            for r in range(self.bits):
-                if (col >> r) & 1:
-                    mat[r] |= 1 << i
-        sol = linalg.solve_gf2(mat, self.bits, c)
+        if self._as_matrix is None:
+            # system M z = c with M[r][i] = bit r of (e_i^2 + e_i)
+            mat = [0] * self.bits
+            for i in range(self.bits):
+                e = 1 << i
+                col = self.square(e) ^ e
+                for r in range(self.bits):
+                    if (col >> r) & 1:
+                        mat[r] |= 1 << i
+            self._as_matrix = mat
+        sol = linalg.solve_gf2(self._as_matrix, self.bits, c)
         if sol is None:
             return None
         assert self.square(sol) ^ sol == c

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: dense matrix products, random
 nonsingular quadratic forms, and reference implementations of the field
-multiply and the crossed-product structure table."""
+multiply, the Artin-Schreier solve and the crossed-product structure
+table."""
 
 from t2forms import linalg
 from t2forms.quadform import QuadraticForm
@@ -98,3 +99,16 @@ def crossed_product_table(E, F, phi):
                         (((i + j) % n) * n + r, c) for r, c in enumerate(coords) if c
                     )
     return table
+
+
+def artin_schreier_by_fresh_matrix(level, c):
+    """A solution of x**2 + x = c, or None, from a squaring matrix built
+    anew for this one call: M z = c with M[r][i] = bit r of e_i^2 + e_i."""
+    mat = [0] * level.bits
+    for i in range(level.bits):
+        e = 1 << i
+        col = level.square(e) ^ e
+        for r in range(level.bits):
+            if (col >> r) & 1:
+                mat[r] |= 1 << i
+    return linalg.solve_gf2(mat, level.bits, c)

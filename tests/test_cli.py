@@ -263,13 +263,31 @@ def test_cli_rejects_fields_for_fixed_field_claims(capsys):
         assert "fields=GF4" in err and claim in err
 
 
-def test_cli_verify_all_matches_reference_digest(capsys):
+@pytest.mark.parametrize("seed", range(16))
+def test_cli_verify_all_matches_reference_digest(capsys, seed):
     # the claim-set output must stay byte-identical across refactors
-    expected = json.loads(REFERENCE.read_text())["sha256"]["0"]
-    code, out, _ = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--seed", "0")
+    expected = json.loads(REFERENCE.read_text())["sha256"][str(seed)]
+    code, out, _ = run_cli(capsys, "--cmd", "verify", "--claim", "all", "--seed", str(seed))
     assert code == 0
     text = json.dumps(json.loads(out), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "argv, key, cmd",
+    [
+        (("--cmd", "witt", "--form", "H", "--algebra", "Mat(3)"), "algebra=Mat(3)", "witt"),
+        (("--cmd", "verify", "--claim", "remark2", "--form", "H"), "form=H", "verify"),
+        (("--cmd", "witt", "--form", "H", "--ext", "x^3+x+1"), "ext=x^3+x+1", "witt"),
+        (("--cmd", "form", "--algebra", "Mat(3)", "--ext", "x^3+x+1"), "ext=x^3+x+1", "form"),
+        (("--cmd", "invariants", "--algebra", "Mat(2)", "--n", "3"), "n=3", "invariants"),
+        (("--cmd", "galois-check", "--ext", "x^3+x+1", "--seed", "4"), "seed=4", "galois-check"),
+    ],
+)
+def test_cli_refuses_keys_the_command_does_not_read(capsys, argv, key, cmd):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert key in err and cmd in err
 
 
 def test_cli_verify_rejects_field_other_than_gf2(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from t2forms import csa, fields, linalg, quadform as qf
+from t2forms import csa, fields, linalg, quadform as qf, rational
 from t2forms.fields import GF2, NotAPower
 
 from support import crossed_product_table, mat_mul
@@ -239,8 +239,9 @@ def test_lazy_crossed_product_entries_equal_eager_table(gf4, gf64_tower):
 
 
 def test_crossed_product_builds_only_the_entries_it_reads(monkeypatch):
-    # GF(2^11)/GF(2): the identity and center checks read a few thousand
-    # of the 11^4 = 14,641 table entries; each entry takes one coords_over
+    # GF(2^11)/GF(2): the identity check reads 2 * 11^2 of the 11^4 =
+    # 14,641 table entries (1 is u_0 e_0, a single basis vector) and no
+    # center scan runs; each entry takes one coords_over
     E = GF2.extend("d^11+d^2+1")
     entries = []
     coords_over = E.coords_over
@@ -252,9 +253,37 @@ def test_crossed_product_builds_only_the_entries_it_reads(monkeypatch):
     monkeypatch.setattr(E, "coords_over", counting)
     A = csa.crossed_product(E, GF2)
     built = len(entries)
-    assert 0 < built <= 3000
+    assert 0 < built <= 2 * 11**2
     assert qf.witt_class(csa.second_trace_form(A)).arf == 1
     assert len(entries) == built  # the trace form reads no structure constants
+
+
+def test_crossed_product_runs_no_center_scan(monkeypatch):
+    inserts = []
+    insert = linalg.PackedEchelon.insert
+    monkeypatch.setattr(
+        linalg.PackedEchelon, "insert", lambda self, row: inserts.append(row) or insert(self, row)
+    )
+    A = csa.crossed_product(GF2.extend("d^11+d^2+1"), GF2)
+    assert A.dim == 121
+    assert inserts == []
+
+
+def test_crossed_product_refuses_a_sigma_of_low_order(monkeypatch):
+    # sigma^1 = id on E = GF(8): the center argument fails, and the dense
+    # scan on the same structure table finds u_1 central besides 1
+    E = GF2.extend("d^3+d+1")
+    frobenius = E.relative_frobenius
+
+    def fake(sub, x, power=1):
+        return x if power % 3 == 1 else frobenius(sub, x, power)
+
+    monkeypatch.setattr(E, "relative_frobenius", fake)
+    with pytest.raises(csa.NotCSA, match="sigma\\^1 is the identity"):
+        csa.crossed_product(E, GF2)
+    table = crossed_product_table(E, GF2, [[E.one] * 3 for _ in range(3)])
+    raw = csa.Algebra(GF2, 9, lambda a, b: table[(a, b)], [1] + [0] * 8, label="raw")
+    assert raw.dim - csa._center_rank(raw).rank > 1
 
 
 def test_b_subspace_dim_matches_extension_degree():
@@ -488,6 +517,44 @@ def test_coboundary_cocycles_give_csas(gf4, gf8, gf64_tower, data):
     phi = _draw_coboundary_cocycle(data, E, F)
     A = csa.crossed_product(E, F, phi)
     assert csa.sanity_check_csa(A)["passed"]
+
+
+@pytest.fixture(scope="module")
+def center_extensions(gf4, gf8, gf64_tower):
+    return [(gf4, GF2), (gf8, GF2), (GF2.extend("d^5+d^2+1"), GF2), (gf64_tower, gf4)]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_certified_crossed_product_center_matches_scan_oracle(center_extensions, data):
+    # the constructor no longer scans commutators; the dense scan must
+    # still find a one-dimensional center for every cocycle it accepts
+    E, F = data.draw(st.sampled_from(center_extensions))
+    kind = data.draw(st.sampled_from(["trivial", "cyclic", "coboundary"]))
+    if kind == "trivial":
+        phi = "trivial"
+    elif kind == "cyclic":
+        phi = csa.cyclic_cocycle(E, F, data.draw(st.integers(1, F.order - 1)))
+    else:
+        phi = _draw_coboundary_cocycle(data, E, F)
+    A = csa.crossed_product(E, F, phi)
+    assert csa._center_rank(A).rank == A.dim - 1
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_certified_quaternion_algebras_pass_the_sanity_oracle(gf4, gf8, data):
+    F = data.draw(st.sampled_from([GF2, gf4, gf8]))
+    a = data.draw(st.integers(1, F.order - 1))
+    b = data.draw(st.integers(0, F.order - 1))
+    rep = csa.sanity_check_csa(csa.quaternion_algebra(F, a, b))
+    assert rep["passed"] and rep["center_dim"] == 1, rep
+
+
+def test_certified_matrix_identity_matches_basis_vector_loop(gf4):
+    for F in (GF2, gf4, rational.FunctionField(GF2)):
+        for n in range(1, 9):
+            assert csa.matrix_algebra(F, n)._identity_failure() is None, (F, n)
 
 
 def test_crossed_product_frobenius_calls_are_cubic(monkeypatch):

@@ -19,7 +19,7 @@ from t2forms.fields import (
     poly_to_str,
 )
 
-from support import mul_by_coefficients
+from support import artin_schreier_by_fresh_matrix, mul_by_coefficients
 
 _GF4 = GF2.extend("a^2+a+1")
 _GF8 = GF2.extend("a^3+a+1")
@@ -442,6 +442,55 @@ def test_euclid_inverse_equals_power(table_free_levels, data):
     inv = lvl.inv(x)
     assert inv == lvl._pow_raw(x, lvl.order - 2)
     assert lvl.mul(x, inv) == 1
+
+
+def test_cached_artin_schreier_equals_fresh_solve(large_levels):
+    gf2_13, gf4_8 = large_levels[:2]
+    gf2_7 = GF2.extend("a^7+a+1")
+    for c in gf2_7.elements():
+        assert gf2_7.artin_schreier_solve(c) == artin_schreier_by_fresh_matrix(gf2_7, c)
+    rng = random.Random(9)
+    for lvl in (gf4_8, gf2_13):
+        for _ in range(500):
+            c = lvl.random_element(rng)
+            assert lvl.artin_schreier_solve(c) == artin_schreier_by_fresh_matrix(lvl, c)
+
+
+def test_artin_schreier_matrix_is_built_once(gf4, monkeypatch):
+    # one squaring per basis vector for the matrix, then one per solve
+    # for the answer's check
+    lvl = gf4.extend(fields.find_irreducible(gf4, 8, random.Random(2)), "b")
+    calls = []
+    square = lvl.square
+    monkeypatch.setattr(lvl, "square", lambda x: calls.append(x) or square(x))
+    rng = random.Random(10)
+    for _ in range(100):
+        lvl.artin_schreier_solve(lvl.random_element(rng))
+    assert len(calls) <= lvl.bits + 100
+
+
+@pytest.fixture(scope="module")
+def axiom_levels(large_levels, gf4):
+    # GF(2); table-backed GF(4) and GF(2^11); table-free with the int
+    # multiply, GF(2^13); table-free over a table-backed parent, GF(4^8)
+    # and GF(8^5)
+    return [GF2, gf4, GF2.extend("a^11+a^2+1")] + large_levels
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_field_axioms_on_every_level_shape(axiom_levels, data):
+    lvl = data.draw(st.sampled_from(axiom_levels))
+    x, y, z = (data.draw(st.integers(0, lvl.order - 1)) for _ in range(3))
+    mul, add = lvl.mul, lvl.add
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, y) == mul(y, x)
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert mul(x, lvl.one) == x
+    if x:
+        assert mul(x, lvl.inv(x)) == lvl.one
+    assert lvl.sqrt(lvl.square(x)) == x
+    assert lvl.trace(add(x, y)) == lvl.trace(x) ^ lvl.trace(y)
 
 
 def test_parsed_power_degree_is_bounded(gf4):

@@ -412,3 +412,17 @@ def test_decompose_packed_matches_generic_path_all_levels(gf4, gf8, data):
     assert dec1.pairs == dec2.pairs
     assert dec1.radical_rows == dec2.radical_rows
     assert dec1.radical_diag == dec2.radical_diag
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_arf_additive_under_direct_sum(gf4, gf8, data):
+    f = data.draw(st.sampled_from([GF2, gf4, gf8]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    q1, q2 = (
+        random_nonsingular_form(f, data.draw(st.sampled_from([2, 4, 6])), rng) for _ in range(2)
+    )
+    s = qf.direct_sum(q1, q2)
+    assert qf.arf(s) == f.wp_class_rep(f.add(qf.arf(q1), qf.arf(q2)))
+    # the raw sums agree modulo {x^2 + x}, not only their classes
+    assert f.wp_member(f.add(qf.arf_sum(s), f.add(qf.arf_sum(q1), qf.arf_sum(q2))))
