@@ -89,6 +89,12 @@ def _split(text, sep=None, expected=None):
     """Split ``text`` at each ``sep`` (whitespace when None) outside
     quotes and brackets.  Pieces come back stripped; blank text gives
     none, and whitespace splitting drops empty pieces."""
+    return [piece for _, piece in _split_at(text, sep, expected)]
+
+
+def _split_at(text, sep=None, expected=None):
+    """:func:`_split`, each piece paired with the offset of its first
+    character in ``text``."""
     pieces = []
     depth = 0
     quote = False
@@ -103,14 +109,19 @@ def _split(text, sep=None, expected=None):
         elif ch in ")]>":
             depth -= 1
         elif depth == 0 and (ch.isspace() if sep is None else ch == sep):
-            pieces.append(text[start:i].strip())
+            pieces.append(_stripped_at(text, start, i))
             start = i + 1
-    pieces.append(text[start:].strip())
+    pieces.append(_stripped_at(text, start, len(text)))
     if sep is None or not text.strip():
-        pieces = [p for p in pieces if p]
+        pieces = [(at, p) for at, p in pieces if p]
     if expected is not None and len(pieces) != expected:
         raise ParseError(f"expected {expected} arguments in {text!r}")
     return pieces
+
+
+def _stripped_at(text, start, stop):
+    raw = text[start:stop]
+    return start + len(raw) - len(raw.lstrip()), raw.strip()
 
 
 def _job_from_dict(data):
@@ -218,7 +229,7 @@ def _parse_cocycle_table(E, text):
 def parse_form_literal(level, text, max_degree=None):
     """Form literals: [a,b], H, k*H, <c>[a,b], and + for orthogonal sums.
     The whole dimension is checked before any summand is built."""
-    atoms = [_form_atom(part) for part in _split(text, "+")]
+    atoms = [_form_atom(part, at) for at, part in _split_at(text, "+")]
     if not atoms:
         raise ParseError("empty form literal")
     dim = sum(2 * planes for _, planes, _ in atoms)
@@ -236,26 +247,28 @@ def parse_form_literal(level, text, max_degree=None):
     return total
 
 
-def _form_atom(atom):
-    """One summand as (scale text or None, hyperbolic plane count, and
-    the two entry texts of a binary form or None)."""
+def _form_atom(atom, at):
+    """One summand, found at character offset ``at`` of the literal, as
+    (scale text or None, hyperbolic plane count, and the two entry texts
+    of a binary form or None)."""
+    where = f"bad form literal {atom!r} at character {at}"
     text = atom
     scale = None
     if text.startswith("<"):
         close = text.find(">")
         if close < 0:
-            raise ParseError(f"bad form literal {atom!r}: '<' without closing '>'")
+            raise ParseError(f"{where}: '<' without closing '>'")
         scale, text = text[1:close], text[close + 1 :].strip()
     if text == "H":
         return scale, 1, None
     if "*" in text and text.endswith("H"):
         k_text = text.partition("*")[0].strip()
         if not k_text.isdecimal():
-            raise ParseError(f"bad form literal {atom!r}: plane count must be a whole number")
+            raise ParseError(f"{where}: plane count must be a whole number")
         return scale, int(k_text), None
     if text.startswith("[") and text.endswith("]"):
         return scale, 1, _split(text[1:-1], ",", 2)
-    raise ParseError(f"bad form literal {atom!r}")
+    raise ParseError(where)
 
 
 # -- command execution ------------------------------------------------------

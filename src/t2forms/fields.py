@@ -10,12 +10,17 @@ Consequences used throughout the package:
 * addition of any two elements of a level is integer xor,
 * 0 and 1 are the zero and one of every level,
 * an element of a lower level embeds into every level above it with the
-  same int value, and membership in a sublevel is ``x < sub.order``.
+  same int value, and membership in a sublevel is ``x < sub.order`` (so
+  ``relative_frobenius`` returns such an element untouched).
 
 Routes for multiplication and inversion, by level:
 
 * a level of order up to 2^11 multiplies and inverts through exp/log
-  tables built once from its raw multiply;
+  tables built at construction.  Multiplication by a fixed g is
+  GF(2)-linear, so ``bits`` raw products give two lookup tables, over
+  the low and the high half of the bits, and the walk 1, g, g^2, ... takes
+  two lookups and one xor per step; the first g = 2, 3, ... whose walk
+  returns to 1 after exactly order - 1 steps is the generator;
 * a level directly over GF(2) takes its element int as the polynomial in
   the generator: the raw multiply is a shift-xor carry-less product
   reduced by the defining polynomial held as a bit mask;
@@ -157,7 +162,10 @@ class Level:
         return out
 
     def is_extension_of(self, sub):
-        return any(lvl == sub for lvl in self.ancestors())
+        # the signatures of the ancestors are the prefixes of this one's
+        if not isinstance(sub, Level):
+            return False
+        return self._signature[: len(sub._signature)] == sub._signature
 
     def gen_map(self):
         """Mapping of generator names to their elements at this level."""
@@ -177,23 +185,33 @@ class Level:
     # -- tables --------------------------------------------------------
 
     def _build_tables(self):
+        """exp/log tables of the first generator g = 2, 3, ... of the
+        multiplicative group.  x -> x*g is GF(2)-linear, so the images
+        of the basis bits under it, xor-summed over each half of x's
+        bits, make two lookup tables, and a step of the walk from 1 is
+        two lookups and one xor.  The walk of g returns to 1 after the
+        order of g; the first walk of length order - 1 is the exp table."""
         n = self.order - 1
         if n == 1:
             self._exp = [1]
             self._log = [0, 0]
             return
-        primes = _prime_factors(n)
-        g = None
-        for cand in range(2, self.order):
-            if all(self._pow_raw(cand, n // p) != 1 for p in primes):
-                g = cand
+        half = self.bits // 2
+        mask = (1 << half) - 1
+        for g in range(2, self.order):
+            low, high = [0], [0]
+            for i in range(self.bits):
+                img = self._mul_raw(1 << i, g)
+                tab = low if i < half else high
+                tab += [v ^ img for v in tab]
+            exp = [1]
+            cur = g
+            while cur != 1:
+                exp.append(cur)
+                cur = low[cur & mask] ^ high[cur >> half]
+            if len(exp) == n:
                 break
-        assert g is not None
-        exp = [1] * n
-        cur = 1
-        for i in range(1, n):
-            cur = self._mul_raw(cur, g)
-            exp[i] = cur
+        assert len(exp) == n
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
@@ -415,8 +433,11 @@ class Level:
         return out
 
     def relative_frobenius(self, sub, x, power=1):
-        """x raised to |sub| ** power, a generator of Gal(self/sub)."""
+        """x raised to |sub| ** power, a generator of Gal(self/sub).  It
+        fixes sub, whose elements are exactly the x < sub.order."""
         n = self.degree_over(sub)
+        if x < sub.order:
+            return x
         e = power % n
         y = x
         for _ in range(e * sub.bits):
@@ -507,20 +528,6 @@ def _clmul_mod(x, y, mask, d):
         r ^= mask << (top - d)
         top = r.bit_length() - 1
     return r
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- polynomials -------------------------------------------------------

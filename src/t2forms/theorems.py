@@ -627,6 +627,31 @@ def clear_standard_fields():
     _extensions.clear()
 
 
+_MASK64 = (1 << 64) - 1
+_XXPRIME_1 = 11400714785074694791
+_XXPRIME_2 = 14029467366897019727
+_XXPRIME_5 = 2870177450012600261
+
+
+def _mix16(*ints):
+    """The low 16 bits of CPython's 64-bit hash of the tuple of ints,
+    written out so the seeded extensions do not depend on the
+    interpreter: each int hashes to |v| mod 2^61 - 1 with v's sign (-1
+    becomes -2), and the tuple mixes those lanes xxHash-style."""
+    acc = _XXPRIME_5
+    for v in ints:
+        lane = abs(v) % ((1 << 61) - 1)
+        if v < 0:
+            lane = -2 if lane == 1 else -lane
+        acc = (acc + (lane & _MASK64) * _XXPRIME_2) & _MASK64
+        acc = ((acc << 31) | (acc >> 33)) & _MASK64
+        acc = (acc * _XXPRIME_1) & _MASK64
+    acc = (acc + (len(ints) ^ _XXPRIME_5 ^ 3527539)) & _MASK64
+    if acc == _MASK64:  # a hash of -1 is reported as 1546275796
+        acc = 1546275796
+    return acc & 0xFFFF
+
+
 def _ext_of_degree(base, degree, seed=0):
     """The seeded extension of the given degree, built once per
     (base, degree, seed) with ``base`` compared by signature.  The memo
@@ -636,7 +661,7 @@ def _ext_of_degree(base, degree, seed=0):
     if key not in _extensions:
         if _extensions and next(iter(_extensions))[2] != seed:
             _extensions.clear()
-        rng = random.Random((seed, base.bits, degree).__hash__() & 0xFFFF)
+        rng = random.Random(_mix16(seed, base.bits, degree))
         poly = fields.find_irreducible(base, degree, rng)
         _extensions[key] = base.extend(poly, fields.fresh_gen_name(base))
     return _extensions[key]

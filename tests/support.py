@@ -1,7 +1,7 @@
 """Helpers that only the tests use: dense matrix products, random
 nonsingular quadratic forms, and reference implementations of the field
-multiply, the Artin-Schreier solve and the crossed-product structure
-table."""
+multiply, the exp/log tables, the Artin-Schreier solve and the
+crossed-product structure table."""
 
 from t2forms import linalg
 from t2forms.quadform import QuadraticForm
@@ -112,3 +112,43 @@ def artin_schreier_by_fresh_matrix(level, c):
             if (col >> r) & 1:
                 mat[r] |= 1 << i
     return linalg.solve_gf2(mat, level.bits, c)
+
+
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def tables_by_power_test(level):
+    """(exp, log) of a table-backed level the way they were first built:
+    the generator is the least candidate g >= 2 with g^(n/p) != 1 for
+    every prime p dividing n = order - 1, and the exp table is walked by
+    the level's raw multiply."""
+    n = level.order - 1
+    if n == 1:
+        return [1], [0, 0]
+    primes = _prime_factors(n)
+    g = None
+    for cand in range(2, level.order):
+        if all(level._pow_raw(cand, n // p) != 1 for p in primes):
+            g = cand
+            break
+    assert g is not None
+    exp = [1] * n
+    cur = 1
+    for i in range(1, n):
+        cur = level._mul_raw(cur, g)
+        exp[i] = cur
+    log = [0] * level.order
+    for i, v in enumerate(exp):
+        log[v] = i
+    return exp, log

@@ -256,6 +256,30 @@ def test_cli_rejects_non_numeric_plane_count(capsys):
     assert "'x*H'" in err
 
 
+@pytest.mark.parametrize(
+    "literal, atom, offset",
+    [
+        ("[1,1]+-1*H", "'-1*H'", 6),
+        ("H + <1[1,1]", "'<1[1,1]'", 4),
+        ("[1,0] +  x*H", "'x*H'", 9),
+        ("H+H+Q", "'Q'", 4),
+        ("H++H", "''", 2),
+    ],
+)
+def test_cli_bad_form_literal_names_the_character_offset(capsys, literal, atom, offset):
+    code, out, err = run_cli(capsys, "--field", "GF2", "--form", literal, "--cmd", "witt")
+    assert code == 2 and out == ""
+    assert f"bad form literal {atom} at character {offset}" in err
+    assert literal[offset:].startswith(atom.strip("'"))
+
+
+@pytest.mark.parametrize("seed", [-1, -2, 2**61 - 1, 10**20])
+def test_cli_verify_takes_any_integer_seed(capsys, seed):
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor1", "--n", "3", "--seed", str(seed))
+    assert code == 0 and err == ""
+    assert json.loads(out)[0]["verdict"] == "pass"
+
+
 def test_cli_rejects_fields_for_fixed_field_claims(capsys):
     for claim in ("remark2", "thm2", "cor3", "cor4", "thm4"):
         code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", claim, "--fields", "GF4")

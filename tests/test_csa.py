@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -286,6 +287,18 @@ def test_crossed_product_refuses_a_sigma_of_low_order(monkeypatch):
     assert raw.dim - csa._center_rank(raw).rank > 1
 
 
+def test_quaternion_table_is_associative_over_gf8(gf8):
+    # quaternion_algebra checks no triple.  Each coordinate of a triple
+    # product has degree <= 2 in a and in b, so an identity between them
+    # that holds for the 7 values of a and the 8 of b in GF(8) holds as a
+    # polynomial identity, over every field of characteristic two
+    triples = list(itertools.product(range(4), repeat=3))
+    for a in range(1, 8):
+        for b in range(8):
+            Q = csa.quaternion_algebra(gf8, a, b)
+            assert csa._first_nonassociative_triple(Q, triples) is None, (a, b)
+
+
 def test_b_subspace_dim_matches_extension_degree():
     # one involution in the degree-4 cyclic group; the slice has an
     # E-basis of size 4 over the base field
@@ -571,6 +584,23 @@ def test_crossed_product_frobenius_calls_are_cubic(monkeypatch):
     monkeypatch.setattr(fields.Level, "relative_frobenius", counting)
     csa.crossed_product(E, GF2)
     assert 0 < len(calls) <= 5**3 + 5**2
+
+
+def test_crossed_product_squares_only_the_twisted_basis(monkeypatch):
+    # the trivial cocycle lies in F, which sigma fixes without squaring;
+    # the twisted basis sigma^j(e_t), j < 11, takes 0 + 1 + ... + 10 = 55
+    # squarings for each of the 10 basis vectors outside F
+    E = GF2.extend("d^11+d^2+1")
+    calls = []
+    square = fields.Level.square
+
+    def counting(self, x):
+        calls.append(x)
+        return square(self, x)
+
+    monkeypatch.setattr(fields.Level, "square", counting)
+    csa.crossed_product(E, GF2)
+    assert 0 < len(calls) <= 605
 
 
 def test_crossed_product_coords_over_calls_are_quartic(monkeypatch):

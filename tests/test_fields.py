@@ -19,7 +19,7 @@ from t2forms.fields import (
     poly_to_str,
 )
 
-from support import artin_schreier_by_fresh_matrix, mul_by_coefficients
+from support import artin_schreier_by_fresh_matrix, mul_by_coefficients, tables_by_power_test
 
 _GF4 = GF2.extend("a^2+a+1")
 _GF8 = GF2.extend("a^3+a+1")
@@ -423,6 +423,102 @@ def test_table_entries_equal_coefficient_multiply(gf4, gf8):
             assert lvl._exp[(i + 1) % n] == mul_by_coefficients(lvl, v, g)
     for x, y in itertools.product(range(8), repeat=2):
         assert gf8.mul(x, y) == mul_by_coefficients(gf8, x, y)
+
+
+def _irreducibles_over_gf2(degree):
+    """The irreducible polynomials of the degree over GF(2), as coefficient
+    tuples, in the order of their bit masks."""
+    for mask in range((1 << degree) + 1, 1 << (degree + 1), 2):
+        poly = tuple((mask >> i) & 1 for i in range(degree + 1))
+        if poly_is_irreducible(GF2, poly):
+            yield poly
+
+
+@pytest.fixture(scope="module")
+def table_levels(gf4, gf8):
+    # every table-backed shape: over GF(2) of degree 2-11 (the first two
+    # irreducibles of each degree whose root 2 generates, and the first
+    # whose root does not, where there is one), GF(4^2..5), GF(8^2..3),
+    # GF(64) over GF(4), and the three-level tower GF(4) < GF(16) < GF(256)
+    out = [GF2]
+    for degree in range(2, 12):
+        kept = {True: 0, False: 0}
+        for poly in _irreducibles_over_gf2(degree):
+            lvl = GF2.extend(poly, "d")
+            generates = lvl._exp[1] == 2
+            if kept[generates] < (2 if generates else 1):
+                kept[generates] += 1
+                out.append(lvl)
+            if kept == {True: 2, False: 1}:
+                break
+    for base, degrees in ((gf4, range(2, 6)), (gf8, range(2, 4))):
+        for degree in degrees:
+            for seed in range(2):
+                poly = fields.find_irreducible(base, degree, random.Random(seed))
+                out.append(base.extend(poly, "b"))
+    out.append(gf4.extend("b^3+b+1"))
+    gf16 = gf4.extend(fields.find_irreducible(gf4, 2, random.Random(3)), "b")
+    out.append(gf16.extend(fields.find_irreducible(gf16, 2, random.Random(3)), "c"))
+    return out
+
+
+def test_tables_equal_power_test_oracle(table_levels):
+    # the walk keeps the generator the power test picks, so the tables
+    # and the canonical nonresidue read off them are the same
+    assert any(lvl.parent is GF2 and lvl._exp[1] != 2 for lvl in table_levels)
+    assert any(lvl.order == 1 << 11 for lvl in table_levels)
+    assert any(len(lvl.ancestors()) == 4 for lvl in table_levels)
+    for lvl in table_levels:
+        exp, log = tables_by_power_test(lvl)
+        assert lvl._exp == exp and lvl._log == log, lvl
+        assert lvl.nonresidue() == next(v for v in exp if lvl.trace(v) == 1), lvl
+
+
+def _frobenius_by_squaring(E, F, x, power):
+    for _ in range((power % E.degree_over(F)) * F.bits):
+        x = E.square(x)
+    return x
+
+
+def test_relative_frobenius_fixes_the_subfield(gf4, gf64_tower, monkeypatch):
+    squares = []
+    square = fields.Level.square
+
+    def counting(self, x):
+        squares.append(x)
+        return square(self, x)
+
+    monkeypatch.setattr(fields.Level, "square", counting)
+    for E, F in ((gf64_tower, gf4), (gf64_tower, GF2), (gf4, GF2)):
+        for x in range(F.order):
+            for power in range(-1, E.degree_over(F) + 2):
+                assert E.relative_frobenius(F, x, power) == x
+    assert squares == []
+
+
+def test_relative_frobenius_matches_repeated_squaring(gf4, gf64_tower):
+    gf2_6 = GF2.extend("d^6+d+1")
+    for E, F in ((gf64_tower, gf4), (gf64_tower, GF2), (gf4, GF2), (gf2_6, GF2)):
+        for x in E.elements():
+            for power in range(-1, E.degree_over(F) + 2):
+                assert E.relative_frobenius(F, x, power) == _frobenius_by_squaring(E, F, x, power)
+    big = GF2.extend("d^13+d^4+d^3+d+1")
+    rng = random.Random(7)
+    for x in [0, 1] + [rng.randrange(big.order) for _ in range(40)]:
+        for power in (1, 2, 12):
+            assert big.relative_frobenius(GF2, x, power) == _frobenius_by_squaring(
+                big, GF2, x, power
+            )
+
+
+def test_relative_frobenius_refuses_a_level_outside_the_tower(gf8, gf64_tower):
+    # a level that is no subfield raises, even for the elements 0 and 1
+    # that every level holds
+    other_gf4 = GF2.extend("z^2+z+1")
+    for sub in (gf8, other_gf4):
+        for x in (0, 1, 5):
+            with pytest.raises(fields.FieldError):
+                gf64_tower.relative_frobenius(sub, x)
 
 
 @pytest.fixture(scope="module")

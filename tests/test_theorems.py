@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +116,26 @@ def test_ext_of_degree_memo_keeps_one_seed():
     assert sorted(theorems._extensions) == [(GF2, n, 5) for n in (3, 5, 7)]
     E = theorems._ext_of_degree(GF2, 3, seed=5)
     assert theorems._ext_of_degree(GF2, 3, seed=5) is E
+    theorems.clear_standard_fields()
+
+
+_SEEDS = (0, 1, 5, -1, -2, -3, 2**61 - 2, 2**61 - 1, 2**61, -(2**61 - 1), -(2**61), 10**20, -(10**20))
+
+
+def test_seed_mixing_matches_the_tuple_hash():
+    # the written-out mixing agrees with CPython's (64-bit) tuple hash,
+    # around the int-hash modulus 2^61 - 1 and at -1, whose hash is -2
+    for seed in _SEEDS:
+        for bits in (1, 2, 3):
+            for degree in range(1, 12):
+                assert theorems._mix16(seed, bits, degree) == hash((seed, bits, degree)) & 0xFFFF
+
+
+def test_seeded_extension_is_drawn_from_the_mixed_seed():
+    theorems.clear_standard_fields()
+    for seed in _SEEDS:
+        rng = random.Random(theorems._mix16(seed, 1, 5))
+        assert theorems._ext_of_degree(GF2, 5, seed).poly == fields.find_irreducible(GF2, 5, rng)
     theorems.clear_standard_fields()
 
 
