@@ -470,7 +470,10 @@ def crossed_product(E, F, cocycle="trivial", label=None):
             if (i == 0 or j == 0) and phi[i][j] != E.one:
                 raise CocycleInvalid("cocycle must be normalized on the identity")
     basis_E = E.basis_over(F)
-    sig = [[E.relative_frobenius(F, e, j) for e in basis_E] for j in range(n)]
+    # sigma^j(e_t) = sigma(sigma^(j-1)(e_t)): one step of sigma per entry
+    sig = [basis_E]
+    for _ in range(1, n):
+        sig.append([E.relative_frobenius(F, e) for e in sig[-1]])
     # the center argument needs sigma of order n; sigma^j is F-linear, so
     # its images of the basis decide whether it is the identity
     for j in range(1, n):

@@ -22,21 +22,30 @@ Routes for multiplication and inversion, by level:
   two lookups and one xor per step; the first g = 2, 3, ... whose walk
   returns to 1 after exactly order - 1 steps is the generator;
 * a level directly over GF(2) takes its element int as the polynomial in
-  the generator: the raw multiply is a shift-xor carry-less product
-  reduced by the defining polynomial held as a bit mask;
-* any other level multiplies coefficient by coefficient over its parent;
-* every table-free level (such as GF(2^13), GF(8^5) or GF(4^8)) inverts
-  by extended Euclid in parent[y]/(poly) (von zur Gathen & Gerhard,
-  *Modern Computer Algebra*, ch. 3-4).
+  the generator, and its defining polynomial as a bit mask: the raw
+  multiply is a carry-less product reduced by that mask, and a table-free
+  one (such as GF(2^13)) inverts by extended Euclid on the two ints;
+* any other level multiplies coefficient by coefficient over its parent,
+  and a table-free one (such as GF(8^5) or GF(4^8)) inverts by extended
+  Euclid in parent[y]/(poly) (von zur Gathen & Gerhard, *Modern Computer
+  Algebra*, ch. 3-4).
 
 Polynomials over a level are trimmed tuples of element ints, lowest
 degree first; the zero polynomial is the empty tuple.  The polynomial
 helpers are duck-typed over their field argument so they also work for
-``rational.FunctionField`` coefficient fields.
+``rational.FunctionField`` coefficient fields.  Over ``GF2`` itself they
+pack a polynomial into one int, bit i the coefficient of x^i, and work by
+shift and xor (the ``gf2x_`` section): products, division, gcds and the
+irreducibility scan.  :class:`PolyRing` offers either representation
+behind one table of operations, so a routine written once against it,
+such as the factor-witness scan or ``rational``'s fractions, runs on ints
+over GF2 and on tuples over any other field.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 import string
 
@@ -83,7 +92,9 @@ class Level:
 
     is_finite = True
 
-    def __init__(self, parent, poly=None, gen_name=None):
+    def __init__(self, parent, poly=None, gen_name=None, *, _irreducible=False):
+        # _irreducible: the caller has just proved poly irreducible over
+        # parent (find_irreducible's scan), so the witness is not run again
         self.parent = parent
         if parent is None:
             self.poly = None
@@ -100,7 +111,7 @@ class Level:
                 raise FieldError("extension needs an identifier generator name")
             if gen_name in parent.gen_map():
                 raise FieldError(f"generator name {gen_name!r} already used in tower")
-            witness = poly_factor_witness(parent, poly)
+            witness = None if _irreducible else poly_factor_witness(parent, poly)
             if witness is not None:
                 g, h = witness
                 raise RejectsReducible(
@@ -111,9 +122,7 @@ class Level:
                 )
             self.poly = tuple(poly)
             # over GF(2) the defining polynomial as a bit mask, bit i = poly[i]
-            self._poly_mask = (
-                sum(c << i for i, c in enumerate(self.poly)) if parent.parent is None else None
-            )
+            self._poly_mask = gf2x_from_poly(self.poly) if parent.parent is None else None
             self.gen_name = gen_name
             self.rel_degree = len(poly) - 1
             self.bits = parent.bits * self.rel_degree
@@ -125,7 +134,7 @@ class Level:
         self._log = None
         self._nonresidue = None
         self._trace_mask = None
-        self._as_matrix = None
+        self._as_solver = None
         self._signature = (
             (None,) if parent is None else parent._signature + (self.poly, self.gen_name)
         )
@@ -134,7 +143,7 @@ class Level:
 
     # -- construction -------------------------------------------------
 
-    def extend(self, poly, name=None):
+    def extend(self, poly, name=None, *, _irreducible=False):
         """Return a new level on top of this one.
 
         ``poly`` is either a coefficient tuple over this level (lowest
@@ -150,7 +159,7 @@ class Level:
             return Level(self, coeffs, var)
         if name is None:
             name = fresh_gen_name(self)
-        return Level(self, tuple(poly), name)
+        return Level(self, tuple(poly), name, _irreducible=_irreducible)
 
     def ancestors(self):
         """The chain of levels from this one down to GF(2)."""
@@ -222,7 +231,7 @@ class Level:
         if self.parent is None:
             return x & y
         if self._poly_mask is not None:
-            return _clmul_mod(x, y, self._poly_mask, self.rel_degree)
+            return gf2x_divmod(gf2x_mul(x, y), self._poly_mask)[1]
         par = self.parent
         d = self.rel_degree
         xs = self.coeffs(x)
@@ -287,7 +296,12 @@ class Level:
 
     def _inv_euclid(self, x):
         """Inverse by extended Euclid in parent[y]/(poly): s * x = r mod
-        poly holds for both rows, and r ends at a nonzero constant."""
+        poly holds for both rows, and r ends at a nonzero constant.  Over
+        GF(2) the element and the mask are the two polynomials."""
+        if self._poly_mask is not None:
+            g, s = gf2x_xgcd(x, self._poly_mask)
+            assert g == 1
+            return s
         par = self.parent
         r0, r1 = self.poly, poly_trim(self.coeffs(x))
         s0, s1 = (), (par.one,)
@@ -337,10 +351,11 @@ class Level:
         """A solution of x**2 + x = c, or None when there is none.
 
         The squaring map is GF(2)-linear, so the equation is solved as a
-        linear system over the bit coordinates.  Its matrix is built on
-        the first call, the same way as the trace mask.
+        linear system over the bit coordinates.  Its echelon form and row
+        transform are built on the first call, the same way as the trace
+        mask; every solve after that is ``bits`` parities.
         """
-        if self._as_matrix is None:
+        if self._as_solver is None:
             # system M z = c with M[r][i] = bit r of (e_i^2 + e_i)
             mat = [0] * self.bits
             for i in range(self.bits):
@@ -349,8 +364,8 @@ class Level:
                 for r in range(self.bits):
                     if (col >> r) & 1:
                         mat[r] |= 1 << i
-            self._as_matrix = mat
-        sol = linalg.solve_gf2(self._as_matrix, self.bits, c)
+            self._as_solver = linalg.GF2Solver(mat, self.bits)
+        sol = self._as_solver.solve(c)
         if sol is None:
             return None
         assert self.square(sol) ^ sol == c
@@ -511,23 +526,102 @@ def fresh_gen_name(level):
     raise FieldError("ran out of generator names")
 
 
-def _clmul_mod(x, y, mask, d):
-    """x * y in GF(2)[z]/(mask), both of degree < d: a carry-less product
-    by shift and xor, then the bits at d and above cleared from the top
-    with shifted copies of the defining polynomial."""
-    if x.bit_length() < y.bit_length():
-        x, y = y, x
+# -- GF(2)[x] packed in ints -------------------------------------------
+#
+# Bit i of the int is the coefficient of x^i, so addition is xor.  These
+# carry the GF2 route of the polynomial helpers below, the levels directly
+# over GF(2) (element and mask are such ints) and GF(2)(t) in ``rational``.
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def gf2x_from_poly(p):
+    """The int of a coefficient sequence over GF(2), trimmed or not."""
+    return int(bytes(p).translate(_TO_DIGITS)[::-1] or b"0", 2)
+
+
+def gf2x_to_poly(a):
+    """The trimmed coefficient tuple of an int polynomial."""
+    return tuple(bin(a)[:1:-1].encode().translate(_FROM_DIGITS)) if a else ()
+
+
+def gf2x_deg(a):
+    return a.bit_length() - 1
+
+
+def gf2x_mul(a, b):
+    """Carry-less product: a shifted copy of a per set bit of b."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
     r = 0
-    while y:
-        if y & 1:
-            r ^= x
-        x <<= 1
-        y >>= 1
-    top = r.bit_length() - 1
-    while top >= d:
-        r ^= mask << (top - d)
-        top = r.bit_length() - 1
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
     return r
+
+
+def gf2x_square(a):
+    """a^2 by bit spreading: squaring is additive, so bit i goes to 2i."""
+    return int("0".join(bin(a)[2:]), 2)
+
+
+def gf2x_divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b: the top bit of a is
+    cleared with a shifted copy of b until the degree drops below b's."""
+    nb = b.bit_length()
+    if not nb:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = 0
+    shift = a.bit_length() - nb
+    while shift >= 0:
+        q ^= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - nb
+    return q, a
+
+
+def gf2x_gcd(a, b):
+    while b:
+        a, b = b, gf2x_divmod(a, b)[1]
+    return a
+
+
+def gf2x_xgcd(a, m):
+    """(g, s) with g = gcd(a, m) and s a = g mod m: s * a = r mod m holds
+    for both rows of the Euclid steps."""
+    r0, r1 = m, a
+    s0, s1 = 0, 1
+    while r1:
+        q, r = gf2x_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ gf2x_mul(q, s1)
+    return r0, s0
+
+
+class PolyRing:
+    """The polynomials over a field as one table of operations: ints (the
+    ``gf2x_`` routines) over ``GF2``, trimmed tuples (the helpers below,
+    bound to the field) over any other field.  ``read`` takes a
+    coefficient sequence, trimmed or not; ``write`` gives the trimmed
+    tuple back.  ``gcd`` is monic."""
+
+    def __init__(self, field):
+        if field is GF2:
+            self.read, self.write = gf2x_from_poly, gf2x_to_poly
+            self.one, self.x = 1, 2
+            self.deg, self.add = gf2x_deg, operator.xor
+            self.mul, self.square = gf2x_mul, gf2x_square
+            self.divmod, self.gcd = gf2x_divmod, gf2x_gcd
+        else:
+            bind = functools.partial
+            self.read, self.write = poly_trim, tuple
+            self.one, self.x = (field.one,), (field.zero, field.one)
+            self.deg, self.add = poly_deg, bind(poly_add, field)
+            self.mul, self.square = bind(poly_mul, field), bind(_poly_square, field)
+            self.divmod, self.gcd = bind(poly_divmod, field), bind(poly_gcd, field)
 
 
 # -- polynomials -------------------------------------------------------
@@ -561,6 +655,8 @@ def poly_scale(field, c, p):
 
 
 def poly_mul(field, p, q):
+    if field is GF2:
+        return gf2x_to_poly(gf2x_mul(gf2x_from_poly(p), gf2x_from_poly(q)))
     if not p or not q:
         return ()
     out = [field.zero] * (len(p) + len(q) - 1)
@@ -585,6 +681,9 @@ def poly_pow(field, p, n):
 
 
 def poly_divmod(field, p, q):
+    if field is GF2:
+        quot, rem = gf2x_divmod(gf2x_from_poly(p), gf2x_from_poly(q))
+        return gf2x_to_poly(quot), gf2x_to_poly(rem)
     q = poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
@@ -618,6 +717,8 @@ def poly_monic(field, p):
 
 
 def poly_gcd(field, p, q):
+    if field is GF2:
+        return gf2x_to_poly(gf2x_gcd(gf2x_from_poly(p), gf2x_from_poly(q)))
     a, b = poly_trim(p), poly_trim(q)
     while b:
         a, b = b, poly_mod(field, a, b)
@@ -663,29 +764,30 @@ def poly_factor_witness(field, p):
     degree k, and g is the one among them with the least coefficient
     tuple (c_0, ..., c_(k-1)): the divisor that trial division over the
     monic polynomials of degree k, in that order, meets first.  No field
-    element is enumerated, so levels of any size are accepted."""
-    p = poly_monic(field, p)
-    x = (field.zero, field.one)
+    element is enumerated, so levels of any size are accepted.  The scan
+    runs in :class:`PolyRing`, on ints over GF2."""
+    ring = PolyRing(field)
+    p = ring.read(poly_monic(field, p))
+    x = ring.x
     h = x
-    for k in range(1, poly_deg(p) // 2 + 1):
+    for k in range(1, ring.deg(p) // 2 + 1):
         for _ in range(field.bits):  # h^q, q = 2^bits
-            h = _square_mod(field, h, p)
-        g = poly_gcd(field, p, poly_add(field, h, x))
-        if poly_deg(g) > 0:
-            g = min(_equal_degree_factors(field, g, k))
-            return g, poly_divmod(field, p, g)[0]
+            h = ring.divmod(ring.square(h), p)[1]
+        g = ring.gcd(p, ring.add(h, x))
+        if g != ring.one:
+            g = min(_equal_degree_factors(field, ring, g, k), key=ring.write)
+            return ring.write(g), ring.write(ring.divmod(p, g)[0])
     return None
 
 
-def _square_mod(field, h, p):
-    """h^2 mod p: the squared coefficients go to the even positions,
-    then one reduction."""
+def _poly_square(field, h):
+    """h^2: the squared coefficients go to the even positions."""
     sq = [field.zero] * (2 * len(h) - 1)
     sq[::2] = [field.square(c) for c in h]
-    return poly_mod(field, sq, p)
+    return tuple(sq)
 
 
-def _equal_degree_factors(field, g, k):
+def _equal_degree_factors(field, ring, g, k):
     """The monic irreducible factors of g, a product of distinct monic
     irreducibles of degree k (char-2 equal-degree splitting).
 
@@ -697,28 +799,30 @@ def _equal_degree_factors(field, g, k):
     these span F[x]/(g) over GF(2), and the trace form of each factor is
     nondegenerate, so every pair of factors is parted by some a.  No
     random draw is made."""
+    deg = ring.deg
     pieces = [g]
-    for j in range(1, poly_deg(g)):
+    for j in range(1, deg(g)):
         for i in range(field.bits):
-            if all(poly_deg(f) == k for f in pieces):
+            if all(deg(f) == k for f in pieces):
                 return pieces
-            a = (field.zero,) * j + (1 << i,)
-            pieces = [s for f in pieces for s in _trace_split(field, f, a, k)]
-    assert all(poly_deg(f) == k for f in pieces)
+            a = ring.read((field.zero,) * j + (1 << i,))
+            pieces = [s for f in pieces for s in _trace_split(field, ring, f, a, k)]
+    assert all(deg(f) == k for f in pieces)
     return pieces
 
 
-def _trace_split(field, f, a, k):
+def _trace_split(field, ring, f, a, k):
     """f split by the value of T(a) modulo its factors: one or two pieces."""
-    if poly_deg(f) == k:
+    deg = ring.deg
+    if deg(f) == k:
         return [f]
-    y = t = poly_mod(field, a, f)
+    y = t = ring.divmod(a, f)[1]
     for _ in range(k * field.bits - 1):
-        y = _square_mod(field, y, f)
-        t = poly_add(field, t, y)
-    s = poly_gcd(field, f, t)
-    if 0 < poly_deg(s) < poly_deg(f):
-        return [s, poly_divmod(field, f, s)[0]]
+        y = ring.divmod(ring.square(y), f)[1]
+        t = ring.add(t, y)
+    s = ring.gcd(f, t)
+    if 0 < deg(s) < deg(f):
+        return [s, ring.divmod(f, s)[0]]
     return [f]
 
 

@@ -12,9 +12,10 @@
   bit vectors and scaling is never needed.
 
 :class:`PackedEchelon` is the one elimination engine on packed rows:
-:func:`solve_gf2`, :func:`kernel` and :func:`packed_kernel` run on it
-for every finite level.  List-row elimination (:func:`solve`, and
-:func:`kernel` over other fields) serves the rational function field.
+:class:`GF2Solver` (and :func:`solve_gf2` through it), :func:`kernel`
+and :func:`packed_kernel` run on it for every finite level.  List-row
+elimination (:func:`solve`, and :func:`kernel` over other fields) serves
+the rational function field.
 """
 
 from __future__ import annotations
@@ -186,25 +187,47 @@ class PackedEchelon:
         return basis
 
 
+class GF2Solver:
+    """The GF(2) system rows * x = rhs, eliminated once for any number of
+    right hand sides.  ``rows`` are bit vectors over ``ncols`` unknowns.
+
+    Row i rides along with the unit vector 1 << (ncols + i) above its
+    columns, so every reduced row also records the set of equations it
+    sums (the row transform).  A pivot row's set, applied to rhs, gives
+    that pivot's unknown; a row that reduces to zero on the columns gives
+    a set that must sum rhs to zero.
+    """
+
+    def __init__(self, rows, ncols):
+        from .fields import GF2
+
+        ech = PackedEchelon(GF2, ncols)
+        cols = (1 << ncols) - 1
+        self.checks = []
+        for i, row in enumerate(rows):
+            row = ech.reduce(row | (1 << (ncols + i)))
+            if row & cols:
+                ech.insert(row)
+            else:
+                self.checks.append(row >> ncols)
+        self.pivots = [(p, prow >> ncols) for p, prow in ech.rows.items()]
+
+    def solve(self, rhs):
+        """One solution x (as an int) for the right hand side packed with
+        bit r for equation r, or None.  The free unknowns are zero."""
+        for d in self.checks:
+            if (d & rhs).bit_count() & 1:
+                return None
+        x = 0
+        for p, t in self.pivots:
+            x |= ((t & rhs).bit_count() & 1) << p
+        return x
+
+
 def solve_gf2(rows, ncols, rhs):
     """One solution x (as an int) of the GF(2) system rows * x = rhs, or
-    None.  ``rows`` are bit vectors; ``rhs`` packs the right hand side
-    with bit r for equation r.
-
-    The right hand side rides along as column ``ncols``; the system is
-    inconsistent exactly when a pivot lands on that column.
-    """
-    from .fields import GF2
-
-    ech = PackedEchelon(GF2, ncols + 1)
-    for i, row in enumerate(rows):
-        ech.insert(row | (((rhs >> i) & 1) << ncols))
-    if ncols in ech.rows:
-        return None
-    x = 0
-    for p, prow in ech.rows.items():
-        x |= ((prow >> ncols) & 1) << p
-    return x
+    None; see :class:`GF2Solver`."""
+    return GF2Solver(rows, ncols).solve(rhs)
 
 
 # -- dispatching helpers on row lists ------------------------------------

@@ -12,6 +12,13 @@ lowest terms without one, by Henrici's formulas (Knuth, TAOCP vol. 2,
 section 4.5.1): only gcds of a numerator against the other denominator,
 or of the two denominators, are taken, and none when a denominator is 1,
 so sums and products of polynomials take no gcd at all.
+
+The fraction formulas are written once against ``fields.PolyRing``,
+chosen in ``__init__``: over GF(2) numerators and denominators are ints,
+bit i the coefficient of t^i, so every product, division and gcd is shift
+and xor; over a larger coefficient level they are coefficient tuples.
+``Rat`` holds tuples either way, and an operation converts each operand
+once.
 """
 
 from __future__ import annotations
@@ -19,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fields, linalg
-from .fields import poly_add, poly_deg, poly_divmod, poly_gcd, poly_mod, poly_mul
-from .fields import poly_monic, poly_scale, poly_sqrt, poly_to_str, poly_trim
+from .fields import poly_deg, poly_scale, poly_sqrt, poly_to_str
 
 
 @dataclass(frozen=True)
@@ -39,22 +45,21 @@ class FunctionField:
     def __init__(self, coeff_level, var="t"):
         self.coeff = coeff_level
         self.var = var
+        self._ring = fields.PolyRing(coeff_level)
         self.zero = Rat((), (coeff_level.one,))
         self.one = Rat((coeff_level.one,), (coeff_level.one,))
         self.t = Rat((coeff_level.zero, coeff_level.one), (coeff_level.one,))
 
     def make(self, num, den=None):
-        k = self.coeff
-        num = poly_trim(num)
-        den = poly_trim(den) if den is not None else (k.one,)
-        if not den:
+        k, R = self.coeff, self._ring
+        a = R.read(num)
+        b = R.read(den) if den is not None else R.one
+        if not b:
             raise ZeroDivisionError("zero denominator")
-        if not num:
+        if not a:
             return self.zero
-        g = poly_gcd(k, num, den)
-        if poly_deg(g) > 0:
-            num = poly_divmod(k, num, g)[0]
-            den = poly_divmod(k, den, g)[0]
+        g = R.gcd(a, b)
+        num, den = R.write(_quo(R, a, g)), R.write(_quo(R, b, g))
         lead = den[-1]
         if lead != k.one:
             inv = k.inv(lead)
@@ -66,20 +71,21 @@ class FunctionField:
         return not x.num
 
     def add(self, x, y):
-        k = self.coeff
-        b, d = x.den, y.den
-        g = (k.one,) if (k.one,) in (b, d) else poly_gcd(k, b, d)
-        if poly_deg(g) == 0:
-            num = poly_add(k, poly_mul(k, x.num, d), poly_mul(k, y.num, b))
-            return Rat(num, poly_mul(k, b, d)) if num else self.zero
+        R = self._ring
+        one, write = R.one, R.write
+        a, b, c, d = R.read(x.num), R.read(x.den), R.read(y.num), R.read(y.den)
+        g = one if one in (b, d) else R.gcd(b, d)
+        if g == one:
+            num = R.add(R.mul(a, d), R.mul(c, b))
+            return Rat(write(num), write(R.mul(b, d))) if num else self.zero
         # b = g b', d = g d': a/b + c/d = (a d' + c b') / (g b' d'), and a
         # factor the new numerator t shares with that denominator divides g
-        b1, d1 = _quo(k, b, g), _quo(k, d, g)
-        t = poly_add(k, poly_mul(k, x.num, d1), poly_mul(k, y.num, b1))
+        b1, d1 = _quo(R, b, g), _quo(R, d, g)
+        t = R.add(R.mul(a, d1), R.mul(c, b1))
         if not t:
             return self.zero
-        g2 = poly_gcd(k, t, g)
-        return Rat(_quo(k, t, g2), poly_mul(k, b1, _quo(k, d, g2)))
+        g2 = R.gcd(t, g)
+        return Rat(write(_quo(R, t, g2)), write(R.mul(b1, _quo(R, d, g2))))
 
     sub = add  # characteristic two
 
@@ -89,21 +95,22 @@ class FunctionField:
     def mul(self, x, y):
         # (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)), g1 = gcd(a, d) and
         # g2 = gcd(c, b); a denominator 1 makes its gcd 1
-        k = self.coeff
         if not x.num or not y.num:
             return self.zero
-        one = (k.one,)
-        g1 = one if y.den == one else poly_gcd(k, x.num, y.den)
-        g2 = one if x.den == one else poly_gcd(k, y.num, x.den)
+        R = self._ring
+        one, mul = R.one, R.mul
+        a, b, c, d = R.read(x.num), R.read(x.den), R.read(y.num), R.read(y.den)
+        g1 = one if d == one else R.gcd(a, d)
+        g2 = one if b == one else R.gcd(c, b)
         return Rat(
-            poly_mul(k, _quo(k, x.num, g1), _quo(k, y.num, g2)),
-            poly_mul(k, _quo(k, x.den, g2), _quo(k, y.den, g1)),
+            R.write(mul(_quo(R, a, g1), _quo(R, c, g2))),
+            R.write(mul(_quo(R, b, g2), _quo(R, d, g1))),
         )
 
     def square(self, x):
         # num and den are coprime, so their squares are too
-        k = self.coeff
-        return Rat(poly_mul(k, x.num, x.num), poly_mul(k, x.den, x.den))
+        R = self._ring
+        return Rat(R.write(R.square(R.read(x.num))), R.write(R.square(R.read(x.den))))
 
     def inv(self, x):
         if not x.num:
@@ -153,9 +160,9 @@ class FunctionField:
         return f"{self.coeff!r}({self.var})"
 
 
-def _quo(k, p, g):
-    """p / g for a monic divisor g of p."""
-    return p if len(g) == 1 else poly_divmod(k, p, g)[0]
+def _quo(R, p, g):
+    """p / g for a monic divisor g of p, in the ring R."""
+    return p if g == R.one else R.divmod(p, g)[0]
 
 
 def wp_member(ff, c, witness=False):

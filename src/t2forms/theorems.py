@@ -663,7 +663,8 @@ def _ext_of_degree(base, degree, seed=0):
             _extensions.clear()
         rng = random.Random(_mix16(seed, base.bits, degree))
         poly = fields.find_irreducible(base, degree, rng)
-        _extensions[key] = base.extend(poly, fields.fresh_gen_name(base))
+        # find_irreducible has just proved poly irreducible
+        _extensions[key] = base.extend(poly, fields.fresh_gen_name(base), _irreducible=True)
     return _extensions[key]
 
 

@@ -1,9 +1,11 @@
 """Helpers that only the tests use: dense matrix products, random
 nonsingular quadratic forms, and reference implementations of the field
-multiply, the exp/log tables, the Artin-Schreier solve and the
-crossed-product structure table."""
+multiply, the exp/log tables, the GF(2) linear solve, the Artin-Schreier
+solve, the crossed-product structure table and the coefficient-tuple
+polynomial route over GF(2)."""
 
 from t2forms import linalg
+from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
 
@@ -101,6 +103,22 @@ def crossed_product_table(E, F, phi):
     return table
 
 
+def solve_by_augmented_column(rows, ncols, rhs):
+    """One solution of the GF(2) system rows * x = rhs, or None, by one
+    elimination with the right hand side as column ``ncols``: the system
+    is inconsistent exactly when a pivot lands on that column, and the
+    free unknowns are zero."""
+    ech = linalg.PackedEchelon(GF2, ncols + 1)
+    for i, row in enumerate(rows):
+        ech.insert(row | (((rhs >> i) & 1) << ncols))
+    if ncols in ech.rows:
+        return None
+    x = 0
+    for p, prow in ech.rows.items():
+        x |= ((prow >> ncols) & 1) << p
+    return x
+
+
 def artin_schreier_by_fresh_matrix(level, c):
     """A solution of x**2 + x = c, or None, from a squaring matrix built
     anew for this one call: M z = c with M[r][i] = bit r of e_i^2 + e_i."""
@@ -111,7 +129,48 @@ def artin_schreier_by_fresh_matrix(level, c):
         for r in range(level.bits):
             if (col >> r) & 1:
                 mat[r] |= 1 << i
-    return linalg.solve_gf2(mat, level.bits, c)
+    return solve_by_augmented_column(mat, level.bits, c)
+
+
+class TupleGF2:
+    """GF(2) as a duck-typed field that is not ``fields.GF2``: the
+    polynomial helpers, the factor witness and ``rational.FunctionField``
+    take their coefficient-tuple route over it, so it is the oracle for
+    the int route they take over GF2."""
+
+    is_finite = True
+    zero, one = 0, 1
+    bits, order = 1, 2
+
+    def add(self, x, y):
+        return x ^ y
+
+    sub = add
+
+    def mul(self, x, y):
+        return x & y
+
+    def square(self, x):
+        return x
+
+    sqrt = square
+
+    def inv(self, x):
+        if not x:
+            raise ZeroDivisionError("inverse of zero")
+        return 1
+
+    def is_zero(self, x):
+        return x == 0
+
+    def random_element(self, rng):
+        return rng.randrange(self.order)
+
+    def show(self, x):
+        return str(x)
+
+
+TUPLE_GF2 = TupleGF2()
 
 
 def _prime_factors(n):

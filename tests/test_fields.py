@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from t2forms import fields
+from t2forms import cli, fields, linalg
 from t2forms.fields import (
     GF2,
     NotAPower,
@@ -19,7 +19,12 @@ from t2forms.fields import (
     poly_to_str,
 )
 
-from support import artin_schreier_by_fresh_matrix, mul_by_coefficients, tables_by_power_test
+from support import (
+    TUPLE_GF2,
+    artin_schreier_by_fresh_matrix,
+    mul_by_coefficients,
+    tables_by_power_test,
+)
 
 _GF4 = GF2.extend("a^2+a+1")
 _GF8 = GF2.extend("a^3+a+1")
@@ -37,6 +42,23 @@ def test_extend_rejects_square():
         GF2.extend("c^2")
     g, h = exc.value.factors
     assert g == (0, 1) and h == (0, 1)  # x * x
+
+
+def test_extend_rejects_reducible_with_the_same_witness():
+    # b^5+b^4+1 = (b^2+b+1)(b^3+b+1): every public way to extend runs the
+    # witness, whatever find_irreducible callers may skip
+    p = (1, 0, 0, 0, 1, 1)
+    want = ((1, 1, 1), (1, 1, 0, 1))
+    assert fields.poly_factor_witness(GF2, p) == want
+    builds = [
+        lambda: GF2.extend(p, "b"),
+        lambda: GF2.extend("b^5+b^4+1"),
+        lambda: cli.parse_field_spec('extend(GF2,"b^5+b^4+1")'),
+    ]
+    for build in builds:
+        with pytest.raises(RejectsReducible) as exc:
+            build()
+        assert exc.value.factors == want
 
 
 def test_extend_rejects_cubic_with_root(gf4):
@@ -353,21 +375,92 @@ def test_irreducibility_matches_sympy():
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
-def test_witness_divisions_are_few(monkeypatch):
-    # x^24+x^7+x^2+x+1 is irreducible: the scan takes 12 Frobenius steps
-    # and 12 gcds, 121 divisions in all; trial division would try every
-    # monic divisor of degree <= 12, thousands of divisions
-    p = tuple(int(i in (0, 1, 2, 7, 24)) for i in range(25))
+def _count_calls(monkeypatch, name):
     calls = []
-    divmod_ = fields.poly_divmod
+    original = getattr(fields, name)
 
     def counting(*args):
         calls.append(args)
-        return divmod_(*args)
+        return original(*args)
 
-    monkeypatch.setattr(fields, "poly_divmod", counting)
+    monkeypatch.setattr(fields, name, counting)
+    return calls
+
+
+def test_witness_divisions_are_few(monkeypatch):
+    # x^24+x^7+x^2+x+1 is irreducible: the scan takes 12 Frobenius steps
+    # and 12 gcds, 121 int divisions in all; trial division would try
+    # every monic divisor of degree <= 12, thousands of divisions
+    p = tuple(int(i in (0, 1, 2, 7, 24)) for i in range(25))
+    calls = _count_calls(monkeypatch, "gf2x_divmod")
     assert fields.poly_factor_witness(GF2, p) is None
     assert 0 < len(calls) <= 130
+
+
+def test_witness_divisions_are_few_on_tuples(monkeypatch, gf4):
+    # the same over GF(4), where the scan runs on coefficient tuples:
+    # x^24+x^9+x^3+a is irreducible, 12 steps of two squarings and 12
+    # gcds take 116 divisions; trial division would try every monic
+    # divisor of degree <= 12, millions of divisions
+    p = (gf4.gen, 0, 0, 1) + (0,) * 5 + (1,) + (0,) * 14 + (1,)
+    calls = _count_calls(monkeypatch, "poly_divmod")
+    assert fields.poly_factor_witness(gf4, p) is None
+    assert 0 < len(calls) <= 130
+
+
+# -- the int route over GF2 against the coefficient-tuple route ---------
+
+
+def _gf2_list(data, top=24):
+    # coefficient lists as callers pass them: trailing zeros allowed
+    return data.draw(st.lists(st.integers(0, 1), max_size=top))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_int_route_equals_tuple_route(data):
+    p, q = _gf2_list(data), _gf2_list(data)
+    assert poly_mul(GF2, p, q) == poly_mul(TUPLE_GF2, p, q)
+    assert fields.poly_gcd(GF2, p, q) == fields.poly_gcd(TUPLE_GF2, p, q)
+    if any(q):
+        assert fields.poly_divmod(GF2, p, q) == fields.poly_divmod(TUPLE_GF2, p, q)
+        assert fields.poly_mod(GF2, p, q) == fields.poly_mod(TUPLE_GF2, p, q)
+    else:
+        for field in (GF2, TUPLE_GF2):
+            with pytest.raises(ZeroDivisionError):
+                fields.poly_divmod(field, p, q)
+    f = _draw_oracle_input(data, GF2, 16)
+    assert fields.poly_factor_witness(GF2, f) == fields.poly_factor_witness(TUPLE_GF2, f)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 8, 13, 17, 20])
+def test_find_irreducible_draws_as_the_tuple_route(degree):
+    for seed in range(3):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        got = fields.find_irreducible(GF2, degree, rng)
+        assert got == fields.find_irreducible(TUPLE_GF2, degree, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()  # draw for draw
+
+
+def test_int_route_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p)) or [0], x, modulus=2)
+
+    def from_sympy(P):
+        return fields.poly_trim(int(c) % 2 for c in reversed(P.all_coeffs()))
+
+    rng = random.Random(12)
+    for _ in range(150):
+        p = tuple(rng.randrange(2) for _ in range(rng.randrange(30)))
+        q = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 20))) + (1,)
+        P, Q = to_sympy(p), to_sympy(q)
+        assert poly_mul(GF2, p, q) == from_sympy(P * Q)
+        quot, rem = P.div(Q)
+        assert fields.poly_divmod(GF2, p, q) == (from_sympy(quot), from_sympy(rem))
+        assert fields.poly_gcd(GF2, p, q) == from_sympy(P.gcd(Q))
 
 
 def _trace_by_squaring(lvl, x):
@@ -550,6 +643,21 @@ def test_cached_artin_schreier_equals_fresh_solve(large_levels):
         for _ in range(500):
             c = lvl.random_element(rng)
             assert lvl.artin_schreier_solve(c) == artin_schreier_by_fresh_matrix(lvl, c)
+
+
+def test_artin_schreier_solves_take_no_elimination(gf4, monkeypatch):
+    # the level keeps the echelon form of its squaring matrix: bits
+    # inserts on the first call, none for the solves after it
+    lvl = gf4.extend(fields.find_irreducible(gf4, 8, random.Random(2)), "b")
+    calls = []
+    insert = linalg.PackedEchelon.insert
+    monkeypatch.setattr(
+        linalg.PackedEchelon, "insert", lambda self, row: calls.append(row) or insert(self, row)
+    )
+    rng = random.Random(11)
+    for _ in range(50):
+        lvl.artin_schreier_solve(lvl.random_element(rng))
+    assert 0 < len(calls) <= lvl.bits
 
 
 def test_artin_schreier_matrix_is_built_once(gf4, monkeypatch):

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from t2forms import linalg
 from t2forms.fields import GF2
 
-from support import mat_mul, mat_vec
+from support import mat_mul, mat_vec, solve_by_augmented_column
 
 
 def charpoly_leibniz(f, M):
@@ -38,6 +40,22 @@ def test_gf2_solve_and_kernel():
     for row in (0b011, 0b110):
         ech.insert(row)
     assert ech.kernel() == [0b111]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_kept_echelon_form_solves_as_one_elimination(data):
+    # the same solution, free unknowns zero, for every right hand side of
+    # one eliminated system, as an elimination with that side attached
+    ncols = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=16))
+    solver = linalg.GF2Solver(rows, ncols)
+    for rhs in data.draw(st.lists(st.integers(0, (1 << len(rows)) - 1), min_size=1, max_size=8)):
+        x = solver.solve(rhs)
+        assert x == solve_by_augmented_column(rows, ncols, rhs)
+        assert x == linalg.solve_gf2(rows, ncols, rhs)
+        if x is not None:
+            assert all((row & x).bit_count() % 2 == (rhs >> i) & 1 for i, row in enumerate(rows))
 
 
 def test_charpoly_matches_leibniz(gf4, gf8):

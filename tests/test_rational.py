@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from t2forms import fields, rational, theorems
 from t2forms.fields import GF2, poly_add, poly_mul
 
+from support import TUPLE_GF2
+
 
 def _clmul(a, b):
     acc = 0
@@ -71,6 +73,12 @@ def test_arithmetic_roundtrip(gf4):
 
 
 _FUNCTION_FIELDS = (rational.FunctionField(GF2), rational.FunctionField(GF2.extend("a^2+a+1")))
+# GF(2)(t) on coefficient tuples: the oracle of the int route GF2 takes
+_TUPLE_GF2T = rational.FunctionField(TUPLE_GF2)
+
+
+def _tuple_route(ff):
+    return _TUPLE_GF2T if ff.coeff is GF2 else ff
 
 
 def _draw_rat(data, ff):
@@ -89,19 +97,40 @@ def _draw_rat(data, ff):
 @given(data=st.data())
 def test_henrici_add_mul_equal_full_gcd(data):
     ff = data.draw(st.sampled_from(_FUNCTION_FIELDS))
-    k = ff.coeff
+    # the full-gcd side runs on coefficient tuples, so over GF(2) it does
+    # not share the int route with the side under test
+    ref = _tuple_route(ff)
+    k = ref.coeff
     x, y = _draw_rat(data, ff), _draw_rat(data, ff)
     if data.draw(st.booleans()):
         # a common denominator factor exercises the gcd branch of add
         g = (data.draw(st.integers(0, k.order - 1)), k.one)
         x, y = (ff.make(z.num, poly_mul(k, z.den, g)) for z in (x, y))
     cross = poly_add(k, poly_mul(k, x.num, y.den), poly_mul(k, y.num, x.den))
-    assert ff.add(x, y) == ff.make(cross, poly_mul(k, x.den, y.den))
-    assert ff.mul(x, y) == ff.make(poly_mul(k, x.num, y.num), poly_mul(k, x.den, y.den))
-    assert ff.square(x) == ff.make(poly_mul(k, x.num, x.num), poly_mul(k, x.den, x.den))
+    assert ff.add(x, y) == ref.make(cross, poly_mul(k, x.den, y.den))
+    assert ff.mul(x, y) == ref.make(poly_mul(k, x.num, y.num), poly_mul(k, x.den, y.den))
+    assert ff.square(x) == ref.make(poly_mul(k, x.num, x.num), poly_mul(k, x.den, x.den))
     assert ff.add(x, x) == ff.zero
     if x.num:
-        assert ff.inv(x) == ff.make(x.den, x.num)
+        assert ff.inv(x) == ref.make(x.den, x.num)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_gf2t_int_route_equals_tuple_route(data):
+    ff = _FUNCTION_FIELDS[0]
+    polys = st.lists(st.integers(0, 1), max_size=8)
+    num, den = data.draw(polys), data.draw(polys) + [1]
+    # make on raw, untrimmed input, then the operations on its results
+    x = ff.make(num, den)
+    assert x == _TUPLE_GF2T.make(num, den)
+    assert ff.make(num) == _TUPLE_GF2T.make(num)
+    y = _draw_rat(data, ff)
+    for op in ("add", "mul"):
+        assert getattr(ff, op)(x, y) == getattr(_TUPLE_GF2T, op)(x, y)
+    assert ff.square(x) == _TUPLE_GF2T.square(x)
+    if x.num:
+        assert ff.inv(x) == _TUPLE_GF2T.inv(x)
 
 
 def test_lowest_terms_invariant():

@@ -119,6 +119,21 @@ def test_ext_of_degree_memo_keeps_one_seed():
     theorems.clear_standard_fields()
 
 
+def test_ext_of_degree_proves_its_polynomial_once(monkeypatch):
+    # find_irreducible's scan is the proof; the level is built on it
+    # without a second witness run
+    theorems.clear_standard_fields()
+    calls = []
+    witness = fields.poly_factor_witness
+    monkeypatch.setattr(
+        fields, "poly_factor_witness", lambda F, p: calls.append((F, tuple(p))) or witness(F, p)
+    )
+    for base, n in ((GF2, 9), (GF2.extend("a^2+a+1"), 5)):
+        E = theorems._ext_of_degree(base, n, seed=7)
+        assert calls.count((base, E.poly)) == 1
+    theorems.clear_standard_fields()
+
+
 _SEEDS = (0, 1, 5, -1, -2, -3, 2**61 - 2, 2**61 - 1, 2**61, -(2**61 - 1), -(2**61), 10**20, -(10**20))
 
 
