@@ -9,14 +9,17 @@ structure table on first use.
 
 Constructed algebras carry a splitting representation: matrix algebras
 act on columns, quaternions get an explicit 2x2 representation over the
-Artin-Schreier extension of their second slot, cyclic crossed products
-get the regular G x G matrix over E, and tensor products combine factor
-representations as Kronecker products.  Commutative algebras (F[x]/(f)
-and tower extensions E/F) carry their left regular representation, so
-their trace form, the Revoy form, comes out of the same pipeline.  The representation makes trace
-forms of large algebras cheap; the independent route through the left
-regular representation and the polynomial n-th root stays available as
-:func:`reduced_charpoly` and the two are cross-checked in the tests.
+Artin-Schreier extension of their second slot, and cyclic crossed
+products get the regular G x G matrix over E.  Commutative algebras
+(F[x]/(f) and tower extensions E/F) carry their left regular
+representation, so their trace form, the Revoy form, comes out of the
+same pipeline.  A tensor product carries its two factors instead and
+multiplies their trace values, recursing through nested tensors, so
+every value it reads lies in the base field.  The representation makes
+trace forms of large algebras cheap; the independent route through the
+left regular representation and the polynomial n-th root stays
+available as :func:`reduced_charpoly` and the two are cross-checked in
+the tests.
 
 The constructor checks the identity law, 1 e_k = e_k = e_k 1, on every
 basis vector: raw structure constants, quaternion, crossed-product and
@@ -326,45 +329,19 @@ def tensor_product(A, B):
             if not f.is_zero(y):
                 one[k1 * nB + k2] = f.mul(x, y)
     degree = A.degree * B.degree if (A.degree and B.degree) else None
-    rep = _kronecker_rep(A.rep, B.rep)
     # (1_A (x) 1_B)(e_i (x) f_j) = (1_A e_i) (x) (1_B f_j) by bilinearity, so
     # the law on both factors is the law on the tensor; if a factor fails,
     # the full check in the constructor names the tensor's first failing
     # basis vector
     factors_ok = A._identity_failure() is None and B._identity_failure() is None
-    return Algebra(
+    alg = Algebra(
         f, dim, product, one,
         label=f"Tensor({A.label},{B.label})",
-        degree=degree, is_csa=A.is_csa and B.is_csa, rep=rep,
+        degree=degree, is_csa=A.is_csa and B.is_csa,
         _identity_known=factors_ok,
     )
-
-
-def _kronecker_rep(ra, rb):
-    if ra is None or rb is None:
-        return None
-    if ra.level == rb.level:
-        lvl = ra.level
-    elif ra.level.is_extension_of(rb.level):
-        lvl = ra.level
-    elif rb.level.is_extension_of(ra.level):
-        lvl = rb.level
-    else:
-        return None
-    return _kron_build(lvl, ra, rb)
-
-
-def _kron_build(lvl, ra, rb):
-    n = ra.size * rb.size
-    images = []
-    for ia in range(len(ra.images)):
-        for ib in range(len(rb.images)):
-            img = {}
-            for (r1, c1), v1 in ra.images[ia].items():
-                for (r2, c2), v2 in rb.images[ib].items():
-                    img[(r1 * rb.size + r2, c1 * rb.size + c2)] = lvl.mul(v1, v2)
-            images.append(img)
-    return SplittingRep(lvl, n, images)
+    alg.factors = (A, B)
+    return alg
 
 
 def _commutative_algebra(field, d, coords, label):
@@ -575,9 +552,15 @@ def _rep_values(A, coefficient, what):
 
 
 def t1_vector(A):
-    """Values of the reduced trace on the basis."""
+    """Values of the reduced trace on the basis; on a tensor product,
+    t1(a (x) b) = t1(a) t1(b)."""
     if A._t1 is None:
-        if A.rep is not None:
+        factors = getattr(A, "factors", None)
+        if factors is not None:
+            f = A.field
+            ta, tb = (t1_vector(X) for X in factors)
+            A._t1 = [f.mul(x, y) for x in ta for y in tb]
+        elif A.rep is not None:
             A._t1 = _rep_values(A, linalg.sparse_trace, "reduced trace")
         else:
             A._t1 = [reduced_charpoly(A, A.basis_vector(k)).t1 for k in range(A.dim)]
@@ -585,9 +568,22 @@ def t1_vector(A):
 
 
 def t2_diagonal(A):
-    """Values of the second reduced coefficient on the basis."""
+    """Values of the second reduced coefficient on the basis.  On a
+    tensor product, t2(a (x) b) = t1(a)^2 t2(b) + t2(a) t1(b)^2: e2 of the
+    products alpha_i beta_j of the eigenvalues is e1(alpha)^2 e2(beta) +
+    e2(alpha) e1(beta)^2 - 2 e2(alpha) e2(beta)."""
     if A._t2diag is None:
-        if A.rep is not None:
+        factors = getattr(A, "factors", None)
+        if factors is not None:
+            f = A.field
+            X, Y = factors
+            sx, sy = ([f.mul(v, v) for v in t1_vector(Z)] for Z in factors)
+            A._t2diag = [
+                f.add(f.mul(s, t), f.mul(u, w))
+                for s, u in zip(sx, t2_diagonal(X))
+                for t, w in zip(t2_diagonal(Y), sy)
+            ]
+        elif A.rep is not None:
             A._t2diag = _rep_values(
                 A, linalg.sparse_second_coefficient, "second trace coefficient"
             )
@@ -614,43 +610,56 @@ def b_t2(A, x, y):
 
 
 def _trace_products(A):
-    """Trd(e_i e_j) for the basis pairs j > i, as one {j: value} dict
-    per i (the values are symmetric in i and j).
+    """Trd(e_i e_j) for every basis pair, as one {j: value} dict per i
+    (symmetric in i and j; a missing j means zero).  The diagonal holds
+    Trd(e_i^2) = t1(e_i)^2.
 
-    With a splitting representation, Trd(e_i e_j) = tr(rho_i rho_j) is
-    the sum over positions (r, c) of rho_i[r, c] rho_j[c, r], found
-    through an index from each position to the images with an entry
-    there; no structure constants are read.  Without one, it is the sum
-    over e_i e_j = sum v_k e_k of v_k t1(e_k).
+    On a tensor product the factors' values multiply: Trd((a (x) b)
+    (a' (x) b')) = Trd(a a') Trd(b b').  With a splitting representation,
+    Trd(e_i e_j) = tr(rho_i rho_j) is the sum over positions (r, c) of
+    rho_i[r, c] rho_j[c, r], found through an index from each position
+    to the images with an entry there; no structure constants are read.
+    Without either, it is the sum over e_i e_j = sum v_k e_k of
+    v_k t1(e_k).
     """
     f = A.field
+    factors = getattr(A, "factors", None)
+    if factors is not None:
+        ra, rb = (_trace_products(X) for X in factors)
+        nb = factors[1].dim
+        return [
+            {ja * nb + jb: f.mul(va, vb) for ja, va in a.items() for jb, vb in b.items()}
+            for a in ra
+            for b in rb
+        ]
+    t1 = t1_vector(A)
+    out = [{} for _ in range(A.dim)]
     if A.rep is None:
-        t1 = t1_vector(A)
-        out = []
         for i in range(A.dim):
-            upper = {}
+            if not f.is_zero(t1[i]):
+                out[i][i] = f.mul(t1[i], t1[i])
             for j in range(i + 1, A.dim):
                 acc = f.zero
                 for k, v in A.product(i, j):
                     acc = f.add(acc, f.mul(v, t1[k]))
                 if not f.is_zero(acc):
-                    upper[j] = acc
-            out.append(upper)
+                    out[i][j] = out[j][i] = acc
         return out
     lvl = A.rep.level
     at = {}
     for j, img in enumerate(A.rep.images):
         for pos, w in img.items():
             at.setdefault(pos, []).append((j, w))
-    out = []
     for i, img in enumerate(A.rep.images):
-        upper = {}
+        row = out[i]
         for (r, c), v in img.items():
             for j, w in at.get((c, r), ()):
-                if j > i:
-                    upper[j] = lvl.add(upper.get(j, lvl.zero), lvl.mul(v, w))
-        out.append(upper)
-    if lvl != f and any(v >= f.order for upper in out for v in upper.values()):
+                if j >= i:
+                    row[j] = lvl.add(row.get(j, lvl.zero), lvl.mul(v, w))
+        for j, v in row.items():
+            if j > i:
+                out[j][i] = v
+    if lvl != f and any(v >= f.order for row in out for v in row.values()):
         raise AlgebraError("reduced trace of a basis product does not lie in the base field")
     return out
 
@@ -658,31 +667,25 @@ def _trace_products(A):
 def t2_form(A):
     """The quadratic form x -> t2(x) on the whole algebra: the basis
     values t2(e_i) and the polar rows b(e_i, e_j) = Trd(e_i e_j) +
-    t1(e_i) t1(e_j) for j != i, packed over a finite field."""
+    t1(e_i) t1(e_j), packed over a finite field.  On the diagonal the two
+    terms cancel, as b(e_i, e_i) must."""
     f = A.field
-    m = A.dim
     t1 = t1_vector(A)
     trd = _trace_products(A)
     if getattr(f, "is_finite", False):
         bits = f.bits
-        emask = (1 << bits) - 1
-        rows = [0] * m
-        for i, upper in enumerate(trd):
-            for j, v in upper.items():
-                rows[i] ^= v << (j * bits)
-                rows[j] ^= v << (i * bits)
         T = linalg.pack_row(f, t1)
-        for i, ti in enumerate(t1):
-            if ti:
-                rows[i] ^= linalg.scale_row(f, T, ti) & ~(emask << (i * bits))
+        rows = []
+        for ti, row in zip(t1, trd):
+            r = linalg.scale_row(f, T, ti) if ti else 0
+            for j, v in row.items():
+                r ^= v << (j * bits)
+            rows.append(r)
     else:
-        rows = [[f.zero] * m for _ in range(m)]
-        for i, upper in enumerate(trd):
-            for j in range(i + 1, m):
-                v = upper.get(j, f.zero)
-                if not (f.is_zero(t1[i]) or f.is_zero(t1[j])):
-                    v = f.add(v, f.mul(t1[i], t1[j]))
-                rows[i][j] = rows[j][i] = v
+        rows = [
+            [f.add(row.get(j, f.zero), f.mul(ti, tj)) for j, tj in enumerate(t1)]
+            for ti, row in zip(t1, trd)
+        ]
     return QuadraticForm.from_rows(f, list(t2_diagonal(A)), rows)
 
 
@@ -715,6 +718,17 @@ def trace_zero_subspace(A):
     return rows
 
 
+def t2_form_of_degree(A, n):
+    """t2 on the whole algebra for even n, restricted to the trace-zero
+    hyperplane for odd n: the second trace form of a central simple
+    algebra of degree n, or the Revoy form of a commutative algebra of
+    dimension n."""
+    q = t2_form(A)
+    if n % 2 == 0:
+        return q
+    return q.restricted(trace_zero_subspace(A))
+
+
 def second_trace_form(A):
     """The reduced second trace form: t2 on the whole algebra for even
     degree, restricted to the trace-zero hyperplane for odd degree."""
@@ -722,10 +736,7 @@ def second_trace_form(A):
         raise NotCSA("second trace form needs a central simple algebra")
     if A.degree == 1:
         raise DegreeOne("the degree-one algebra is excluded")
-    q = t2_form(A)
-    if A.degree % 2 == 0:
-        return q
-    return q.restricted(trace_zero_subspace(A))
+    return t2_form_of_degree(A, A.degree)
 
 
 def b_subspace_form(A):

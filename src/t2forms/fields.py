@@ -270,9 +270,6 @@ class Level:
 
     sub = add  # characteristic two
 
-    def neg(self, x):
-        return x
-
     def mul(self, x, y):
         if self._log is not None:
             if x == 0 or y == 0:

@@ -14,8 +14,8 @@
 :class:`PackedEchelon` is the one elimination engine on packed rows:
 :class:`GF2Solver` (and :func:`solve_gf2` through it), :func:`kernel`
 and :func:`packed_kernel` run on it for every finite level.  List-row
-elimination (:func:`solve`, and :func:`kernel` over other fields) serves
-the rational function field.
+elimination (:func:`kernel` over other fields) serves the rational
+function field.
 """
 
 from __future__ import annotations
@@ -293,19 +293,6 @@ def _kernel_generic(field, rows, ncols):
             v[p] = row[free]
         basis.append(v)
     return basis
-
-
-def solve(field, rows, rhs):
-    """One solution of rows * x = rhs (row lists), or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = _rref_generic(field, aug)
-    x = [field.zero] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[ncols]
-    return x
 
 
 # -- dense matrices ------------------------------------------------------

@@ -89,9 +89,6 @@ class FunctionField:
 
     sub = add  # characteristic two
 
-    def neg(self, x):
-        return x
-
     def mul(self, x, y):
         # (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)), g1 = gcd(a, d) and
         # g2 = gcd(c, b); a denominator 1 makes its gcd 1

@@ -177,26 +177,19 @@ def same_witt_class(w1, w2):
 # -- Revoy trace form ------------------------------------------------------
 
 
-def _revoy_form(alg):
-    """t2 of a commutative algebra of degree d = dim over its field: on the
-    whole algebra for even d, on the trace-zero hyperplane for odd d."""
-    q = csa.t2_form(alg)
-    if alg.dim % 2 == 0:
-        return q
-    return q.restricted(csa.trace_zero_subspace(alg))
-
-
 def revoy_trace_form(field, fpoly):
     """Second trace form of F[x]/(f): the second characteristic
     polynomial coefficient of multiplication maps, on the whole algebra
     for even degree and on the trace kernel for odd degree.  ``f`` need
     not be irreducible (the quotient may be etale)."""
-    return _revoy_form(csa.commutative_quotient(field, fpoly))
+    alg = csa.commutative_quotient(field, fpoly)
+    return csa.t2_form_of_degree(alg, alg.dim)
 
 
 def revoy_trace_form_of_extension(E, F):
     """Same form for a tower extension E/F, on E's product basis over F."""
-    return _revoy_form(csa.extension_algebra(E, F))
+    alg = csa.extension_algebra(E, F)
+    return csa.t2_form_of_degree(alg, alg.dim)
 
 
 # -- predictions -----------------------------------------------------------
@@ -493,14 +486,24 @@ class _CubicExt:
         return tuple(out)
 
     def inv(self, u):
+        """u^-1 = M^-1 e_0 for M the matrix of multiplication by u on
+        1, x, x^2: column 0 of adj(M) divided by det M.  Entry i of that
+        column is the minor of M without row 0 and column i (no signs in
+        characteristic two)."""
         ff = self.ff
-        basis = [self.one, self.x, self.mul(self.x, self.x)]
-        cols = [self.mul(u, e) for e in basis]
-        rows = [[cols[c][r] for c in range(3)] for r in range(3)]
-        sol = linalg.solve(ff, rows, [ff.one, ff.zero, ff.zero])
-        if sol is None:
+        x2 = (ff.zero, ff.zero, ff.one)
+        cols = [u, self.mul(u, self.x), self.mul(u, x2)]
+        (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = cols
+        adj = (
+            ff.add(ff.mul(m11, m22), ff.mul(m12, m21)),
+            ff.add(ff.mul(m10, m22), ff.mul(m12, m20)),
+            ff.add(ff.mul(m10, m21), ff.mul(m11, m20)),
+        )
+        det = ff.add(ff.add(ff.mul(m00, adj[0]), ff.mul(m01, adj[1])), ff.mul(m02, adj[2]))
+        if ff.is_zero(det):
             raise ZeroDivisionError("element is not invertible")
-        return tuple(sol)
+        d = ff.inv(det)
+        return tuple(ff.mul(a, d) for a in adj)
 
 
 def _as_solvable_bounded(ext, d, bound):

@@ -1,10 +1,11 @@
 """Helpers that only the tests use: dense matrix products, random
 nonsingular quadratic forms, and reference implementations of the field
 multiply, the exp/log tables, the GF(2) linear solve, the Artin-Schreier
-solve, the crossed-product structure table and the coefficient-tuple
-polynomial route over GF(2)."""
+solve, the crossed-product structure table, the coefficient-tuple
+polynomial route over GF(2) and the Kronecker splitting representation
+of a tensor product."""
 
-from t2forms import linalg
+from t2forms import csa, linalg
 from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
@@ -101,6 +102,49 @@ def crossed_product_table(E, F, phi):
                         (((i + j) % n) * n + r, c) for r, c in enumerate(coords) if c
                     )
     return table
+
+
+def kronecker_rep(A):
+    """The splitting representation of A, where a tensor product's is
+    the Kronecker product of its factors' (recursively) over the larger
+    of the two factor levels; None when a factor has none or the two
+    levels do not nest."""
+    factors = getattr(A, "factors", None)
+    if factors is None:
+        return A.rep
+    ra, rb = (kronecker_rep(X) for X in factors)
+    if ra is None or rb is None:
+        return None
+    if ra.level == rb.level or ra.level.is_extension_of(rb.level):
+        lvl = ra.level
+    elif rb.level.is_extension_of(ra.level):
+        lvl = rb.level
+    else:
+        return None
+    m = rb.size
+    images = [
+        {
+            (r1 * m + r2, c1 * m + c2): lvl.mul(v1, v2)
+            for (r1, c1), v1 in ia.items()
+            for (r2, c2), v2 in ib.items()
+        }
+        for ia in ra.images
+        for ib in rb.images
+    ]
+    return csa.SplittingRep(lvl, ra.size * m, images)
+
+
+def with_kronecker_rep(T):
+    """T without its factors, carrying :func:`kronecker_rep` instead, so
+    that the trace functions read the representation; None when there is
+    none."""
+    rep = kronecker_rep(T)
+    if rep is None:
+        return None
+    return csa.Algebra(
+        T.field, T.dim, T.product, T.one, label=T.label, degree=T.degree,
+        is_csa=T.is_csa, rep=rep, _identity_known=True,
+    )
 
 
 def solve_by_augmented_column(rows, ncols, rhs):

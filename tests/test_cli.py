@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import t2forms
-from t2forms import cli, theorems
+from t2forms import cli, linalg, theorems
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "verify_all_reference.json"
 
@@ -86,6 +86,28 @@ def test_cli_invariants_mat4(capsys):
     doc = json.loads(out)
     assert doc["arf_bit"] == 1
     assert doc["clifford"]["trivial"] is True
+
+
+def test_cli_tensor_over_unrelated_splitting_levels_takes_no_charpoly(capsys, monkeypatch):
+    # the quaternions split over quadratic extensions and the crossed
+    # product over a cubic one; the tensor reads its factors' trace values,
+    # so no left-regular characteristic polynomial is taken
+    calls = []
+    charpoly = linalg.charpoly
+    monkeypatch.setattr(linalg, "charpoly", lambda *args: calls.append(args) or charpoly(*args))
+    code, out, _ = run_cli(
+        capsys,
+        "--field", 'extend(GF2,"a^6+a^5+a^2+a+1")',
+        "--algebra", 'Tensor(Quat(a^2,1),Tensor(Quat(a+1,a^2),Crossed(ext="x^3+a")))',
+        "--cmd", "invariants",
+    )
+    assert code == 0 and calls == []
+    assert json.loads(out) == {
+        "witt": {"dim": 144, "arf": "0", "arf_bit": 0, "radical_dim": 0},
+        "arf": "0",
+        "arf_bit": 0,
+        "clifford": {"symbols": [], "trivial": True},
+    }
 
 
 def test_cli_witt_form_literal(capsys):

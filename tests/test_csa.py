@@ -2,12 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from t2forms import csa, fields, linalg, quadform as qf, rational
 from t2forms.fields import GF2, NotAPower
 
-from support import crossed_product_table, mat_mul
+from support import crossed_product_table, kronecker_rep, mat_mul, with_kronecker_rep
 
 
 def test_matrix_algebra_basics(gf4):
@@ -106,6 +106,10 @@ def test_tensor_examples(gf4):
     assert qf.witt_class(csa.second_trace_form(A)) == qf.witt_class(csa.second_trace_form(M2))
     with pytest.raises(csa.AlgebraError):
         csa.tensor_product(M2, csa.matrix_algebra(gf4, 2))
+    # a tensor carries its factors, not a splitting representation
+    assert T.factors[0] is M2 and T.factors[1] is M2
+    with pytest.raises(csa.AlgebraError, match="no splitting representation"):
+        csa.splitting_matrix(T, T.one)
 
 
 def test_t2_form_polar_examples():
@@ -141,13 +145,27 @@ def test_t2_polar_never_by_polarization_cross_check(gf4):
             assert by_polarization == q.bilinear(x, y)
 
 
-def test_t2_matches_reduced_charpoly_route(gf4):
+def test_t2_matches_reduced_charpoly_route(gf4, gf8, gf64_tower):
     rng = random.Random(32)
+    cyclic = csa.cyclic_cocycle(gf64_tower, gf4, gf4.gen)
     algebras = [
         csa.matrix_algebra(GF2, 2),
         csa.matrix_algebra(GF2, 3),
         csa.quaternion_algebra(gf4, 1, gf4.gen),
         csa.tensor_product(csa.matrix_algebra(GF2, 2), csa.matrix_algebra(GF2, 2)),
+        csa.tensor_product(csa.matrix_algebra(GF2, 2), csa.crossed_product(gf4, GF2)),
+        csa.tensor_product(
+            csa.tensor_product(csa.quaternion_algebra(GF2, 1, 1), csa.matrix_algebra(GF2, 1)),
+            csa.crossed_product(gf8, GF2),
+        ),
+        csa.tensor_product(
+            csa.matrix_algebra(gf4, 1),
+            csa.tensor_product(
+                csa.quaternion_algebra(gf4, gf4.gen, 1), csa.crossed_product(gf64_tower, gf4, cyclic)
+            ),
+        ),
+        _rep_less_tensor(gf4),
+        _quat_cubic_tensor(gf4, gf64_tower),
     ]
     for A in algebras:
         q = csa.t2_form(A)
@@ -625,47 +643,97 @@ def _rep_less_tensor(gf4):
     A = csa.tensor_product(
         csa.quaternion_algebra(gf4, 1, a), csa.quaternion_algebra(gf4, 1, gf4.mul(a, a))
     )
-    assert A.rep is None  # the factors split over different extensions
+    assert kronecker_rep(A) is None  # the factors split over different extensions
     return A
+
+
+def _quat_cubic_tensor(gf4, gf64_tower):
+    """Quat tensor Crossed(cubic) over GF(4), dim 36: the quaternion
+    splits over a quadratic extension of GF(4), the crossed product over
+    a cubic one."""
+    A = csa.tensor_product(
+        csa.quaternion_algebra(gf4, gf4.gen, gf4.gen), csa.crossed_product(gf64_tower, gf4)
+    )
+    assert kronecker_rep(A) is None
+    return A
+
+
+def _draw_crossed(data, E, F):
+    if data.draw(st.booleans()):
+        return csa.crossed_product(E, F)
+    gamma = data.draw(st.integers(1, F.order - 1))
+    return csa.crossed_product(E, F, csa.cyclic_cocycle(E, F, gamma))
+
+
+def _crossed_extensions(gf4, gf8, gf64_tower):
+    return [(gf4, GF2), (gf8, GF2), (GF2.extend("a^4+a+1"), GF2), (gf64_tower, gf4)]
+
+
+def _draw_factor(data, F, extensions, max_dim):
+    """A Mat, Quat or crossed-product algebra over F of dimension at most
+    ``max_dim``, the crossed product under a trivial or cyclic cocycle."""
+    crossed = [(E, G) for E, G in extensions if G == F and E.degree_over(F) ** 2 <= max_dim]
+    kinds = ["matrix"] + (["quaternion"] if max_dim >= 4 else []) + (["crossed"] if crossed else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "matrix":
+        return csa.matrix_algebra(F, data.draw(st.integers(1, int(max_dim**0.5))))
+    if kind == "quaternion":
+        a = data.draw(st.integers(1, F.order - 1))
+        return csa.quaternion_algebra(F, a, data.draw(st.integers(0, F.order - 1)))
+    E, F = data.draw(st.sampled_from(crossed))
+    return _draw_crossed(data, E, F)
+
+
+def _draw_tensor(data, gf4, gf8, gf64_tower):
+    """A tensor product of dimension at most 36: two or three factors
+    from :func:`_draw_factor` over GF(2)/GF(4)/GF(8), nested either way;
+    Mat(2) tensor Mat(3) over GF(2)(t), whose forms have list rows; or a
+    pair whose factors split over unrelated levels."""
+    kind = data.draw(st.sampled_from(["pair", "nested", "unrelated-levels", "function-field"]))
+    if kind == "unrelated-levels":
+        if data.draw(st.booleans()):
+            return _rep_less_tensor(gf4)
+        return _quat_cubic_tensor(gf4, gf64_tower)
+    if kind == "function-field":
+        F = rational.FunctionField(GF2)
+        return csa.tensor_product(csa.matrix_algebra(F, 2), csa.matrix_algebra(F, 3))
+    F = data.draw(st.sampled_from([GF2, gf4, gf8]))
+    extensions = _crossed_extensions(gf4, gf8, gf64_tower)
+    X = _draw_factor(data, F, extensions, 16)
+    Y = _draw_factor(data, F, extensions, 36 // X.dim)
+    if kind == "pair":
+        return csa.tensor_product(X, Y)
+    Z = _draw_factor(data, F, extensions, 36 // (X.dim * Y.dim))
+    if data.draw(st.booleans()):
+        return csa.tensor_product(csa.tensor_product(X, Y), Z)
+    return csa.tensor_product(X, csa.tensor_product(Y, Z))
 
 
 def _draw_small_algebra(data, gf4, gf8, gf64_tower):
-    """An algebra of dimension at most 16: a Mat/Quat tensor over
-    GF(2)/GF(4)/GF(8), the rep-less quaternion pair, a crossed product
-    with trivial or cyclic cocycle, or a commutative quotient."""
-    kind = data.draw(st.sampled_from(["tensor", "rep-less", "crossed", "quotient"]))
-    if kind == "rep-less":
-        return _rep_less_tensor(gf4)
-    if kind == "crossed":
-        gf16 = GF2.extend("a^4+a+1")
-        E, F = data.draw(st.sampled_from([(gf4, GF2), (gf8, GF2), (gf16, GF2), (gf64_tower, gf4)]))
-        if data.draw(st.booleans()):
-            return csa.crossed_product(E, F)
-        gamma = data.draw(st.integers(1, F.order - 1))
-        return csa.crossed_product(E, F, csa.cyclic_cocycle(E, F, gamma))
+    """An algebra of dimension at most 36: a tensor product from
+    :func:`_draw_tensor`, one factor from :func:`_draw_factor` (Mat, Quat
+    or a crossed product with trivial or cyclic cocycle), such a factor's
+    raw structure constants, or a commutative quotient."""
+    kind = data.draw(st.sampled_from(["tensor", "factor", "raw", "quotient"]))
+    if kind == "tensor":
+        return _draw_tensor(data, gf4, gf8, gf64_tower)
     F = data.draw(st.sampled_from([GF2, gf4, gf8]))
-    if kind == "quotient":
-        d = data.draw(st.integers(1, 5))
-        low = [data.draw(st.integers(0, F.order - 1)) for _ in range(d)]
-        return csa.commutative_quotient(F, tuple(low) + (F.one,))
-
-    def factor(max_mat):
-        if data.draw(st.booleans()):
-            return csa.matrix_algebra(F, data.draw(st.integers(1, max_mat)))
-        a = data.draw(st.integers(1, F.order - 1))
-        return csa.quaternion_algebra(F, a, data.draw(st.integers(0, F.order - 1)))
-
-    A = factor(4)
-    if A.dim <= 4:
-        A = csa.tensor_product(A, factor(2))
-    return A
+    if kind != "quotient":
+        X = _draw_factor(data, F, _crossed_extensions(gf4, gf8, gf64_tower), 16)
+        if kind == "factor":
+            return X
+        # no representation: traces by the reduced characteristic polynomial
+        return csa.Algebra(F, X.dim, X.product, X.one, label="raw", degree=X.degree, is_csa=True)
+    d = data.draw(st.integers(1, 5))
+    low = [data.draw(st.integers(0, F.order - 1)) for _ in range(d)]
+    return csa.commutative_quotient(F, tuple(low) + (F.one,))
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_t2_form_polar_matches_b_t2_on_basis_pairs(gf4, gf8, gf64_tower, data):
-    # the polar rows come from the splitting representation (or, without
-    # one, from the structure constants); b_t2 multiplies through A.mul
+    # the polar rows come from the splitting representation, or on a
+    # tensor from the factors' trace values; b_t2 multiplies through A.mul
     A = _draw_small_algebra(data, gf4, gf8, gf64_tower)
     q = csa.t2_form(A)
     basis = [A.basis_vector(k) for k in range(A.dim)]
@@ -674,8 +742,24 @@ def test_t2_form_polar_matches_b_t2_on_basis_pairs(gf4, gf8, gf64_tower, data):
             assert q.polar_entry(i, j) == csa.b_t2(A, basis[i], basis[j]), (A, i, j)
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_tensor_factor_route_matches_kronecker_oracle(gf4, gf8, gf64_tower, data):
+    # wherever the factor levels nest, the Kronecker product of the
+    # factors' splitting representations gives the same trace data
+    T = _draw_tensor(data, gf4, gf8, gf64_tower)
+    oracle = with_kronecker_rep(T)
+    assume(oracle is not None)
+    assert csa.t1_vector(T) == csa.t1_vector(oracle)
+    assert csa.t2_diagonal(T) == csa.t2_diagonal(oracle)
+    q, qo = csa.t2_form(T), csa.t2_form(oracle)
+    for i in range(T.dim):
+        for j in range(T.dim):
+            assert q.polar_entry(i, j) == qo.polar_entry(i, j), (T, i, j)
+
+
 def test_second_trace_form_reads_no_structure_constants():
-    # with a splitting representation the trace form never multiplies
+    # a tensor's trace form multiplies its factors' trace values and never
     # basis vectors; the identity law was checked on the factors at construction
     A = csa.tensor_product(csa.matrix_algebra(GF2, 5), csa.matrix_algebra(GF2, 7))
     calls = []
@@ -734,7 +818,8 @@ def _tensor_verdict(A, B):
 
 def _draw_identity_factor(data, F, gf4, gf8, gf64_tower):
     """A matrix, quaternion, crossed-product or nested-tensor factor over
-    F (GF(2) or GF(4)), or over GF(4) the rep-less quaternion pair; then
+    F (GF(2) or GF(4)), or over GF(4) the quaternion pair split over
+    unrelated levels; then
     possibly broken after construction: its identity scaled, one entry
     of it changed, or one structure constant corrupted."""
     kinds = ["matrix", "quaternion", "crossed", "nested"] + (["rep-less"] if F == gf4 else [])

@@ -136,15 +136,3 @@ def test_packed_echelon_early_stop(gf4):
     assert ech.rank == 2
     kern = ech.kernel()
     assert len(kern) == 2
-
-
-def test_solve_generic(gf4):
-    rng = random.Random(6)
-    for _ in range(50):
-        n = rng.randrange(1, 5)
-        rows = [[gf4.random_element(rng) for _ in range(n)] for _ in range(n)]
-        x = [gf4.random_element(rng) for _ in range(n)]
-        rhs = mat_vec(gf4, rows, x)
-        sol = linalg.solve(gf4, rows, rhs)
-        assert sol is not None
-        assert mat_vec(gf4, rows, sol) == rhs

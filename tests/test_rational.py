@@ -199,3 +199,24 @@ def test_galois_obstruction_rational_reducible():
     rep = theorems.galois_obstruction(ff, (t, b, b, one))
     assert rep["verdict"] == "documented-discrepancy"
     assert rep["reducible"] is True
+
+
+def test_cubic_ext_inverse_by_adjugate():
+    ff = rational.FunctionField(GF2)
+    t, one, zero = ff.t, ff.one, ff.zero
+    q = ff.make((1, 1, 1))
+    rng = random.Random(41)
+    # x^3 + x + t, x^3 + q x + q and x^3 + t are irreducible: every
+    # nonzero element is a unit
+    for consts in ((t, one, zero), (q, q, zero), (t, zero, zero)):
+        ext = theorems._CubicExt(ff, consts)
+        for _ in range(10):
+            u = tuple(ff.random_element(rng, 2) for _ in range(3))
+            if not ext.is_zero(u):
+                assert ext.mul(u, ext.inv(u)) == ext.one
+    # (x + t)(x^2 + x + 1): both factors are zero divisors
+    b = ff.add(one, t)
+    ext = theorems._CubicExt(ff, (t, b, b))
+    for u in ((t, one, zero), (one, one, one)):
+        with pytest.raises(ZeroDivisionError):
+            ext.inv(u)
