@@ -282,8 +282,11 @@ def _int_list(text, cap=None):
         if not part:
             continue
         lo, dots, hi = part.partition("..")
-        lo = int(lo)
-        hi = int(hi) if dots else lo
+        try:
+            lo = int(lo)
+            hi = int(hi) if dots else lo
+        except ValueError:
+            raise ParseError(f"n={part}: expected an integer or a lo..hi range") from None
         if cap is not None and max(abs(lo), abs(hi)) > cap:
             raise ParseError(f"n={part} exceeds --max-degree {cap}")
         out.extend(range(lo, hi + 1))
@@ -296,7 +299,10 @@ def _pair_list(text):
         if not part:
             continue
         a, _, b = part.partition("x")
-        out.append((int(a), int(b)))
+        try:
+            out.append((int(a), int(b)))
+        except ValueError:
+            raise ParseError(f"pairs={part}: expected n1xn2") from None
     return out
 
 

@@ -353,15 +353,10 @@ class Level:
         mask; every solve after that is ``bits`` parities.
         """
         if self._as_solver is None:
-            # system M z = c with M[r][i] = bit r of (e_i^2 + e_i)
-            mat = [0] * self.bits
-            for i in range(self.bits):
-                e = 1 << i
-                col = self.square(e) ^ e
-                for r in range(self.bits):
-                    if (col >> r) & 1:
-                        mat[r] |= 1 << i
-            self._as_solver = linalg.GF2Solver(mat, self.bits)
+            # unknown bit i maps to e_i^2 + e_i
+            n = self.bits
+            images = [self.square(1 << i) ^ (1 << i) for i in range(n)]
+            self._as_solver = linalg.GF2Solver(linalg.rows_from_images(images, n), n)
         sol = self._as_solver.solve(c)
         if sol is None:
             return None

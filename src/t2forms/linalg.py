@@ -1,21 +1,18 @@
-"""Exact linear algebra for characteristic two, in two row layouts.
+"""Exact linear algebra for characteristic two.
 
-* list rows: a matrix is a list of rows, a row is a list of field
-  elements, and everything is duck-typed over the field object.  The
-  rational function field backend uses only this layout; finite levels
-  use it for small dense matrices (products, characteristic
-  polynomials).
-* packed rows, for finite levels: a row is a single int holding
-  ``field.bits`` bits per entry, so row addition is integer xor.  Scalar
-  multiples of packed rows go through per-chunk lookup tables cached on
-  the field object.  GF(2) is the 1-bit case: its packed rows are plain
-  bit vectors and scaling is never needed.
+Every elimination runs on packed rows over a finite level: a row is a
+single int holding ``field.bits`` bits per entry, so row addition is
+integer xor.  Scalar multiples of packed rows go through per-chunk
+lookup tables cached on the field object.  GF(2) is the 1-bit case: its
+packed rows are plain bit vectors and scaling is never needed.
 
-:class:`PackedEchelon` is the one elimination engine on packed rows:
+:class:`PackedEchelon` is the one elimination engine:
 :class:`GF2Solver` (and :func:`solve_gf2` through it), :func:`kernel`
-and :func:`packed_kernel` run on it for every finite level.  List-row
-elimination (:func:`kernel` over other fields) serves the rational
-function field.
+and :func:`packed_kernel` run on it.  A GF(2)-linear system written as
+the packed image of each unknown bit is turned into solver rows by
+:func:`rows_from_images`.  List rows (a matrix as a list of rows of
+field elements, duck-typed over the field object) remain only for the
+small dense matrices of :func:`charpoly`.
 """
 
 from __future__ import annotations
@@ -224,20 +221,33 @@ class GF2Solver:
         return x
 
 
+def rows_from_images(images, nrows):
+    """The rows, as bit vectors over the unknowns, of the GF(2) system
+    whose unknown i maps to the bit vector ``images[i]`` (bit r for
+    equation r, r < ``nrows``): the transpose of the column images."""
+    rows = [0] * nrows
+    for i, img in enumerate(images):
+        bit = 1 << i
+        while img:
+            low = img & -img
+            rows[low.bit_length() - 1] |= bit
+            img ^= low
+    return rows
+
+
 def solve_gf2(rows, ncols, rhs):
     """One solution x (as an int) of the GF(2) system rows * x = rhs, or
     None; see :class:`GF2Solver`."""
     return GF2Solver(rows, ncols).solve(rhs)
 
 
-# -- dispatching helpers on row lists ------------------------------------
+# -- kernels -------------------------------------------------------------
 
 
 def kernel(field, rows, ncols):
-    """Kernel basis of the linear map v -> rows * v, rows as lists."""
-    if getattr(field, "is_finite", False):
-        return packed_kernel(field, [pack_row(field, r) for r in rows], ncols)
-    return _kernel_generic(field, rows, ncols)
+    """Kernel basis of the linear map v -> rows * v, rows as lists over
+    a finite level."""
+    return packed_kernel(field, [pack_row(field, r) for r in rows], ncols)
 
 
 def packed_kernel(field, rows, ncols):
@@ -247,52 +257,6 @@ def packed_kernel(field, rows, ncols):
     for r in rows:
         ech.insert(r)
     return [unpack_row(field, v, ncols) for v in ech.kernel()]
-
-
-def _rref_generic(field, rows):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    out = []
-    pivots = []
-    work = [r for r in rows if any(not field.is_zero(x) for x in r)]
-    for c in range(ncols):
-        sel = None
-        for i, r in enumerate(work):
-            if not field.is_zero(r[c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        piv = work.pop(sel)
-        inv = field.inv(piv[c])
-        piv = [field.mul(inv, x) for x in piv]
-        for group in (out, work):
-            for r in group:
-                if not field.is_zero(r[c]):
-                    f = r[c]
-                    for k in range(ncols):
-                        r[k] = field.add(r[k], field.mul(f, piv[k]))
-        work = [r for r in work if any(not field.is_zero(x) for x in r)]
-        out.append(piv)
-        pivots.append(c)
-        if not work:
-            break
-    return out, pivots
-
-
-def _kernel_generic(field, rows, ncols):
-    red, pivots = _rref_generic(field, rows)
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for row, p in zip(red, pivots):
-            v[p] = row[free]
-        basis.append(v)
-    return basis
 
 
 # -- dense matrices ------------------------------------------------------

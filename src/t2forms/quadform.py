@@ -15,8 +15,10 @@ row with ``field.bits`` bits per entry (the layout of
 sparse basis and the symplectic block reduction both run on these rows,
 at every finite level.  List rows remain only for the rational function
 field backend (``rational.FunctionField``), with its own generic
-restriction and reduction.  ``QuadraticForm.polar`` and the rows of a
-decomposition are list views, unpacked only when read.
+restriction and reduction; the radical there is read off that
+reduction, so no list-row elimination is needed.
+``QuadraticForm.polar`` and the rows of a decomposition are list views,
+unpacked only when read.
 
 Forms are treated as immutable after construction (the only mutations
 are internal caches: the decomposition and the unpacked views), so
@@ -312,10 +314,12 @@ def direct_sum(q1, q2):
 
 
 def radical(q):
-    """Basis of the radical of the polar form, as coordinate rows."""
+    """Basis of the radical of the polar form, as coordinate rows.  Over
+    a function field these are the radical rows of the (cached) block
+    decomposition, the rows the symplectic reduction leaves unpaired."""
     if q.packed:
         return linalg.packed_kernel(q.field, q.rows, q.dim)
-    return linalg.kernel(q.field, q.rows, q.dim)
+    return block_decompose(q).radical_rows
 
 
 def is_nonsingular(q):
@@ -629,17 +633,6 @@ def _unit(f, n, k):
     e = [f.zero] * n
     e[k] = f.one
     return e
-
-
-def oracle_witt_class(q):
-    """Witt class derived from :func:`isotropic_split_oracle`."""
-    planes, aniso = isotropic_split_oracle(q)
-    f = q.field
-    if aniso.dim == 0:
-        rep = f.zero
-    else:
-        rep = f.wp_class_rep(arf_sum(aniso))
-    return WittClass(f, 2 * planes + aniso.dim, rep, 0), planes
 
 
 # -- Clifford algebra ----------------------------------------------------

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import csa, fields, linalg, quadform, rational
+from . import csa, fields, quadform, rational
 from .quadform import BrauerClass, WittClass
 
 # the claim ids, each with the grid keys of ``params`` its runner reads
@@ -511,70 +511,18 @@ def _as_solvable_bounded(ext, d, bound):
     coordinates after clearing denominators."""
     ff = ext.ff
     k = ff.coeff
-    dens = [c.den for c in d]
     den = (k.one,)
-    for dd in dens:
-        g = fields.poly_gcd(k, den, dd)
-        den = fields.poly_mul(k, den, fields.poly_divmod(k, dd, g)[0])
+    for c in d:
+        g = fields.poly_gcd(k, den, c.den)
+        den = fields.poly_mul(k, den, fields.poly_divmod(k, c.den, g)[0])
     # w = y * den solves w^2 + den w = den^2 d (polynomial coordinates)
     den_rat = ff.make(den)
     target = tuple(ff.mul(ff.mul(den_rat, den_rat), c) for c in d)
-    tpolys = []
-    for c in target:
-        if c.den != (k.one,):
-            raise AssertionError("denominator clearing failed")
-        tpolys.append(c.num)
-    nbits = k.bits
-    ncoef = bound + 1
-    nunk = 3 * ncoef * nbits
-    sq_basis = [ext.one, ext.mul(ext.x, ext.x), ext.x4]  # (x^i)^2 for i = 0,1,2
-    maxdeg = 2 * bound + max(
-        (fields.poly_deg(c.num) for coord in sq_basis for c in coord if c.num), default=0
-    )
-    maxdeg = max(maxdeg, bound + fields.poly_deg(den), max(fields.poly_deg(t) for t in tpolys if t) if any(tpolys) else 0) + 1
-    nrows = 3 * (maxdeg + 1) * nbits
-
-    def var_index(coord, j, bit):
-        return (coord * ncoef + j) * nbits + bit
-
-    def row_index(coord, deg, bit):
-        return (coord * (maxdeg + 1) + deg) * nbits + bit
-
-    rows = [0] * nrows
-    rhs = 0
-    for coord in range(3):
-        p = tpolys[coord]
-        for deg, cv in enumerate(p):
-            for bit in range(nbits):
-                if (cv >> bit) & 1:
-                    rhs |= 1 << row_index(coord, deg, bit)
-    for coord in range(3):
-        for j in range(ncoef):
-            for bit in range(nbits):
-                e = 1 << bit
-                col = var_index(coord, j, bit)
-                # square part: (e t^j x^coord)^2 = e^2 t^(2j) * (x^coord)^2
-                esq = k.square(e)
-                for cc in range(3):
-                    r = sq_basis[coord][cc]
-                    if ff.is_zero(r):
-                        continue
-                    prod = fields.poly_scale(k, esq, r.num)
-                    for dg, cv in enumerate(prod):
-                        if cv:
-                            for b2 in range(nbits):
-                                if (cv >> b2) & 1:
-                                    idx = row_index(cc, dg + 2 * j, b2)
-                                    rows[idx] ^= 1 << col
-                # linear part: den * e t^j x^coord
-                prod = fields.poly_scale(k, e, den)
-                for dg, cv in enumerate(prod):
-                    if cv:
-                        for b2 in range(nbits):
-                            if (cv >> b2) & 1:
-                                idx = row_index(coord, dg + j, b2)
-                                rows[idx] ^= 1 << col
-    return linalg.solve_gf2(rows, nunk, rhs) is not None
+    if any(c.den != (k.one,) for c in target):
+        raise AssertionError("denominator clearing failed")
+    # (x^i)^2 for i = 0, 1, 2 on the basis 1, x, x^2
+    squares = [[c.num for c in b] for b in (ext.one, ext.mul(ext.x, ext.x), ext.x4)]
+    return rational.semilinear_solve(k, squares, den, [c.num for c in target], bound) is not None
 
 
 # -- the Example 1 style audit ----------------------------------------------

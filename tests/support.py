@@ -1,13 +1,14 @@
 """Helpers that only the tests use: dense matrix products, random
 nonsingular quadratic forms, and reference implementations of the field
-multiply, the exp/log tables, the GF(2) linear solve, the Artin-Schreier
-solve, the crossed-product structure table, the coefficient-tuple
-polynomial route over GF(2) and the Kronecker splitting representation
-of a tensor product."""
+multiply, the exp/log tables, the GF(2) linear solve, the list-row
+kernel, the Artin-Schreier solve, the crossed-product structure table,
+the coefficient-tuple polynomial route over GF(2), the Kronecker
+splitting representation of a tensor product and the Witt class by
+isotropic splitting."""
 
 from t2forms import csa, linalg
 from t2forms.fields import GF2
-from t2forms.quadform import QuadraticForm
+from t2forms.quadform import QuadraticForm, WittClass, arf_sum, isotropic_split_oracle
 
 
 def mat_mul(field, A, B):
@@ -161,6 +162,48 @@ def solve_by_augmented_column(rows, ncols, rhs):
     for p, prow in ech.rows.items():
         x |= ((prow >> ncols) & 1) << p
     return x
+
+
+def kernel_generic(field, rows, ncols):
+    """Kernel basis of v -> rows * v by Gauss-Jordan elimination on list
+    rows, duck-typed over the field: one basis vector per free column,
+    read off the reduced echelon form."""
+    work = [list(r) for r in rows if any(not field.is_zero(x) for x in r)]
+    red, pivots = [], []
+    for c in range(ncols):
+        sel = next((i for i, r in enumerate(work) if not field.is_zero(r[c])), None)
+        if sel is None:
+            continue
+        piv = work.pop(sel)
+        inv = field.inv(piv[c])
+        piv = [field.mul(inv, x) for x in piv]
+        for r in red + work:
+            f = r[c]
+            if not field.is_zero(f):
+                for k in range(ncols):
+                    r[k] = field.add(r[k], field.mul(f, piv[k]))
+        work = [r for r in work if any(not field.is_zero(x) for x in r)]
+        red.append(piv)
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[free] = field.one
+        for row, p in zip(red, pivots):
+            v[p] = row[free]
+        basis.append(v)
+    return basis
+
+
+def oracle_witt_class(q):
+    """Witt class and plane count derived from
+    ``quadform.isotropic_split_oracle``."""
+    planes, aniso = isotropic_split_oracle(q)
+    f = q.field
+    rep = f.zero if aniso.dim == 0 else f.wp_class_rep(arf_sum(aniso))
+    return WittClass(f, 2 * planes + aniso.dim, rep, 0), planes
 
 
 def artin_schreier_by_fresh_matrix(level, c):

@@ -187,6 +187,20 @@ def test_cli_verify_empty_run(capsys):
     assert json.loads(out) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--claim", "thm4", "--pairs", "3x"), "pairs=3x: expected n1xn2"),
+        (("--claim", "thm4", "--pairs", "3x5x7"), "pairs=3x5x7: expected n1xn2"),
+        (("--claim", "prop1", "--n", "a"), "n=a: expected an integer or a lo..hi range"),
+    ],
+)
+def test_cli_malformed_grid_item_names_key_and_item(capsys, argv, message):
+    code, out, err = run_cli(capsys, "--cmd", "verify", *argv)
+    assert code == 2 and out == ""
+    assert message in err and "invalid literal" not in err
+
+
 def test_cli_parse_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "--cmd", "form", "--field", "GF2")
     assert code == 2 and "error" in err
@@ -317,6 +331,16 @@ def test_cli_verify_all_matches_reference_digest(capsys, seed):
     assert code == 0
     text = json.dumps(json.loads(out), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark harness wraps and reads package names (linalg.solve_gf2,
+    # rational.wp_member, quadform._split_cache, ...); a rename fails here
+    selftest = REFERENCE.parent / "selftest.py"
+    proc = subprocess.run(
+        [sys.executable, str(selftest)], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from t2forms import linalg
 from t2forms.fields import GF2
 
-from support import mat_mul, mat_vec, solve_by_augmented_column
+from support import kernel_generic, mat_mul, mat_vec, solve_by_augmented_column
 
 
 def charpoly_leibniz(f, M):
@@ -50,10 +50,14 @@ def test_kept_echelon_form_solves_as_one_elimination(data):
     ncols = data.draw(st.integers(1, 12))
     rows = data.draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=16))
     solver = linalg.GF2Solver(rows, ncols)
+    # the same system written as column images: unknown i maps to bit r
+    # for each row r that reads it
+    images = [sum(((row >> i) & 1) << r for r, row in enumerate(rows)) for i in range(ncols)]
     for rhs in data.draw(st.lists(st.integers(0, (1 << len(rows)) - 1), min_size=1, max_size=8)):
         x = solver.solve(rhs)
         assert x == solve_by_augmented_column(rows, ncols, rhs)
         assert x == linalg.solve_gf2(rows, ncols, rhs)
+        assert x == linalg.solve_gf2(linalg.rows_from_images(images, len(rows)), ncols, rhs)
         if x is not None:
             assert all((row & x).bit_count() % 2 == (rhs >> i) & 1 for i, row in enumerate(rows))
 
@@ -121,7 +125,7 @@ def test_packed_kernel_matches_generic(gf4, gf8):
         nc = rng.randrange(1, 7)
         rows = [[f.random_element(rng) for _ in range(nc)] for _ in range(nr)]
         k1 = linalg.kernel(f, rows, nc)
-        k2 = linalg._kernel_generic(f, rows, nc)
+        k2 = kernel_generic(f, rows, nc)
         assert k1 == k2
         assert linalg.packed_kernel(f, [linalg.pack_row(f, r) for r in rows], nc) == k1
         for v in k1 + k2:

@@ -7,7 +7,7 @@ from t2forms import linalg, quadform as qf, rational
 from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
-from support import random_nonsingular_form
+from support import oracle_witt_class, random_nonsingular_form
 
 
 def test_evaluate_examples(gf4):
@@ -60,6 +60,11 @@ def test_radical_examples():
     assert not qf.is_nonsingular(q)
     dec = qf.block_decompose(q)
     assert dec.radical_dim == 1 and dec.radical_diag == [1]
+    # over GF(2)(t) the radical comes from the block decomposition
+    ff = rational.FunctionField(GF2)
+    q = qf.direct_sum(QuadraticForm.binary(ff, ff.one, ff.t), QuadraticForm.diagonal(ff, [ff.t]))
+    assert qf.radical(q) == [[ff.zero, ff.zero, ff.one]]
+    assert not qf.is_nonsingular(q)
 
 
 def test_block_decompose_examples(gf4):
@@ -206,7 +211,7 @@ def test_witt_matches_oracle_random(gf4):
         fld = rng.choice([GF2, gf4])
         q = random_nonsingular_form(fld, rng.choice([2, 4]), rng)
         w1 = qf.witt_class(q)
-        w2, planes = qf.oracle_witt_class(q)
+        w2, planes = oracle_witt_class(q)
         assert w1 == w2
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -162,7 +163,21 @@ def test_wp_member_roundtrip(gf4):
             assert ff.add(ff.square(w), w) == c
 
 
-def test_wp_member_against_bruteforce():
+def _wp_values(ff, bound):
+    """Every u**2 + u with u = s/r, deg s <= bound and r monic of degree
+    at most ``bound``."""
+    k = ff.coeff
+    polys = [fields.poly_trim(p) for p in itertools.product(range(k.order), repeat=bound + 1)]
+    values = set()
+    for r in polys:
+        if r and r[-1] == k.one:
+            for s in polys:
+                u = ff.make(s, r)
+                values.add(ff.add(ff.square(u), u))
+    return values
+
+
+def test_wp_member_against_bruteforce(gf4):
     ff = rational.FunctionField(GF2)
     rng = random.Random(42)
     agree = 0
@@ -171,6 +186,21 @@ def test_wp_member_against_bruteforce():
         assert rational.wp_member(ff, c) == brute_wp_gf2t(c)
         agree += 1
     assert agree == 50
+    # GF(4)(t), two bits per coefficient.  c = num/r^2 with deg num <= 2
+    # and deg r <= 1, so a u = s/r in lowest terms with u^2 + u = c has
+    # deg r <= 1 and deg s <= 1, and the values below decide membership.
+    ff4 = rational.FunctionField(gf4)
+    values = _wp_values(ff4, 2)
+    seen = set()
+    for r in [(1,)] + [(a, 1) for a in range(4)]:
+        for num in itertools.product(range(4), repeat=3):
+            c = ff4.make(num, fields.poly_mul(gf4, r, r))
+            ok, u = rational.wp_member(ff4, c, witness=True)
+            assert ok == (c in values)
+            if ok:
+                assert ff4.add(ff4.square(u), u) == c
+            seen.add(ok)
+    assert seen == {True, False}
 
 
 def test_galois_obstruction_rational_consistency():
