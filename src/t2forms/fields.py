@@ -39,7 +39,8 @@ shift and xor (the ``gf2x_`` section): products, division, gcds and the
 irreducibility scan.  :class:`PolyRing` offers either representation
 behind one table of operations, so a routine written once against it,
 such as the factor-witness scan or ``rational``'s fractions, runs on ints
-over GF2 and on tuples over any other field.
+over GF2 and on tuples over any other field; a ``rational.Rat`` keeps
+its numerator and denominator in its ring's form between operations.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class Level:
 
     def __init__(self, parent, poly=None, gen_name=None, *, _irreducible=False):
         # _irreducible: the caller has just proved poly irreducible over
-        # parent (find_irreducible's scan), so the witness is not run again
+        # parent (find_irreducible's scan, or an Artin-Schreier solve that
+        # found no root of a quadratic), so the witness is not run again
         self.parent = parent
         if parent is None:
             self.poly = None

@@ -16,27 +16,70 @@ or of the two denominators, are taken, and none when a denominator is 1,
 so sums and products of polynomials take no gcd at all.
 
 The fraction formulas are written once against ``fields.PolyRing``,
-chosen in ``__init__``: over GF(2) numerators and denominators are ints,
-bit i the coefficient of t^i, so every product, division and gcd is shift
-and xor; over a larger coefficient level they are coefficient tuples.
-``Rat`` holds tuples either way, and an operation converts each operand
-once.
+chosen in ``__init__``, and a ``Rat`` keeps its numerator and
+denominator in that ring's form: over GF(2) they are ints, bit i the
+coefficient of t^i, so every product, division and gcd is shift and xor;
+over a larger coefficient level they are coefficient tuples.  ``make``
+is the only operation that reads caller input, so ``add``, ``mul``,
+``square`` and ``inv`` convert nothing; ``Rat.num`` and ``Rat.den`` give
+trimmed tuples either way, built when read.  Over GF(2) every nonzero
+polynomial is monic, so ``inv`` only swaps numerator and denominator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import fields, linalg
 from .fields import poly_deg, poly_scale, poly_sqrt, poly_to_str
 
 
-@dataclass(frozen=True)
 class Rat:
-    """A rational function in lowest terms with monic denominator."""
+    """A rational function in lowest terms with monic denominator.
 
-    num: tuple
-    den: tuple
+    Numerator and denominator are kept in the ring form of the field that
+    made the fraction (``fields.PolyRing``): ints over GF2, trimmed tuples
+    over any other coefficient level.  ``num`` and ``den`` read them as
+    trimmed coefficient tuples either way, and two fractions are equal,
+    and hash alike, when those tuples are.  Immutable."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Rat.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Rat.{name}")
+
+    def __reduce__(self):
+        return Rat, (self._num, self._den)
+
+    @property
+    def num(self):
+        return _as_tuple(self._num)
+
+    @property
+    def den(self):
+        return _as_tuple(self._den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Rat):
+            return NotImplemented
+        if type(self._num) is type(other._num):
+            return self._num == other._num and self._den == other._den
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"Rat(num={self.num!r}, den={self.den!r})"
+
+
+def _as_tuple(p):
+    return fields.gf2x_to_poly(p) if type(p) is int else p
 
 
 class FunctionField:
@@ -47,12 +90,16 @@ class FunctionField:
     def __init__(self, coeff_level, var="t"):
         self.coeff = coeff_level
         self.var = var
-        self._ring = fields.PolyRing(coeff_level)
-        self.zero = Rat((), (coeff_level.one,))
-        self.one = Rat((coeff_level.one,), (coeff_level.one,))
-        self.t = Rat((coeff_level.zero, coeff_level.one), (coeff_level.one,))
+        R = self._ring = fields.PolyRing(coeff_level)
+        # over GF(2) every nonzero polynomial is monic
+        self._all_monic = coeff_level is fields.GF2
+        self.zero = Rat(R.read(()), R.one)
+        self.one = Rat(R.one, R.one)
+        self.t = Rat(R.x, R.one)
 
     def make(self, num, den=None):
+        """The fraction num/den of two coefficient sequences, trimmed or
+        not, in lowest terms."""
         k, R = self.coeff, self._ring
         a = R.read(num)
         b = R.read(den) if den is not None else R.one
@@ -61,25 +108,23 @@ class FunctionField:
         if not a:
             return self.zero
         g = R.gcd(a, b)
-        num, den = R.write(_quo(R, a, g)), R.write(_quo(R, b, g))
-        lead = den[-1]
-        if lead != k.one:
-            inv = k.inv(lead)
-            num = poly_scale(k, inv, num)
-            den = poly_scale(k, inv, den)
-        return Rat(num, den)
+        a, b = _quo(R, a, g), _quo(R, b, g)
+        if not self._all_monic and b[-1] != k.one:
+            inv = k.inv(b[-1])
+            a, b = poly_scale(k, inv, a), poly_scale(k, inv, b)
+        return Rat(a, b)
 
     def is_zero(self, x):
-        return not x.num
+        return not x._num
 
     def add(self, x, y):
         R = self._ring
-        one, write = R.one, R.write
-        a, b, c, d = R.read(x.num), R.read(x.den), R.read(y.num), R.read(y.den)
+        one = R.one
+        a, b, c, d = x._num, x._den, y._num, y._den
         g = one if one in (b, d) else R.gcd(b, d)
         if g == one:
             num = R.add(R.mul(a, d), R.mul(c, b))
-            return Rat(write(num), write(R.mul(b, d))) if num else self.zero
+            return Rat(num, R.mul(b, d)) if num else self.zero
         # b = g b', d = g d': a/b + c/d = (a d' + c b') / (g b' d'), and a
         # factor the new numerator t shares with that denominator divides g
         b1, d1 = _quo(R, b, g), _quo(R, d, g)
@@ -87,37 +132,36 @@ class FunctionField:
         if not t:
             return self.zero
         g2 = R.gcd(t, g)
-        return Rat(write(_quo(R, t, g2)), write(R.mul(b1, _quo(R, d, g2))))
+        return Rat(_quo(R, t, g2), R.mul(b1, _quo(R, d, g2)))
 
     sub = add  # characteristic two
 
     def mul(self, x, y):
         # (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)), g1 = gcd(a, d) and
         # g2 = gcd(c, b); a denominator 1 makes its gcd 1
-        if not x.num or not y.num:
+        a, b, c, d = x._num, x._den, y._num, y._den
+        if not a or not c:
             return self.zero
         R = self._ring
         one, mul = R.one, R.mul
-        a, b, c, d = R.read(x.num), R.read(x.den), R.read(y.num), R.read(y.den)
         g1 = one if d == one else R.gcd(a, d)
         g2 = one if b == one else R.gcd(c, b)
-        return Rat(
-            R.write(mul(_quo(R, a, g1), _quo(R, c, g2))),
-            R.write(mul(_quo(R, b, g2), _quo(R, d, g1))),
-        )
+        return Rat(mul(_quo(R, a, g1), _quo(R, c, g2)), mul(_quo(R, b, g2), _quo(R, d, g1)))
 
     def square(self, x):
         # num and den are coprime, so their squares are too
         R = self._ring
-        return Rat(R.write(R.square(R.read(x.num))), R.write(R.square(R.read(x.den))))
+        return Rat(R.square(x._num), R.square(x._den))
 
     def inv(self, x):
-        if not x.num:
+        if not x._num:
             raise ZeroDivisionError("inverse of zero")
         # already in lowest terms: only the leading coefficient moves
+        if self._all_monic:
+            return Rat(x._den, x._num)
         k = self.coeff
-        c = k.inv(x.num[-1])
-        return Rat(poly_scale(k, c, x.den), poly_scale(k, c, x.num))
+        c = k.inv(x._num[-1])
+        return Rat(poly_scale(k, c, x._den), poly_scale(k, c, x._num))
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -135,10 +179,10 @@ class FunctionField:
         return r
 
     def show(self, x):
-        if not x.num:
+        if not x._num:
             return "0"
         num = poly_to_str(self.coeff, x.num, self.var)
-        if x.den == (self.coeff.one,):
+        if x._den == self._ring.one:
             return num
         den = poly_to_str(self.coeff, x.den, self.var)
         return f"({num})/({den})"

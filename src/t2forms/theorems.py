@@ -362,22 +362,20 @@ def galois_obstruction(field, fpoly):
     return report
 
 
-def _rational_poly_coeff(c):
-    if c.den != (1,):
+def _check_polynomial_coeffs(coeffs):
+    if any(c.den != (1,) for c in coeffs):
         raise ValueError("polynomial coefficients over the function field expected")
-    return c.num
 
 
 def _galois_obstruction_rational(ff, coeffs):
-    k = ff.coeff
     n = len(coeffs) - 1
     if n != 3:
         raise ValueError("rational backend supports cubic extensions")
     report = {"degree": n, "backend": "rational"}
-    ints = [_rational_poly_coeff(c) for c in coeffs]
-    if ints[3] != (k.one,):
+    _check_polynomial_coeffs(coeffs)
+    if coeffs[3] != ff.one:
         raise ValueError("monic cubic expected")
-    root = _cubic_rational_root(ff, ints[:3])
+    root = _cubic_rational_root(ff, coeffs[:3])
     if root is not None:
         report["verdict"] = "documented-discrepancy"
         report["reducible"] = True
@@ -395,12 +393,12 @@ def _galois_obstruction_rational(ff, coeffs):
 
 def _cubic_rational_root(ff, low_coeffs):
     """Root of a monic cubic with polynomial coefficients over k(t),
-    given its three low coefficients: such roots are polynomial and
-    divide the constant term."""
+    given its three low coefficients as fractions with denominator 1:
+    such roots are polynomial and divide the constant term."""
     k = ff.coeff
-    const = low_coeffs[0]
-    if not const:
+    if ff.is_zero(low_coeffs[0]):
         return ff.zero
+    const = low_coeffs[0].num
     cands = [()]  # zero
     for d in fields.monic_divisors(k, const):
         for c in range(1, k.order):
@@ -410,7 +408,7 @@ def _cubic_rational_root(ff, low_coeffs):
         val = ff.zero
         power = ff.one
         for ci in low_coeffs:
-            val = ff.add(val, ff.mul(ff.make(ci), power))
+            val = ff.add(val, ff.mul(ci, power))
             power = ff.mul(power, r)
         val = ff.add(val, power)  # monic leading term r**3
         if ff.is_zero(val):
@@ -425,9 +423,8 @@ def cubic_second_root_oracle(ff, coeffs, bound=6):
     solved as a GF(2)-linear system over polynomial coordinates of
     degree at most ``bound``.  A separable cubic splits in E exactly
     when E/k(t) is Galois."""
-    k = ff.coeff
-    ints = [_rational_poly_coeff(c) for c in coeffs]
-    c0, c1, c2 = (ff.make(x) for x in ints[:3])
+    _check_polynomial_coeffs(coeffs)
+    c0, c1, c2 = coeffs[:3]
     ext = _CubicExt(ff, (c0, c1, c2))
     beta = ext.x
     # f = (x + beta)(x^2 + a x + b) with a = c2 + beta, b = c1 + beta*a

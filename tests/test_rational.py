@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -127,11 +128,73 @@ def test_gf2t_int_route_equals_tuple_route(data):
     assert x == _TUPLE_GF2T.make(num, den)
     assert ff.make(num) == _TUPLE_GF2T.make(num)
     y = _draw_rat(data, ff)
+    # each field operates on fractions it made itself
+    tx, ty = (_TUPLE_GF2T.make(z.num, z.den) for z in (x, y))
     for op in ("add", "mul"):
-        assert getattr(ff, op)(x, y) == getattr(_TUPLE_GF2T, op)(x, y)
-    assert ff.square(x) == _TUPLE_GF2T.square(x)
+        assert getattr(ff, op)(x, y) == getattr(_TUPLE_GF2T, op)(tx, ty)
+    assert ff.square(x) == _TUPLE_GF2T.square(tx)
     if x.num:
-        assert ff.inv(x) == _TUPLE_GF2T.inv(x)
+        assert ff.inv(x) == _TUPLE_GF2T.inv(tx)
+
+
+def test_rat_contract_across_routes():
+    ff = _FUNCTION_FIELDS[0]
+    for num, den in [((1, 0, 1, 0), (0, 1, 1)), ((0, 0, 1), None), ((), None), ((1,), (1, 1, 0))]:
+        x, y = ff.make(num, den), _TUPLE_GF2T.make(num, den)
+        assert x == y and y == x
+        assert hash(x) == hash(y) == hash((x.num, x.den))
+        for z in (x, y):
+            for p in (z.num, z.den):
+                assert type(p) is tuple and p == fields.poly_trim(p)
+    assert ff.make((0, 1), (1,)) != _TUPLE_GF2T.make((1, 1), (1,))
+    x = ff.t
+    for name in ("num", "den", "_num", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, (1,))
+    with pytest.raises(AttributeError):
+        del x.num
+    assert x == ff.make((0, 1)) == pickle.loads(pickle.dumps(x))
+
+
+def test_gf2t_operations_convert_nothing(monkeypatch):
+    calls = []
+    for name in ("gf2x_from_poly", "gf2x_to_poly"):
+        orig = getattr(fields, name)
+        monkeypatch.setattr(
+            fields, name, lambda p, _orig=orig, _name=name: calls.append(_name) or _orig(p)
+        )
+    # the field binds its ring after the counters are in place
+    ff = rational.FunctionField(GF2)
+    rng = random.Random(43)
+    xs = [ff.random_element(rng, 4) for _ in range(20)] + [ff.make((1, 1)), ff.t, ff.one]
+    calls.clear()
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        ff.add(x, y)
+        ff.mul(x, y)
+        ff.square(x)
+        if not ff.is_zero(x):
+            ff.inv(x)
+    assert calls == []
+
+
+def test_cubic_pipeline_int_route_equals_tuple_route():
+    # this seed draws every verdict and every splitting outcome
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(40):
+        # drawn as the field-tower benchmark draws its cubics over GF(2)(t)
+        low = [[rng.randrange(2) for _ in range(4)] for _ in range(3)]
+        results = []
+        for ff in (_FUNCTION_FIELDS[0], _TUPLE_GF2T):
+            coeffs = tuple(ff.make(tuple(p)) for p in low) + (ff.one,)
+            rep = theorems.galois_obstruction(ff, coeffs)
+            split = None if rep["reducible"] else theorems.cubic_second_root_oracle(ff, coeffs[:3])
+            results.append((rep, split))
+        assert results[0] == results[1]
+        rep, split = results[0]
+        seen.add((rep["verdict"], split))
+    assert {v for v, _ in seen} == {"documented-discrepancy", "not Galois", "inconclusive"}
+    assert {s for _, s in seen} == {None, True, False}
 
 
 def test_lowest_terms_invariant():
