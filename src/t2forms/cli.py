@@ -137,7 +137,11 @@ def _job_from_dict(data):
     if ext is not None:
         job.ext = ext.strip('"')
     if "seed" in data:
-        job.seed = int(data.pop("seed"))
+        seed = data.pop("seed")
+        try:
+            job.seed = int(seed)
+        except ValueError:
+            raise ParseError(f"seed={seed}: expected an integer") from None
     for k in list(data):
         if k in _PARAM_KEYS:
             job.params[k] = data.pop(k)
@@ -177,7 +181,10 @@ def parse_field_spec(text, max_degree=None):
 def parse_algebra_spec(level, text, max_degree=None):
     text = text.strip()
     if text.startswith("Mat(") and text.endswith(")"):
-        n = int(text[4:-1])
+        try:
+            n = int(text[4:-1])
+        except ValueError:
+            raise ParseError(f"bad algebra spec {text!r}: the degree must be an integer") from None
         _check_cap("algebra degree", n, max_degree)
         return csa.matrix_algebra(level, n)
     if text.startswith("Quat(") and text.endswith(")"):
@@ -390,7 +397,7 @@ def _job_galois(job, level, cap):
 
 
 def _claim_readers(key):
-    return ", ".join(c for c, keys in theorems.CLAIM_PARAMS.items() if key in keys)
+    return ", ".join(c for c, spec in theorems.CLAIMS.items() if key in spec.reads)
 
 
 def _job_verify(job, level, cap):
@@ -401,8 +408,9 @@ def _job_verify(job, level, cap):
             f"its fields from fields=, which {_claim_readers('fields')} and all read"
         )
     # ``all`` reads every key; an unknown claim id is rejected by the harness
+    spec = theorems.CLAIMS.get(claim)
     for key in ("n", "fields", "pairs"):
-        if key in job.params and key not in theorems.CLAIM_PARAMS.get(claim, (key,)):
+        if key in job.params and spec is not None and key not in spec.reads:
             raise ParseError(
                 f"{key}={job.params[key]}: claim {claim} does not read {key}=; "
                 f"{key}= is read by {_claim_readers(key)} and all"

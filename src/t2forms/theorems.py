@@ -3,70 +3,29 @@
 Each supported claim id names one classification statement about second
 trace forms (the matrix-algebra table, crossed products, tensor
 products, their Arf and Clifford invariants, and the Galois obstruction
-test).  ``run_verification`` builds the objects, computes the forms,
-compares against the predictions and returns report records; a
-documented-discrepancy verdict marks audits whose inputs are themselves
-inconsistent (the reducible-cubic audit) and does not fail a run.
+test).  ``CLAIMS`` holds one ``Claim`` record per id: a generator of its
+report rows, the grid keys it reads with their defaults, and its degree
+rule or fixed degree.  ``run_verification`` resolves and checks every
+grid before any claim runs, then times each row and wraps it in a
+``VerificationReport``; a documented-discrepancy verdict marks audits
+whose inputs are themselves inconsistent (the reducible-cubic audit) and
+does not fail a run.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _dfield
 
 from . import csa, fields, quadform, rational
 from .quadform import BrauerClass, WittClass
 
-# the claim ids, each with the grid keys of ``params`` its runner reads
-# (single-field runners also take ``field``, which the CLI never sets)
-CLAIM_PARAMS = {
-    "prop1": ("n", "fields"),
-    "thm1": ("n",),
-    "cor1": ("n",),
-    "cor2": ("n", "fields"),
-    "thm2": ("pairs",),
-    "cor3": ("n",),
-    "cor4": ("n",),
-    "thm3": ("n", "fields"),
-    "thm4": ("pairs",),
-    "remark2": (),
-    "remark3": ("n",),
-    "example1": (),
-}
-CLAIM_IDS = tuple(CLAIM_PARAMS)
+# The claim table ``CLAIMS`` sits at the end of the module, after the row
+# generators it names; ``CLAIM_IDS`` lists its ids in report order.
 
-# the degrees n each claim that reads n= admits: (least degree, parity);
-# the predictions and runners check their degrees against this table
-DEGREE_RULES = {
-    "prop1": (2, None),
-    "thm1": (2, None),
-    "cor1": (3, 1),
-    "cor2": (3, 1),
-    "cor3": (2, None),
-    "cor4": (2, None),
-    "thm3": (2, 0),
-    "remark3": (2, None),
-}
-
-# each runner's grid when params give none: degrees n, or (n1, n2) pairs
-DEFAULT_DEGREES = {
-    "prop1": range(2, 10),
-    "thm1": (2, 3, 4, 5, 7, 9),
-    "cor1": (3, 5, 7, 9),
-    "cor2": (3, 5, 7, 9),
-    "cor3": (2, 4, 6, 8),
-    "cor4": (2, 3, 4),
-    "thm3": (2, 4, 6, 8),
-    "remark3": (3, 5),
-}
-THM2_PAIRS = (
-    (3, 5), (3, 7), (2, 2), (2, 6), (4, 2), (4, 4),
-    (4, 3), (4, 5), (2, 5), (2, 3), (2, 7), (6, 3),
-)
-DEFAULT_PAIRS = {"thm2": THM2_PAIRS, "thm4": THM2_PAIRS + ((5, 7),)}
-# the degree of the one algebra a claim without a grid builds
-_FIXED_DEGREES = {"remark2": 9, "example1": 3}
+# the entries n1, n2 of every thm2/thm4 pair admit n >= PAIR_LEAST
+PAIR_LEAST = 2
 
 
 def built_degree(claim, n):
@@ -78,14 +37,14 @@ def built_degree(claim, n):
 def admits_degree(claim, n, cap=None):
     """Whether the claim's rule admits n; a cap bounds the degree it
     builds from above."""
-    least, parity = DEGREE_RULES[claim]
+    least, parity = CLAIMS[claim].rule
     if cap is not None and built_degree(claim, n) > cap:
         return False
     return n >= least and (parity is None or n % 2 == parity)
 
 
 def degree_rule_text(claim):
-    least, parity = DEGREE_RULES[claim]
+    least, parity = CLAIMS[claim].rule
     return {None: "", 0: "even ", 1: "odd "}[parity] + f"n >= {least}"
 
 
@@ -104,7 +63,8 @@ def claim_degrees(claim, ns, cap=None):
     under ``all`` the ones each claim's rule and cap admit.  A degree
     that no claim admits raises ValueError naming the rules, or the cap
     when only the cap refuses it."""
-    readers = [c for c in (CLAIM_IDS if claim == "all" else (claim,)) if c in DEGREE_RULES]
+    ids = CLAIM_IDS if claim == "all" else (claim,)
+    readers = [c for c in ids if CLAIMS[c].rule is not None]
     for n in ns:
         if readers and not any(admits_degree(c, n, cap) for c in readers):
             over = [c for c in readers if admits_degree(c, n)]
@@ -116,16 +76,21 @@ def claim_degrees(claim, ns, cap=None):
     return {c: [n for n in ns if admits_degree(c, n, cap)] for c in readers}
 
 
-def _largest_built_degree(claim, params):
-    """The largest degree the claim builds on ``params`` (its default
-    grid where params give none)."""
-    if claim in DEGREE_RULES:
-        ns = params.get("n", DEFAULT_DEGREES[claim])
-        return max((built_degree(claim, n) for n in ns), default=0)
-    if claim in DEFAULT_PAIRS:
-        pairs = params.get("pairs", DEFAULT_PAIRS[claim])
-        return max((n1 * n2 for n1, n2 in pairs), default=0)
-    return _FIXED_DEGREES[claim]
+def _check_grid(claim, grid, cap):
+    """Refuse a pair or field name the claim does not admit, and a grid
+    whose largest algebra exceeds the cap."""
+    for n1, n2 in grid.get("pairs", ()):
+        if min(n1, n2) < PAIR_LEAST:
+            raise ValueError(f"pairs={n1}x{n2}: {claim} admits n1, n2 >= {PAIR_LEAST}")
+    for name in grid.get("fields", ()):
+        if name not in _FIELD_BUILDERS:
+            known = ", ".join(_FIELD_BUILDERS)
+            raise ValueError(f"fields={name}: unknown field shorthand {name!r}; known: {known}")
+    built = [built_degree(claim, n) for n in grid.get("n", ())]
+    built += [n1 * n2 for n1, n2 in grid.get("pairs", ())]
+    top = max(built, default=CLAIMS[claim].degree or 0)
+    if cap is not None and top > cap:
+        raise _cap_error(claim, top, cap)
 
 
 @dataclass
@@ -348,18 +313,25 @@ def galois_obstruction(field, fpoly):
         report["note"] = "quotient is not a field, a fortiori not a Galois field extension"
         return report
     report["reducible"] = False
+    report.update(_irreducible_verdict(field, n, quadform.witt_class(q)))
+    return report
+
+
+def _irreducible_verdict(field, n, w):
+    """The obstruction verdict for an irreducible f of odd degree n whose
+    Revoy form has Witt class w: "not Galois" when its Arf class leaves
+    the odd-degree crossed-product table, "inconclusive" otherwise."""
     pred = predicted_crossed_odd(field, n)
-    report["predicted_witt"] = witt_to_dict(pred.witt)
-    w = quadform.witt_class(q)
+    out = {"predicted_witt": witt_to_dict(pred.witt)}
     if w.arf != pred.witt.arf:
-        report["verdict"] = "not Galois"
+        out["verdict"] = "not Galois"
     else:
-        report["verdict"] = "inconclusive"
+        out["verdict"] = "inconclusive"
         if field.wp_member(field.one):
-            report["degenerate"] = (
+            out["degenerate"] = (
                 "both classes coincide over this field, the test cannot discriminate"
             )
-    return report
+    return out
 
 
 def _check_polynomial_coeffs(coeffs):
@@ -616,122 +588,6 @@ def _ext_of_degree(base, degree, seed=0):
     return _extensions[key]
 
 
-def _degrees(claim, params):
-    """The runner's degree grid, each degree checked against its rule."""
-    ns = params.get("n", DEFAULT_DEGREES[claim])
-    for n in ns:
-        require_degree(claim, n)
-    return ns
-
-
-def _report(claim, params, predicted, computed, ok, t0, verdict=None):
-    return VerificationReport(
-        claim,
-        params,
-        predicted,
-        computed,
-        verdict or ("pass" if ok else "fail"),
-        (time.perf_counter() - t0) * 1000.0,
-    )
-
-
-def _run_prop1(params, seed):
-    ns = _degrees("prop1", params)
-    field_names = params.get("fields", ("GF2", "GF4"))
-    out = []
-    for name in field_names:
-        fld = standard_field(name)
-        for n in ns:
-            t0 = time.perf_counter()
-            pred = predicted_matrix_class(fld, n)
-            T = csa.second_trace_form(csa.matrix_algebra(fld, n))
-            w = quadform.witt_class(T)
-            ok = w == pred.witt
-            out.append(
-                _report(
-                    "prop1",
-                    {"field": name, "n": n},
-                    witt_to_dict(pred.witt),
-                    witt_to_dict(w),
-                    ok,
-                    t0,
-                )
-            )
-    return out
-
-
-def _run_thm1(params, seed):
-    ns = _degrees("thm1", params)
-    out = []
-    base = fields.GF2
-    for n in ns:
-        t0 = time.perf_counter()
-        E = _ext_of_degree(base, n, seed)
-        A = csa.crossed_product(E, base)
-        wA = quadform.witt_class(csa.second_trace_form(A))
-        qE = revoy_trace_form_of_extension(E, base)
-        if n % 2:
-            wref = quadform.witt_class(qE)
-            label = "revoy form of E/F"
-        else:
-            qB = csa.b_subspace_form(A)
-            wref = quadform.witt_class(quadform.direct_sum(qE, qB))
-            label = "revoy form of E/F perp involution slice"
-        ok = same_witt_class(wA, wref)
-        out.append(
-            _report(
-                "thm1",
-                {"n": n, "reference": label},
-                witt_to_dict(wref),
-                witt_to_dict(wA),
-                ok,
-                t0,
-            )
-        )
-    return out
-
-
-def _run_cor1(params, seed):
-    ns = _degrees("cor1", params)
-    out = []
-    base = fields.GF2
-    for n in ns:
-        t0 = time.perf_counter()
-        E = _ext_of_degree(base, n, seed)
-        A = csa.crossed_product(E, base)
-        w = quadform.witt_class(csa.second_trace_form(A))
-        pred = predicted_crossed_odd(base, n)
-        ok = same_witt_class(w, pred.witt)
-        out.append(
-            _report("cor1", {"n": n}, witt_to_dict(pred.witt), witt_to_dict(w), ok, t0)
-        )
-    return out
-
-
-def _run_cor2(params, seed):
-    degrees = _degrees("cor2", params)
-    field_names = params.get("fields", ("GF2", "GF4", "GF8"))
-    out = []
-    for name in field_names:
-        base = standard_field(name)
-        for n in degrees:
-            t0 = time.perf_counter()
-            E = _ext_of_degree(base, n, seed)
-            rep = galois_obstruction(base, E.poly)
-            ok = rep["verdict"] == "inconclusive"
-            out.append(
-                _report(
-                    "cor2",
-                    {"field": name, "n": n},
-                    {"verdict": "inconclusive"},
-                    {"verdict": rep["verdict"], **{k: rep[k] for k in ("degenerate",) if k in rep}},
-                    ok,
-                    t0,
-                )
-            )
-    return out
-
-
 def _tensor_form_cache(field):
     if not hasattr(field, "_tensor_cache"):
         field._tensor_cache = {}
@@ -756,77 +612,6 @@ def matrix_trace_witt(field, n):
     return cache[key]
 
 
-def _run_thm2(params, seed):
-    pairs = params.get("pairs", DEFAULT_PAIRS["thm2"])
-    fld = standard_field(params.get("field", "GF2"))
-    out = []
-    for n1, n2 in pairs:
-        t0 = time.perf_counter()
-        w1 = matrix_trace_witt(fld, n1)
-        w2 = matrix_trace_witt(fld, n2)
-        pred = predicted_tensor(w1, w2, n1, n2)
-        T = tensor_trace_form(fld, n1, n2)
-        w = quadform.witt_class(T)
-        ok = w == pred.witt
-        out.append(
-            _report(
-                "thm2",
-                {"n1": n1, "n2": n2},
-                witt_to_dict(pred.witt),
-                witt_to_dict(w),
-                ok,
-                t0,
-            )
-        )
-    return out
-
-
-def _run_cor3(params, seed):
-    """Contrapositive check: every even-degree algebra in the corpus has
-    a trace form in one of the two classes attainable with even k."""
-    fld = standard_field(params.get("field", "GF2"))
-    out = []
-    degrees = _degrees("cor3", params)
-    for n in degrees:
-        t0 = time.perf_counter()
-        w = matrix_trace_witt(fld, n)
-        ok = w.radical_dim == 0 and (fld.is_zero(w.arf) or w.arf == _one_class(fld))
-        out.append(
-            _report(
-                "cor3",
-                {"n": n},
-                {"class": "hyperbolic or [1,1]"},
-                witt_to_dict(w),
-                ok,
-                t0,
-            )
-        )
-    return out
-
-
-def _run_cor4(params, seed):
-    fld = standard_field(params.get("field", "GF2"))
-    degrees = _degrees("cor4", params)
-    out = []
-    for n in degrees:
-        t0 = time.perf_counter()
-        pred = predicted_tensor_square(fld, n)
-        T = tensor_trace_form(fld, n, n)
-        w = quadform.witt_class(T)
-        ok = w.arf == pred.arf and w.radical_dim == 0
-        out.append(
-            _report(
-                "cor4",
-                {"n": n},
-                {"arf": fld.show(pred.arf)},
-                witt_to_dict(w),
-                ok,
-                t0,
-            )
-        )
-    return out
-
-
 def _thm3_algebras(field, n):
     yield f"Mat({n})", csa.matrix_algebra(field, n)
     quat = csa.quaternion_algebra(field, field.one, field.nonresidue())
@@ -836,42 +621,126 @@ def _thm3_algebras(field, n):
         yield f"Quat*Mat({n // 2})", csa.tensor_product(quat, csa.matrix_algebra(field, n // 2))
 
 
-def _run_thm3(params, seed):
-    ns = _degrees("thm3", params)
-    field_names = params.get("fields", ("GF2", "GF4", "GF8"))
-    out = []
-    for name in field_names:
+# -- the claims ----------------------------------------------------------------
+#
+# Each claim's rows(grid, seed) yields (params, predicted, computed,
+# verdict) per report.  The grid holds the keys the claim reads, plus
+# ``field``, the one field of the claims without a fields= grid.
+
+
+def _verdict(ok):
+    return "pass" if ok else "fail"
+
+
+def _clifford_text(cls):
+    return "trivial" if cls.is_trivial else str(cls.symbols)
+
+
+def _prop1_rows(grid, seed):
+    ns, names = grid["n"], grid["fields"]
+    for name in names:
+        fld = standard_field(name)
+        for n in ns:
+            pred = predicted_matrix_class(fld, n)
+            w = quadform.witt_class(csa.second_trace_form(csa.matrix_algebra(fld, n)))
+            ok = w == pred.witt
+            yield {"field": name, "n": n}, witt_to_dict(pred.witt), witt_to_dict(w), _verdict(ok)
+
+
+def _thm1_rows(grid, seed):
+    base = fields.GF2
+    for n in grid["n"]:
+        E = _ext_of_degree(base, n, seed)
+        A = csa.crossed_product(E, base)
+        wA = quadform.witt_class(csa.second_trace_form(A))
+        qE = revoy_trace_form_of_extension(E, base)
+        if n % 2:
+            wref = quadform.witt_class(qE)
+            label = "revoy form of E/F"
+        else:
+            qB = csa.b_subspace_form(A)
+            wref = quadform.witt_class(quadform.direct_sum(qE, qB))
+            label = "revoy form of E/F perp involution slice"
+        ok = same_witt_class(wA, wref)
+        yield {"n": n, "reference": label}, witt_to_dict(wref), witt_to_dict(wA), _verdict(ok)
+
+
+def _cor1_rows(grid, seed):
+    base = fields.GF2
+    for n in grid["n"]:
+        E = _ext_of_degree(base, n, seed)
+        w = quadform.witt_class(csa.second_trace_form(csa.crossed_product(E, base)))
+        pred = predicted_crossed_odd(base, n)
+        ok = same_witt_class(w, pred.witt)
+        yield {"n": n}, witt_to_dict(pred.witt), witt_to_dict(w), _verdict(ok)
+
+
+def _cor2_rows(grid, seed):
+    ns, names = grid["n"], grid["fields"]
+    for name in names:
+        base = standard_field(name)
+        for n in ns:
+            E = _ext_of_degree(base, n, seed)
+            # E.poly is irreducible by construction, so no factor witness
+            w = quadform.witt_class(revoy_trace_form(base, E.poly))
+            got = _irreducible_verdict(base, n, w)
+            computed = {k: got[k] for k in ("verdict", "degenerate") if k in got}
+            ok = got["verdict"] == "inconclusive"
+            yield {"field": name, "n": n}, {"verdict": "inconclusive"}, computed, _verdict(ok)
+
+
+def _thm2_rows(grid, seed):
+    fld = standard_field(grid["field"])
+    for n1, n2 in grid["pairs"]:
+        w1 = matrix_trace_witt(fld, n1)
+        w2 = matrix_trace_witt(fld, n2)
+        pred = predicted_tensor(w1, w2, n1, n2)
+        w = quadform.witt_class(tensor_trace_form(fld, n1, n2))
+        ok = w == pred.witt
+        yield {"n1": n1, "n2": n2}, witt_to_dict(pred.witt), witt_to_dict(w), _verdict(ok)
+
+
+def _cor3_rows(grid, seed):
+    """Contrapositive check: every even-degree algebra in the corpus has
+    a trace form in one of the two classes attainable with even k."""
+    fld = standard_field(grid["field"])
+    for n in grid["n"]:
+        w = matrix_trace_witt(fld, n)
+        ok = w.radical_dim == 0 and (fld.is_zero(w.arf) or w.arf == _one_class(fld))
+        yield {"n": n}, {"class": "hyperbolic or [1,1]"}, witt_to_dict(w), _verdict(ok)
+
+
+def _cor4_rows(grid, seed):
+    fld = standard_field(grid["field"])
+    for n in grid["n"]:
+        pred = predicted_tensor_square(fld, n)
+        w = quadform.witt_class(tensor_trace_form(fld, n, n))
+        ok = w.arf == pred.arf and w.radical_dim == 0
+        yield {"n": n}, {"arf": fld.show(pred.arf)}, witt_to_dict(w), _verdict(ok)
+
+
+def _thm3_rows(grid, seed):
+    ns, names = grid["n"], grid["fields"]
+    for name in names:
         fld = standard_field(name)
         for n in ns:
             pred = predicted_invariants(fld, n)
             for label, A in _thm3_algebras(fld, n):
-                t0 = time.perf_counter()
                 T = csa.second_trace_form(A)
                 rep = quadform.arf(T)
                 cls = quadform.clifford_invariant(T)
                 ok = rep == pred.arf and cls == pred.clifford
-                out.append(
-                    _report(
-                        "thm3",
-                        {"field": name, "n": n, "algebra": label},
-                        {"arf": fld.show(pred.arf), "clifford": "trivial"},
-                        {
-                            "arf": fld.show(rep),
-                            "clifford": "trivial" if cls.is_trivial else str(cls.symbols),
-                        },
-                        ok,
-                        t0,
-                    )
+                yield (
+                    {"field": name, "n": n, "algebra": label},
+                    {"arf": fld.show(pred.arf), "clifford": "trivial"},
+                    {"arf": fld.show(rep), "clifford": _clifford_text(cls)},
+                    _verdict(ok),
                 )
-    return out
 
 
-def _run_thm4(params, seed):
-    fld = standard_field(params.get("field", "GF2"))
-    pairs = params.get("pairs", DEFAULT_PAIRS["thm4"])
-    out = []
-    for n1, n2 in pairs:
-        t0 = time.perf_counter()
+def _thm4_rows(grid, seed):
+    fld = standard_field(grid["field"])
+    for n1, n2 in grid["pairs"]:
         w1 = matrix_trace_witt(fld, n1)
         w2 = matrix_trace_witt(fld, n2)
         pred = predicted_tensor_invariants(fld, n1, n2, w1.arf, w2.arf)
@@ -879,51 +748,32 @@ def _run_thm4(params, seed):
         rep = quadform.arf(T)
         cls = quadform.clifford_invariant(T)
         ok = rep == pred.arf and cls.is_trivial
-        out.append(
-            _report(
-                "thm4",
-                {"n1": n1, "n2": n2},
-                {"arf": fld.show(pred.arf), "clifford": "trivial", "label": pred.clifford.label},
-                {"arf": fld.show(rep), "clifford": "trivial" if cls.is_trivial else str(cls.symbols)},
-                ok,
-                t0,
-            )
+        yield (
+            {"n1": n1, "n2": n2},
+            {"arf": fld.show(pred.arf), "clifford": "trivial", "label": pred.clifford.label},
+            {"arf": fld.show(rep), "clifford": _clifford_text(cls)},
+            _verdict(ok),
         )
-    return out
 
 
-def _run_remark2(params, seed):
-    fld = standard_field(params.get("field", "GF2"))
-    t0 = time.perf_counter()
+def _remark2_rows(grid, seed):
+    fld = standard_field(grid["field"])
     T = tensor_trace_form(fld, 3, 3)
     w = quadform.witt_class(T)
     ok = T.dim == 80 and w == WittClass(fld, 80, fld.zero, 0)
-    return [
-        _report(
-            "remark2",
-            {"n1": 3, "n2": 3},
-            {"dim": 80, "arf": "0", "planes": 40},
-            witt_to_dict(w),
-            ok,
-            t0,
-        )
-    ]
+    yield {"n1": 3, "n2": 3}, {"dim": 80, "arf": "0", "planes": 40}, witt_to_dict(w), _verdict(ok)
 
 
-def _run_remark3(params, seed):
+def _remark3_rows(grid, seed):
     """Odd-degree algebras all land in the matrix-algebra class (even
     degrees are compared with it the same way).
 
     Nontrivial cyclic cocycles need a wrap-around scalar in the base
     field, so those cases run over GF(4) where the unit group is larger.
     """
-    out = []
-    degrees = _degrees("remark3", params)
-    cases = [("GF2", "trivial"), ("GF4", "trivial"), ("GF4", "cyclic")]
-    for n in degrees:
-        for name, style in cases:
+    for n in grid["n"]:
+        for name, style in (("GF2", "trivial"), ("GF4", "trivial"), ("GF4", "cyclic")):
             base = standard_field(name)
-            t0 = time.perf_counter()
             E = _ext_of_degree(base, n, seed)
             if style == "trivial":
                 A = csa.crossed_product(E, base)
@@ -932,71 +782,85 @@ def _run_remark3(params, seed):
             w = quadform.witt_class(csa.second_trace_form(A))
             wm = matrix_trace_witt(base, n)
             ok = same_witt_class(w, wm)
-            out.append(
-                _report(
-                    "remark3",
-                    {"field": name, "n": n, "cocycle": style},
-                    witt_to_dict(wm),
-                    witt_to_dict(w),
-                    ok,
-                    t0,
-                )
-            )
-    return out
+            params = {"field": name, "n": n, "cocycle": style}
+            yield params, witt_to_dict(wm), witt_to_dict(w), _verdict(ok)
 
 
-def _run_example1(params, seed):
-    t0 = time.perf_counter()
+def _example1_rows(grid, seed):
     rep = example1_audit()
     ok = rep["verdict"] == "documented-discrepancy" and "a+1" in rep.get("roots", [])
-    return [
-        _report(
-            "example1",
-            {"field": "GF4", "poly": "x^3+x+a"},
-            {"verdict": "documented-discrepancy", "claimed_form": "[1,a]"},
-            rep,
-            ok,
-            t0,
-            verdict="documented-discrepancy" if ok else "fail",
-        )
-    ]
+    yield (
+        {"field": "GF4", "poly": "x^3+x+a"},
+        {"verdict": "documented-discrepancy", "claimed_form": "[1,a]"},
+        rep,
+        "documented-discrepancy" if ok else "fail",
+    )
 
 
-_RUNNERS = {
-    "prop1": _run_prop1,
-    "thm1": _run_thm1,
-    "cor1": _run_cor1,
-    "cor2": _run_cor2,
-    "thm2": _run_thm2,
-    "cor3": _run_cor3,
-    "cor4": _run_cor4,
-    "thm3": _run_thm3,
-    "thm4": _run_thm4,
-    "remark2": _run_remark2,
-    "remark3": _run_remark3,
-    "example1": _run_example1,
+@dataclass(frozen=True)
+class Claim:
+    """One claim of ``verify``.  ``rows(grid, seed)`` yields (params,
+    predicted, computed, verdict) per report; ``defaults`` holds each
+    grid key the claim reads with its default value; ``rule`` is the
+    (least degree, parity) of a claim that reads n=, and ``degree`` the
+    degree of the one algebra a claim without a grid builds."""
+
+    rows: object
+    defaults: dict = _dfield(default_factory=dict)
+    rule: tuple | None = None
+    degree: int | None = None
+
+    @property
+    def reads(self):
+        return tuple(self.defaults)
+
+
+THM2_PAIRS = (
+    (3, 5), (3, 7), (2, 2), (2, 6), (4, 2), (4, 4),
+    (4, 3), (4, 5), (2, 5), (2, 3), (2, 7), (6, 3),
+)
+
+CLAIMS = {
+    "prop1": Claim(_prop1_rows, {"n": range(2, 10), "fields": ("GF2", "GF4")}, (2, None)),
+    "thm1": Claim(_thm1_rows, {"n": (2, 3, 4, 5, 7, 9)}, (2, None)),
+    "cor1": Claim(_cor1_rows, {"n": (3, 5, 7, 9)}, (3, 1)),
+    "cor2": Claim(_cor2_rows, {"n": (3, 5, 7, 9), "fields": ("GF2", "GF4", "GF8")}, (3, 1)),
+    "thm2": Claim(_thm2_rows, {"pairs": THM2_PAIRS}),
+    "cor3": Claim(_cor3_rows, {"n": (2, 4, 6, 8)}, (2, None)),
+    "cor4": Claim(_cor4_rows, {"n": (2, 3, 4)}, (2, None)),
+    "thm3": Claim(_thm3_rows, {"n": (2, 4, 6, 8), "fields": ("GF2", "GF4", "GF8")}, (2, 0)),
+    "thm4": Claim(_thm4_rows, {"pairs": THM2_PAIRS + ((5, 7),)}),
+    "remark2": Claim(_remark2_rows, degree=9),
+    "remark3": Claim(_remark3_rows, {"n": (3, 5)}, (2, None)),
+    "example1": Claim(_example1_rows, degree=3),
 }
+CLAIM_IDS = tuple(CLAIMS)
 
 
 def run_verification(claim, params=None, seed=0, max_degree=None):
     """Run one claim (or ``all``) over its parameter grid; returns the
     reports sorted by (claim, params) so aggregation is order
-    independent.  With ``max_degree``, every degree a claim would build
-    is checked against it before any claim runs."""
+    independent.  Every grid is checked (degree rules, pairs, field
+    names and, with ``max_degree``, the degrees it would build) before
+    any claim runs.  A report's ``ms`` is the time since the previous
+    report of its claim, or since the claim started."""
     params = params or {}
-    if claim != "all" and claim not in _RUNNERS:
+    if claim != "all" and claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     degrees = claim_degrees(claim, params["n"], max_degree) if "n" in params else {}
-    runs = [
-        (cid, {**params, "n": degrees[cid]} if cid in degrees else params)
-        for cid in (CLAIM_IDS if claim == "all" else (claim,))
-    ]
-    if max_degree is not None:
-        for cid, p in runs:
-            top = _largest_built_degree(cid, p)
-            if top > max_degree:
-                raise _cap_error(cid, top, max_degree)
+    grids = {}
+    for cid in CLAIM_IDS if claim == "all" else (claim,):
+        grid = {key: params.get(key, value) for key, value in CLAIMS[cid].defaults.items()}
+        if cid in degrees:
+            grid["n"] = degrees[cid]
+        grid["field"] = params.get("field", "GF2")
+        _check_grid(cid, grid, max_degree)
+        grids[cid] = grid
     out = []
-    for cid, p in runs:
-        out.extend(_RUNNERS[cid](p, seed))
+    for cid, grid in grids.items():
+        t0 = time.perf_counter()
+        for row in CLAIMS[cid].rows(grid, seed):
+            t1 = time.perf_counter()
+            out.append(VerificationReport(cid, *row, (t1 - t0) * 1000.0))
+            t0 = t1
     return sorted(out, key=lambda r: (r.claim, sorted(r.params.items()).__repr__()))

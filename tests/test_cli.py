@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import t2forms
-from t2forms import cli, linalg, theorems
+from t2forms import cli, csa, linalg, theorems
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "verify_all_reference.json"
 
@@ -172,11 +173,11 @@ def test_cli_verify_pass_and_exit_codes(capsys, monkeypatch):
     assert [r["verdict"] for r in doc] == ["pass", "pass"]
     assert all("ms" not in r for r in doc)
 
-    def fake_runner(params, seed):
-        rep = theorems.VerificationReport("prop1", {}, {}, {}, "fail", 1.0)
-        return [rep]
+    def fake_rows(grid, seed):
+        yield {}, {}, {}, "fail"
 
-    monkeypatch.setitem(theorems._RUNNERS, "prop1", fake_runner)
+    fake = dataclasses.replace(theorems.CLAIMS["prop1"], rows=fake_rows)
+    monkeypatch.setitem(theorems.CLAIMS, "prop1", fake)
     code, out, _ = run_cli(capsys, "--cmd", "verify", "--claim", "prop1")
     assert code == 1
 
@@ -199,6 +200,47 @@ def test_cli_malformed_grid_item_names_key_and_item(capsys, argv, message):
     code, out, err = run_cli(capsys, "--cmd", "verify", *argv)
     assert code == 2 and out == ""
     assert message in err and "invalid literal" not in err
+
+
+def test_cli_malformed_seed_and_algebra_degree_name_the_key_or_atom(capsys, tmp_path):
+    spec = tmp_path / "job.spec"
+    spec.write_text("cmd=verify\nclaim=cor1\nseed=abc\n")
+    cases = [
+        (("--spec", str(spec)), "seed=abc: expected an integer"),
+        (("--cmd", "witt", "--algebra", "Mat(x)"), "'Mat(x)': the degree must be an integer"),
+        (("--cmd", "witt", "--algebra", "Tensor(Mat(2),Mat(x))"), "'Mat(x)'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err and "invalid literal" not in err
+    with pytest.raises(cli.ParseError, match="seed=abc"):
+        cli.parse_spec("cmd=verify seed=abc")
+
+
+def test_cli_verify_checks_pairs_and_fields_before_building(capsys, monkeypatch):
+    built = []
+    for name in ("tensor_product", "matrix_algebra"):
+        real = getattr(csa, name)
+        monkeypatch.setattr(csa, name, lambda *a, real=real: built.append(a) or real(*a))
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "thm2", "--pairs", "5x7,1x3")
+    assert code == 2 and out == ""
+    assert "pairs=1x3: thm2 admits n1, n2 >= 2" in err
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "prop1", "--fields", "GF2,GF16")
+    assert code == 2 and out == ""
+    assert "fields=GF16: unknown field shorthand 'GF16'" in err
+    assert built == []
+
+
+def test_cli_verify_timings_on_every_row_and_only_when_asked(capsys):
+    for timings in ((), ("--timings",)):
+        code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "all", *timings)
+        assert code == 0, err
+        doc = json.loads(out)
+        if timings:
+            assert all(isinstance(r["ms"], float) and r["ms"] >= 0 for r in doc)
+        else:
+            assert all("ms" not in r for r in doc)
 
 
 def test_cli_parse_error_exit_2(capsys):
@@ -401,7 +443,9 @@ def test_cli_verify_all_n4_5_splits_by_degree_rule(capsys):
     assert {n for c, n in got if c == "thm3"} == {4}
     assert {n for c, n in got if c == "cor3"} == {4, 5}
     assert got == {
-        (c, n) for c in theorems.DEGREE_RULES for n in (4, 5) if theorems.admits_degree(c, n)
+        (c, n)
+        for c, claim in theorems.CLAIMS.items() if claim.rule
+        for n in (4, 5) if theorems.admits_degree(c, n)
     }
 
 

@@ -1,4 +1,9 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,43 +268,38 @@ def test_run_verification_unknown_claim():
         theorems.run_verification("nope")
 
 
-def test_claim_params_table_matches_runners():
-    # each runner is handed empty grids and must ask for exactly the grid
-    # keys the table lists for it
+def test_claim_rows_read_exactly_their_grid_keys():
+    # each claim's rows are handed empty grids and must ask for exactly
+    # the grid keys its defaults list
     class Recorder(dict):
-        def get(self, key, default=None):
+        def __getitem__(self, key):
             self.read.add(key)
-            return () if key in ("n", "fields", "pairs") else default
+            return () if key in ("n", "fields", "pairs") else super().__getitem__(key)
 
-    for cid in theorems.CLAIM_IDS:
-        params = Recorder()
-        params.read = set()
-        theorems._RUNNERS[cid](params, 0)
-        assert params.read & {"n", "fields", "pairs"} == set(theorems.CLAIM_PARAMS[cid]), cid
+    for cid, claim in theorems.CLAIMS.items():
+        grid = Recorder(field="GF2")
+        grid.read = set()
+        list(claim.rows(grid, 0))
+        assert grid.read & {"n", "fields", "pairs"} == set(claim.reads), cid
 
 
 def test_degree_rules_cover_the_claims_reading_n():
-    assert set(theorems.DEGREE_RULES) == {c for c, keys in theorems.CLAIM_PARAMS.items() if "n" in keys}
+    claims = theorems.CLAIMS
+    assert {c for c in claims if claims[c].rule} == {c for c in claims if "n" in claims[c].reads}
     # each rule admits the claim's own default degrees
-    class Recorder(dict):
-        def get(self, key, default=None):
-            if key == "n":
-                self.default = default
-            return () if key in ("n", "fields", "pairs") else default
-
-    for cid in theorems.DEGREE_RULES:
-        params = Recorder()
-        theorems._RUNNERS[cid](params, 0)
-        assert all(theorems.admits_degree(cid, n) for n in params.default), cid
+    for cid, claim in claims.items():
+        if claim.rule:
+            assert all(theorems.admits_degree(cid, n) for n in claim.defaults["n"]), cid
 
 
 def test_every_runner_and_prediction_rejects_degrees_outside_its_rule():
-    for cid, (least, parity) in theorems.DEGREE_RULES.items():
+    for cid, claim in theorems.CLAIMS.items():
+        if claim.rule is None:
+            continue
+        least, parity = claim.rule
         bad = [least - 1] + ([least + 1] if parity is not None else [])
         for n in bad:
             assert not theorems.admits_degree(cid, n)
-            with pytest.raises(ValueError, match=f"n={n}: {cid} admits"):
-                theorems._RUNNERS[cid]({"n": [n]}, 0)
             with pytest.raises(ValueError, match=f"n={n}: {cid} admits"):
                 theorems.run_verification(cid, {"n": [n]})
     for predict, cid in (
@@ -344,10 +344,20 @@ def test_degree_cap_is_the_upper_end_of_each_rule():
         theorems.claim_degrees("cor1", [4], cap=3)
 
 
-def test_run_verification_checks_the_cap_before_any_claim_runs(monkeypatch):
+def _record_runs(monkeypatch):
+    """Replace every claim's rows by a recorder of the claims run."""
     ran = []
-    for cid in theorems.CLAIM_IDS:
-        monkeypatch.setitem(theorems._RUNNERS, cid, lambda p, s, cid=cid: ran.append(cid) or [])
+
+    def rows(cid):
+        return lambda grid, seed: iter(ran.append(cid) or ())
+
+    for cid, claim in theorems.CLAIMS.items():
+        monkeypatch.setitem(theorems.CLAIMS, cid, dataclasses.replace(claim, rows=rows(cid)))
+    return ran
+
+
+def test_run_verification_checks_the_cap_before_any_claim_runs(monkeypatch):
+    ran = _record_runs(monkeypatch)
     with pytest.raises(ValueError, match="thm2 builds degree 21, which exceeds --max-degree 20"):
         theorems.run_verification("all", {"n": [3]}, max_degree=20)
     with pytest.raises(ValueError, match="remark2 builds degree 9, which exceeds --max-degree 8"):
@@ -356,3 +366,53 @@ def test_run_verification_checks_the_cap_before_any_claim_runs(monkeypatch):
     # every default grid lies within the default cap of 35
     theorems.run_verification("all", max_degree=35)
     assert ran == list(theorems.CLAIM_IDS)
+
+
+def test_run_verification_checks_pairs_and_field_names_before_any_claim_runs(monkeypatch):
+    ran = _record_runs(monkeypatch)
+    with pytest.raises(ValueError, match="pairs=1x3: thm2 admits n1, n2 >= 2"):
+        theorems.run_verification("all", {"pairs": [(5, 7), (1, 3)]})
+    with pytest.raises(ValueError, match="pairs=4x0: thm4 admits n1, n2 >= 2"):
+        theorems.run_verification("thm4", {"pairs": [(4, 0)]})
+    with pytest.raises(ValueError, match="fields=GF16: unknown field shorthand 'GF16'"):
+        theorems.run_verification("all", {"fields": ("GF2", "GF16")})
+    assert ran == []
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_cor2_rows_agree_with_the_public_obstruction_test(seed):
+    # cor2 skips the factor witness on its own irreducible polynomials;
+    # the full galois_obstruction route must give the same verdicts
+    reports = theorems.run_verification("cor2", {"n": [3, 5, 7]}, seed=seed)
+    assert len(reports) == 9
+    for r in reports:
+        base = theorems.standard_field(r.params["field"])
+        E = theorems._ext_of_degree(base, r.params["n"], seed)
+        rep = theorems.galois_obstruction(base, E.poly)
+        assert rep["reducible"] is False
+        assert r.computed == {k: rep[k] for k in ("verdict", "degenerate") if k in rep}
+
+
+_COUNT_WITNESSES = """
+import contextlib, io
+from t2forms import cli, fields
+calls = []
+witness = fields.poly_factor_witness
+fields.poly_factor_witness = lambda *a, **k: calls.append(a) or witness(*a, **k)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["--cmd", "verify", "--claim", "all", "--seed", "5"])
+print(code, len(calls))
+"""
+
+
+def test_verify_all_runs_no_repeated_cor2_witness():
+    # a fresh process, so no cache of earlier tests hides a witness; cor2
+    # once took a third witness of each extension polynomial (103 calls)
+    src = str(Path(theorems.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_WITNESSES],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    code, calls = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert calls <= 91
