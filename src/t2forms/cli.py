@@ -138,10 +138,7 @@ def _job_from_dict(data):
         job.ext = ext.strip('"')
     if "seed" in data:
         seed = data.pop("seed")
-        try:
-            job.seed = int(seed)
-        except ValueError:
-            raise ParseError(f"seed={seed}: expected an integer") from None
+        job.seed = _int_atom(seed, f"seed={seed}: expected an integer")
     for k in list(data):
         if k in _PARAM_KEYS:
             job.params[k] = data.pop(k)
@@ -181,10 +178,7 @@ def parse_field_spec(text, max_degree=None):
 def parse_algebra_spec(level, text, max_degree=None):
     text = text.strip()
     if text.startswith("Mat(") and text.endswith(")"):
-        try:
-            n = int(text[4:-1])
-        except ValueError:
-            raise ParseError(f"bad algebra spec {text!r}: the degree must be an integer") from None
+        n = _int_atom(text[4:-1], f"bad algebra spec {text!r}: the degree must be an integer")
         _check_cap("algebra degree", n, max_degree)
         return csa.matrix_algebra(level, n)
     if text.startswith("Quat(") and text.endswith(")"):
@@ -281,6 +275,28 @@ def _form_atom(atom, at):
 # -- command execution ------------------------------------------------------
 
 
+def _int_atom(text, error):
+    """The integer ``text`` spells: an optional '-' and then the ASCII
+    digits 0-9 only, blanks around it ignored.  Anything else, such as
+    '_', '+' or another script's digits, raises a ParseError ``error``."""
+    text = str(text).strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(error)
+    return int(text)
+
+
+def _refuse_repeats(key, values, show=str):
+    """``values``, unless one of them comes twice: a grid runs each value
+    once, so a repeat is refused rather than run again or dropped."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ParseError(f"{key}={show(v)}: repeated grid value")
+        seen.add(v)
+    return values
+
+
 def _int_list(text, cap=None):
     """A comma list of integers and lo..hi ranges; with a cap, a value
     or range end above it in size is refused before a range expands."""
@@ -289,15 +305,13 @@ def _int_list(text, cap=None):
         if not part:
             continue
         lo, dots, hi = part.partition("..")
-        try:
-            lo = int(lo)
-            hi = int(hi) if dots else lo
-        except ValueError:
-            raise ParseError(f"n={part}: expected an integer or a lo..hi range") from None
+        error = f"n={part}: expected an integer or a lo..hi range"
+        lo = _int_atom(lo, error)
+        hi = _int_atom(hi, error) if dots else lo
         if cap is not None and max(abs(lo), abs(hi)) > cap:
             raise ParseError(f"n={part} exceeds --max-degree {cap}")
         out.extend(range(lo, hi + 1))
-    return out
+    return _refuse_repeats("n", out)
 
 
 def _pair_list(text):
@@ -306,11 +320,9 @@ def _pair_list(text):
         if not part:
             continue
         a, _, b = part.partition("x")
-        try:
-            out.append((int(a), int(b)))
-        except ValueError:
-            raise ParseError(f"pairs={part}: expected n1xn2") from None
-    return out
+        error = f"pairs={part}: expected n1xn2"
+        out.append((_int_atom(a, error), _int_atom(b, error)))
+    return _refuse_repeats("pairs", out, lambda p: f"{p[0]}x{p[1]}")
 
 
 def _form_to_dict(level, q, include_polar=True):
@@ -421,7 +433,7 @@ def _job_verify(job, level, cap):
     if "pairs" in job.params:
         params["pairs"] = _pair_list(job.params["pairs"])
     if "fields" in job.params:
-        params["fields"] = tuple(str(job.params["fields"]).split(","))
+        params["fields"] = _refuse_repeats("fields", tuple(str(job.params["fields"]).split(",")))
     return theorems.run_verification(claim, params, job.seed, max_degree=cap)
 
 
@@ -479,7 +491,7 @@ def main(argv=None):
     parser.add_argument("--n", help="degree grid, e.g. 2..9 or 3,5,7")
     parser.add_argument("--fields", help="comma list of field shorthands (GF2,GF4,GF8)")
     parser.add_argument("--pairs", help="tensor pairs, e.g. 3x5,2x7")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", help="integer seed for verify")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--timings", action="store_true", help="include wall times in reports")
     parser.add_argument(
@@ -502,8 +514,8 @@ def main(argv=None):
                 if value is not None:
                     data[key] = value
             data.setdefault("cmd", None)
-            if args.seed:
-                data["seed"] = str(args.seed)
+            if args.seed is not None:
+                data["seed"] = args.seed
             job = _job_from_dict(data)
         doc, code = execute(job, include_ms=args.timings, max_degree=args.max_degree)
     except (ParseError, fields.FieldError, quadform.FormError, csa.AlgebraError, ValueError) as exc:

@@ -668,55 +668,31 @@ def _trace_products(A):
 def t2_form(A):
     """The quadratic form x -> t2(x) on the whole algebra: the basis
     values t2(e_i) and the polar rows b(e_i, e_j) = Trd(e_i e_j) +
-    t1(e_i) t1(e_j), packed over a finite field.  On the diagonal the two
-    terms cancel, as b(e_i, e_i) must."""
+    t1(e_i) t1(e_j), rows of the field's ``linalg.row_ring``.  On the
+    diagonal the two terms cancel, as b(e_i, e_i) must."""
     f = A.field
+    R = linalg.row_ring(f)
     t1 = t1_vector(A)
-    trd = _trace_products(A)
-    if getattr(f, "is_finite", False):
-        bits = f.bits
-        T = linalg.pack_row(f, t1)
-        rows = []
-        for ti, row in zip(t1, trd):
-            r = linalg.scale_row(f, T, ti) if ti else 0
-            for j, v in row.items():
-                r ^= v << (j * bits)
-            rows.append(r)
-    else:
-        rows = [
-            [f.add(row.get(j, f.zero), f.mul(ti, tj)) for j, tj in enumerate(t1)]
-            for ti, row in zip(t1, trd)
-        ]
+    T = R.read(t1)
+    n = A.dim
+    rows = [R.axpy(R.sparse(row.items(), n), ti, T) for ti, row in zip(t1, _trace_products(A))]
     return QuadraticForm.from_rows(f, list(t2_diagonal(A)), rows)
 
 
 def trace_zero_subspace(A):
     """Kernel of the reduced trace functional, as a list of sparse basis
     rows: e_k + (t1(e_k) / t1(e_k0)) e_k0 for every k other than the
-    first index k0 where the trace is nonzero.  Over a finite level the
-    rows are packed ints, the layout of finite-level forms; otherwise
-    they are coordinate lists."""
+    first index k0 where the trace is nonzero.  The rows are rows of the
+    field's ``linalg.row_ring``, the layout of its forms."""
     f = A.field
+    R = linalg.row_ring(f)
     t1 = t1_vector(A)
     k0 = next((k for k, v in enumerate(t1) if not f.is_zero(v)), None)
     if k0 is None:
         raise AlgebraError("reduced trace vanishes identically")
     inv = f.inv(t1[k0])
-    packed = getattr(f, "is_finite", False)
-    rows = []
-    for k in range(A.dim):
-        if k == k0:
-            continue
-        lam = f.mul(t1[k], inv)
-        if packed:
-            rows.append((f.one << (k * f.bits)) | (lam << (k0 * f.bits)))
-            continue
-        row = [f.zero] * A.dim
-        row[k] = f.one
-        if not f.is_zero(lam):
-            row[k0] = lam
-        rows.append(row)
-    return rows
+    n, one, mul = A.dim, f.one, f.mul
+    return [R.sparse(((k, one), (k0, mul(t1[k], inv))), n) for k in range(n) if k != k0]
 
 
 def t2_form_of_degree(A, n):
@@ -750,13 +726,8 @@ def b_subspace_form(A):
     q = t2_form(A)
     if n % 2:
         return QuadraticForm(A.field, [], [])
-    i = n // 2
-    rows = []
-    for t in range(n):
-        row = [A.field.zero] * A.dim
-        row[i * n + t] = A.field.one
-        rows.append(row)
-    return q.restricted(rows)
+    R = linalg.row_ring(A.field)
+    return q.restricted([R.unit(A.dim, n // 2 * n + t) for t in range(n)])
 
 
 # -- sanity checking -------------------------------------------------------

@@ -10,12 +10,20 @@ packed rows are plain bit vectors and scaling is never needed.
 :class:`GF2Solver` (and :func:`solve_gf2` through it), :func:`kernel`
 and :func:`packed_kernel` run on it.  A GF(2)-linear system written as
 the packed image of each unknown bit is turned into solver rows by
-:func:`rows_from_images`.  List rows (a matrix as a list of rows of
-field elements, duck-typed over the field object) remain only for the
-small dense matrices of :func:`charpoly`.
+:func:`rows_from_images`.
+
+The rows of a quadratic form are rows of a row ring,
+:func:`row_ring`, picked from the field: :class:`PackedRows` over a
+finite level, :class:`ListRows` (lists of field elements, duck-typed
+over the field object) over any other field, such as GF(2^k)(t).  Both
+offer the same operations, so the symplectic reduction and the
+restriction of a form are written once.  List rows also hold the small
+dense matrices of :func:`charpoly`.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 # -- packed rows over a finite level -------------------------------------
@@ -92,23 +100,187 @@ def unpack_row(field, row, ncols):
     return [(row >> (i * bits)) & emask for i in range(ncols)]
 
 
-def row_entry(field, row, c):
-    bits = field.bits
-    return (row >> (c * bits)) & ((1 << bits) - 1)
+# -- row rings -----------------------------------------------------------
 
 
-def row_items(field, row):
-    """The nonzero entries of a packed row as (column, value) pairs,
-    lowest column first; the cost is per nonzero entry."""
-    bits = field.bits
-    emask = (1 << bits) - 1
-    out = []
-    while row:
-        shift = (((row & -row).bit_length() - 1) // bits) * bits
-        e = (row >> shift) & emask
-        out.append((shift // bits, e))
-        row ^= e << shift
-    return out
+def row_ring(field):
+    """The rows of a matrix over ``field`` as one table of operations:
+    :class:`PackedRows` over a finite level, :class:`ListRows` over any
+    other field.  Both give the same results on the same entries."""
+    return PackedRows(field) if getattr(field, "is_finite", False) else ListRows(field)
+
+
+class PackedRows:
+    """Packed rows over a finite level: a row is one int, and entries
+    other than one are scaled by :func:`scale_row`.  ``add`` is the
+    scalar add, integer xor."""
+
+    def __init__(self, field):
+        self.field, self.one, self.bits = field, field.one, field.bits
+        self.emask = (1 << field.bits) - 1
+        self.add = operator.xor
+
+    def unit(self, n, i):
+        return self.one << (i * self.bits)
+
+    def entry(self, row, j):
+        return (row >> (j * self.bits)) & self.emask
+
+    def read(self, entries):
+        """A row from a coordinate sequence, or a row already packed."""
+        return entries if isinstance(entries, int) else pack_row(self.field, entries)
+
+    def unpack(self, row, n):
+        return unpack_row(self.field, row, n)
+
+    def items(self, row):
+        """The nonzero entries as (column, value) pairs, lowest column
+        first; the cost is per nonzero entry."""
+        bits, emask = self.bits, self.emask
+        out = []
+        while row:
+            shift = (((row & -row).bit_length() - 1) // bits) * bits
+            e = (row >> shift) & emask
+            out.append((shift // bits, e))
+            row ^= e << shift
+        return out
+
+    def sparse(self, items, n):
+        """The row with the given (column, value) entries, columns distinct."""
+        bits, row = self.bits, 0
+        for c, x in items:
+            row |= x << (c * bits)
+        return row
+
+    def place(self, rows, at, n):
+        """The rows of length ``n`` holding the given rows' entries from
+        column ``at`` on."""
+        shift = at * self.bits
+        return [r << shift for r in rows] if shift else list(rows)
+
+    def scale(self, row, c):
+        return scale_row(self.field, row, c)
+
+    def axpy(self, dst, c, src):
+        """dst + c src."""
+        return dst ^ (src if c == self.one else scale_row(self.field, src, c))
+
+    def first(self, row):
+        """The lowest column where ``row`` is nonzero, or None."""
+        return ((row & -row).bit_length() - 1) // self.bits if row else None
+
+    def pivot_entries(self, i, j, row_i, row_j):
+        """(r, row_j[r], row_i[r]) for every column r other than i and j
+        where row_i or row_j is nonzero, lowest r first."""
+        bits, emask = self.bits, self.emask
+        out = []
+        m = (row_i | row_j) & ~((emask << (i * bits)) | (emask << (j * bits)))
+        while m:
+            shift = (((m & -m).bit_length() - 1) // bits) * bits
+            m &= ~(emask << shift)
+            out.append((shift // bits, (row_j >> shift) & emask, (row_i >> shift) & emask))
+        return out
+
+    def times_transpose(self, rows, sup, ncols):
+        """v R^T for each row v of length ``ncols``, where row b of R has
+        the nonzero entries ``sup[b]``.
+
+        Columns of R that hold the next unit vector in order map as slices
+        of the packed row; only the other nonzero columns are scaled and
+        added.  On the trace-zero hyperplane e_k + l_k e_k0, v R^T is thus
+        v with its entry at k0 times (l_k) added and column k0 dropped: a
+        few xors."""
+        f, bits, emask = self.field, self.bits, self.emask
+        cols = [0] * ncols
+        for a, s in enumerate(sup):
+            for k, x in s:
+                cols[k] |= x << (a * bits)
+        runs = []  # [first column, end column, first target] of each slice
+        extra = []
+        b = 0
+        for k, col in enumerate(cols):
+            if col == 1 << (b * bits):
+                if runs and runs[-1][1] == k:
+                    runs[-1][1] = k + 1
+                else:
+                    runs.append([k, k + 1, b])
+                b += 1
+            elif col:
+                extra.append((k * bits, col))
+        slices = [(k0 * bits, (1 << ((k1 - k0) * bits)) - 1, t * bits) for k0, k1, t in runs]
+        out = []
+        for v in rows:
+            w = 0
+            for shift, mask, target in slices:
+                w |= ((v >> shift) & mask) << target
+            for shift, col in extra:
+                e = (v >> shift) & emask
+                if e:
+                    w ^= scale_row(f, col, e)
+            out.append(w)
+        return out
+
+
+class ListRows:
+    """Rows as lists of field elements, duck-typed over the field; an
+    entry is zero when it tests false.  ``add`` is the field's add.  No
+    operation changes a row it is given."""
+
+    def __init__(self, field):
+        self.field, self.one, self.add = field, field.one, field.add
+
+    def unit(self, n, i):
+        return self.sparse(((i, self.one),), n)
+
+    def entry(self, row, j):
+        return row[j]
+
+    def read(self, entries):
+        return list(entries)
+
+    def unpack(self, row, n):
+        return list(row)
+
+    def items(self, row):
+        return [(c, x) for c, x in enumerate(row) if x]
+
+    def sparse(self, items, n):
+        row = [self.field.zero] * n
+        for c, x in items:
+            row[c] = x
+        return row
+
+    def place(self, rows, at, n):
+        zero = self.field.zero
+        return [[zero] * at + list(r) + [zero] * (n - at - len(r)) for r in rows]
+
+    def scale(self, row, c):
+        return [self.field.mul(c, x) for x in row]
+
+    def axpy(self, dst, c, src):
+        add, mul = self.add, self.field.mul
+        return [add(x, mul(c, y)) if y else x for x, y in zip(dst, src)] if c else dst
+
+    def first(self, row):
+        return next((c for c, x in enumerate(row) if x), None)
+
+    def pivot_entries(self, i, j, row_i, row_j):
+        pairs = enumerate(zip(row_i, row_j))
+        return [(r, y, x) for r, (x, y) in pairs if (x or y) and r != i and r != j]
+
+    def times_transpose(self, rows, sup, ncols):
+        add, mul, zero = self.add, self.field.mul, self.field.zero
+        out = []
+        for v in rows:
+            w = []
+            for s in sup:
+                acc = zero
+                for k, x in s:
+                    if v[k]:
+                        acc = add(acc, mul(x, v[k]))
+                w.append(acc)
+            out.append(w)
+        return out
 
 
 class PackedEchelon:
@@ -170,6 +342,7 @@ class PackedEchelon:
         """Basis of the null space of the inserted rows, packed."""
         field = self.field
         bits = field.bits
+        emask = (1 << bits) - 1
         pivset = set(self.rows)
         basis = []
         for free in range(self.ncols):
@@ -177,7 +350,7 @@ class PackedEchelon:
                 continue
             v = field.one << (free * bits)
             for p, prow in self.rows.items():
-                e = row_entry(field, prow, free)
+                e = (prow >> (free * bits)) & emask
                 if e:
                     v |= e << (p * bits)
             basis.append(v)

@@ -8,15 +8,15 @@ The single evaluation rule
 
 is the source of truth for everything else.
 
-Over a finite level the polar matrix is held as packed rows, one int per
-row with ``field.bits`` bits per entry (the layout of
-:class:`linalg.PackedEchelon`), so row operations are integer xors plus
-``linalg.scale_row`` for scalars other than one.  Restriction to a
-sparse basis and the symplectic block reduction both run on these rows,
-at every finite level.  List rows remain only for the rational function
-field backend (``rational.FunctionField``), with its own generic
-restriction and reduction; the radical there is read off that
-reduction, so no list-row elimination is needed.
+The polar matrix is held as rows of the field's row ring
+(``linalg.row_ring``): packed ints over a finite level, one int per row
+with ``field.bits`` bits per entry, so row operations are integer xors
+plus ``linalg.scale_row`` for scalars other than one; lists of field
+elements over any other field, such as ``rational.FunctionField``.
+Restriction to a sparse basis and the symplectic block reduction are
+each written once against the ring and run on every field.  Over a
+finite level the radical is also a ``linalg.packed_kernel``, a route
+independent of the reduction; elsewhere it is read off the reduction.
 ``QuadraticForm.polar`` and the rows of a decomposition are list views,
 unpacked only when read.
 
@@ -65,49 +65,43 @@ class QuadraticForm:
 
     ``diag[i]`` is q(e_i); the polar matrix is symmetric with zero
     diagonal (alternating, as forced in characteristic two).  ``rows``
-    holds it in the storage layout: packed ints over a finite level
-    (``packed`` is then true), lists over a function field.  The
-    constructor takes list rows; a validated form copies ``diag`` and
-    ``polar``, and with ``validate=False`` the lists are neither checked
-    nor copied, so the caller hands over freshly built lists.
-    :meth:`from_rows` takes rows already in the storage layout.
+    holds it as rows of ``ring``, the field's ``linalg.row_ring``.  The
+    constructor takes list rows, checks them and copies them into the
+    ring; :meth:`from_rows` takes ring rows as they are.
 
     ``basis`` may carry the rows that define the form inside an ambient
-    space, for audit; it is kept as given and read back as lists.
+    space, for audit, read back as lists.
     """
 
-    def __init__(self, field, diag, polar, basis=None, validate=True):
-        if validate:
-            diag = list(diag)
-            polar = [list(r) for r in polar]
-            if len(polar) != len(diag) or any(len(r) != len(diag) for r in polar):
-                raise DimensionMismatch("polar matrix shape does not match diagonal")
-            for i in range(len(diag)):
-                if not field.is_zero(polar[i][i]):
-                    raise FormError("polar matrix must have zero diagonal")
-                for j in range(i):
-                    if polar[i][j] != polar[j][i]:
-                        raise FormError("polar matrix must be symmetric")
-        if getattr(field, "is_finite", False):
-            polar = [linalg.pack_row(field, r) for r in polar]
-        self._init(field, diag, polar, basis, None)
+    def __init__(self, field, diag, polar):
+        diag = list(diag)
+        polar = [list(r) for r in polar]
+        if len(polar) != len(diag) or any(len(r) != len(diag) for r in polar):
+            raise DimensionMismatch("polar matrix shape does not match diagonal")
+        for i in range(len(diag)):
+            if not field.is_zero(polar[i][i]):
+                raise FormError("polar matrix must have zero diagonal")
+            for j in range(i):
+                if polar[i][j] != polar[j][i]:
+                    raise FormError("polar matrix must be symmetric")
+        ring = linalg.row_ring(field)
+        self._init(ring, diag, [ring.read(r) for r in polar], None, None)
 
     @classmethod
     def from_rows(cls, field, diag, rows, basis=None, basis_ncols=None):
-        """A form from polar rows in the storage layout, taken over
-        without checks or copies.  A packed ``basis`` is unpacked to
-        ``basis_ncols`` entries per row when first read."""
+        """A form from polar rows of the field's row ring, taken over
+        without checks or copies.  Given ``basis_ncols``, ``basis`` holds
+        ring rows too, unpacked to that many entries when first read."""
         q = cls.__new__(cls)
-        q._init(field, diag, rows, basis, basis_ncols)
+        q._init(linalg.row_ring(field), diag, rows, basis, basis_ncols)
         return q
 
-    def _init(self, field, diag, rows, basis, basis_ncols):
-        self.field = field
+    def _init(self, ring, diag, rows, basis, basis_ncols):
+        self.field = ring.field
+        self.ring = ring
         self.diag = diag
         self.rows = rows
         self.dim = len(diag)
-        self.packed = getattr(field, "is_finite", False)
-        self._bits = field.bits if self.packed else 0
         self._basis = basis
         self._basis_ncols = basis_ncols
         self._decomp = None
@@ -132,21 +126,18 @@ class QuadraticForm:
 
     @property
     def basis(self):
-        b = self._basis
-        if b and isinstance(b[0], int):
-            self._basis = b = [linalg.unpack_row(self.field, r, self._basis_ncols) for r in b]
-        return b
+        if self._basis_ncols is not None:
+            n = self._basis_ncols
+            self._basis = [self.ring.unpack(r, n) for r in self._basis]
+            self._basis_ncols = None
+        return self._basis
 
     def polar_entry(self, i, j):
-        if self.packed:
-            return (self.rows[i] >> (j * self._bits)) & ((1 << self._bits) - 1)
-        return self.rows[i][j]
+        return self.ring.entry(self.rows[i], j)
 
     def polar_row(self, i):
         """Row i of the polar matrix as a new list."""
-        if self.packed:
-            return linalg.unpack_row(self.field, self.rows[i], self.dim)
-        return list(self.rows[i])
+        return self.ring.unpack(self.rows[i], self.dim)
 
     @property
     def polar(self):
@@ -183,116 +174,43 @@ class QuadraticForm:
         return acc
 
     def restricted(self, rows):
-        """The form pulled back to the span of the given row vectors.
+        """The form pulled back to the span of the given row vectors, R B
+        R^T for the matrix R of those rows.
 
-        Rows are coordinate lists or, over a finite level, packed ints;
-        the result keeps ``rows`` itself, not a copy, as its ``basis``.
+        Rows are coordinate lists or rows of the form's ring; the result
+        keeps them, in the ring, as its ``basis``.  Row a of the result is
+        (r_a B) R^T: the polar rows along r_a's support, combined, then
+        mapped by R^T (``times_transpose``).
         """
-        if self.packed:
-            diag, polar = self._restrict_packed(rows)
-        else:
-            diag, polar = self._restrict_lists(rows)
-        return QuadraticForm.from_rows(self.field, diag, polar, basis=rows, basis_ncols=self.dim)
-
-    def _restrict_packed(self, rows):
-        """Diagonal and packed polar rows of R B R^T, R the basis rows.
-
-        Row a is (r_a B) R^T: the polar rows along r_a's support,
-        combined, then mapped by R^T.  Columns of R that hold the next
-        unit vector in order map as slices of the packed row; only the
-        other nonzero columns are scaled and added.  On the trace-zero
-        hyperplane e_k + l_k e_k0, row a is thus b_k + l_k b_k0 plus its
-        entry at k0 times (l_k), with column k0 dropped: a few xors.
-        """
-        f = self.field
-        bits = self._bits
-        emask = (1 << bits) - 1
-        mul, scale = f.mul, linalg.scale_row
-        B, d = self.rows, self.diag
-        sup = [linalg.row_items(f, r if isinstance(r, int) else linalg.pack_row(f, r)) for r in rows]
-        cols = [0] * self.dim
-        for a, s in enumerate(sup):
-            for k, x in s:
-                cols[k] |= x << (a * bits)
-        runs = []  # [first column, end column, first target] of each slice
-        extra = []
-        b = 0
-        for k, col in enumerate(cols):
-            if col == 1 << (b * bits):
-                if runs and runs[-1][1] == k:
-                    runs[-1][1] = k + 1
-                else:
-                    runs.append([k, k + 1, b])
-                b += 1
-            elif col:
-                extra.append((k * bits, col))
-        slices = [(k0 * bits, (1 << ((k1 - k0) * bits)) - 1, t * bits) for k0, k1, t in runs]
+        f, R, B, d = self.field, self.ring, self.rows, self.diag
+        add, mul, entry, axpy = R.add, f.mul, R.entry, R.axpy
+        rows = [R.read(r) for r in rows]
+        sup = [R.items(r) for r in rows]
+        zero_row = R.sparse((), self.dim)
         diag = []
-        polar = []
+        images = []
         for s in sup:
-            v = 0
-            acc = 0
+            v = zero_row
+            acc = f.zero
             for a, (k, x) in enumerate(s):
                 rowk = B[k]
-                v ^= scale(f, rowk, x)
-                acc ^= mul(mul(x, x), d[k])
+                v = axpy(v, x, rowk)
+                acc = add(acc, mul(mul(x, x), d[k]))
                 for l, y in s[a + 1 :]:
-                    e = (rowk >> (l * bits)) & emask
+                    e = entry(rowk, l)
                     if e:
-                        acc ^= mul(mul(x, y), e)
+                        acc = add(acc, mul(mul(x, y), e))
             diag.append(acc)
-            out = 0
-            for shift, mask, target in slices:
-                out |= ((v >> shift) & mask) << target
-            for shift, col in extra:
-                e = (v >> shift) & emask
-                if e:
-                    out ^= scale(f, col, e)
-            polar.append(out)
-        return diag, polar
-
-    def _restrict_lists(self, rows):
-        f = self.field
-        sup = [[(k, x) for k, x in enumerate(r) if not f.is_zero(x)] for r in rows]
-        B = self.rows
-        diag = []
-        for s in sup:
-            acc = f.zero
-            for a in range(len(s)):
-                k, x = s[a]
-                acc = f.add(acc, f.mul(f.mul(x, x), self.diag[k]))
-                rowk = B[k]
-                for b in range(a + 1, len(s)):
-                    l, y = s[b]
-                    if not f.is_zero(rowk[l]):
-                        acc = f.add(acc, f.mul(f.mul(x, y), rowk[l]))
-            diag.append(acc)
-        m = len(rows)
-        polar = [[f.zero] * m for _ in range(m)]
-        for i in range(m):
-            si = sup[i]
-            for j in range(i + 1, m):
-                acc = f.zero
-                for k, x in si:
-                    rowk = B[k]
-                    for l, y in sup[j]:
-                        if not f.is_zero(rowk[l]):
-                            acc = f.add(acc, f.mul(f.mul(x, y), rowk[l]))
-                if not f.is_zero(acc):
-                    polar[i][j] = acc
-                    polar[j][i] = acc
-        return diag, polar
+            images.append(v)
+        polar = R.times_transpose(images, sup, self.dim)
+        return QuadraticForm.from_rows(f, diag, polar, basis=rows, basis_ncols=self.dim)
 
     def scale(self, c):
         f = self.field
         if f.is_zero(c):
             raise FormError("scaling by zero")
         diag = [f.mul(c, d) for d in self.diag]
-        if self.packed:
-            rows = [linalg.scale_row(f, r, c) for r in self.rows]
-        else:
-            rows = [[f.mul(c, x) for x in row] for row in self.rows]
-        return QuadraticForm.from_rows(f, diag, rows)
+        return QuadraticForm.from_rows(f, diag, [self.ring.scale(r, c) for r in self.rows])
 
     def __repr__(self):
         return f"QuadraticForm(dim={self.dim} over {self.field!r})"
@@ -301,23 +219,18 @@ class QuadraticForm:
 def direct_sum(q1, q2):
     if q1.field != q2.field:
         raise FieldMismatch("forms live over different fields")
-    f = q1.field
-    n1, n2 = q1.dim, q2.dim
-    diag = list(q1.diag) + list(q2.diag)
-    if q1.packed:
-        shift = n1 * q1._bits
-        rows = list(q1.rows) + [r << shift for r in q2.rows]
-    else:
-        rows = [list(r) + [f.zero] * n2 for r in q1.rows]
-        rows += [[f.zero] * n1 + list(r) for r in q2.rows]
-    return QuadraticForm.from_rows(f, diag, rows)
+    R, n1, n = q1.ring, q1.dim, q1.dim + q2.dim
+    rows = R.place(q1.rows, 0, n) + R.place(q2.rows, n1, n)
+    return QuadraticForm.from_rows(q1.field, list(q1.diag) + list(q2.diag), rows)
 
 
 def radical(q):
     """Basis of the radical of the polar form, as coordinate rows.  Over
-    a function field these are the radical rows of the (cached) block
-    decomposition, the rows the symplectic reduction leaves unpaired."""
-    if q.packed:
+    a finite level this is a kernel by ``linalg.packed_kernel``, a route
+    independent of the symplectic reduction; over any other field these
+    are the radical rows of the (cached) block decomposition, the rows
+    the reduction leaves unpaired."""
+    if getattr(q.field, "is_finite", False):
         return linalg.packed_kernel(q.field, q.rows, q.dim)
     return block_decompose(q).radical_rows
 
@@ -332,8 +245,9 @@ class Decomposition:
     ``blocks`` are the binary forms [a_i, b_i] with cross coefficient 1;
     ``pairs`` hold the corresponding basis vectors (rows in the original
     coordinates); the radical rows carry their quasilinear diagonal
-    values.  Given ``ncols``, the pair and radical rows are packed and
-    are unpacked to lists of that length when first read.
+    values.  Given ``ncols``, the pair and radical rows are rows of the
+    field's row ring and are unpacked to lists of that length when first
+    read.
     """
 
     def __init__(self, field, blocks, pairs, radical_rows, radical_diag, ncols=None):
@@ -346,11 +260,9 @@ class Decomposition:
 
     def _unpack(self):
         if self._ncols is not None:
-            f, n = self.field, self._ncols
-            self._pairs = [
-                (linalg.unpack_row(f, u, n), linalg.unpack_row(f, v, n)) for u, v in self._pairs
-            ]
-            self._radical_rows = [linalg.unpack_row(f, u, n) for u in self._radical_rows]
+            R, n = linalg.row_ring(self.field), self._ncols
+            self._pairs = [(R.unpack(u, n), R.unpack(v, n)) for u, v in self._pairs]
+            self._radical_rows = [R.unpack(u, n) for u in self._radical_rows]
             self._ncols = None
 
     @property
@@ -369,148 +281,62 @@ class Decomposition:
 
 
 def block_decompose(q):
+    """The symplectic reduction of ``q``, cached on the form.
+
+    Pivot order: the first unpaired index whose polar row is nonzero,
+    paired with that row's lowest nonzero column.  Every other basis
+    vector e_r with b(e_r, e_i) or b(e_r, e_j) nonzero becomes
+    e_r + lam e_i + mu e_j, orthogonal to the pivot pair, so every
+    unpaired row is zero at the paired columns and holds the current
+    polar values on the unpaired ones.  A zero row stays zero, and is
+    radical: the pivot scan moves forward only.
+    """
     if q._decomp is None:
-        q._decomp = _decompose_packed(q) if q.packed else _decompose_generic(q)
+        q._decomp = _reduce(q)
     return q._decomp
 
 
-def _decompose_generic(q):
-    f = q.field
-    n = q.dim
-    B = [q.polar_row(i) for i in range(n)]
-    d = list(q.diag)
-    basis = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    blocks = []
-    pairs = []
-    while True:
-        pivot = None
-        for ai, i in enumerate(active):
-            for j in active[ai + 1 :]:
-                if not f.is_zero(B[i][j]):
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if not pivot:
-            break
-        i, j = pivot
-        p = B[i][j]
-        pinv = f.inv(p)
-        row_i = B[i]
-        row_j = B[j]
-        for r in active:
-            if r == i or r == j:
-                continue
-            lam = f.mul(B[r][j], pinv)
-            mu = f.mul(B[r][i], pinv)
-            if f.is_zero(lam) and f.is_zero(mu):
-                continue
-            # q(e_r + lam e_i + mu e_j), using entries before the row op
-            upd = f.mul(f.mul(lam, lam), d[i])
-            upd = f.add(upd, f.mul(f.mul(mu, mu), d[j]))
-            upd = f.add(upd, f.mul(lam, B[r][i]))
-            upd = f.add(upd, f.mul(mu, B[r][j]))
-            upd = f.add(upd, f.mul(f.mul(lam, mu), p))
-            d[r] = f.add(d[r], upd)
-            Br = B[r]
-            br = basis[r]
-            bi, bj = basis[i], basis[j]
-            for c in range(n):
-                acc = Br[c]
-                if not f.is_zero(row_i[c]):
-                    acc = f.add(acc, f.mul(lam, row_i[c]))
-                if not f.is_zero(row_j[c]):
-                    acc = f.add(acc, f.mul(mu, row_j[c]))
-                Br[c] = acc
-                accb = br[c]
-                if not f.is_zero(bi[c]):
-                    accb = f.add(accb, f.mul(lam, bi[c]))
-                if not f.is_zero(bj[c]):
-                    accb = f.add(accb, f.mul(mu, bj[c]))
-                br[c] = accb
-        pinv2 = f.mul(pinv, pinv)
-        blocks.append((d[i], f.mul(d[j], pinv2)))
-        pairs.append((list(basis[i]), [f.mul(pinv, x) for x in basis[j]]))
-        active.remove(i)
-        active.remove(j)
-    rad_rows = [list(basis[r]) for r in active]
-    rad_diag = [d[r] for r in active]
-    return Decomposition(f, blocks, pairs, rad_rows, rad_diag)
-
-
-def _decompose_packed(q):
-    """The symplectic reduction on packed rows, at any finite level.
-
-    Same pivot order as :func:`_decompose_generic`: the first active
-    index with an active neighbour, paired with its lowest one.  Every
-    other affected basis vector e_r becomes e_r + lam e_i + mu e_j,
-    orthogonal to the pivot pair; only entries other than one are
-    scaled, so over GF(2) each update is a pair of xors.
-    """
-    f = q.field
-    n = q.dim
-    bits = f.bits
-    emask = (1 << bits) - 1
-    one = f.one
-    mul, scale = f.mul, linalg.scale_row
+def _reduce(q):
+    f, R, n = q.field, q.ring, q.dim
+    one, mul, add, axpy = f.one, f.mul, R.add, R.axpy
     B = list(q.rows)
     d = list(q.diag)
-    basis = [one << (i * bits) for i in range(n)]
-    active = (1 << (n * bits)) - 1
-    order = list(range(n))
+    basis = [R.unit(n, i) for i in range(n)]
+    paired = [False] * n
     blocks = []
     pairs = []
-    while True:
-        pivot = None
-        for i in order:
-            m = B[i] & active
-            if m:
-                pivot = (i, ((m & -m).bit_length() - 1) // bits)
-                break
-        if pivot is None:
-            break
-        i, j = pivot
+    for i in range(n):
+        j = None if paired[i] else R.first(B[i])
+        if j is None:
+            continue
+        paired[i] = paired[j] = True
         row_i, row_j = B[i], B[j]
         bas_i, bas_j = basis[i], basis[j]
         di, dj = d[i], d[j]
-        p = (row_i >> (j * bits)) & emask
+        p = R.entry(row_i, j)
         pinv = one if p == one else f.inv(p)
-        active &= ~((emask << (i * bits)) | (emask << (j * bits)))
-        m = (row_i | row_j) & active
-        while m:
-            shift = (((m & -m).bit_length() - 1) // bits) * bits
-            m &= ~(emask << shift)
-            r = shift // bits
-            lam = (row_j >> shift) & emask  # b(e_r, e_j)
-            mu = (row_i >> shift) & emask  # b(e_r, e_i)
+        for r, lam, mu in R.pivot_entries(i, j, row_i, row_j):
+            # lam = b(e_r, e_j) / p, mu = b(e_r, e_i) / p
             if pinv != one:
                 lam, mu = mul(lam, pinv), mul(mu, pinv)
             # q(e_r + lam e_i + mu e_j) = q(e_r) + lam^2 d_i + mu^2 d_j + lam mu p
-            dr = d[r]
-            upd = bupd = 0
+            dr, row, bas = d[r], B[r], basis[r]
             if lam:
-                upd ^= scale(f, row_i, lam)
-                bupd ^= scale(f, bas_i, lam)
-                dr ^= mul(mul(lam, lam), di)
+                row = axpy(row, lam, row_i)
+                bas = axpy(bas, lam, bas_i)
+                dr = add(dr, mul(mul(lam, lam), di))
             if mu:
-                upd ^= scale(f, row_j, mu)
-                bupd ^= scale(f, bas_j, mu)
-                dr ^= mul(mul(mu, mu), dj)
+                row = axpy(row, mu, row_j)
+                bas = axpy(bas, mu, bas_j)
+                dr = add(dr, mul(mul(mu, mu), dj))
                 if lam:
-                    dr ^= mul(mul(lam, mu), p)
-            d[r] = dr
-            B[r] ^= upd
-            basis[r] ^= bupd
+                    dr = add(dr, mul(mul(lam, mu), p))
+            d[r], B[r], basis[r] = dr, row, bas
         blocks.append((di, mul(dj, mul(pinv, pinv))))
-        pairs.append((bas_i, scale(f, bas_j, pinv)))
-        order.remove(i)
-        order.remove(j)
-    for r in order:
-        assert B[r] & active == 0
-    return Decomposition(
-        f, blocks, pairs, [basis[r] for r in order], [d[r] for r in order], ncols=n
-    )
+        pairs.append((bas_i, R.scale(bas_j, pinv)))
+    rad = [r for r in range(n) if not paired[r]]
+    assert all(R.first(B[r]) is None for r in rad)
+    return Decomposition(f, blocks, pairs, [basis[r] for r in rad], [d[r] for r in rad], ncols=n)
 
 
 def _block_symbols(f, dec):

@@ -74,6 +74,10 @@ class Rat:
     def __hash__(self):
         return hash((self.num, self.den))
 
+    def __bool__(self):
+        """False exactly at zero, as ``FunctionField.is_zero``."""
+        return bool(self._num)
+
     def __repr__(self):
         return f"Rat(num={self.num!r}, den={self.den!r})"
 

@@ -3,12 +3,16 @@ nonsingular quadratic forms, and reference implementations of the field
 multiply, the exp/log tables, the GF(2) linear solve, the list-row
 kernel, the Artin-Schreier solve, the crossed-product structure table,
 the coefficient-tuple polynomial route over GF(2), the Kronecker
-splitting representation of a tensor product and the Witt class by
-isotropic splitting."""
+splitting representation of a tensor product, the Witt class by
+isotropic splitting and the symplectic reduction on dense list rows;
+and a finite level seen as a field that is not finite, so that forms
+over it take the list-row ring."""
 
 from t2forms import csa, linalg
 from t2forms.fields import GF2
-from t2forms.quadform import QuadraticForm, WittClass, arf_sum, isotropic_split_oracle
+from t2forms.quadform import (
+    Decomposition, QuadraticForm, WittClass, arf_sum, isotropic_split_oracle,
+)
 
 
 def mat_mul(field, A, B):
@@ -54,7 +58,7 @@ def random_nonsingular_form(field, dim, rng):
                 v = f.random_element(rng)
                 polar[i][j] = v
                 polar[j][i] = v
-        q = QuadraticForm(f, diag, polar, validate=False)
+        q = QuadraticForm(f, diag, polar)
         if not linalg.kernel(f, polar, dim):
             return q
 
@@ -298,3 +302,91 @@ def tables_by_power_test(level):
     for i, v in enumerate(exp):
         log[v] = i
     return exp, log
+
+
+class ListRowLevel:
+    """A finite level seen as a field that is not finite: every
+    attribute but ``is_finite`` is the level's, so forms over it hold
+    list rows (``linalg.ListRows``) of the level's elements.  It is the
+    oracle for the packed rows that forms over the level itself hold."""
+
+    is_finite = False
+
+    def __init__(self, level):
+        self.level = level
+
+    def __getattr__(self, name):
+        return getattr(self.level, name)
+
+
+def as_list_rows(q):
+    """The form q over :class:`ListRowLevel` of its level."""
+    return QuadraticForm(ListRowLevel(q.field), q.diag, q.polar)
+
+
+def reference_decompose(q):
+    """The symplectic reduction entry by entry on dense list rows,
+    duck-typed over the field: the reference for
+    ``quadform.block_decompose``."""
+    f = q.field
+    n = q.dim
+    B = [q.polar_row(i) for i in range(n)]
+    d = list(q.diag)
+    basis = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    blocks = []
+    pairs = []
+    while True:
+        pivot = None
+        for ai, i in enumerate(active):
+            for j in active[ai + 1 :]:
+                if not f.is_zero(B[i][j]):
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if not pivot:
+            break
+        i, j = pivot
+        p = B[i][j]
+        pinv = f.inv(p)
+        row_i = B[i]
+        row_j = B[j]
+        for r in active:
+            if r == i or r == j:
+                continue
+            lam = f.mul(B[r][j], pinv)
+            mu = f.mul(B[r][i], pinv)
+            if f.is_zero(lam) and f.is_zero(mu):
+                continue
+            # q(e_r + lam e_i + mu e_j), using entries before the row op
+            upd = f.mul(f.mul(lam, lam), d[i])
+            upd = f.add(upd, f.mul(f.mul(mu, mu), d[j]))
+            upd = f.add(upd, f.mul(lam, B[r][i]))
+            upd = f.add(upd, f.mul(mu, B[r][j]))
+            upd = f.add(upd, f.mul(f.mul(lam, mu), p))
+            d[r] = f.add(d[r], upd)
+            Br = B[r]
+            br = basis[r]
+            bi, bj = basis[i], basis[j]
+            for c in range(n):
+                acc = Br[c]
+                if not f.is_zero(row_i[c]):
+                    acc = f.add(acc, f.mul(lam, row_i[c]))
+                if not f.is_zero(row_j[c]):
+                    acc = f.add(acc, f.mul(mu, row_j[c]))
+                Br[c] = acc
+                accb = br[c]
+                if not f.is_zero(bi[c]):
+                    accb = f.add(accb, f.mul(lam, bi[c]))
+                if not f.is_zero(bj[c]):
+                    accb = f.add(accb, f.mul(mu, bj[c]))
+                br[c] = accb
+        pinv2 = f.mul(pinv, pinv)
+        blocks.append((d[i], f.mul(d[j], pinv2)))
+        pairs.append((list(basis[i]), [f.mul(pinv, x) for x in basis[j]]))
+        active.remove(i)
+        active.remove(j)
+    rad_rows = [list(basis[r]) for r in active]
+    rad_diag = [d[r] for r in active]
+    return Decomposition(f, blocks, pairs, rad_rows, rad_diag)

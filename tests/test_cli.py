@@ -202,6 +202,43 @@ def test_cli_malformed_grid_item_names_key_and_item(capsys, argv, message):
     assert message in err and "invalid literal" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--claim", "cor1", "--n", "3,3"), "n=3: repeated grid value"),
+        (("--claim", "cor1", "--n", "3..5,4"), "n=4: repeated grid value"),
+        (("--claim", "prop1", "--fields", "GF2,GF2", "--n", "2"),
+         "fields=GF2: repeated grid value"),
+        (("--claim", "thm2", "--pairs", "2x2,2x2"), "pairs=2x2: repeated grid value"),
+    ],
+)
+def test_cli_refuses_repeated_grid_values(capsys, argv, message):
+    code, out, err = run_cli(capsys, "--cmd", "verify", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--cmd", "witt", "--algebra", "Mat(3_0)"), "'Mat(3_0)': the degree must be an integer"),
+        (("--cmd", "witt", "--algebra", "Mat(+3)"), "'Mat(+3)': the degree must be an integer"),
+        (("--cmd", "witt", "--algebra", "Mat(٣)"), "the degree must be an integer"),
+        (("--cmd", "verify", "--claim", "cor1", "--n", "1_1"), "n=1_1: expected an integer"),
+        (("--cmd", "verify", "--claim", "cor1", "--n", "3..+5"), "n=3..+5: expected an integer"),
+        (("--cmd", "verify", "--claim", "thm2", "--pairs", "2x1_1"), "pairs=2x1_1: expected n1xn2"),
+        (("--cmd", "verify", "--claim", "cor1", "--seed", "1_0"), "seed=1_0: expected an integer"),
+        (("--cmd", "verify", "--claim", "cor1", "--seed", "３"), "expected an integer"),
+    ],
+)
+def test_cli_integer_atoms_take_ascii_digits_only(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "invalid literal" not in err
+    with pytest.raises(cli.ParseError, match="seed=1_0"):
+        cli.parse_spec("cmd=verify seed=1_0")
+
+
 def test_cli_malformed_seed_and_algebra_degree_name_the_key_or_atom(capsys, tmp_path):
     spec = tmp_path / "job.spec"
     spec.write_text("cmd=verify\nclaim=cor1\nseed=abc\n")

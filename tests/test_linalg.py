@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from t2forms import linalg
 from t2forms.fields import GF2
 
-from support import kernel_generic, mat_mul, mat_vec, solve_by_augmented_column
+from support import ListRowLevel, kernel_generic, mat_mul, mat_vec, solve_by_augmented_column
 
 
 def charpoly_leibniz(f, M):
@@ -140,3 +140,36 @@ def test_packed_echelon_early_stop(gf4):
     assert ech.rank == 2
     kern = ech.kernel()
     assert len(kern) == 2
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_packed_rows_match_list_rows(gf4, gf8, data):
+    # every operation of the packed ring, read back as lists, against the
+    # list ring over the same level
+    f = data.draw(st.sampled_from([GF2, gf4, gf8]))
+    P, L = linalg.row_ring(f), linalg.row_ring(ListRowLevel(f))
+    assert isinstance(P, linalg.PackedRows) and isinstance(L, linalg.ListRows)
+    n = data.draw(st.integers(2, 9))
+    el = st.integers(0, f.order - 1)
+    rows = [[data.draw(el) for _ in range(n)] for _ in range(data.draw(st.integers(1, 5)))]
+    packed = [P.read(r) for r in rows]
+    c = data.draw(el)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    for u, pu in zip(rows, packed):
+        assert P.unpack(pu, n) == L.unpack(L.read(u), n) == u
+        assert P.read(pu) == pu and P.sparse(P.items(pu), n) == pu
+        assert P.items(pu) == L.items(u)
+        assert [P.entry(pu, k) for k in range(n)] == u
+        assert P.first(pu) == L.first(u)
+        assert P.unpack(P.unit(n, i), n) == L.unit(n, i)
+        assert P.unpack(P.scale(pu, c), n) == L.scale(u, c)
+        for v, pv in zip(rows, packed):
+            assert P.unpack(P.axpy(pu, c, pv), n) == L.axpy(u, c, v)
+            assert P.pivot_entries(i, j, pu, pv) == L.pivot_entries(i, j, u, v)
+    placed = P.place(packed, i, n + i)
+    assert [P.unpack(r, n + i) for r in placed] == L.place(rows, i, n + i)
+    sup = [L.items(r) for r in rows]
+    images = P.times_transpose(packed, [P.items(r) for r in packed], n)
+    assert [P.unpack(w, len(rows)) for w in images] == L.times_transpose(rows, sup, n)
+    assert L.times_transpose(rows, sup, n) == mat_mul(f, rows, [list(col) for col in zip(*rows)])

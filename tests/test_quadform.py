@@ -7,7 +7,9 @@ from t2forms import linalg, quadform as qf, rational
 from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
-from support import oracle_witt_class, random_nonsingular_form
+from support import (
+    as_list_rows, kernel_generic, oracle_witt_class, random_nonsingular_form, reference_decompose,
+)
 
 
 def test_evaluate_examples(gf4):
@@ -332,23 +334,47 @@ def test_brauer_class_equality(gf4):
     assert c1.is_trivial
 
 
+def _assert_routes_agree(q):
+    """block_decompose on q's own rows, on list rows over the same field
+    and by the reference reduction: same blocks, pairs and radical."""
+    routes = [qf.block_decompose(q), reference_decompose(q)]
+    if getattr(q.field, "is_finite", False):
+        routes.append(qf.block_decompose(as_list_rows(q)))
+    first = routes[0]
+    for dec in routes[1:]:
+        assert dec.blocks == first.blocks
+        assert dec.pairs == first.pairs
+        assert dec.radical_rows == first.radical_rows
+        assert dec.radical_diag == first.radical_diag
+
+
 def test_decompose_gf2_matches_generic_path():
-    # same algorithm through the packed and the generic code paths
+    # packed rows, list rows over GF(2) and the reference reduction
     rng = random.Random(20)
     for _ in range(40):
         dim = rng.choice([2, 4, 6, 8])
         q = random_nonsingular_form(GF2, dim, rng)
-        dec1 = qf._decompose_packed(q)
-        dec2 = qf._decompose_generic(q)
-        assert dec1.blocks == dec2.blocks
-        assert dec1.pairs == dec2.pairs
+        _assert_routes_agree(q)
+        _assert_routes_agree(qf.direct_sum(q, QuadraticForm.diagonal(GF2, [1, 0])))
+
+
+_FUNCTION_FIELDS = (rational.FunctionField(GF2), rational.FunctionField(GF2.extend("a^2+a+1")))
+
+
+def _elements(f):
+    """Elements of a finite level, or of F(t) with numerator and
+    denominator of degree at most 2."""
+    if getattr(f, "is_finite", False):
+        return st.integers(0, f.order - 1)
+    poly = st.lists(st.integers(0, f.coeff.order - 1), max_size=3)
+    return st.builds(lambda a, b: f.make(a, b if any(b) else (1,)), poly, poly)
 
 
 def _draw_form(data, fields_, max_dim):
     """A random form, possibly singular, over one of the given fields."""
     f = data.draw(st.sampled_from(fields_))
     n = data.draw(st.integers(0, max_dim))
-    el = st.integers(0, f.order - 1)
+    el = _elements(f)
     polar = [[f.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -370,7 +396,7 @@ def _value(q, v):
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_restricted_matches_evaluation_rule(gf4, gf8, data):
-    q, el = _draw_form(data, [GF2, gf4, gf8], 7)
+    q, el = _draw_form(data, [GF2, gf4, gf8, _FUNCTION_FIELDS[0]], 7)
     f, n = q.field, q.dim
     kind = data.draw(st.sampled_from(["hyperplane", "kernel", "coordinates", "arbitrary"]))
     if kind == "hyperplane" and n:
@@ -381,7 +407,8 @@ def test_restricted_matches_evaluation_rule(gf4, gf8, data):
                 for k in range(n) if k != k0]
     elif kind == "kernel":
         eqs = [[data.draw(el) for _ in range(n)] for _ in range(data.draw(st.integers(0, n)))]
-        rows = linalg.kernel(f, eqs, n)
+        kernel = linalg.kernel if getattr(f, "is_finite", False) else kernel_generic
+        rows = kernel(f, eqs, n)
     elif kind == "coordinates":
         picked = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
         rows = [[f.one if c == k else f.zero for c in range(n)] for k in picked]
@@ -391,7 +418,7 @@ def test_restricted_matches_evaluation_rule(gf4, gf8, data):
     combo = [f.zero] * n
     for c, row in zip(coeffs, rows):
         combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, row)]
-    for given_rows in (rows, [linalg.pack_row(f, r) for r in rows]):
+    for given_rows in (rows, [q.ring.read(r) for r in rows]):
         r = q.restricted(given_rows)
         assert r.dim == len(rows) and r.basis == rows
         for a, ra in enumerate(rows):
@@ -409,14 +436,16 @@ def test_restricted_matches_evaluation_rule(gf4, gf8, data):
 @given(data=st.data())
 def test_decompose_packed_matches_generic_path_all_levels(gf4, gf8, data):
     # the packed reduction scales rows where GF(2) only xors them; the
-    # generic one works entry by entry on list rows of the same form
+    # list rows and the reference work entry by entry on the same form
     q, _ = _draw_form(data, [GF2, gf4, gf8], 8)
-    dec1 = qf._decompose_packed(q)
-    dec2 = qf._decompose_generic(q)
-    assert dec1.blocks == dec2.blocks
-    assert dec1.pairs == dec2.pairs
-    assert dec1.radical_rows == dec2.radical_rows
-    assert dec1.radical_diag == dec2.radical_diag
+    _assert_routes_agree(q)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_decompose_over_function_fields_matches_reference(data):
+    q, _ = _draw_form(data, _FUNCTION_FIELDS, 6)
+    _assert_routes_agree(q)
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -147,6 +147,11 @@ def test_rat_contract_across_routes():
             for p in (z.num, z.den):
                 assert type(p) is tuple and p == fields.poly_trim(p)
     assert ff.make((0, 1), (1,)) != _TUPLE_GF2T.make((1, 1), (1,))
+    # false exactly at zero, on either ring form
+    for z in (ff, _TUPLE_GF2T, _FUNCTION_FIELDS[1]):
+        assert not z.zero and not z.make((0, 0), (1, 1))
+        assert z.one and z.t and z.make((0, 1), (1, 1))
+        assert bool(z.add(z.t, z.t)) is False and bool(z.add(z.t, z.one)) is True
     x = ff.t
     for name in ("num", "den", "_num", "extra"):
         with pytest.raises(AttributeError):
