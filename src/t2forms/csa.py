@@ -281,8 +281,7 @@ def quaternion_algebra(field, a, b):
     if lam is not None:
         rep_field = field
     else:
-        # y**2 + y + b has no root in F, so the quadratic is irreducible
-        rep_field = field.extend((b, one, one), fields.fresh_gen_name(field), _irreducible=True)
+        rep_field = field.artin_schreier_extension(b)
         lam = rep_field.gen
     lam1 = rep_field.add(lam, rep_field.one)
     images = [

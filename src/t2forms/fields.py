@@ -13,7 +13,7 @@ Consequences used throughout the package:
   same int value, and membership in a sublevel is ``x < sub.order`` (so
   ``relative_frobenius`` returns such an element untouched).
 
-Routes for multiplication and inversion, by level:
+Two routes for multiplication and inversion, by level:
 
 * a level of order up to 2^11 multiplies and inverts through exp/log
   tables built at construction.  Multiplication by a fixed g is
@@ -21,14 +21,13 @@ Routes for multiplication and inversion, by level:
   the low and the high half of the bits, and the walk 1, g, g^2, ... takes
   two lookups and one xor per step; the first g = 2, 3, ... whose walk
   returns to 1 after exactly order - 1 steps is the generator;
-* a level directly over GF(2) takes its element int as the polynomial in
-  the generator, and its defining polynomial as a bit mask: the raw
-  multiply is a carry-less product reduced by that mask, and a table-free
-  one (such as GF(2^13)) inverts by extended Euclid on the two ints;
-* any other level multiplies coefficient by coefficient over its parent,
-  and a table-free one (such as GF(8^5) or GF(4^8)) inverts by extended
-  Euclid in parent[y]/(poly) (von zur Gathen & Gerhard, *Modern Computer
-  Algebra*, ch. 3-4).
+* the raw multiply of every level works in its flat form GF(2)[x]/(m),
+  an int of ``bits`` bits per element: a carry-less product reduced by
+  m, and a table-free level (such as GF(2^13), GF(8^5) or GF(4^8))
+  inverts by extended Euclid on the two ints (von zur Gathen & Gerhard,
+  *Modern Computer Algebra*, ch. 3-4).  A level directly over GF(2) is
+  its own flat form; a deeper one maps its tower coordinates to the
+  flat form and back by two GF(2)-linear chunk tables.
 
 Polynomials over a level are trimmed tuples of element ints, lowest
 degree first; the zero polynomial is the empty tuple.  The polynomial
@@ -100,7 +99,7 @@ class Level:
         self.parent = parent
         if parent is None:
             self.poly = None
-            self._poly_mask = None
+            self._flat = (2, int, int)  # GF(2) is GF(2)[x]/(x); int(v) is v
             self.gen_name = None
             self.rel_degree = 1
             self.bits = 1
@@ -123,8 +122,8 @@ class Level:
                     factors=witness,
                 )
             self.poly = tuple(poly)
-            # over GF(2) the defining polynomial as a bit mask, bit i = poly[i]
-            self._poly_mask = gf2x_from_poly(self.poly) if parent.parent is None else None
+            # over GF(2) the level is its own flat form, theta = gen
+            self._flat = (gf2x_from_poly(poly), int, int) if parent.parent is None else None
             self.gen_name = gen_name
             self.rel_degree = len(poly) - 1
             self.bits = parent.bits * self.rel_degree
@@ -137,6 +136,7 @@ class Level:
         self._nonresidue = None
         self._trace_mask = None
         self._as_solver = None
+        self._as_extensions = {}
         self._signature = (
             (None,) if parent is None else parent._signature + (self.poly, self.gen_name)
         )
@@ -210,11 +210,8 @@ class Level:
         half = self.bits // 2
         mask = (1 << half) - 1
         for g in range(2, self.order):
-            low, high = [0], [0]
-            for i in range(self.bits):
-                img = self._mul_raw(1 << i, g)
-                tab = low if i < half else high
-                tab += [v ^ img for v in tab]
+            images = [self._mul_raw(1 << i, g) for i in range(self.bits)]
+            low, high = linalg.linear_table(images[:half]), linalg.linear_table(images[half:])
             exp = [1]
             cur = g
             while cur != 1:
@@ -229,31 +226,28 @@ class Level:
         self._exp = exp
         self._log = log
 
+    def _flat_form(self):
+        """(m, to, fro) of a level whose parent is not GF(2), built on the
+        first raw multiply: the level is GF(2)[x]/(m) with x = theta, the
+        first of gen, gen + 1, ... whose powers below theta^bits are
+        GF(2)-independent, and m is x^bits plus the solve of theta^bits in
+        them.  ``to`` maps flat to tower coordinates, ``fro`` back."""
+        n, par = self.bits, self.parent
+        for theta in range(self.gen, self.order):
+            images, p = [1], (1,)
+            while len(images) <= n:
+                p = poly_mod(par, poly_mul(par, p, self.coeffs(theta)), self.poly)
+                images.append(self.from_coeffs(p))
+            solver = linalg.GF2Solver(linalg.rows_from_images(images[:n], n), n)
+            if not solver.checks:
+                break
+        fro = linalg.linear_map([solver.solve(1 << i) for i in range(n)])
+        self._flat = ((1 << n) | solver.solve(images[n]), linalg.linear_map(images[:n]), fro)
+        return self._flat
+
     def _mul_raw(self, x, y):
-        if self.parent is None:
-            return x & y
-        if self._poly_mask is not None:
-            return gf2x_divmod(gf2x_mul(x, y), self._poly_mask)[1]
-        par = self.parent
-        d = self.rel_degree
-        xs = self.coeffs(x)
-        ys = self.coeffs(y)
-        prod = [0] * (2 * d - 1)
-        for i, xc in enumerate(xs):
-            if xc:
-                for j, yc in enumerate(ys):
-                    if yc:
-                        prod[i + j] ^= par.mul(xc, yc)
-        # reduce with gen**d = sum(poly[i] * gen**i), i < d
-        low = self.poly[:-1]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i, pc in enumerate(low):
-                    if pc:
-                        prod[k - d + i] ^= par.mul(c, pc)
-        return self.from_coeffs(prod[:d])
+        m, to, fro = self._flat or self._flat_form()
+        return to(gf2x_divmod(gf2x_mul(fro(x), fro(y)), m)[1])
 
     def _pow_raw(self, x, e):
         r = 1
@@ -294,21 +288,11 @@ class Level:
         return self._inv_euclid(x)
 
     def _inv_euclid(self, x):
-        """Inverse by extended Euclid in parent[y]/(poly): s * x = r mod
-        poly holds for both rows, and r ends at a nonzero constant.  Over
-        GF(2) the element and the mask are the two polynomials."""
-        if self._poly_mask is not None:
-            g, s = gf2x_xgcd(x, self._poly_mask)
-            assert g == 1
-            return s
-        par = self.parent
-        r0, r1 = self.poly, poly_trim(self.coeffs(x))
-        s0, s1 = (), (par.one,)
-        while len(r1) > 1:
-            q, r = poly_divmod(par, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_add(par, s0, poly_mul(par, q, s1))
-        return self.from_coeffs(poly_scale(par, par.inv(r1[0]), s1))
+        """Inverse by extended Euclid on x and m in the flat form."""
+        m, to, fro = self._flat or self._flat_form()
+        g, s = gf2x_xgcd(fro(x), m)
+        assert g == 1
+        return to(s)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -364,6 +348,17 @@ class Level:
             return None
         assert self.square(sol) ^ sol == c
         return sol
+
+    def artin_schreier_extension(self, b):
+        """The level over this one with generator y, y^2 + y = b; built
+        once per b and kept on this level.  The caller has found that
+        ``artin_schreier_solve(b)`` is None, so the quadratic has no root
+        here and is irreducible (the same contract as ``_irreducible``)."""
+        ext = self._as_extensions.get(b)
+        if ext is None:
+            ext = self.extend((b, 1, 1), fresh_gen_name(self), _irreducible=True)
+            self._as_extensions[b] = ext
+        return ext
 
     def wp_member(self, c):
         """Whether c lies in {x**2 + x}, the Artin-Schreier subgroup."""
@@ -751,17 +746,29 @@ def poly_factor_witness(field, p):
     """A nontrivial monic factorization (g, h) of p, or None if p is
     irreducible.
 
-    Distinct-degree scan (Ben-Or's form of Rabin's test): for k = 1, 2,
-    ..., deg(p)/2, h_k = x^(q^k) mod p and g_k = gcd(h_k - x, p) is the
-    product of the distinct monic irreducible factors of p whose degree
-    divides k.  The first nontrivial g_k holds the factors of the least
-    degree k, and g is the one among them with the least coefficient
-    tuple (c_0, ..., c_(k-1)): the divisor that trial division over the
-    monic polynomials of degree k, in that order, meets first.  No field
-    element is enumerated, so levels of any size are accepted.  The scan
-    runs in :class:`PolyRing`, on ints over GF2."""
+    The first nontrivial g_k of :func:`_distinct_degree_scan` holds the
+    factors of the least degree k, and g is the one among them with the
+    least coefficient tuple (c_0, ..., c_(k-1)): the divisor that trial
+    division over the monic polynomials of degree k, in that order, meets
+    first.  No field element is enumerated, so levels of any size are
+    accepted.  The scan and the split run in :class:`PolyRing`, on ints
+    over GF2."""
     ring = PolyRing(field)
     p = ring.read(poly_monic(field, p))
+    found = _distinct_degree_scan(field, ring, p)
+    if found is None:
+        return None
+    g = min(_equal_degree_factors(field, ring, found[1], found[0]), key=ring.write)
+    return ring.write(g), ring.write(ring.divmod(p, g)[0])
+
+
+def _distinct_degree_scan(field, ring, p):
+    """(k, g_k) for the first nontrivial g_k, or None if the monic p (in
+    ring form) is irreducible.
+
+    Ben-Or's form of Rabin's test: for k = 1, 2, ..., deg(p)/2, h_k =
+    x^(q^k) mod p and g_k = gcd(h_k - x, p) is the product of the
+    distinct monic irreducible factors of p whose degree divides k."""
     x = ring.x
     h = x
     for k in range(1, ring.deg(p) // 2 + 1):
@@ -769,8 +776,7 @@ def poly_factor_witness(field, p):
             h = ring.divmod(ring.square(h), p)[1]
         g = ring.gcd(p, ring.add(h, x))
         if g != ring.one:
-            g = min(_equal_degree_factors(field, ring, g, k), key=ring.write)
-            return ring.write(g), ring.write(ring.divmod(p, g)[0])
+            return k, g
     return None
 
 
@@ -821,7 +827,11 @@ def _trace_split(field, ring, f, a, k):
 
 
 def poly_is_irreducible(field, p):
-    return poly_deg(p) >= 1 and poly_factor_witness(field, p) is None
+    """The distinct-degree scan alone: no witness is split out."""
+    if poly_deg(p) < 1:
+        return False
+    ring = PolyRing(field)
+    return _distinct_degree_scan(field, ring, ring.read(poly_monic(field, p))) is None
 
 
 def poly_factorize(field, p):

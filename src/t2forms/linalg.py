@@ -3,8 +3,10 @@
 Every elimination runs on packed rows over a finite level: a row is a
 single int holding ``field.bits`` bits per entry, so row addition is
 integer xor.  Scalar multiples of packed rows go through per-chunk
-lookup tables cached on the field object.  GF(2) is the 1-bit case: its
-packed rows are plain bit vectors and scaling is never needed.
+lookup tables cached on the field object.  Each is a :func:`linear_table`,
+the one builder of GF(2)-linear lookup tables, which also serves the
+field levels.  GF(2) is the 1-bit case: its packed rows are plain bit
+vectors and scaling is never needed.
 
 :class:`PackedEchelon` is the one elimination engine:
 :class:`GF2Solver` (and :func:`solve_gf2` through it), :func:`kernel`
@@ -23,6 +25,7 @@ dense matrices of :func:`charpoly`.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 
@@ -39,23 +42,41 @@ def _chunk_conf(field):
     return conf
 
 
+def linear_table(images):
+    """The lookup table of the GF(2)-linear map sending bit i of its
+    argument to ``images[i]``: entry v is the xor of the images of the
+    bits of v, and each image doubles the table."""
+    tbl = [0]
+    for img in images:
+        tbl += [v ^ img for v in tbl]
+    return tbl
+
+
+def linear_map(images):
+    """The GF(2)-linear map sending bit i to ``images[i]``, as one
+    :func:`linear_table` per 8-bit chunk of its argument; a partial of a
+    module function, so whatever holds it stays picklable."""
+    tables = [linear_table(images[k : k + 8]) for k in range(0, len(images), 8)]
+    return functools.partial(_apply_chunks, tables)
+
+
+def _apply_chunks(tables, v):
+    out = 0
+    for tbl in tables:
+        out, v = out ^ tbl[v & 255], v >> 8
+    return out
+
+
 def _scale_table(field, c):
     tables = getattr(field, "_scale_tables", None)
     if tables is None:
-        tables = {}
-        field._scale_tables = tables
+        tables = field._scale_tables = {}
     tbl = tables.get(c)
     if tbl is None:
-        chunk_bits, _ = _chunk_conf(field)
         bits = field.bits
-        emask = (1 << bits) - 1
-        prod = [field.mul(c, e) for e in range(1 << bits)]
-        tbl = [0] * (1 << chunk_bits)
-        # a chunk scales to its lowest entry's product below the scaled
-        # rest, which is a smaller chunk and already in the table
-        for chunk in range(1, 1 << chunk_bits):
-            tbl[chunk] = prod[chunk & emask] | (tbl[chunk >> bits] << bits)
-        tables[c] = tbl
+        units = [field.mul(c, 1 << j) for j in range(bits)]
+        images = [u << (e * bits) for e in range(_chunk_conf(field)[0] // bits) for u in units]
+        tbl = tables[c] = linear_table(images)
     return tbl
 
 

@@ -65,9 +65,12 @@ def random_nonsingular_form(field, dim, rng):
 
 def mul_by_coefficients(level, x, y):
     """x * y in a level by its coordinates over the parent: schoolbook
-    product with parent multiplies, then reduction of the top
-    coefficients by the defining polynomial."""
+    product, then reduction of the top coefficients by the defining
+    polynomial, with the parent's products taken the same way down to
+    GF(2).  No multiply of the level or of its ancestors is called."""
     par = level.parent
+    if par is None:
+        return x & y
     d = level.rel_degree
     xs = level.coeffs(x)
     ys = level.coeffs(y)
@@ -76,7 +79,7 @@ def mul_by_coefficients(level, x, y):
         if xc:
             for j, yc in enumerate(ys):
                 if yc:
-                    prod[i + j] ^= par.mul(xc, yc)
+                    prod[i + j] ^= mul_by_coefficients(par, xc, yc)
     # reduce with gen**d = sum(poly[i] * gen**i), i < d
     low = level.poly[:-1]
     for k in range(2 * d - 2, d - 1, -1):
@@ -85,8 +88,19 @@ def mul_by_coefficients(level, x, y):
             prod[k] = 0
             for i, pc in enumerate(low):
                 if pc:
-                    prod[k - d + i] ^= par.mul(c, pc)
+                    prod[k - d + i] ^= mul_by_coefficients(par, c, pc)
     return level.from_coeffs(prod[:d])
+
+
+def pow_by_coefficients(level, x, e):
+    """x**e by square and multiply on :func:`mul_by_coefficients`."""
+    r = 1
+    while e:
+        if e & 1:
+            r = mul_by_coefficients(level, r, x)
+        x = mul_by_coefficients(level, x, x)
+        e >>= 1
+    return r
 
 
 def crossed_product_table(E, F, phi):
@@ -282,21 +296,22 @@ def tables_by_power_test(level):
     """(exp, log) of a table-backed level the way they were first built:
     the generator is the least candidate g >= 2 with g^(n/p) != 1 for
     every prime p dividing n = order - 1, and the exp table is walked by
-    the level's raw multiply."""
+    :func:`mul_by_coefficients`, which shares no code with the level's
+    multiply."""
     n = level.order - 1
     if n == 1:
         return [1], [0, 0]
     primes = _prime_factors(n)
     g = None
     for cand in range(2, level.order):
-        if all(level._pow_raw(cand, n // p) != 1 for p in primes):
+        if all(pow_by_coefficients(level, cand, n // p) != 1 for p in primes):
             g = cand
             break
     assert g is not None
     exp = [1] * n
     cur = 1
     for i in range(1, n):
-        cur = level._mul_raw(cur, g)
+        cur = mul_by_coefficients(level, cur, g)
         exp[i] = cur
     log = [0] * level.order
     for i, v in enumerate(exp):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -498,13 +499,18 @@ def _level_over_gf2(degree):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
-def test_int_multiply_equals_coefficient_multiply(data):
-    lvl = _level_over_gf2(data.draw(st.integers(2, 16)))
+def test_int_multiply_equals_coefficient_multiply(table_free_levels, data):
+    # levels over GF(2) of degree 2-16, and the flat forms of GF(4^8),
+    # GF(8^5) and the three-level GF(64^3)
+    deep = st.sampled_from([lvl for lvl in table_free_levels if lvl.parent is not GF2])
+    lvl = data.draw(st.one_of(st.integers(2, 16).map(_level_over_gf2), deep))
     x = data.draw(st.integers(0, lvl.order - 1))
     y = data.draw(st.integers(0, lvl.order - 1))
     want = mul_by_coefficients(lvl, x, y)
     assert lvl._mul_raw(x, y) == want
     assert lvl.mul(x, y) == want
+    if y:
+        assert mul_by_coefficients(lvl, y, lvl.inv(y)) == 1
 
 
 def test_table_entries_equal_coefficient_multiply(gf4, gf8):
@@ -633,6 +639,71 @@ def test_euclid_inverse_equals_power(table_free_levels, data):
     assert lvl.mul(x, inv) == 1
 
 
+def _flat(lvl):
+    return lvl._flat or lvl._flat_form()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_flat_form_is_a_change_of_basis(table_levels, table_free_levels, data):
+    # every tower shape: m is irreducible of degree bits, and the two
+    # maps are inverse to each other
+    lvl = data.draw(st.sampled_from(table_levels + table_free_levels))
+    m, to, fro = _flat(lvl)
+    assert fields.gf2x_deg(m) == lvl.bits
+    assert poly_is_irreducible(GF2, fields.gf2x_to_poly(m))
+    x, v = (data.draw(st.integers(0, lvl.order - 1)) for _ in range(2))
+    assert to(fro(x)) == x and fro(to(v)) == v
+    if lvl.parent is GF2:  # theta is gen: m is the defining polynomial
+        assert m == fields.gf2x_from_poly(lvl.poly) and to(x) == x
+
+
+def _flat_images(lvl):
+    m, to, fro = _flat(lvl)
+    bits = [1 << i for i in range(lvl.bits)]
+    return m, [to(b) for b in bits], [fro(b) for b in bits]
+
+
+def test_flat_form_depends_on_the_level_alone():
+    # the same tower built twice gets the same m and maps, and building
+    # them draws nothing from the global rng
+    def towers():
+        gf4, gf8 = GF2.extend("a^2+a+1"), GF2.extend("a^3+a+1")
+        gf16 = gf4.extend(fields.find_irreducible(gf4, 2, random.Random(3)), "b")
+        gf64 = gf4.extend("b^3+b+1")
+        return [
+            gf4.extend(fields.find_irreducible(gf4, 8, random.Random(2)), "b"),
+            gf8.extend("b^5+b^2+1"),
+            gf16.extend(fields.find_irreducible(gf16, 2, random.Random(3)), "c"),
+            gf64.extend(fields.find_irreducible(gf64, 3, random.Random(5)), "c"),
+        ]
+
+    state = random.getstate()
+    first, second = ([_flat_images(lvl) for lvl in towers()] for _ in range(2))
+    assert first == second
+    assert random.getstate() == state
+
+
+def test_levels_with_a_flat_form_stay_picklable(table_levels, table_free_levels):
+    # the change of basis is plain data, so a level pickles after its
+    # first multiply and the copy multiplies the same
+    for lvl in (*table_levels, *table_free_levels):
+        x, y = lvl.gen, lvl.add(lvl.gen, lvl.one)
+        want = lvl._mul_raw(x, y)
+        copy = pickle.loads(pickle.dumps(lvl))
+        assert copy._flat is not None
+        assert copy._mul_raw(x, y) == want == mul_by_coefficients(lvl, x, y)
+
+
+def test_artin_schreier_extension_is_built_once_per_b():
+    lvl = GF2.extend("a^3+a+1")  # a fresh level keeps no extension yet
+    b = lvl.nonresidue()
+    ext = lvl.artin_schreier_extension(b)
+    assert lvl.artin_schreier_extension(b) is ext
+    assert ext == lvl.extend((b, 1, 1), fields.fresh_gen_name(lvl))
+    assert ext.add(ext.square(ext.gen), ext.gen) == b
+
+
 def test_cached_artin_schreier_equals_fresh_solve(large_levels):
     gf2_13, gf4_8 = large_levels[:2]
     gf2_7 = GF2.extend("a^7+a+1")
@@ -647,8 +718,11 @@ def test_cached_artin_schreier_equals_fresh_solve(large_levels):
 
 def test_artin_schreier_solves_take_no_elimination(gf4, monkeypatch):
     # the level keeps the echelon form of its squaring matrix: bits
-    # inserts on the first call, none for the solves after it
+    # inserts on the first call, none for the solves after it.  The
+    # first multiply builds the level's flat form with an elimination of
+    # its own, so one multiply warms the level before counting.
     lvl = gf4.extend(fields.find_irreducible(gf4, 8, random.Random(2)), "b")
+    lvl.mul(lvl.gen, lvl.gen)
     calls = []
     insert = linalg.PackedEchelon.insert
     monkeypatch.setattr(

@@ -126,16 +126,48 @@ def test_ext_of_degree_memo_keeps_one_seed():
 
 def test_ext_of_degree_proves_its_polynomial_once(monkeypatch):
     # find_irreducible's scan is the proof; the level is built on it
-    # without a second witness run
+    # without a second scan
     theorems.clear_standard_fields()
     calls = []
-    witness = fields.poly_factor_witness
+    scan = fields._distinct_degree_scan
     monkeypatch.setattr(
-        fields, "poly_factor_witness", lambda F, p: calls.append((F, tuple(p))) or witness(F, p)
+        fields,
+        "_distinct_degree_scan",
+        lambda F, ring, p: calls.append((F, ring.write(p))) or scan(F, ring, p),
     )
     for base, n in ((GF2, 9), (GF2.extend("a^2+a+1"), 5)):
         E = theorems._ext_of_degree(base, n, seed=7)
         assert calls.count((base, E.poly)) == 1
+    theorems.clear_standard_fields()
+
+
+def test_quaternion_algebras_share_their_artin_schreier_levels(monkeypatch):
+    # a fresh verify-all pass asks for an Artin-Schreier level 12 times,
+    # for 3 distinct (level, b) pairs; each pair is built once
+    theorems.clear_standard_fields()
+    monkeypatch.setattr(GF2, "_as_extensions", {})
+    asked, inside, built = [], [], []
+    quaternion, init = csa.quaternion_algebra, fields.Level.__init__
+
+    def counting_quaternion(field, a, b):
+        if field.artin_schreier_solve(b) is None:
+            asked.append((field, b))
+        inside.append((field, b))
+        try:
+            return quaternion(field, a, b)
+        finally:
+            inside.pop()
+
+    def counting_init(self, *args, **kwargs):
+        if inside:
+            built.append(inside[-1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(csa, "quaternion_algebra", counting_quaternion)
+    monkeypatch.setattr(fields.Level, "__init__", counting_init)
+    theorems.run_verification("all", seed=5)
+    assert (len(asked), len(set(asked))) == (12, 3)
+    assert sorted(built, key=repr) == sorted(set(asked), key=repr)
     theorems.clear_standard_fields()
 
 
