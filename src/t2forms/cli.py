@@ -92,9 +92,9 @@ def _split(text, sep=None, expected=None):
     return [piece for _, piece in _split_at(text, sep, expected)]
 
 
-def _split_at(text, sep=None, expected=None):
+def _split_at(text, sep=None, expected=None, at=0):
     """:func:`_split`, each piece paired with the offset of its first
-    character in ``text``."""
+    character, counted from ``at``, the offset of ``text`` itself."""
     pieces = []
     depth = 0
     quote = False
@@ -109,19 +109,19 @@ def _split_at(text, sep=None, expected=None):
         elif ch in ")]>":
             depth -= 1
         elif depth == 0 and (ch.isspace() if sep is None else ch == sep):
-            pieces.append(_stripped_at(text, start, i))
+            pieces.append(_stripped_at(text, start, i, at))
             start = i + 1
-    pieces.append(_stripped_at(text, start, len(text)))
+    pieces.append(_stripped_at(text, start, len(text), at))
     if sep is None or not text.strip():
-        pieces = [(at, p) for at, p in pieces if p]
+        pieces = [(i, p) for i, p in pieces if p]
     if expected is not None and len(pieces) != expected:
-        raise ParseError(f"expected {expected} arguments in {text!r}")
+        raise ParseError(f"expected {expected} arguments in {text!r} at character {at}")
     return pieces
 
 
-def _stripped_at(text, start, stop):
+def _stripped_at(text, start, stop, at=0):
     raw = text[start:stop]
-    return start + len(raw) - len(raw.lstrip()), raw.strip()
+    return at + start + len(raw) - len(raw.lstrip()), raw.strip()
 
 
 def _job_from_dict(data):
@@ -161,24 +161,38 @@ def _check_cap(what, degree, cap):
 
 
 def parse_field_spec(text, max_degree=None):
-    text = text.strip()
+    return _field_at(*_stripped_at(text, 0, len(text)), max_degree)
+
+
+def _field_at(at, text, max_degree):
+    """The level ``text`` names, found stripped at character offset
+    ``at`` of the whole spec, which every ParseError names."""
     if text == "GF2":
         return fields.GF2
     if text.startswith("extend(") and text.endswith(")"):
-        base_text, poly = _split(text[len("extend(") : -1], ",", 2)
-        base = parse_field_spec(base_text, max_degree)
+        (base_at, base_text), (poly_at, poly) = _split_at(text[7:-1], ",", 2, at + 7)
+        base = _field_at(base_at, base_text, max_degree)
         if not (len(poly) > 1 and poly.startswith('"') and poly.endswith('"')):
-            raise ParseError("defining polynomial must be quoted")
+            raise ParseError(f"defining polynomial {poly!r} at character {poly_at} must be quoted")
         var, coeffs = fields.parse_poly(base, poly[1:-1])
         _check_cap("field degree", base.bits * fields.poly_deg(coeffs), max_degree)
         return base.extend(coeffs, var)
-    raise ParseError(f"bad field spec {text!r}")
+    raise ParseError(f"bad field spec {text!r} at character {at}")
 
 
 def parse_algebra_spec(level, text, max_degree=None):
-    text = text.strip()
+    return _algebra_at(level, *_stripped_at(text, 0, len(text)), max_degree)
+
+
+def _algebra_at(level, at, text, max_degree):
+    """The algebra ``text`` names, found stripped at character offset
+    ``at`` of the whole spec, which every ParseError names."""
+    where = f"bad algebra spec {text!r}"
     if text.startswith("Mat(") and text.endswith(")"):
-        n = _int_atom(text[4:-1], f"bad algebra spec {text!r}: the degree must be an integer")
+        n = _int_atom(
+            text[4:-1],
+            f"{where}: the degree must be an integer, got {text[4:-1]!r} at character {at + 4}",
+        )
         _check_cap("algebra degree", n, max_degree)
         return csa.matrix_algebra(level, n)
     if text.startswith("Quat(") and text.endswith(")"):
@@ -186,43 +200,48 @@ def parse_algebra_spec(level, text, max_degree=None):
         _check_cap("algebra degree", 2, max_degree)
         return csa.quaternion_algebra(level, level.parse(a_text), level.parse(b_text))
     if text.startswith("Tensor(") and text.endswith(")"):
-        A, B = (parse_algebra_spec(level, s, max_degree) for s in _split(text[7:-1], ",", 2))
+        A, B = (
+            _algebra_at(level, i, s, max_degree)
+            for i, s in _split_at(text[7:-1], ",", 2, at + 7)
+        )
         _check_cap("algebra degree", A.degree * B.degree, max_degree)
         return csa.tensor_product(A, B)
     if text.startswith("Crossed(") and text.endswith(")"):
         ext_text = None
         cocycle = "trivial"
-        for arg in _split(text[8:-1], ","):
-            key, _, value = arg.partition("=")
+        for arg_at, arg in _split_at(text[8:-1], ",", at=at + 8):
+            key, _, raw = arg.partition("=")
             key = key.strip()
-            value = value.strip()
+            value = raw.strip()
             if key == "ext":
                 ext_text = value.strip('"')
             elif key == "cocycle" and value == "trivial":
                 cocycle = "trivial"
             elif key == "table":
-                cocycle = value
+                cocycle = (arg_at + arg.index("=") + 1, raw)
             else:
-                raise ParseError(f"bad Crossed argument {arg!r}")
+                raise ParseError(f"bad Crossed argument {arg!r} at character {arg_at}")
         if ext_text is None:
-            raise ParseError("Crossed needs ext=\"...\"")
+            raise ParseError(f"{where} at character {at}: Crossed needs ext=\"...\"")
         var, coeffs = fields.parse_poly(level, ext_text)
         _check_cap("algebra degree", fields.poly_deg(coeffs), max_degree)
         E = level.extend(coeffs, var)
         if cocycle != "trivial":
-            cocycle = _parse_cocycle_table(E, cocycle)
+            cocycle = _parse_cocycle_table(E, *cocycle)
         return csa.crossed_product(E, level, cocycle)
-    raise ParseError(f"bad algebra spec {text!r}")
+    raise ParseError(f"{where} at character {at}")
 
 
-def _parse_cocycle_table(E, text):
-    text = text.strip()
+def _parse_cocycle_table(E, at, text):
+    """The cocycle table ``text`` spells, found at character offset ``at``
+    of the algebra spec."""
+    at, text = _stripped_at(text, 0, len(text), at)
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("cocycle table must be [[...],[...]]")
+        raise ParseError(f"cocycle table {text!r} at character {at} must be [[...],[...]]")
     rows = []
-    for row_text in _split(text[1:-1], ","):
+    for row_at, row_text in _split_at(text[1:-1], ",", at=at + 1):
         if not (row_text.startswith("[") and row_text.endswith("]")):
-            raise ParseError("cocycle table rows must be bracketed")
+            raise ParseError(f"cocycle table row {row_text!r} at character {row_at} must be bracketed")
         rows.append([E.parse(v) for v in _split(row_text[1:-1], ",")])
     return rows
 

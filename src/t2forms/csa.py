@@ -105,7 +105,7 @@ class Algebra:
     """
 
     def __init__(
-        self, field, dim, product, one, label="", degree=None, is_csa=False, rep=None,
+        self, field, dim, product, one, label="", degree=None, rep=None,
         *, _identity_known=False,
     ):
         self.field = field
@@ -114,7 +114,6 @@ class Algebra:
         self.one = list(one)
         self.label = label
         self.degree = degree
-        self.is_csa = is_csa
         self.rep = rep
         self._t1 = None
         self._t2diag = None
@@ -234,7 +233,7 @@ def matrix_algebra(field, n):
     rep = SplittingRep(field, n, images)
     # sum E_ii is an identity for the E_rc product over any field
     return Algebra(
-        field, n * n, product, one, label=f"Mat({n})", degree=n, is_csa=True, rep=rep,
+        field, n * n, product, one, label=f"Mat({n})", degree=n, rep=rep,
         _identity_known=True,
     )
 
@@ -293,7 +292,7 @@ def quaternion_algebra(field, a, b):
     rep = SplittingRep(rep_field, 2, images)
     return Algebra(
         field, 4, product, [one, 0, 0, 0],
-        label=f"Quat({field.show(a)},{field.show(b)})", degree=2, is_csa=True, rep=rep,
+        label=f"Quat({field.show(a)},{field.show(b)})", degree=2, rep=rep,
     )
 
 
@@ -337,7 +336,7 @@ def tensor_product(A, B):
     alg = Algebra(
         f, dim, product, one,
         label=f"Tensor({A.label},{B.label})",
-        degree=degree, is_csa=A.is_csa and B.is_csa,
+        degree=degree,
         _identity_known=factors_ok,
     )
     alg.factors = (A, B)
@@ -498,7 +497,7 @@ def crossed_product(E, F, cocycle="trivial", label=None):
     rep = SplittingRep(E, n, images)
     alg = Algebra(
         F, dim, product, one,
-        label=label or f"Crossed({E!r}/{F!r})", degree=n, is_csa=True, rep=rep,
+        label=label or f"Crossed({E!r}/{F!r})", degree=n, rep=rep,
     )
     alg.crossed_data = {"E": E, "F": F, "n": n, "phi": phi, "basis_E": basis_E}
     return alg

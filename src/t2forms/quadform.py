@@ -557,7 +557,6 @@ def clifford_algebra(q):
         one,
         label=f"Clifford(dim {q.dim})",
         degree=degree,
-        is_csa=degree is not None,
     )
 
 

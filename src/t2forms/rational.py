@@ -3,10 +3,11 @@ backend.
 
 Only what the Artin-Schreier membership test and the Galois obstruction
 need: exact field arithmetic, perfect-square detection for denominators,
-and :func:`semilinear_solve`, which solves s**2 + r*s = target for
-bounded polynomial coordinates as one GF(2)-linear system written by the
-packed image of each unknown bit.  Membership in {u**2 + u} and the
-cubic splitting oracle of ``theorems`` both run on it.
+and :func:`semilinear_solve`, which solves s**2 + r*s = target for a
+polynomial s of bounded degree as one GF(2)-linear system written by the
+packed image of each unknown bit.  Membership in {u**2 + u}
+(:func:`wp_member`) is its one caller; the Arf comparison and the cubic
+splitting oracle of ``theorems`` both reduce to that membership.
 
 ``FunctionField.make`` reduces an arbitrary fraction by a full gcd.
 ``add`` and ``mul`` take operands already in lowest terms and return
@@ -212,50 +213,27 @@ def _quo(R, p, g):
     return p if g == R.one else R.divmod(p, g)[0]
 
 
-def semilinear_solve(k, squares, r, target, bound):
-    """Coordinates s_c in k[t] of degree at most ``bound`` with
-    s**2 + r*s = target, or None when there are none.
+def semilinear_solve(k, r, target, bound):
+    """The coefficients of an s in k[t] of degree at most ``bound`` with
+    s**2 + r*s = target, or None when there is none; ``r`` and
+    ``target`` are coefficient tuples over k.
 
-    s = sum s_c b_c over a basis b_c whose squares have coordinates
-    ``squares[c]``; ``r``, the polynomials in ``squares`` and the
-    coordinates in ``target`` are coefficient tuples over k.  The map
-    s -> s**2 + r*s is GF(2)-linear: unknown bit e t^j of s_c (e a bit of
-    k) maps to e**2 t**(2j) squares[c] + e t**j r b_c, packed one block of
-    ``k.bits``-bit coefficients (``linalg.pack_row``) per coordinate.
-    Unknowns run by (coordinate, degree, bit) and the free ones are zero.
+    The map s -> s**2 + r*s is GF(2)-linear: unknown bit e t^j of s (e a
+    bit of k) maps to e**2 t**(2j) + e t**j r, packed with ``k.bits``
+    bits per coefficient (``linalg.pack_row``).  Unknowns run by
+    (degree, bit) and the free ones are zero.
     """
     nbits = k.bits
-    deg = max(
-        2 * bound + max(poly_deg(p) for sq in squares for p in sq),
-        bound + poly_deg(r),
-        max(poly_deg(p) for p in target),
-    )
-    block = (deg + 1) * nbits
-
-    def packed(coords):
-        out = 0
-        for c, p in enumerate(coords):
-            out |= linalg.pack_row(k, p) << (c * block)
-        return out
-
-    images = []
-    for c, sq in enumerate(squares):
-        # the images of e t^0 in s_c, one pair (square part, r part) per bit e
-        units = [
-            (
-                packed([poly_scale(k, k.square(1 << b), p) for p in sq]),
-                linalg.pack_row(k, poly_scale(k, 1 << b, r)) << (c * block),
-            )
-            for b in range(nbits)
-        ]
-        for j in range(bound + 1):
-            images.extend((s2 << (2 * j * nbits)) ^ (sr << (j * nbits)) for s2, sr in units)
-    nrows = len(target) * block
-    sol = linalg.solve_gf2(linalg.rows_from_images(images, nrows), len(images), packed(target))
-    if sol is None:
-        return None
-    width = (bound + 1) * nbits
-    return [linalg.unpack_row(k, sol >> (c * width), bound + 1) for c in range(len(squares))]
+    deg = max(2 * bound, bound + poly_deg(r), poly_deg(target))
+    # the images of e t^0, one pair (square part, r part) per bit e; a
+    # constant packs to itself
+    units = [(k.square(1 << b), linalg.pack_row(k, poly_scale(k, 1 << b, r))) for b in range(nbits)]
+    images = [
+        (s2 << (2 * j * nbits)) ^ (sr << (j * nbits)) for j in range(bound + 1) for s2, sr in units
+    ]
+    rows = linalg.rows_from_images(images, (deg + 1) * nbits)
+    sol = linalg.solve_gf2(rows, len(images), linalg.pack_row(k, target))
+    return None if sol is None else linalg.unpack_row(k, sol, bound + 1)
 
 
 def wp_member(ff, c, witness=False):
@@ -263,9 +241,8 @@ def wp_member(ff, c, witness=False):
 
     If u = s/r in lowest terms then c has denominator exactly r**2, so a
     square denominator is necessary.  With r fixed, s**2 + s*r = num is
-    GF(2)-linear in the coefficients of s (:func:`semilinear_solve` with
-    the single coordinate 1).  Returns u (or None) when ``witness`` is
-    set.
+    GF(2)-linear in the coefficients of s (:func:`semilinear_solve`).
+    Returns u (or None) when ``witness`` is set.
     """
     k = ff.coeff
     if not c.num:
@@ -276,12 +253,12 @@ def wp_member(ff, c, witness=False):
         return (False, None) if witness else False
     # unknown s with deg s <= deg r + ceil(deg num / 2)
     bound = poly_deg(r) + (poly_deg(c.num) + 1) // 2
-    sol = semilinear_solve(k, [[(k.one,)]], r, [c.num], bound)
+    sol = semilinear_solve(k, r, c.num, bound)
     if sol is None:
         return (False, None) if witness else False
     if not witness:
         return True
-    u = ff.make(tuple(sol[0]), r)
+    u = ff.make(tuple(sol), r)
     check = ff.add(ff.square(u), u)
     assert check == c
     return True, u

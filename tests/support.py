@@ -162,7 +162,7 @@ def with_kronecker_rep(T):
         return None
     return csa.Algebra(
         T.field, T.dim, T.product, T.one, label=T.label, degree=T.degree,
-        is_csa=T.is_csa, rep=rep, _identity_known=True,
+        rep=rep, _identity_known=True,
     )
 
 

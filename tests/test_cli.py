@@ -388,6 +388,26 @@ def test_cli_bad_form_literal_names_the_character_offset(capsys, literal, atom, 
     assert literal[offset:].startswith(atom.strip("'"))
 
 
+@pytest.mark.parametrize(
+    "flag, spec, message, offset",
+    [
+        ("--field", 'extend(GF2,"a^2+a+1', "bad field spec 'extend(GF2,\"a^2+a+1'", 0),
+        ("--field", 'extend( GF3,"a^2+a+1")', "bad field spec 'GF3'", 8),
+        ("--field", "extend(GF2,a^2+a+1)", "defining polynomial 'a^2+a+1'", 11),
+        ("--algebra", "Tensor(Mat(2),Mat(2)", "bad algebra spec 'Mat(2'", 14),
+        ("--algebra", "Tensor(Mat(2), Mat(x))", "got 'x'", 19),
+        ("--algebra", 'Crossed(ext="b^2+b+1", foo=1)', "bad Crossed argument 'foo=1'", 23),
+        ("--algebra", 'Crossed(ext="b^2+b+1",table= [[1,1],1])', "cocycle table row '1'", 36),
+    ],
+)
+def test_cli_bad_field_or_algebra_names_the_character_offset(capsys, flag, spec, message, offset):
+    code, out, err = run_cli(capsys, flag, spec, "--cmd", "witt")
+    assert code == 2 and out == ""
+    assert message in err and f"at character {offset}" in err
+    atom = message.split("'")[1].replace('\\"', '"')
+    assert spec[offset:].startswith(atom)
+
+
 @pytest.mark.parametrize("seed", [-1, -2, 2**61 - 1, 10**20])
 def test_cli_verify_takes_any_integer_seed(capsys, seed):
     code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor1", "--n", "3", "--seed", str(seed))

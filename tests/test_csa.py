@@ -723,7 +723,7 @@ def _draw_small_algebra(data, gf4, gf8, gf64_tower):
         if kind == "factor":
             return X
         # no representation: traces by the reduced characteristic polynomial
-        return csa.Algebra(F, X.dim, X.product, X.one, label="raw", degree=X.degree, is_csa=True)
+        return csa.Algebra(F, X.dim, X.product, X.one, label="raw", degree=X.degree)
     d = data.draw(st.integers(1, 5))
     low = [data.draw(st.integers(0, F.order - 1)) for _ in range(d)]
     return csa.commutative_quotient(F, tuple(low) + (F.one,))

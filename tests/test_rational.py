@@ -299,22 +299,114 @@ def test_galois_obstruction_rational_reducible():
     assert rep["reducible"] is True
 
 
-def test_cubic_ext_inverse_by_adjugate():
+def _cubic(ff, low):
+    """The monic cubic x^3 + c2 x^2 + c1 x + c0 over ff from the
+    coefficient tuples (c0, c1, c2)."""
+    return tuple(ff.make(tuple(p)) for p in low) + (ff.one,)
+
+
+def _random_poly(rng, k, max_deg):
+    return fields.poly_trim(tuple(rng.randrange(k.order) for _ in range(max_deg + 1)))
+
+
+def _cyclic_family(rng, k, count):
+    """``count`` seeded members x^3 + s x^2 + (s+1) x + 1 of the generic
+    cyclic cubic, s a nonconstant polynomial over k."""
+    out = []
+    while len(out) < count:
+        s = _random_poly(rng, k, rng.randrange(1, 5))
+        if len(s) > 1:
+            out.append([(1,), fields.poly_add(k, s, (1,)), s])
+    return out
+
+
+# x^3 + t^3 x^2 + (1+t+t^2+t^3) x + 1 over GF(2)(t): Galois, with a
+# second root beyond a degree-6 search in E
+SEED11_CUBIC = [(1,), (1, 1, 1, 1), (0, 0, 0, 1)]
+
+
+def test_cubic_oracle_finds_high_degree_second_root():
     ff = rational.FunctionField(GF2)
-    t, one, zero = ff.t, ff.one, ff.zero
-    q = ff.make((1, 1, 1))
-    rng = random.Random(41)
-    # x^3 + x + t, x^3 + q x + q and x^3 + t are irreducible: every
-    # nonzero element is a unit
-    for consts in ((t, one, zero), (q, q, zero), (t, zero, zero)):
-        ext = theorems._CubicExt(ff, consts)
-        for _ in range(10):
-            u = tuple(ff.random_element(rng, 2) for _ in range(3))
-            if not ext.is_zero(u):
-                assert ext.mul(u, ext.inv(u)) == ext.one
-    # (x + t)(x^2 + x + 1): both factors are zero divisors
-    b = ff.add(one, t)
-    ext = theorems._CubicExt(ff, (t, b, b))
-    for u in ((t, one, zero), (one, one, one)):
-        with pytest.raises(ZeroDivisionError):
-            ext.inv(u)
+    coeffs = _cubic(ff, SEED11_CUBIC)
+    assert theorems.galois_obstruction(ff, coeffs)["verdict"] == "inconclusive"
+    assert theorems.cubic_second_root_oracle(ff, coeffs[:3]) is True
+
+
+def test_cyclic_cubic_family_splits():
+    rng = random.Random(18)
+    for ff in _FUNCTION_FIELDS:
+        irreducible = 0
+        for low in _cyclic_family(rng, ff.coeff, 40):
+            coeffs = _cubic(ff, low)
+            rep = theorems.galois_obstruction(ff, coeffs)
+            if rep["reducible"]:
+                continue
+            irreducible += 1
+            assert theorems.cubic_second_root_oracle(ff, coeffs[:3]) is True, low
+            assert rep["verdict"] == "inconclusive", low
+        assert irreducible >= 30
+
+
+def test_cubic_oracle_agrees_with_obstruction_verdict():
+    # the Revoy-form Arf class matches the odd-degree table exactly when
+    # the cubic is Galois; the draws mix random cubics with members of
+    # the cyclic family
+    rng = random.Random(19)
+    seen = set()
+    for ff in _FUNCTION_FIELDS:
+        k = ff.coeff
+        draws = [[_random_poly(rng, k, rng.randrange(3)) for _ in range(3)] for _ in range(100)]
+        draws += _cyclic_family(rng, k, 20)
+        for low in draws:
+            coeffs = _cubic(ff, low)
+            rep = theorems.galois_obstruction(ff, coeffs)
+            if rep["reducible"]:
+                continue
+            split = theorems.cubic_second_root_oracle(ff, coeffs[:3])
+            assert (rep["verdict"] == "inconclusive") == split, low
+            seen.add(split)
+    assert seen == {True, False}
+
+
+def _place_levels():
+    """GF(2^m) for m = 1, ..., 6."""
+    rng = random.Random(0)
+    return [GF2] + [GF2.extend(fields.find_irreducible(GF2, m, rng), "z") for m in range(2, 7)]
+
+
+def _galois_by_places(levels, low):
+    """Whether no unramified reduction t = t0 of the cubic, t0 in one of
+    ``levels``, factors as a linear times an irreducible quadratic.
+
+    The reduction at t0 has the cycle type of a power of Frobenius at
+    that place.  No element of a cyclic group of order 3 has a fixed
+    point and a 2-cycle, and by Chebotarev half the places of an S_3
+    cubic do.  ab + c is the product of the pairwise sums of the roots,
+    so t0 is unramified where it does not vanish."""
+    for L in levels:
+        for t0 in range(L.order):
+            c, b, a = (fields.poly_eval(L, p, t0) for p in low)
+            if L.add(L.mul(a, b), c) == 0:
+                continue
+            degs = sorted(fields.poly_deg(g) for g, _ in fields.poly_factorize(L, (c, b, a, 1)))
+            if degs == [1, 2]:
+                return False
+    return True
+
+
+def test_cubic_oracle_against_reductions_at_places():
+    # shares no code with wp_member or the trace form
+    ff = _FUNCTION_FIELDS[0]
+    levels = _place_levels()
+    rng = random.Random(20)
+    draws = [[_random_poly(rng, GF2, rng.randrange(3)) for _ in range(3)] for _ in range(120)]
+    draws += _cyclic_family(rng, GF2, 20) + [SEED11_CUBIC]
+    counts = {True: 0, False: 0}
+    for low in draws:
+        coeffs = _cubic(ff, low)
+        if theorems.galois_obstruction(ff, coeffs)["reducible"]:
+            continue
+        split = theorems.cubic_second_root_oracle(ff, coeffs[:3])
+        assert split == _galois_by_places(levels, low), low
+        counts[split] += 1
+    assert min(counts.values()) >= 10
