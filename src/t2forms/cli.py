@@ -124,6 +124,15 @@ def _stripped_at(text, start, stop, at=0):
     return at + start + len(raw) - len(raw.lstrip()), raw.strip()
 
 
+def _parsed_at(at, parse, *args):
+    """``parse(*args)``, its FieldError naming the atom's offset ``at``."""
+    try:
+        return parse(*args)
+    except fields.FieldError as exc:
+        exc.args = (f"{exc} at character {at}",)
+        raise
+
+
 def _job_from_dict(data):
     data = dict(data)
     cmd = data.pop("cmd", None)
@@ -174,7 +183,7 @@ def _field_at(at, text, max_degree):
         base = _field_at(base_at, base_text, max_degree)
         if not (len(poly) > 1 and poly.startswith('"') and poly.endswith('"')):
             raise ParseError(f"defining polynomial {poly!r} at character {poly_at} must be quoted")
-        var, coeffs = fields.parse_poly(base, poly[1:-1])
+        var, coeffs = _parsed_at(poly_at + 1, fields.parse_poly, base, poly[1:-1])
         _check_cap("field degree", base.bits * fields.poly_deg(coeffs), max_degree)
         return base.extend(coeffs, var)
     raise ParseError(f"bad field spec {text!r} at character {at}")
@@ -196,9 +205,9 @@ def _algebra_at(level, at, text, max_degree):
         _check_cap("algebra degree", n, max_degree)
         return csa.matrix_algebra(level, n)
     if text.startswith("Quat(") and text.endswith(")"):
-        a_text, b_text = _split(text[5:-1], ",", 2)
+        a, b = (_parsed_at(i, level.parse, s) for i, s in _split_at(text[5:-1], ",", 2, at + 5))
         _check_cap("algebra degree", 2, max_degree)
-        return csa.quaternion_algebra(level, level.parse(a_text), level.parse(b_text))
+        return csa.quaternion_algebra(level, a, b)
     if text.startswith("Tensor(") and text.endswith(")"):
         A, B = (
             _algebra_at(level, i, s, max_degree)
@@ -214,7 +223,7 @@ def _algebra_at(level, at, text, max_degree):
             key = key.strip()
             value = raw.strip()
             if key == "ext":
-                ext_text = value.strip('"')
+                ext_at, ext_text = arg_at + len(arg) - len(value.lstrip('"')), value.strip('"')
             elif key == "cocycle" and value == "trivial":
                 cocycle = "trivial"
             elif key == "table":
@@ -223,7 +232,7 @@ def _algebra_at(level, at, text, max_degree):
                 raise ParseError(f"bad Crossed argument {arg!r} at character {arg_at}")
         if ext_text is None:
             raise ParseError(f"{where} at character {at}: Crossed needs ext=\"...\"")
-        var, coeffs = fields.parse_poly(level, ext_text)
+        var, coeffs = _parsed_at(ext_at, fields.parse_poly, level, ext_text)
         _check_cap("algebra degree", fields.poly_deg(coeffs), max_degree)
         E = level.extend(coeffs, var)
         if cocycle != "trivial":
@@ -242,7 +251,8 @@ def _parse_cocycle_table(E, at, text):
     for row_at, row_text in _split_at(text[1:-1], ",", at=at + 1):
         if not (row_text.startswith("[") and row_text.endswith("]")):
             raise ParseError(f"cocycle table row {row_text!r} at character {row_at} must be bracketed")
-        rows.append([E.parse(v) for v in _split(row_text[1:-1], ",")])
+        entries = _split_at(row_text[1:-1], ",", at=row_at + 1)
+        rows.append([_parsed_at(i, E.parse, v) for i, v in entries])
     return rows
 
 
@@ -260,17 +270,18 @@ def parse_form_literal(level, text, max_degree=None):
         if entries is None:
             q = quadform.QuadraticForm.hyperbolic(level, planes)
         else:
-            q = quadform.QuadraticForm.binary(level, *(level.parse(e) for e in entries))
+            a, b = (_parsed_at(i, level.parse, e) for i, e in entries)
+            q = quadform.QuadraticForm.binary(level, a, b)
         if scale is not None:
-            q = q.scale(level.parse(scale))
+            q = q.scale(_parsed_at(scale[0], level.parse, scale[1]))
         total = q if total is None else quadform.direct_sum(total, q)
     return total
 
 
 def _form_atom(atom, at):
     """One summand, found at character offset ``at`` of the literal, as
-    (scale text or None, hyperbolic plane count, and the two entry texts
-    of a binary form or None)."""
+    (scale or None, hyperbolic plane count, and the two entries of a
+    binary form or None), the scale and entries as (offset, text)."""
     where = f"bad form literal {atom!r} at character {at}"
     text = atom
     scale = None
@@ -278,7 +289,8 @@ def _form_atom(atom, at):
         close = text.find(">")
         if close < 0:
             raise ParseError(f"{where}: '<' without closing '>'")
-        scale, text = text[1:close], text[close + 1 :].strip()
+        scale = _stripped_at(text, 1, close, at)
+        at, text = _stripped_at(text, close + 1, len(text), at)
     if text == "H":
         return scale, 1, None
     if "*" in text and text.endswith("H"):
@@ -287,7 +299,7 @@ def _form_atom(atom, at):
             raise ParseError(f"{where}: plane count must be a whole number")
         return scale, int(k_text), None
     if text.startswith("[") and text.endswith("]"):
-        return scale, 1, _split(text[1:-1], ",", 2)
+        return scale, 1, _split_at(text[1:-1], ",", 2, at + 1)
     raise ParseError(where)
 
 

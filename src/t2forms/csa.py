@@ -300,9 +300,7 @@ def tensor_product(A, B):
     """A tensor B with basis e_i tensor f_j in row-major order."""
     if A.field != B.field:
         raise AlgebraError("tensor factors live over different fields")
-    f = A.field
-    dim = A.dim * B.dim
-    nB = B.dim
+    f, nB = A.field, B.dim
     prodA, prodB = A.product, B.product
 
     def product(i, j):
@@ -314,19 +312,9 @@ def tensor_product(A, B):
         pb = prodB(i2, j2)
         if not pb:
             return ()
-        out = []
-        for k1, v1 in pa:
-            for k2, v2 in pb:
-                out.append((k1 * nB + k2, f.mul(v1, v2)))
-        return tuple(out)
+        return tuple([(k1 * nB + k2, f.mul(v1, v2)) for k1, v1 in pa for k2, v2 in pb])
 
-    one = [f.zero] * dim
-    for k1, x in enumerate(A.one):
-        if f.is_zero(x):
-            continue
-        for k2, y in enumerate(B.one):
-            if not f.is_zero(y):
-                one[k1 * nB + k2] = f.mul(x, y)
+    one = [f.mul(x, y) if x and y else f.zero for x in A.one for y in B.one]
     degree = A.degree * B.degree if (A.degree and B.degree) else None
     # (1_A (x) 1_B)(e_i (x) f_j) = (1_A e_i) (x) (1_B f_j) by bilinearity, so
     # the law on both factors is the law on the tensor; if a factor fails,
@@ -334,7 +322,7 @@ def tensor_product(A, B):
     # basis vector
     factors_ok = A._identity_failure() is None and B._identity_failure() is None
     alg = Algebra(
-        f, dim, product, one,
+        f, A.dim * nB, product, one,
         label=f"Tensor({A.label},{B.label})",
         degree=degree,
         _identity_known=factors_ok,
@@ -609,28 +597,26 @@ def b_t2(A, x, y):
 
 
 def _trace_products(A):
-    """Trd(e_i e_j) for every basis pair, as one {j: value} dict per i
-    (symmetric in i and j; a missing j means zero).  The diagonal holds
-    Trd(e_i^2) = t1(e_i)^2.
+    """Trd(e_i e_j) for every basis pair, as one row of the field's
+    ``linalg.row_ring`` per i (symmetric in i and j).  The diagonal
+    holds Trd(e_i^2) = t1(e_i)^2.
 
     On a tensor product the factors' values multiply: Trd((a (x) b)
-    (a' (x) b')) = Trd(a a') Trd(b b').  With a splitting representation,
-    Trd(e_i e_j) = tr(rho_i rho_j) is the sum over positions (r, c) of
-    rho_i[r, c] rho_j[c, r], found through an index from each position
-    to the images with an entry there; no structure constants are read.
-    Without either, it is the sum over e_i e_j = sum v_k e_k of
-    v_k t1(e_k).
+    (a' (x) b')) = Trd(a a') Trd(b b'), so its rows are the Kronecker
+    product of its factors' rows, each one shifted copy when the factors
+    are matrix algebras (Trd(E_ab E_cd) is 1 iff b = c and a = d).  With
+    a splitting representation, Trd(e_i e_j) = tr(rho_i rho_j) is the sum
+    over positions (r, c) of rho_i[r, c] rho_j[c, r], found through an
+    index from each position to the images with an entry there; no
+    structure constants are read.  Without either, it is the sum over
+    e_i e_j = sum v_k e_k of v_k t1(e_k).
     """
     f = A.field
+    R = linalg.row_ring(f)
     factors = getattr(A, "factors", None)
     if factors is not None:
         ra, rb = (_trace_products(X) for X in factors)
-        nb = factors[1].dim
-        return [
-            {ja * nb + jb: f.mul(va, vb) for ja, va in a.items() for jb, vb in b.items()}
-            for a in ra
-            for b in rb
-        ]
+        return R.kron(ra, rb, factors[1].dim)
     t1 = t1_vector(A)
     out = [{} for _ in range(A.dim)]
     if A.rep is None:
@@ -643,24 +629,24 @@ def _trace_products(A):
                     acc = f.add(acc, f.mul(v, t1[k]))
                 if not f.is_zero(acc):
                     out[i][j] = out[j][i] = acc
-        return out
-    lvl = A.rep.level
-    at = {}
-    for j, img in enumerate(A.rep.images):
-        for pos, w in img.items():
-            at.setdefault(pos, []).append((j, w))
-    for i, img in enumerate(A.rep.images):
-        row = out[i]
-        for (r, c), v in img.items():
-            for j, w in at.get((c, r), ()):
-                if j >= i:
-                    row[j] = lvl.add(row.get(j, lvl.zero), lvl.mul(v, w))
-        for j, v in row.items():
-            if j > i:
-                out[j][i] = v
-    if lvl != f and any(v >= f.order for row in out for v in row.values()):
-        raise AlgebraError("reduced trace of a basis product does not lie in the base field")
-    return out
+    else:
+        lvl = A.rep.level
+        at = {}
+        for j, img in enumerate(A.rep.images):
+            for pos, w in img.items():
+                at.setdefault(pos, []).append((j, w))
+        for i, img in enumerate(A.rep.images):
+            row = out[i]
+            for (r, c), v in img.items():
+                for j, w in at.get((c, r), ()):
+                    if j >= i:
+                        row[j] = lvl.add(row.get(j, lvl.zero), lvl.mul(v, w))
+            for j, v in row.items():
+                if j > i:
+                    out[j][i] = v
+        if lvl != f and any(v >= f.order for row in out for v in row.values()):
+            raise AlgebraError("reduced trace of a basis product does not lie in the base field")
+    return [R.sparse(row.items(), A.dim) for row in out]
 
 
 def t2_form(A):
@@ -672,25 +658,24 @@ def t2_form(A):
     R = linalg.row_ring(f)
     t1 = t1_vector(A)
     T = R.read(t1)
-    n = A.dim
-    rows = [R.axpy(R.sparse(row.items(), n), ti, T) for ti, row in zip(t1, _trace_products(A))]
+    rows = [R.axpy(row, ti, T) if ti else row for ti, row in zip(t1, _trace_products(A))]
     return QuadraticForm.from_rows(f, list(t2_diagonal(A)), rows)
 
 
 def trace_zero_subspace(A):
     """Kernel of the reduced trace functional, as a list of sparse basis
-    rows: e_k + (t1(e_k) / t1(e_k0)) e_k0 for every k other than the
-    first index k0 where the trace is nonzero.  The rows are rows of the
-    field's ``linalg.row_ring``, the layout of its forms."""
+    rows, tuples of (column, value) pairs: e_k + (t1(e_k) / t1(e_k0)) e_k0
+    for every k other than the first index k0 where the trace is nonzero,
+    the pair at k0 left out where it is zero.  ``QuadraticForm.restricted``
+    reads them as they are."""
     f = A.field
-    R = linalg.row_ring(f)
     t1 = t1_vector(A)
     k0 = next((k for k, v in enumerate(t1) if not f.is_zero(v)), None)
     if k0 is None:
         raise AlgebraError("reduced trace vanishes identically")
     inv = f.inv(t1[k0])
-    n, one, mul = A.dim, f.one, f.mul
-    return [R.sparse(((k, one), (k0, mul(t1[k], inv))), n) for k in range(n) if k != k0]
+    one, mul = f.one, f.mul
+    return [((k0, mul(t, inv)), (k, one)) if t else ((k, one),) for k, t in enumerate(t1) if k != k0]
 
 
 def t2_form_of_degree(A, n):
@@ -724,8 +709,7 @@ def b_subspace_form(A):
     q = t2_form(A)
     if n % 2:
         return QuadraticForm(A.field, [], [])
-    R = linalg.row_ring(A.field)
-    return q.restricted([R.unit(A.dim, n // 2 * n + t) for t in range(n)])
+    return q.restricted([((n // 2 * n + t, A.field.one),) for t in range(n)])
 
 
 # -- sanity checking -------------------------------------------------------

@@ -135,6 +135,7 @@ class Level:
         self._log = None
         self._nonresidue = None
         self._trace_mask = None
+        self._sqrt_map = None
         self._as_solver = None
         self._as_extensions = {}
         self._signature = (
@@ -306,8 +307,12 @@ class Level:
         return self._pow_raw(x, e)
 
     def sqrt(self, x):
-        """Inverse of the Frobenius map (the field is perfect)."""
-        return self.pow(x, self.order // 2) if x else 0
+        """Inverse of the Frobenius map, GF(2)-linear: a ``linalg.linear_map``
+        of the roots of the basis bits, built on the first call."""
+        if self._sqrt_map is None:
+            e = self.order // 2
+            self._sqrt_map = linalg.linear_map([self.pow(1 << i, e) for i in range(self.bits)])
+        return self._sqrt_map(x)
 
     def is_zero(self, x):
         return x == 0

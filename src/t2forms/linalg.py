@@ -76,7 +76,9 @@ def _scale_table(field, c):
         bits = field.bits
         units = [field.mul(c, 1 << j) for j in range(bits)]
         images = [u << (e * bits) for e in range(_chunk_conf(field)[0] // bits) for u in units]
-        tbl = tables[c] = linear_table(images)
+        # c != 0 permutes chunk values: the field's tables share their ints (key None)
+        ints = tables.get(None) or tables.setdefault(None, list(range(1 << len(images))))
+        tbl = tables[c] = [ints[v] for v in linear_table(images)]
     return tbl
 
 
@@ -179,6 +181,19 @@ class PackedRows:
         shift = at * self.bits
         return [r << shift for r in rows] if shift else list(rows)
 
+    def kron(self, ra, rb, nb):
+        """The Kronecker product of the rows ``ra`` and ``rb`` (``nb`` columns):
+        row (i, j) is the sum over the nonzero entries (c, v) of ra[i] of
+        v rb[j] shifted to column c nb; v = 1 scales nothing."""
+        f, one, step, out = self.field, self.one, nb * self.bits, []
+        for a in ra:
+            rows = [0] * len(rb)
+            for c, v in self.items(a):
+                part = rb if v == one else [scale_row(f, b, v) for b in rb]
+                rows = [r | (b << (c * step)) for r, b in zip(rows, part)]
+            out += rows
+        return out
+
     def scale(self, row, c):
         return scale_row(self.field, row, c)
 
@@ -274,6 +289,10 @@ class ListRows:
     def place(self, rows, at, n):
         zero = self.field.zero
         return [[zero] * at + list(r) + [zero] * (n - at - len(r)) for r in rows]
+
+    def kron(self, ra, rb, nb):
+        mul, zero = self.field.mul, self.field.zero
+        return [[mul(x, y) if x and y else zero for x in a for y in b] for a in ra for b in rb]
 
     def scale(self, row, c):
         return [self.field.mul(c, x) for x in row]

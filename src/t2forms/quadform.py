@@ -91,7 +91,7 @@ class QuadraticForm:
     def from_rows(cls, field, diag, rows, basis=None, basis_ncols=None):
         """A form from polar rows of the field's row ring, taken over
         without checks or copies.  Given ``basis_ncols``, ``basis`` holds
-        ring rows too, unpacked to that many entries when first read."""
+        rows as (column, value) pairs, expanded to lists when read."""
         q = cls.__new__(cls)
         q._init(linalg.row_ring(field), diag, rows, basis, basis_ncols)
         return q
@@ -127,8 +127,8 @@ class QuadraticForm:
     @property
     def basis(self):
         if self._basis_ncols is not None:
-            n = self._basis_ncols
-            self._basis = [self.ring.unpack(r, n) for r in self._basis]
+            n, R = self._basis_ncols, self.ring
+            self._basis = [R.unpack(R.sparse(s, n), n) for s in self._basis]
             self._basis_ncols = None
         return self._basis
 
@@ -177,15 +177,14 @@ class QuadraticForm:
         """The form pulled back to the span of the given row vectors, R B
         R^T for the matrix R of those rows.
 
-        Rows are coordinate lists or rows of the form's ring; the result
-        keeps them, in the ring, as its ``basis``.  Row a of the result is
-        (r_a B) R^T: the polar rows along r_a's support, combined, then
-        mapped by R^T (``times_transpose``).
+        Rows are coordinate lists, rows of the form's ring or tuples of
+        (column, value) pairs; the result keeps them as its ``basis``.
+        Row a is (r_a B) R^T: the polar rows along r_a's support,
+        combined, then mapped by R^T (``times_transpose``).
         """
         f, R, B, d = self.field, self.ring, self.rows, self.diag
         add, mul, entry, axpy = R.add, f.mul, R.entry, R.axpy
-        rows = [R.read(r) for r in rows]
-        sup = [R.items(r) for r in rows]
+        sup = [r if isinstance(r, tuple) else R.items(R.read(r)) for r in rows]
         zero_row = R.sparse((), self.dim)
         diag = []
         images = []
@@ -203,7 +202,7 @@ class QuadraticForm:
             diag.append(acc)
             images.append(v)
         polar = R.times_transpose(images, sup, self.dim)
-        return QuadraticForm.from_rows(f, diag, polar, basis=rows, basis_ncols=self.dim)
+        return QuadraticForm.from_rows(f, diag, polar, basis=sup, basis_ncols=self.dim)
 
     def scale(self, c):
         f = self.field
@@ -659,26 +658,7 @@ def quaternion_is_split(field, a, b):
     return True
 
 
-_split_cache = {}
-
-
-def quaternion_split_by_norm_search(field, a, b):
-    """Test oracle for :func:`quaternion_is_split` on levels whose
-    Artin-Schreier extension has at most 2^12 elements: b in {x**2+x},
-    or a a norm found by enumerating the extension."""
-    if field.wp_member(b):
-        return True
-    key = (field, b)
-    ext = _split_cache.get(key)
-    if ext is None:
-        from . import fields as _fields
-
-        ext = field.extend((b, field.one, field.one), _fields.fresh_gen_name(field))
-        _split_cache[key] = ext
-    if ext.order > 1 << 12:
-        raise SearchSpaceTooLarge("norm search limited to small fields")
-    e = field.order + 1  # norm map is y -> y**(1+|F|)
-    return any(ext.pow(y, e) == a for y in range(1, ext.order))
+_split_cache = {}  # nothing fills it; perfbench/workloads.cold_cache_problems reads it
 
 
 @dataclass(frozen=True)

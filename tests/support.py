@@ -4,14 +4,16 @@ multiply, the exp/log tables, the GF(2) linear solve, the list-row
 kernel, the Artin-Schreier solve, the crossed-product structure table,
 the coefficient-tuple polynomial route over GF(2), the Kronecker
 splitting representation of a tensor product, the Witt class by
-isotropic splitting and the symplectic reduction on dense list rows;
+isotropic splitting, quaternion splitting by norm search and the
+symplectic reduction on dense list rows;
 and a finite level seen as a field that is not finite, so that forms
 over it take the list-row ring."""
 
 from t2forms import csa, linalg
-from t2forms.fields import GF2
+from t2forms.fields import GF2, fresh_gen_name
 from t2forms.quadform import (
-    Decomposition, QuadraticForm, WittClass, arf_sum, isotropic_split_oracle,
+    Decomposition, QuadraticForm, SearchSpaceTooLarge, WittClass, arf_sum,
+    isotropic_split_oracle,
 )
 
 
@@ -222,6 +224,20 @@ def oracle_witt_class(q):
     f = q.field
     rep = f.zero if aniso.dim == 0 else f.wp_class_rep(arf_sum(aniso))
     return WittClass(f, 2 * planes + aniso.dim, rep, 0), planes
+
+
+def quaternion_split_by_norm_search(field, a, b):
+    """Whether [a, b) is split, by search: b in {x**2 + x}, or a a norm
+    from the Artin-Schreier extension of b, found by enumerating it.  The
+    oracle for ``quadform.quaternion_is_split`` on levels whose extension
+    has at most 2^12 elements."""
+    if field.wp_member(b):
+        return True
+    ext = field.extend((b, field.one, field.one), fresh_gen_name(field))
+    if ext.order > 1 << 12:
+        raise SearchSpaceTooLarge("norm search limited to small fields")
+    e = field.order + 1  # the norm map is y -> y**(1+|F|)
+    return any(ext.pow(y, e) == a for y in range(1, ext.order))
 
 
 def artin_schreier_by_fresh_matrix(level, c):

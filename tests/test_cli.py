@@ -408,6 +408,27 @@ def test_cli_bad_field_or_algebra_names_the_character_offset(capsys, flag, spec,
     assert spec[offset:].startswith(atom)
 
 
+@pytest.mark.parametrize(
+    "flag, spec, message, offset, atom",
+    [
+        ("--algebra", "Quat(1,zz)", "unknown generator 'zz'", 7, "zz"),
+        ("--algebra", "Quat( zz ,1)", "unknown generator 'zz'", 6, "zz"),
+        ("--field", 'extend(GF2,"a^2+q+1")', "two unknown names 'a' and 'q'", 12, "a^2+q+1"),
+        ("--algebra", 'Crossed(ext = "b^2+b+zz")', "two unknown names 'b' and 'zz'", 15, "b^2"),
+        ("--algebra", 'Crossed(ext="b^2+b+1",table=[[1,1],[1, zz]])', "unknown generator 'zz'", 39, "zz"),
+        ("--form", "[1,1] + <1>[1, zz]", "unknown generator 'zz'", 15, "zz"),
+        ("--form", "[1,1] + < zz >[1,1]", "unknown generator 'zz'", 10, "zz"),
+    ],
+)
+def test_cli_element_parse_errors_name_the_character_offset(capsys, flag, spec, message, offset, atom):
+    # an element or polynomial inside a spec that does not parse names the
+    # offset of the text it came from
+    code, out, err = run_cli(capsys, flag, spec, "--cmd", "witt")
+    assert code == 2 and out == ""
+    assert f"error: {message} at character {offset}\n" == err
+    assert spec[offset:].startswith(atom)
+
+
 @pytest.mark.parametrize("seed", [-1, -2, 2**61 - 1, 10**20])
 def test_cli_verify_takes_any_integer_seed(capsys, seed):
     code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "cor1", "--n", "3", "--seed", str(seed))

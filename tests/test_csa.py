@@ -40,7 +40,7 @@ def test_quaternion_trace_vector(gf4):
     # space is spanned by 1, e, ef
     Q = csa.quaternion_algebra(gf4, gf4.gen, gf4.gen ^ 1)
     assert csa.t1_vector(Q) == [0, 0, 1, 0]
-    rows = [linalg.unpack_row(gf4, r, Q.dim) for r in csa.trace_zero_subspace(Q)]
+    rows = [[dict(r).get(c, 0) for c in range(Q.dim)] for r in csa.trace_zero_subspace(Q)]
     assert len(rows) == 3
     for row in rows:
         assert row[2] == 0  # no f component needed
@@ -194,7 +194,7 @@ def test_q1_rank_zero(gf4):
 
 def test_trace_zero_subspace(gf4):
     M3 = csa.matrix_algebra(GF2, 3)
-    rows = [linalg.unpack_row(GF2, r, M3.dim) for r in csa.trace_zero_subspace(M3)]
+    rows = [[dict(r).get(c, 0) for c in range(M3.dim)] for r in csa.trace_zero_subspace(M3)]
     assert len(rows) == 8
     for row in rows:
         assert csa.t1_of(M3, row) == 0
@@ -772,6 +772,37 @@ def test_second_trace_form_reads_no_structure_constants():
     A.product = counting
     q = csa.second_trace_form(A)
     assert q.dim == 1224 and calls == []
+
+
+def test_tensor_polar_rows_match_kronecker_oracle(gf4, gf8):
+    # a tensor's Trd rows are the Kronecker product of its factors' rows:
+    # nested tensors, a quaternion factor over GF(4) whose rows hold
+    # entries other than one, and a crossed-product factor
+    M = csa.matrix_algebra
+    Q = csa.quaternion_algebra(gf4, gf4.gen, gf4.gen)
+    R = linalg.row_ring(gf4)
+    assert any(v != 1 for row in csa._trace_products(Q) for _, v in R.items(row))
+    cases = [
+        csa.tensor_product(csa.tensor_product(M(GF2, 2), M(GF2, 3)), M(GF2, 2)),
+        csa.tensor_product(Q, M(gf4, 2)),
+        csa.tensor_product(M(gf4, 2), csa.tensor_product(M(gf4, 2), Q)),
+        csa.tensor_product(csa.crossed_product(gf8, GF2), M(GF2, 2)),
+    ]
+    for T in cases:
+        q, qo = csa.t2_form(T), csa.t2_form(with_kronecker_rep(T))
+        assert q.diag == qo.diag and q.polar == qo.polar, T
+
+
+def test_tensor_polar_rows_pack_only_the_factor_rows(monkeypatch):
+    # the 1,225 rows of Mat(5) (x) Mat(7) are shifted copies of the 25 + 49
+    # packed factor rows
+    calls = []
+    sparse = linalg.PackedRows.sparse
+    monkeypatch.setattr(
+        linalg.PackedRows, "sparse", lambda self, items, n: calls.append(n) or sparse(self, items, n)
+    )
+    q = csa.t2_form(csa.tensor_product(csa.matrix_algebra(GF2, 5), csa.matrix_algebra(GF2, 7)))
+    assert q.dim == 1225 and len(calls) <= 25 + 49 and set(calls) == {25, 49}
 
 
 def _identity_oracle(A):

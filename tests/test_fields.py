@@ -716,6 +716,18 @@ def test_cached_artin_schreier_equals_fresh_solve(large_levels):
             assert lvl.artin_schreier_solve(c) == artin_schreier_by_fresh_matrix(lvl, c)
 
 
+def test_table_free_sqrt_equals_power(large_levels):
+    # the root is a linear map of the roots of the basis bits; x^(order/2)
+    # by square and multiply is the reference
+    gf2_13, gf4_8 = large_levels[:2]
+    rng = random.Random(12)
+    for lvl in (gf2_13, gf4_8):
+        assert lvl.sqrt(0) == 0
+        for _ in range(500):
+            x = lvl.random_element(rng)
+            assert lvl.sqrt(x) == lvl.pow(x, lvl.order // 2)
+
+
 def test_artin_schreier_solves_take_no_elimination(gf4, monkeypatch):
     # the level keeps the echelon form of its squaring matrix: bits
     # inserts on the first call, none for the solves after it.  The

@@ -173,3 +173,45 @@ def test_packed_rows_match_list_rows(gf4, gf8, data):
     images = P.times_transpose(packed, [P.items(r) for r in packed], n)
     assert [P.unpack(w, len(rows)) for w in images] == L.times_transpose(rows, sup, n)
     assert L.times_transpose(rows, sup, n) == mat_mul(f, rows, [list(col) for col in zip(*rows)])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_packed_kron_matches_list_kron(gf4, gf8, data):
+    # row (i, j) of the packed product is one shifted copy of rb[j] per
+    # nonzero entry of ra[i], scaled where that entry is not one; the list
+    # ring multiplies entry by entry
+    f = data.draw(st.sampled_from([GF2, gf4, gf8]))
+    P, L = linalg.row_ring(f), linalg.row_ring(ListRowLevel(f))
+    el = st.integers(0, f.order - 1)
+    na, nb = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    ra = [[data.draw(el) for _ in range(na)] for _ in range(data.draw(st.integers(1, 4)))]
+    rb = [[data.draw(el) for _ in range(nb)] for _ in range(data.draw(st.integers(1, 4)))]
+    packed = P.kron([P.read(r) for r in ra], [P.read(r) for r in rb], nb)
+    listed = L.kron(ra, rb, nb)
+    assert [P.unpack(r, na * nb) for r in packed] == listed
+    assert listed == [[f.mul(x, y) for x in a for y in b] for a in ra for b in rb]
+
+
+def test_packed_kron_scales_entries_other_than_one(gf4):
+    # a multi-entry row with an entry other than one, and a zero row
+    P = linalg.row_ring(gf4)
+    a, a2 = gf4.gen, gf4.mul(gf4.gen, gf4.gen)
+    ra, rb = [[a, 1, 0], [0, 0, 0]], [[1, a2], [a, 0]]
+    rows = P.kron([P.read(r) for r in ra], [P.read(r) for r in rb], 2)
+    assert [P.unpack(r, 6) for r in rows] == [
+        [a, 1, 1, a2, 0, 0], [a2, 0, a, 0, 0, 0], [0] * 6, [0] * 6,
+    ]
+
+
+def test_scale_tables_of_a_level_share_their_ints(gf8):
+    # scaling by c != 0 permutes the chunk values, so every table of the
+    # level holds the same int object for the same value
+    t3, t5 = linalg._scale_table(gf8, 3), linalg._scale_table(gf8, 5)
+    assert sorted(t3) == sorted(t5) == list(range(len(t3)))
+    first = {v: id(v) for v in t3}
+    assert all(id(v) == first[v] for v in t5)
+    row = linalg.pack_row(gf8, [1, 2, 3, 4, 5, 6, 7, 0, 1])
+    assert linalg.unpack_row(gf8, linalg.scale_row(gf8, row, 3), 9) == [
+        gf8.mul(3, x) for x in [1, 2, 3, 4, 5, 6, 7, 0, 1]
+    ]

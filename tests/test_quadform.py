@@ -8,7 +8,8 @@ from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
 from support import (
-    as_list_rows, kernel_generic, oracle_witt_class, random_nonsingular_form, reference_decompose,
+    as_list_rows, kernel_generic, oracle_witt_class, quaternion_split_by_norm_search,
+    random_nonsingular_form, reference_decompose,
 )
 
 
@@ -299,12 +300,12 @@ def test_quaternion_is_split_matches_norm_search(gf4, gf8):
     for fld in (GF2, gf4, gf8):
         for a in range(1, fld.order):
             for b in range(fld.order):
-                assert qf.quaternion_split_by_norm_search(fld, a, b)
-                assert qf.quaternion_is_split(fld, a, b)
+                oracle = quaternion_split_by_norm_search(fld, a, b)
+                assert oracle and qf.quaternion_is_split(fld, a, b) == oracle
     big = GF2.extend("a^7+a+1")
     c = next(x for x in range(big.order) if not big.wp_member(x))
     with pytest.raises(qf.SearchSpaceTooLarge):
-        qf.quaternion_split_by_norm_search(big, big.gen, c)
+        quaternion_split_by_norm_search(big, big.gen, c)
     assert qf.quaternion_is_split(big, big.gen, c)
     ff = rational.FunctionField(GF2)
     with pytest.raises(qf.NotFiniteField):
@@ -418,7 +419,8 @@ def test_restricted_matches_evaluation_rule(gf4, gf8, data):
     combo = [f.zero] * n
     for c, row in zip(coeffs, rows):
         combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, row)]
-    for given_rows in (rows, [q.ring.read(r) for r in rows]):
+    sparse = [tuple((c, x) for c, x in enumerate(r) if x) for r in rows]
+    for given_rows in (rows, [q.ring.read(r) for r in rows], sparse):
         r = q.restricted(given_rows)
         assert r.dim == len(rows) and r.basis == rows
         for a, ra in enumerate(rows):
