@@ -17,8 +17,9 @@ Restriction to a sparse basis and the symplectic block reduction are
 each written once against the ring and run on every field.  Over a
 finite level the radical is also a ``linalg.packed_kernel``, a route
 independent of the reduction; elsewhere it is read off the reduction.
-``QuadraticForm.polar`` and the rows of a decomposition are list views,
-unpacked only when read.
+``QuadraticForm.polar`` is a list view, unpacked only when read.  The
+reduction carries no basis for the invariants; a decomposition's basis
+rows are found by running it again when they are read.
 
 Forms are treated as immutable after construction (the only mutations
 are internal caches: the decomposition and the unpacked views), so
@@ -180,15 +181,21 @@ class QuadraticForm:
         Rows are coordinate lists, rows of the form's ring or tuples of
         (column, value) pairs; the result keeps them as its ``basis``.
         Row a is (r_a B) R^T: the polar rows along r_a's support,
-        combined, then mapped by R^T (``times_transpose``).
+        combined, then mapped by R^T (``times_transpose``).  A unit row
+        ((k, 1),) contributes polar row k and q(e_k) as they are.
         """
         f, R, B, d = self.field, self.ring, self.rows, self.diag
-        add, mul, entry, axpy = R.add, f.mul, R.entry, R.axpy
+        add, mul, entry, axpy, one = R.add, f.mul, R.entry, R.axpy, f.one
         sup = [r if isinstance(r, tuple) else R.items(R.read(r)) for r in rows]
         zero_row = R.sparse((), self.dim)
         diag = []
         images = []
         for s in sup:
+            if len(s) == 1 and s[0][1] == one:
+                k = s[0][0]
+                diag.append(d[k])
+                images.append(B[k])
+                continue
             v = zero_row
             acc = f.zero
             for a, (k, x) in enumerate(s):
@@ -241,42 +248,63 @@ def is_nonsingular(q):
 class Decomposition:
     """Result of the symplectic reduction of a form.
 
-    ``blocks`` are the binary forms [a_i, b_i] with cross coefficient 1;
-    ``pairs`` hold the corresponding basis vectors (rows in the original
-    coordinates); the radical rows carry their quasilinear diagonal
-    values.  Given ``ncols``, the pair and radical rows are rows of the
-    field's row ring and are unpacked to lists of that length when first
-    read.
+    ``blocks`` are the binary forms [a_i, b_i] with cross coefficient 1,
+    and ``radical_diag`` holds the quasilinear diagonal values of the
+    radical; these are all the invariants read, and the reduction that
+    finds them carries no basis.  ``pairs`` (the basis vectors of each
+    block, in the original coordinates) and ``radical_rows`` are lists
+    built on their first read, by running the same reduction again on
+    the form's rows with unit basis rows.  ``symbols`` are the quaternion
+    symbols (a_i, a_i b_i] of the blocks, computed once.
+
+    The record keeps the form's ring, rows and diagonal, not the form,
+    which holds it.
     """
 
-    def __init__(self, field, blocks, pairs, radical_rows, radical_diag, ncols=None):
-        self.field = field
-        self.blocks = blocks
-        self.radical_diag = radical_diag
-        self._pairs = pairs
-        self._radical_rows = radical_rows
-        self._ncols = ncols
+    def __init__(self, ring, rows, diag):
+        self.field = ring.field
+        self._ring, self._rows, self._diag = ring, rows, diag
+        self.blocks, _, rad, d = _reduce(ring, rows, diag)
+        self.radical_diag = [d[r] for r in rad]
+        self._pairs = self._radical_rows = self._symbols = None
 
-    def _unpack(self):
-        if self._ncols is not None:
-            R, n = linalg.row_ring(self.field), self._ncols
-            self._pairs = [(R.unpack(u, n), R.unpack(v, n)) for u, v in self._pairs]
-            self._radical_rows = [R.unpack(u, n) for u in self._radical_rows]
-            self._ncols = None
+    def _rerun_with_basis(self):
+        R, n = self._ring, len(self._diag)
+        basis = [R.unit(n, i) for i in range(n)]
+        _, pairs, rad, _ = _reduce(R, self._rows, self._diag, basis)
+        self._pairs = [(R.unpack(u, n), R.unpack(v, n)) for u, v in pairs]
+        self._radical_rows = [R.unpack(basis[r], n) for r in rad]
 
     @property
     def pairs(self):
-        self._unpack()
+        if self._pairs is None:
+            self._rerun_with_basis()
         return self._pairs
 
     @property
     def radical_rows(self):
-        self._unpack()
+        if self._radical_rows is None:
+            self._rerun_with_basis()
         return self._radical_rows
 
     @property
     def radical_dim(self):
-        return len(self._radical_rows)
+        return len(self.radical_diag)
+
+    @property
+    def symbols(self):
+        """The pairs (a_i, a_i b_i) over the blocks [a_i, b_i], swapped to
+        a_i != 0 by [0,b] = [b,0]; hyperbolic blocks [0,0] give none.  A
+        tuple, shared by every caller."""
+        if self._symbols is None:
+            f, out = self.field, []
+            for a, b in self.blocks:
+                if f.is_zero(a):
+                    a, b = b, a
+                if not f.is_zero(a):
+                    out.append((a, f.mul(a, b)))
+            self._symbols = tuple(out)
+        return self._symbols
 
 
 def block_decompose(q):
@@ -288,19 +316,26 @@ def block_decompose(q):
     e_r + lam e_i + mu e_j, orthogonal to the pivot pair, so every
     unpaired row is zero at the paired columns and holds the current
     polar values on the unpaired ones.  A zero row stays zero, and is
-    radical: the pivot scan moves forward only.
+    radical: the pivot scan moves forward only.  The reduction tracks no
+    basis vectors; :class:`Decomposition` finds them when they are read.
     """
     if q._decomp is None:
-        q._decomp = _reduce(q)
+        q._decomp = Decomposition(q.ring, q.rows, q.diag)
     return q._decomp
 
 
-def _reduce(q):
-    f, R, n = q.field, q.ring, q.dim
+def _reduce(R, rows, diag, basis=None):
+    """The reduction of :func:`block_decompose` on copies of the polar
+    rows and diagonal, in ring ``R``.  Given ``basis``, a list of ring
+    rows, it applies each basis change to them in place and returns the
+    pivot pairs with the second vector scaled to b(u, v) = 1; otherwise
+    the pairs are empty.  Returns (blocks, pairs, radical indices, final
+    diagonal).  Scalars equal to one cost no multiply."""
+    f = R.field
     one, mul, add, axpy = f.one, f.mul, R.add, R.axpy
-    B = list(q.rows)
-    d = list(q.diag)
-    basis = [R.unit(n, i) for i in range(n)]
+    B = list(rows)
+    d = list(diag)
+    n = len(d)
     paired = [False] * n
     blocks = []
     pairs = []
@@ -310,50 +345,44 @@ def _reduce(q):
             continue
         paired[i] = paired[j] = True
         row_i, row_j = B[i], B[j]
-        bas_i, bas_j = basis[i], basis[j]
         di, dj = d[i], d[j]
         p = R.entry(row_i, j)
-        pinv = one if p == one else f.inv(p)
+        unit = p == one
+        pinv = one if unit else f.inv(p)
         for r, lam, mu in R.pivot_entries(i, j, row_i, row_j):
             # lam = b(e_r, e_j) / p, mu = b(e_r, e_i) / p
-            if pinv != one:
+            if not unit:
                 lam, mu = mul(lam, pinv), mul(mu, pinv)
             # q(e_r + lam e_i + mu e_j) = q(e_r) + lam^2 d_i + mu^2 d_j + lam mu p
-            dr, row, bas = d[r], B[r], basis[r]
+            dr, row = d[r], B[r]
             if lam:
                 row = axpy(row, lam, row_i)
-                bas = axpy(bas, lam, bas_i)
-                dr = add(dr, mul(mul(lam, lam), di))
+                dr = add(dr, di if lam == one else mul(mul(lam, lam), di))
             if mu:
                 row = axpy(row, mu, row_j)
-                bas = axpy(bas, mu, bas_j)
-                dr = add(dr, mul(mul(mu, mu), dj))
+                dr = add(dr, dj if mu == one else mul(mul(mu, mu), dj))
                 if lam:
-                    dr = add(dr, mul(mul(lam, mu), p))
-            d[r], B[r], basis[r] = dr, row, bas
-        blocks.append((di, mul(dj, mul(pinv, pinv))))
-        pairs.append((bas_i, R.scale(bas_j, pinv)))
+                    lmp = lam if mu == one else mul(lam, mu)
+                    dr = add(dr, lmp if unit else mul(lmp, p))
+            d[r], B[r] = dr, row
+            if basis is not None:
+                bas = basis[r]
+                if lam:
+                    bas = axpy(bas, lam, basis[i])
+                if mu:
+                    bas = axpy(bas, mu, basis[j])
+                basis[r] = bas
+        blocks.append((di, dj if unit else mul(dj, mul(pinv, pinv))))
+        if basis is not None:
+            pairs.append((basis[i], basis[j] if unit else R.scale(basis[j], pinv)))
     rad = [r for r in range(n) if not paired[r]]
     assert all(R.first(B[r]) is None for r in rad)
-    return Decomposition(f, blocks, pairs, [basis[r] for r in rad], [d[r] for r in rad], ncols=n)
-
-
-def _block_symbols(f, dec):
-    """The pairs (a_i, a_i b_i) over the decomposition blocks [a_i, b_i],
-    swapped to a_i != 0 by [0,b] = [b,0]; hyperbolic blocks [0,0] give
-    none."""
-    out = []
-    for a, b in dec.blocks:
-        if f.is_zero(a):
-            a, b = b, a
-        if not f.is_zero(a):
-            out.append((a, f.mul(a, b)))
-    return out
+    return blocks, pairs, rad, d
 
 
 def _arf_acc(f, dec):
     acc = f.zero
-    for _, ab in _block_symbols(f, dec):
+    for _, ab in dec.symbols:
         acc = f.add(acc, ab)
     return acc
 
@@ -685,11 +714,11 @@ class BrauerClass:
 
 def clifford_symbols(q):
     """Unreduced quaternion symbols (a_i, a_i b_i] from the block
-    decomposition; hyperbolic blocks contribute none."""
+    decomposition, as a new list; hyperbolic blocks contribute none."""
     dec = block_decompose(q)
     if dec.radical_dim:
         raise SingularForm("Clifford invariant needs a nonsingular form")
-    return _block_symbols(q.field, dec)
+    return list(dec.symbols)
 
 
 def clifford_invariant(q):

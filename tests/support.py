@@ -9,11 +9,12 @@ symplectic reduction on dense list rows;
 and a finite level seen as a field that is not finite, so that forms
 over it take the list-row ring."""
 
+from typing import NamedTuple
+
 from t2forms import csa, linalg
 from t2forms.fields import GF2, fresh_gen_name
 from t2forms.quadform import (
-    Decomposition, QuadraticForm, SearchSpaceTooLarge, WittClass, arf_sum,
-    isotropic_split_oracle,
+    QuadraticForm, SearchSpaceTooLarge, WittClass, arf_sum, isotropic_split_oracle,
 )
 
 
@@ -355,9 +356,23 @@ def as_list_rows(q):
     return QuadraticForm(ListRowLevel(q.field), q.diag, q.polar)
 
 
+class ReferenceDecomposition(NamedTuple):
+    """What :func:`reference_decompose` finds, under the attribute names
+    of ``quadform.Decomposition``."""
+
+    blocks: list
+    pairs: list
+    radical_rows: list
+    radical_diag: list
+
+    @property
+    def radical_dim(self):
+        return len(self.radical_rows)
+
+
 def reference_decompose(q):
     """The symplectic reduction entry by entry on dense list rows,
-    duck-typed over the field: the reference for
+    duck-typed over the field, carrying its basis: the reference for
     ``quadform.block_decompose``."""
     f = q.field
     n = q.dim
@@ -420,4 +435,4 @@ def reference_decompose(q):
         active.remove(j)
     rad_rows = [list(basis[r]) for r in active]
     rad_diag = [d[r] for r in active]
-    return Decomposition(f, blocks, pairs, rad_rows, rad_diag)
+    return ReferenceDecomposition(blocks, pairs, rad_rows, rad_diag)

@@ -328,6 +328,65 @@ def test_clifford_invariant(gf8):
         assert qf.clifford_invariant(q).is_trivial
 
 
+def test_clifford_symbols_returns_a_new_list():
+    # the decomposition keeps its symbols; a caller's edits to the list it
+    # was given must not reach arf, witt_class or clifford_invariant
+    for read_first in (False, True):
+        q = qf.direct_sum(QuadraticForm.binary(GF2, 1, 1), QuadraticForm.hyperbolic(GF2))
+        if read_first:
+            before = (qf.witt_class(q), qf.arf(q), qf.clifford_invariant(q))
+        syms = qf.clifford_symbols(q)
+        assert syms == [(1, 1)]
+        syms[0] = (1, 0)
+        syms.append((1, 1))
+        qf.clifford_symbols(q).clear()
+        after = (qf.witt_class(q), qf.arf(q), qf.clifford_invariant(q))
+        assert after[0].arf == after[1] == 1 and after[2].is_trivial
+        if read_first:
+            assert after == before
+        assert qf.clifford_symbols(q) == [(1, 1)]
+
+
+def test_form_core_reduction_updates_polar_rows_only(gf4, monkeypatch):
+    # the three tensor forms of the form-core benchmark: the reduction makes
+    # one axpy per nonzero multiplier and scales no row, and the invariants
+    # never run it again with a basis
+    from t2forms import csa
+
+    M = csa.matrix_algebra
+    forms = [
+        csa.second_trace_form(csa.tensor_product(M(F, n1), M(F, n2)))
+        for F, n1, n2 in ((GF2, 5, 7), (GF2, 6, 6), (gf4, 5, 5))
+    ]
+    calls = {"axpy": 0, "scale": 0}
+    for name in calls:
+        method = getattr(linalg.PackedRows, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(linalg.PackedRows, name, counted)
+    runs = []
+    reduce = qf._reduce
+
+    def traced(*args, **kwargs):
+        runs.append(len(args) > 3 or kwargs.get("basis") is not None)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(qf, "_reduce", traced)
+    for q in forms:
+        qf.block_decompose(q)
+    assert calls == {"axpy": 1420, "scale": 0}
+    for q in forms:
+        for invariant in (qf.witt_class, qf.arf, qf.clifford_invariant, qf.clifford_symbols):
+            invariant(q)
+    assert runs == [False] * 3
+    dec = qf.block_decompose(forms[2])
+    assert dec.radical_rows == [] and len(dec.pairs) == 312
+    assert runs == [False] * 3 + [True]
+
+
 def test_brauer_class_equality(gf4):
     c1 = qf.BrauerClass.trivial(gf4, label="[A]^2")
     c2 = qf.BrauerClass.trivial(gf4, label="other")
@@ -335,18 +394,35 @@ def test_brauer_class_equality(gf4):
     assert c1.is_trivial
 
 
+def _read_invariants(q):
+    """Every invariant the reduction serves, read before any basis row."""
+    dec = qf.block_decompose(q)
+    if getattr(q.field, "is_finite", False):
+        qf.witt_class(q)
+    if dec.radical_dim:
+        with pytest.raises(qf.SingularForm):
+            qf.clifford_symbols(q)
+    else:
+        qf.arf_sum(q)
+        qf.clifford_symbols(q)
+    return dec
+
+
 def _assert_routes_agree(q):
     """block_decompose on q's own rows, on list rows over the same field
-    and by the reference reduction: same blocks, pairs and radical."""
-    routes = [qf.block_decompose(q), reference_decompose(q)]
+    and by the reference reduction: same blocks, pairs and radical.  The
+    invariants are read first, so pairs and radical rows come from the
+    reduction run again with a basis."""
+    routes = [_read_invariants(q), reference_decompose(q)]
     if getattr(q.field, "is_finite", False):
-        routes.append(qf.block_decompose(as_list_rows(q)))
+        routes.append(_read_invariants(as_list_rows(q)))
     first = routes[0]
     for dec in routes[1:]:
         assert dec.blocks == first.blocks
+        assert dec.radical_diag == first.radical_diag
+        assert dec.radical_dim == first.radical_dim
         assert dec.pairs == first.pairs
         assert dec.radical_rows == first.radical_rows
-        assert dec.radical_diag == first.radical_diag
 
 
 def test_decompose_gf2_matches_generic_path():
@@ -422,16 +498,49 @@ def test_restricted_matches_evaluation_rule(gf4, gf8, data):
     sparse = [tuple((c, x) for c, x in enumerate(r) if x) for r in rows]
     for given_rows in (rows, [q.ring.read(r) for r in rows], sparse):
         r = q.restricted(given_rows)
-        assert r.dim == len(rows) and r.basis == rows
-        for a, ra in enumerate(rows):
-            assert r.diag[a] == _value(q, ra)
-            assert r.polar_entry(a, a) == f.zero
-            for b in range(a + 1, len(rows)):
-                rb = rows[b]
-                both = _value(q, [f.add(x, y) for x, y in zip(ra, rb)])
-                expect = f.add(f.add(both, _value(q, ra)), _value(q, rb))
-                assert r.polar_entry(a, b) == r.polar_entry(b, a) == expect
+        _assert_pullback(q, r, rows)
         assert _value(r, coeffs) == _value(q, combo)
+
+
+def _assert_pullback(q, r, rows):
+    """r is q restricted to the given coordinate rows, by the evaluation
+    rule: r(e_a) = q(row_a) and b_r(e_a, e_b) = b_q(row_a, row_b)."""
+    f = q.field
+    assert r.dim == len(rows) and r.basis == rows
+    for a, ra in enumerate(rows):
+        assert r.diag[a] == _value(q, ra)
+        assert r.polar_entry(a, a) == f.zero
+        for b in range(a + 1, len(rows)):
+            rb = rows[b]
+            both = _value(q, [f.add(x, y) for x, y in zip(ra, rb)])
+            expect = f.add(f.add(both, _value(q, ra)), _value(q, rb))
+            assert r.polar_entry(a, b) == r.polar_entry(b, a) == expect
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_restricted_unit_rows_match_evaluation_rule(gf4, gf8, data):
+    # unit rows ((k, 1),) take the polar row and q(e_k) as they are; mixed
+    # with scaled single entries and multi-entry rows, on packed and list rows
+    q, _ = _draw_form(data, [GF2, gf4, gf8], 7)
+    if data.draw(st.booleans()):
+        q = as_list_rows(q)
+    f, n = q.field, q.dim
+    kinds = [k for k, ok in (("unit", n), ("scaled", n and f.order > 2), ("multi", n > 1)) if ok]
+    sparse = []
+    for _ in range(data.draw(st.integers(0, n + 2)) if kinds else 0):
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "unit":
+            sparse.append(((data.draw(st.integers(0, n - 1)), f.one),))
+        elif kind == "scaled":
+            sparse.append(((data.draw(st.integers(0, n - 1)), data.draw(st.integers(2, f.order - 1))),))
+        else:
+            cols = data.draw(st.sets(st.integers(0, n - 1), min_size=2))
+            sparse.append(tuple((c, data.draw(st.integers(1, f.order - 1))) for c in sorted(cols)))
+    rows = [q.ring.unpack(q.ring.sparse(s, n), n) for s in sparse]
+    _assert_pullback(q, q.restricted(sparse), rows)
+    units = q.restricted([((k, f.one),) for k in range(n)])
+    assert units.rows == q.rows and units.diag == q.diag
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -446,8 +555,25 @@ def test_decompose_packed_matches_generic_path_all_levels(gf4, gf8, data):
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_decompose_over_function_fields_matches_reference(data):
-    q, _ = _draw_form(data, _FUNCTION_FIELDS, 6)
+    q, el = _draw_form(data, _FUNCTION_FIELDS, 6)
     _assert_routes_agree(q)
+    # a quasilinear summand adds radical rows to the basis run
+    rad = QuadraticForm.diagonal(q.field, [data.draw(el) for _ in range(data.draw(st.integers(1, 2)))])
+    _assert_routes_agree(qf.direct_sum(q, rad))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_radical_over_function_fields_is_orthogonal_to_everything(data):
+    q, el = _draw_form(data, _FUNCTION_FIELDS, 6)
+    if data.draw(st.booleans()):
+        q = qf.direct_sum(q, QuadraticForm.diagonal(q.field, [data.draw(el)]))
+    f, n = q.field, q.dim
+    rad = qf.radical(q)
+    assert len(rad) == n - 2 * len(qf.block_decompose(q).blocks)
+    for row in rad:
+        for k in range(n):
+            assert f.is_zero(q.bilinear(row, [f.one if c == k else f.zero for c in range(n)]))
 
 
 @settings(max_examples=80, deadline=None, database=None)
