@@ -143,9 +143,6 @@ class PackedRows:
         self.emask = (1 << field.bits) - 1
         self.add = operator.xor
 
-    def unit(self, n, i):
-        return self.one << (i * self.bits)
-
     def entry(self, row, j):
         return (row >> (j * self.bits)) & self.emask
 
@@ -263,10 +260,7 @@ class ListRows:
     operation changes a row it is given."""
 
     def __init__(self, field):
-        self.field, self.one, self.add = field, field.one, field.add
-
-    def unit(self, n, i):
-        return self.sparse(((i, self.one),), n)
+        self.field, self.add = field, field.add
 
     def entry(self, row, j):
         return row[j]

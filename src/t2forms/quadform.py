@@ -14,16 +14,16 @@ with ``field.bits`` bits per entry, so row operations are integer xors
 plus ``linalg.scale_row`` for scalars other than one; lists of field
 elements over any other field, such as ``rational.FunctionField``.
 Restriction to a sparse basis and the symplectic block reduction are
-each written once against the ring and run on every field.  Over a
-finite level the radical is also a ``linalg.packed_kernel``, a route
-independent of the reduction; elsewhere it is read off the reduction.
-``QuadraticForm.polar`` is a list view, unpacked only when read.  The
-reduction carries no basis for the invariants; a decomposition's basis
-rows are found by running it again when they are read.
+each written once against the ring and run on every field.  The
+reduction carries no basis: the invariants (Witt class, Arf, Clifford
+symbols, radical dimension) need only its blocks and the radical's
+diagonal.  Over a finite level the radical is a ``linalg.packed_kernel``,
+a route independent of the reduction.  ``QuadraticForm.polar`` is a
+list view, unpacked only when read.
 
-Forms are treated as immutable after construction (the only mutations
-are internal caches: the decomposition and the unpacked views), so
-independent forms can be processed concurrently.
+Forms are treated as immutable after construction (the only mutation
+is an internal cache, the decomposition), so independent forms can be
+processed concurrently.
 """
 
 from __future__ import annotations
@@ -68,10 +68,8 @@ class QuadraticForm:
     diagonal (alternating, as forced in characteristic two).  ``rows``
     holds it as rows of ``ring``, the field's ``linalg.row_ring``.  The
     constructor takes list rows, checks them and copies them into the
-    ring; :meth:`from_rows` takes ring rows as they are.
-
-    ``basis`` may carry the rows that define the form inside an ambient
-    space, for audit, read back as lists.
+    ring; :meth:`from_rows` takes ring rows as they are.  A form keeps
+    no basis of an ambient space it was restricted from.
     """
 
     def __init__(self, field, diag, polar):
@@ -86,25 +84,22 @@ class QuadraticForm:
                 if polar[i][j] != polar[j][i]:
                     raise FormError("polar matrix must be symmetric")
         ring = linalg.row_ring(field)
-        self._init(ring, diag, [ring.read(r) for r in polar], None, None)
+        self._init(ring, diag, [ring.read(r) for r in polar])
 
     @classmethod
-    def from_rows(cls, field, diag, rows, basis=None, basis_ncols=None):
+    def from_rows(cls, field, diag, rows):
         """A form from polar rows of the field's row ring, taken over
-        without checks or copies.  Given ``basis_ncols``, ``basis`` holds
-        rows as (column, value) pairs, expanded to lists when read."""
+        without checks or copies."""
         q = cls.__new__(cls)
-        q._init(linalg.row_ring(field), diag, rows, basis, basis_ncols)
+        q._init(linalg.row_ring(field), diag, rows)
         return q
 
-    def _init(self, ring, diag, rows, basis, basis_ncols):
+    def _init(self, ring, diag, rows):
         self.field = ring.field
         self.ring = ring
         self.diag = diag
         self.rows = rows
         self.dim = len(diag)
-        self._basis = basis
-        self._basis_ncols = basis_ncols
         self._decomp = None
 
     @classmethod
@@ -124,14 +119,6 @@ class QuadraticForm:
         """Totally quasilinear form with zero polar part."""
         n = len(values)
         return cls(field, list(values), [[field.zero] * n for _ in range(n)])
-
-    @property
-    def basis(self):
-        if self._basis_ncols is not None:
-            n, R = self._basis_ncols, self.ring
-            self._basis = [R.unpack(R.sparse(s, n), n) for s in self._basis]
-            self._basis_ncols = None
-        return self._basis
 
     def polar_entry(self, i, j):
         return self.ring.entry(self.rows[i], j)
@@ -179,10 +166,10 @@ class QuadraticForm:
         R^T for the matrix R of those rows.
 
         Rows are coordinate lists, rows of the form's ring or tuples of
-        (column, value) pairs; the result keeps them as its ``basis``.
-        Row a is (r_a B) R^T: the polar rows along r_a's support,
-        combined, then mapped by R^T (``times_transpose``).  A unit row
-        ((k, 1),) contributes polar row k and q(e_k) as they are.
+        (column, value) pairs.  Row a is (r_a B) R^T: the polar rows along
+        r_a's support, combined, then mapped by R^T (``times_transpose``).
+        A unit row ((k, 1),) contributes polar row k and q(e_k) as they
+        are.
         """
         f, R, B, d = self.field, self.ring, self.rows, self.diag
         add, mul, entry, axpy, one = R.add, f.mul, R.entry, R.axpy, f.one
@@ -209,7 +196,7 @@ class QuadraticForm:
             diag.append(acc)
             images.append(v)
         polar = R.times_transpose(images, sup, self.dim)
-        return QuadraticForm.from_rows(f, diag, polar, basis=sup, basis_ncols=self.dim)
+        return QuadraticForm.from_rows(f, diag, polar)
 
     def scale(self, c):
         f = self.field
@@ -231,14 +218,14 @@ def direct_sum(q1, q2):
 
 
 def radical(q):
-    """Basis of the radical of the polar form, as coordinate rows.  Over
-    a finite level this is a kernel by ``linalg.packed_kernel``, a route
-    independent of the symplectic reduction; over any other field these
-    are the radical rows of the (cached) block decomposition, the rows
-    the reduction leaves unpaired."""
-    if getattr(q.field, "is_finite", False):
-        return linalg.packed_kernel(q.field, q.rows, q.dim)
-    return block_decompose(q).radical_rows
+    """Basis of the radical of the polar form, as coordinate rows: a
+    kernel by ``linalg.packed_kernel``, a route independent of the
+    symplectic reduction.  Finite levels only; over any other field the
+    radical's dimension and diagonal are read off
+    :func:`block_decompose`."""
+    if not getattr(q.field, "is_finite", False):
+        raise NotFiniteField("radical rows computed over finite fields only")
+    return linalg.packed_kernel(q.field, q.rows, q.dim)
 
 
 def is_nonsingular(q):
@@ -250,42 +237,15 @@ class Decomposition:
 
     ``blocks`` are the binary forms [a_i, b_i] with cross coefficient 1,
     and ``radical_diag`` holds the quasilinear diagonal values of the
-    radical; these are all the invariants read, and the reduction that
-    finds them carries no basis.  ``pairs`` (the basis vectors of each
-    block, in the original coordinates) and ``radical_rows`` are lists
-    built on their first read, by running the same reduction again on
-    the form's rows with unit basis rows.  ``symbols`` are the quaternion
-    symbols (a_i, a_i b_i] of the blocks, computed once.
-
-    The record keeps the form's ring, rows and diagonal, not the form,
-    which holds it.
+    radical; these are all the invariants read, so the reduction that
+    finds them carries no basis.  ``symbols`` are the quaternion symbols
+    (a_i, a_i b_i] of the blocks, computed once.
     """
 
     def __init__(self, ring, rows, diag):
         self.field = ring.field
-        self._ring, self._rows, self._diag = ring, rows, diag
-        self.blocks, _, rad, d = _reduce(ring, rows, diag)
-        self.radical_diag = [d[r] for r in rad]
-        self._pairs = self._radical_rows = self._symbols = None
-
-    def _rerun_with_basis(self):
-        R, n = self._ring, len(self._diag)
-        basis = [R.unit(n, i) for i in range(n)]
-        _, pairs, rad, _ = _reduce(R, self._rows, self._diag, basis)
-        self._pairs = [(R.unpack(u, n), R.unpack(v, n)) for u, v in pairs]
-        self._radical_rows = [R.unpack(basis[r], n) for r in rad]
-
-    @property
-    def pairs(self):
-        if self._pairs is None:
-            self._rerun_with_basis()
-        return self._pairs
-
-    @property
-    def radical_rows(self):
-        if self._radical_rows is None:
-            self._rerun_with_basis()
-        return self._radical_rows
+        self.blocks, self.radical_diag = _reduce(ring, rows, diag)
+        self._symbols = None
 
     @property
     def radical_dim(self):
@@ -316,21 +276,19 @@ def block_decompose(q):
     e_r + lam e_i + mu e_j, orthogonal to the pivot pair, so every
     unpaired row is zero at the paired columns and holds the current
     polar values on the unpaired ones.  A zero row stays zero, and is
-    radical: the pivot scan moves forward only.  The reduction tracks no
-    basis vectors; :class:`Decomposition` finds them when they are read.
+    radical: the pivot scan moves forward only.  Only the polar rows
+    and the diagonal are updated; the basis vectors are not tracked.
     """
     if q._decomp is None:
         q._decomp = Decomposition(q.ring, q.rows, q.diag)
     return q._decomp
 
 
-def _reduce(R, rows, diag, basis=None):
+def _reduce(R, rows, diag):
     """The reduction of :func:`block_decompose` on copies of the polar
-    rows and diagonal, in ring ``R``.  Given ``basis``, a list of ring
-    rows, it applies each basis change to them in place and returns the
-    pivot pairs with the second vector scaled to b(u, v) = 1; otherwise
-    the pairs are empty.  Returns (blocks, pairs, radical indices, final
-    diagonal).  Scalars equal to one cost no multiply."""
+    rows and diagonal, in ring ``R``.  Returns the blocks and the final
+    diagonal values of the radical indices.  Scalars equal to one cost
+    no multiply."""
     f = R.field
     one, mul, add, axpy = f.one, f.mul, R.add, R.axpy
     B = list(rows)
@@ -338,7 +296,6 @@ def _reduce(R, rows, diag, basis=None):
     n = len(d)
     paired = [False] * n
     blocks = []
-    pairs = []
     for i in range(n):
         j = None if paired[i] else R.first(B[i])
         if j is None:
@@ -365,19 +322,10 @@ def _reduce(R, rows, diag, basis=None):
                     lmp = lam if mu == one else mul(lam, mu)
                     dr = add(dr, lmp if unit else mul(lmp, p))
             d[r], B[r] = dr, row
-            if basis is not None:
-                bas = basis[r]
-                if lam:
-                    bas = axpy(bas, lam, basis[i])
-                if mu:
-                    bas = axpy(bas, mu, basis[j])
-                basis[r] = bas
         blocks.append((di, dj if unit else mul(dj, mul(pinv, pinv))))
-        if basis is not None:
-            pairs.append((basis[i], basis[j] if unit else R.scale(basis[j], pinv)))
     rad = [r for r in range(n) if not paired[r]]
     assert all(R.first(B[r]) is None for r in rad)
-    return blocks, pairs, rad, d
+    return blocks, [d[r] for r in rad]
 
 
 def _arf_acc(f, dec):
@@ -416,12 +364,6 @@ class WittClass:
     @property
     def arf_bit(self):
         return self.field.trace(self.arf)
-
-    def describe(self):
-        planes = self.dim // 2
-        if self.field.is_zero(self.arf):
-            return f"{planes}H"
-        return f"[1,{self.field.show(self.arf)}]+{planes - 1}H"
 
 
 def witt_class(q):
@@ -574,7 +516,7 @@ def clifford_algebra(q):
 
     degree = None
     even = q.dim % 2 == 0
-    if even and q.dim and not radical(q):
+    if even and q.dim and is_nonsingular(q):
         degree = 1 << (q.dim // 2)
     one = [f.zero] * dim
     one[0] = f.one

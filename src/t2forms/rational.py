@@ -45,8 +45,8 @@ class Rat:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num, den):
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Rat.{name}")
@@ -81,6 +81,10 @@ class Rat:
 
     def __repr__(self):
         return f"Rat(num={self.num!r}, den={self.den!r})"
+
+
+# the slots' own setters, which __setattr__ does not intercept
+_set_num, _set_den = Rat._num.__set__, Rat._den.__set__
 
 
 def _as_tuple(p):

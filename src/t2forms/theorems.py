@@ -291,8 +291,8 @@ def galois_obstruction(field, fpoly):
         return _galois_obstruction_rational(field, fpoly)
     fpoly = fields.poly_monic(field, fpoly)
     n = fields.poly_deg(fpoly)
-    if n % 2 == 0:
-        raise ValueError("obstruction test is for odd degrees")
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"obstruction test is for odd degrees >= 3, not degree {n}")
     report = {"degree": n, "poly": fields.poly_to_str(field, fpoly, "x")}
     witness = fields.poly_factor_witness(field, fpoly)
     q = revoy_trace_form(field, fpoly)

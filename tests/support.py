@@ -357,8 +357,11 @@ def as_list_rows(q):
 
 
 class ReferenceDecomposition(NamedTuple):
-    """What :func:`reference_decompose` finds, under the attribute names
-    of ``quadform.Decomposition``."""
+    """What :func:`reference_decompose` finds: the blocks and radical
+    diagonal under the attribute names of ``quadform.Decomposition``, and
+    the change of basis that realizes them, which ``quadform`` does not
+    track: the pairs (u, v) with q(u) = a, q(v) = b and b(u, v) = 1 for
+    each block [a, b], and the radical rows."""
 
     blocks: list
     pairs: list

@@ -331,7 +331,7 @@ def test_criterion_11_three_by_three():
     T = theorems.tensor_trace_form(GF2, 3, 3)
     w = qf.witt_class(T)
     ok = T.dim == 80 and w.dim == 80 and w.arf == 0 and w.radical_dim == 0
-    _announce(11, ok, f"Mat(3) tensor Mat(3): dim {T.dim}, class {w.describe()}")
+    _announce(11, ok, f"Mat(3) tensor Mat(3): dim {T.dim}, class {theorems.witt_to_dict(w)}")
 
 
 def test_criterion_12_rational_backend():

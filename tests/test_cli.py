@@ -145,6 +145,21 @@ def test_cli_galois_check_above_the_enumeration_limit(capsys):
     assert doc["roots"] == ["b^4+b^3"]
 
 
+def test_cli_galois_check_refuses_degree_below_three(capsys, monkeypatch):
+    # the obstruction test names itself and the degree, and refuses before
+    # it builds the Revoy form or runs the factor witness
+    def unreachable(*args):
+        raise AssertionError("ran before the degree check")
+
+    monkeypatch.setattr(theorems, "revoy_trace_form", unreachable)
+    monkeypatch.setattr(theorems.fields, "poly_factor_witness", unreachable)
+    for ext in ("x", "x+1"):
+        code, out, err = run_cli(capsys, "--cmd", "galois-check", "--ext", ext)
+        assert code == 2 and out == ""
+        assert "obstruction test" in err and "degree 1" in err
+        assert "cor1" not in err
+
+
 def test_cli_huge_exponent_exits_2_at_once(capsys):
     # poly_pow would build a polynomial of degree 999999999; the parser
     # refuses the factor before that.  Timed in-process, so interpreter

@@ -162,7 +162,6 @@ def test_packed_rows_match_list_rows(gf4, gf8, data):
         assert P.items(pu) == L.items(u)
         assert [P.entry(pu, k) for k in range(n)] == u
         assert P.first(pu) == L.first(u)
-        assert P.unpack(P.unit(n, i), n) == L.unit(n, i)
         assert P.unpack(P.scale(pu, c), n) == L.scale(u, c)
         for v, pv in zip(rows, packed):
             assert P.unpack(P.axpy(pu, c, pv), n) == L.axpy(u, c, v)

@@ -63,11 +63,15 @@ def test_radical_examples():
     assert not qf.is_nonsingular(q)
     dec = qf.block_decompose(q)
     assert dec.radical_dim == 1 and dec.radical_diag == [1]
-    # over GF(2)(t) the radical comes from the block decomposition
+    # over GF(2)(t) the block decomposition gives the radical's dimension
+    # and diagonal; its rows are the reference reduction's
     ff = rational.FunctionField(GF2)
     q = qf.direct_sum(QuadraticForm.binary(ff, ff.one, ff.t), QuadraticForm.diagonal(ff, [ff.t]))
-    assert qf.radical(q) == [[ff.zero, ff.zero, ff.one]]
+    assert reference_decompose(q).radical_rows == [[ff.zero, ff.zero, ff.one]]
+    assert qf.block_decompose(q).radical_diag == [ff.t]
     assert not qf.is_nonsingular(q)
+    with pytest.raises(qf.NotFiniteField):
+        qf.radical(q)
 
 
 def test_block_decompose_examples(gf4):
@@ -75,7 +79,8 @@ def test_block_decompose_examples(gf4):
     dec = qf.block_decompose(q)
     assert dec.blocks == [(1, 1)]
     # deterministic lowest-index pivot: identity basis comes back
-    assert dec.pairs[0] == ([1, 0], [0, 1])
+    ref = reference_decompose(q)
+    assert ref.blocks == dec.blocks and ref.pairs[0] == ([1, 0], [0, 1])
 
 
 def test_block_decompose_golden_matrix_trace_form():
@@ -87,11 +92,13 @@ def test_block_decompose_golden_matrix_trace_form():
     T = csa.second_trace_form(csa.matrix_algebra(GF2, 2))
     dec = qf.block_decompose(T)
     assert dec.blocks == [(0, 0), (0, 0)]
-    assert dec.pairs == [
+    ref = reference_decompose(T)
+    assert ref.blocks == dec.blocks
+    assert ref.pairs == [
         ([1, 0, 0, 0], [0, 0, 0, 1]),
         ([0, 1, 0, 0], [0, 0, 1, 0]),
     ]
-    assert dec.radical_rows == []
+    assert ref.radical_rows == [] and dec.radical_dim == 0
 
 
 def test_witt_class_isometry_invariant(gf4):
@@ -117,9 +124,9 @@ def test_block_decompose_preserves_form(gf4, gf8):
             q = random_nonsingular_form(fld, dim, rng)
             dec = qf.block_decompose(q)
             assert dec.radical_dim == 0
-            vecs = [v for pair in dec.pairs for v in pair]
-            # rebuild the form through the emitted basis and compare on
-            # random coordinate vectors
+            vecs = [v for pair in reference_decompose(q).pairs for v in pair]
+            # rebuild the form through the reference's basis and compare
+            # with the blocks on random coordinate vectors
             for _ in range(200):
                 coords = [fld.random_element(rng) for _ in range(dim)]
                 image = [fld.zero] * dim
@@ -350,7 +357,7 @@ def test_clifford_symbols_returns_a_new_list():
 def test_form_core_reduction_updates_polar_rows_only(gf4, monkeypatch):
     # the three tensor forms of the form-core benchmark: the reduction makes
     # one axpy per nonzero multiplier and scales no row, and the invariants
-    # never run it again with a basis
+    # never run it again
     from t2forms import csa
 
     M = csa.matrix_algebra
@@ -370,9 +377,9 @@ def test_form_core_reduction_updates_polar_rows_only(gf4, monkeypatch):
     runs = []
     reduce = qf._reduce
 
-    def traced(*args, **kwargs):
-        runs.append(len(args) > 3 or kwargs.get("basis") is not None)
-        return reduce(*args, **kwargs)
+    def traced(R, rows, diag):
+        runs.append(len(diag))
+        return reduce(R, rows, diag)
 
     monkeypatch.setattr(qf, "_reduce", traced)
     for q in forms:
@@ -381,10 +388,10 @@ def test_form_core_reduction_updates_polar_rows_only(gf4, monkeypatch):
     for q in forms:
         for invariant in (qf.witt_class, qf.arf, qf.clifford_invariant, qf.clifford_symbols):
             invariant(q)
-    assert runs == [False] * 3
+    assert runs == [q.dim for q in forms]
     dec = qf.block_decompose(forms[2])
-    assert dec.radical_rows == [] and len(dec.pairs) == 312
-    assert runs == [False] * 3 + [True]
+    assert dec.radical_dim == 0 and len(dec.blocks) == 312
+    assert runs == [q.dim for q in forms]
 
 
 def test_brauer_class_equality(gf4):
@@ -395,7 +402,7 @@ def test_brauer_class_equality(gf4):
 
 
 def _read_invariants(q):
-    """Every invariant the reduction serves, read before any basis row."""
+    """Every invariant the reduction serves, read once."""
     dec = qf.block_decompose(q)
     if getattr(q.field, "is_finite", False):
         qf.witt_class(q)
@@ -410,10 +417,11 @@ def _read_invariants(q):
 
 def _assert_routes_agree(q):
     """block_decompose on q's own rows, on list rows over the same field
-    and by the reference reduction: same blocks, pairs and radical.  The
-    invariants are read first, so pairs and radical rows come from the
-    reduction run again with a basis."""
-    routes = [_read_invariants(q), reference_decompose(q)]
+    and by the reference reduction: same blocks and radical diagonal.
+    The reference's basis realizes them: its pairs span the blocks and
+    its radical rows the radical."""
+    ref = reference_decompose(q)
+    routes = [_read_invariants(q), ref]
     if getattr(q.field, "is_finite", False):
         routes.append(_read_invariants(as_list_rows(q)))
     first = routes[0]
@@ -421,8 +429,23 @@ def _assert_routes_agree(q):
         assert dec.blocks == first.blocks
         assert dec.radical_diag == first.radical_diag
         assert dec.radical_dim == first.radical_dim
-        assert dec.pairs == first.pairs
-        assert dec.radical_rows == first.radical_rows
+    _assert_realizes(q, ref)
+
+
+def _assert_realizes(q, ref):
+    """q(u) = a, q(v) = b and b(u, v) = 1 for each reference pair (u, v)
+    with block [a, b], q(w) is the radical diagonal on each radical row
+    w, and the vectors of distinct pairs and the radical rows are
+    orthogonal to each other."""
+    f = q.field
+    vecs = [v for pair in ref.pairs for v in pair] + ref.radical_rows
+    values = [x for block in ref.blocks for x in block] + ref.radical_diag
+    assert len(vecs) == q.dim
+    for a, (u, value) in enumerate(zip(vecs, values)):
+        assert _value(q, u) == value
+        for b in range(a + 1, len(vecs)):
+            partner = a % 2 == 0 and b == a + 1 and b < 2 * len(ref.pairs)
+            assert q.bilinear(u, vecs[b]) == (f.one if partner else f.zero)
 
 
 def test_decompose_gf2_matches_generic_path():
@@ -506,7 +529,7 @@ def _assert_pullback(q, r, rows):
     """r is q restricted to the given coordinate rows, by the evaluation
     rule: r(e_a) = q(row_a) and b_r(e_a, e_b) = b_q(row_a, row_b)."""
     f = q.field
-    assert r.dim == len(rows) and r.basis == rows
+    assert r.dim == len(rows)
     for a, ra in enumerate(rows):
         assert r.diag[a] == _value(q, ra)
         assert r.polar_entry(a, a) == f.zero
@@ -557,7 +580,7 @@ def test_decompose_packed_matches_generic_path_all_levels(gf4, gf8, data):
 def test_decompose_over_function_fields_matches_reference(data):
     q, el = _draw_form(data, _FUNCTION_FIELDS, 6)
     _assert_routes_agree(q)
-    # a quasilinear summand adds radical rows to the basis run
+    # a quasilinear summand adds radical rows
     rad = QuadraticForm.diagonal(q.field, [data.draw(el) for _ in range(data.draw(st.integers(1, 2)))])
     _assert_routes_agree(qf.direct_sum(q, rad))
 
@@ -569,8 +592,12 @@ def test_radical_over_function_fields_is_orthogonal_to_everything(data):
     if data.draw(st.booleans()):
         q = qf.direct_sum(q, QuadraticForm.diagonal(q.field, [data.draw(el)]))
     f, n = q.field, q.dim
-    rad = qf.radical(q)
-    assert len(rad) == n - 2 * len(qf.block_decompose(q).blocks)
+    with pytest.raises(qf.NotFiniteField):
+        qf.radical(q)
+    rad = reference_decompose(q).radical_rows
+    dec = qf.block_decompose(q)
+    assert len(rad) == dec.radical_dim == n - 2 * len(dec.blocks)
+    assert [_value(q, row) for row in rad] == dec.radical_diag
     for row in rad:
         for k in range(n):
             assert f.is_zero(q.bilinear(row, [f.one if c == k else f.zero for c in range(n)]))
