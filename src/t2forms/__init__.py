@@ -15,27 +15,21 @@ from .fields import (
     find_irreducible,
     poly_is_irreducible,
     poly_nth_root,
-    poly_roots,
 )
 from .quadform import (
     BrauerClass,
     QuadraticForm,
     WittClass,
     arf,
-    arf_via_even_clifford_center,
     block_decompose,
-    clifford_algebra,
     clifford_invariant,
     direct_sum,
-    is_nonsingular,
-    isotropic_split_oracle,
     quaternion_is_split,
     witt_class,
 )
 from .csa import (
     Algebra,
     ReducedCharPoly,
-    b_t2,
     b_subspace_form,
     crossed_product,
     cyclic_cocycle,
@@ -43,9 +37,7 @@ from .csa import (
     matrix_algebra,
     quaternion_algebra,
     reduced_charpoly,
-    sanity_check_csa,
     second_trace_form,
-    splitting_matrix,
     t2_form,
     tensor_product,
     trace_zero_subspace,

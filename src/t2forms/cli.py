@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as _dfield
 
 from . import csa, fields, quadform, theorems
+from .records import Record
 
 
 class ParseError(ValueError):
@@ -28,15 +28,20 @@ class ParseError(ValueError):
 COMMANDS = ("form", "invariants", "witt", "galois-check", "verify")
 
 
-@dataclass
-class JobSpec:
-    cmd: str
-    field_spec: str = "GF2"
-    algebra_spec: str | None = None
-    form_spec: str | None = None
-    ext: str | None = None
-    params: dict = _dfield(default_factory=dict)
-    seed: int = 0
+class JobSpec(Record):
+    """One parsed job; ``params`` is a new dict when not given."""
+
+    __slots__ = ("cmd", "field_spec", "algebra_spec", "form_spec", "ext", "params", "seed")
+
+    def __init__(self, cmd, field_spec="GF2", algebra_spec=None, form_spec=None,
+                 ext=None, params=None, seed=0):
+        self.cmd = cmd
+        self.field_spec = field_spec
+        self.algebra_spec = algebra_spec
+        self.form_spec = form_spec
+        self.ext = ext
+        self.params = {} if params is None else params
+        self.seed = seed
 
     def render(self):
         lines = [f"cmd={self.cmd}", f"field={self.field_spec}"]

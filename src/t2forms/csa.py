@@ -22,10 +22,10 @@ available as :func:`reduced_charpoly` and the two are cross-checked in
 the tests.
 
 The constructor checks the identity law, 1 e_k = e_k = e_k 1, on every
-basis vector: raw structure constants, quaternion, crossed-product and
-commutative algebras and Clifford algebras all get this full check.
-Matrix algebras are certified: sum E_ii is an identity for the E_rc
-product over any field.
+basis vector: raw structure constants, quaternion and commutative
+algebras get this full check.  Matrix algebras are certified: sum E_ii
+is an identity for the E_rc product over any field.  Crossed products
+are certified by their normalized cocycle (:func:`crossed_product`).
 A tensor product checks its two factors instead, which is exact: its
 identity is 1_A (x) 1_B and its product is bilinear, so
 (1_A (x) 1_B)(e_i (x) f_j) = (1_A e_i) (x) (1_B f_j) = e_i (x) f_j when
@@ -39,11 +39,9 @@ values; verification work on independent algebras can run concurrently.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 from . import fields, linalg
 from .quadform import QuadraticForm
+from .records import Frozen
 
 
 class AlgebraError(ValueError):
@@ -180,8 +178,7 @@ class Algebra:
         return f"Algebra({self.label or 'unnamed'}, dim={self.dim} over {self.field!r})"
 
 
-@dataclass(frozen=True)
-class ReducedCharPoly:
+class ReducedCharPoly(Frozen):
     """Coefficients of the degree-n reduced polynomial of an element.
 
     ``poly`` is monic, lowest degree first; ``t(i)`` is the coefficient
@@ -189,8 +186,11 @@ class ReducedCharPoly:
     (signs are immaterial in characteristic two).
     """
 
-    degree: int
-    poly: tuple
+    __slots__ = ("degree", "poly")
+
+    def __init__(self, degree, poly):
+        self._set("degree", degree)
+        self._set("poly", poly)
 
     def t(self, i):
         if not 1 <= i <= self.degree:
@@ -413,8 +413,15 @@ def crossed_product(E, F, cocycle="trivial", label=None):
     so c_i = 0 for every i != 0 once sigma^i is not the identity; and
     c_0 commutes with u_1, so sigma(c_0) = c_0 and c_0 lies in F.  The
     one hypothesis this uses that nothing else checks, sigma^j != id on E
-    for 0 < j < n, is read off the twisted basis; :func:`sanity_check_csa`
-    keeps the dense scan as the oracle.
+    for 0 < j < n, is read off the twisted basis; the tests keep the
+    dense scan as the oracle (``sanity_check_csa`` in ``tests/support.py``).
+
+    The identity law holds by construction too, so the constructor's
+    basis-vector check does not run.  The identity is u_0 e_0 with
+    e_0 = 1, the first vector of the product basis, and the table has
+    been checked to be normalized, Phi(0, j) = Phi(i, 0) = 1.  Then
+    (u_0 1)(u_j d) = u_j Phi(0, j) sigma^j(1) d = u_j d and
+    (u_i c)(u_0 1) = u_i Phi(i, 0) sigma^0(c) 1 = u_i c.
     """
     if not E.is_extension_of(F):
         raise AlgebraError("need a tower extension E/F")
@@ -486,17 +493,10 @@ def crossed_product(E, F, cocycle="trivial", label=None):
     alg = Algebra(
         F, dim, product, one,
         label=label or f"Crossed({E!r}/{F!r})", degree=n, rep=rep,
+        _identity_known=True,
     )
     alg.crossed_data = {"E": E, "F": F, "n": n, "phi": phi, "basis_E": basis_E}
     return alg
-
-
-def splitting_matrix(A, x):
-    """The image of x under the algebra's splitting representation, as a
-    dense matrix over the representation field."""
-    if A.rep is None:
-        raise AlgebraError("algebra carries no splitting representation")
-    return A.rep.dense(x)
 
 
 # -- trace forms ---------------------------------------------------------
@@ -538,6 +538,17 @@ def _rep_values(A, coefficient, what):
     return vals
 
 
+def _times(f, x, ys):
+    """x y for every y in ys, with no multiply where x or y is 0 or 1, as
+    every trace value of a matrix factor is."""
+    if f.is_zero(x):
+        return [f.zero] * len(ys)
+    one = f.one
+    if x == one:
+        return list(ys)
+    return [x if y == one else y if f.is_zero(y) else f.mul(x, y) for y in ys]
+
+
 def t1_vector(A):
     """Values of the reduced trace on the basis; on a tensor product,
     t1(a (x) b) = t1(a) t1(b)."""
@@ -546,7 +557,7 @@ def t1_vector(A):
         if factors is not None:
             f = A.field
             ta, tb = (t1_vector(X) for X in factors)
-            A._t1 = [f.mul(x, y) for x in ta for y in tb]
+            A._t1 = [v for x in ta for v in _times(f, x, tb)]
         elif A.rep is not None:
             A._t1 = _rep_values(A, linalg.sparse_trace, "reduced trace")
         else:
@@ -562,14 +573,20 @@ def t2_diagonal(A):
     if A._t2diag is None:
         factors = getattr(A, "factors", None)
         if factors is not None:
-            f = A.field
+            f, one = A.field, A.field.one
             X, Y = factors
-            sx, sy = ([f.mul(v, v) for v in t1_vector(Z)] for Z in factors)
-            A._t2diag = [
-                f.add(f.mul(s, t), f.mul(u, w))
-                for s, u in zip(sx, t2_diagonal(X))
-                for t, w in zip(t2_diagonal(Y), sy)
-            ]
+            sx, sy = (
+                [v if v == one or f.is_zero(v) else f.mul(v, v) for v in t1_vector(Z)]
+                for Z in factors
+            )
+            ty = t2_diagonal(Y)
+            out = []
+            for s, u in zip(sx, t2_diagonal(X)):
+                if f.is_zero(u):
+                    out += _times(f, s, ty)
+                else:
+                    out += map(f.add, _times(f, s, ty), _times(f, u, sy))
+            A._t2diag = out
         elif A.rep is not None:
             A._t2diag = _rep_values(
                 A, linalg.sparse_second_coefficient, "second trace coefficient"
@@ -577,23 +594,6 @@ def t2_diagonal(A):
         else:
             A._t2diag = [reduced_charpoly(A, A.basis_vector(k)).t2 for k in range(A.dim)]
     return A._t2diag
-
-
-def t1_of(A, x):
-    f = A.field
-    t1 = t1_vector(A)
-    acc = f.zero
-    for k, xk in enumerate(x):
-        if not f.is_zero(xk) and not f.is_zero(t1[k]):
-            acc = f.add(acc, f.mul(xk, t1[k]))
-    return acc
-
-
-def b_t2(A, x, y):
-    """Polar form of the second trace coefficient, computed from traces:
-    b(x, y) = t1(x y) + t1(x) t1(y)."""
-    f = A.field
-    return f.add(t1_of(A, A.mul(x, y)), f.mul(t1_of(A, x), t1_of(A, y)))
 
 
 def _trace_products(A):
@@ -710,75 +710,3 @@ def b_subspace_form(A):
     if n % 2:
         return QuadraticForm(A.field, [], [])
     return q.restricted([((n // 2 * n + t, A.field.one),) for t in range(n)])
-
-
-# -- sanity checking -------------------------------------------------------
-
-
-def _first_nonassociative_triple(A, triples):
-    """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
-    or None."""
-    for i, j, k in triples:
-        lhs = A.mul(A.element_from(A.product(i, j)), A.basis_vector(k))
-        rhs = A.mul(A.basis_vector(i), A.element_from(A.product(j, k)))
-        if lhs != rhs:
-            return (i, j, k)
-    return None
-
-
-def _center_rank(A):
-    """Rank of the stacked commutation constraints; the center is its
-    kernel.  The constructors certify their centers without it; it stays
-    as the oracle behind :func:`sanity_check_csa`."""
-    f = A.field
-    m = A.dim
-    ech = linalg.PackedEchelon(f, m)
-    bits = f.bits
-    for i in range(m):
-        rows = {}
-        for j in range(m):
-            shift = j * bits
-            for pairs in (A.product(i, j), A.product(j, i)):
-                for k, v in pairs:
-                    rows[k] = rows.get(k, 0) ^ (v << shift)
-        for row in rows.values():
-            if row:
-                ech.insert(row)
-    return ech
-
-
-def sanity_check_csa(A, sample_triples=None, rng=None):
-    """Report-valued checker: associativity, identity laws, perfect
-    square dimension, trivial center.  Returns a dict with pass/fail and
-    witnesses rather than raising."""
-    report = {"passed": True, "failures": [], "dim": A.dim}
-    root = int(round(A.dim**0.5))
-    if root * root != A.dim:
-        report["passed"] = False
-        report["failures"].append(("dimension", f"{A.dim} is not a perfect square"))
-    k = A._identity_failure()
-    if k is not None:
-        report["passed"] = False
-        report["failures"].append(("identity", k))
-    if sample_triples is None and A.dim <= 32:
-        triples = itertools.product(range(A.dim), repeat=3)
-    else:
-        import random as _random
-
-        rng = rng or _random.Random(0)
-        count = sample_triples or 200
-        triples = (
-            (rng.randrange(A.dim), rng.randrange(A.dim), rng.randrange(A.dim))
-            for _ in range(count)
-        )
-    bad = _first_nonassociative_triple(A, triples)
-    if bad is not None:
-        report["passed"] = False
-        report["failures"].append(("associativity", bad))
-    ech = _center_rank(A)
-    center_dim = A.dim - ech.rank
-    report["center_dim"] = center_dim
-    if center_dim != 1:
-        report["passed"] = False
-        report["failures"].append(("center", f"dimension {center_dim}"))
-    return report

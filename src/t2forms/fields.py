@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-import string
 
 from . import linalg
 
@@ -514,7 +513,7 @@ GF2 = Level(None)
 
 def fresh_gen_name(level):
     used = set(level.gen_map())
-    for ch in string.ascii_lowercase:
+    for ch in "abcdefghijklmnopqrstuvwxyz":
         if ch not in used and ch not in ("x", "t"):
             return ch
     raise FieldError("ran out of generator names")
@@ -724,27 +723,6 @@ def poly_eval(field, p, x):
     for c in reversed(p):
         acc = field.add(field.mul(acc, x), c)
     return acc
-
-
-def poly_roots(field, p):
-    """All roots in the coefficient field, with multiplicity.
-
-    Exhaustive evaluation; the field must be small enough to enumerate.
-    """
-    p = poly_trim(p)
-    if not p:
-        raise FieldError("zero polynomial has every element as a root")
-    roots = []
-    for x in field.elements():
-        if field.is_zero(poly_eval(field, p, x)):
-            q = p
-            while True:
-                quot, rem = poly_divmod(field, q, (x, field.one))
-                if rem:
-                    break
-                roots.append(x)
-                q = quot
-    return roots
 
 
 def poly_factor_witness(field, p):

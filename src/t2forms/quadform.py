@@ -28,9 +28,8 @@ processed concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _dfield
-
 from . import linalg
+from .records import Frozen
 
 
 class FormError(ValueError):
@@ -228,10 +227,6 @@ def radical(q):
     return linalg.packed_kernel(q.field, q.rows, q.dim)
 
 
-def is_nonsingular(q):
-    return block_decompose(q).radical_dim == 0
-
-
 class Decomposition:
     """Result of the symplectic reduction of a form.
 
@@ -352,14 +347,16 @@ def arf(q):
     return q.field.wp_class_rep(arf_sum(q))
 
 
-@dataclass(frozen=True)
-class WittClass:
+class WittClass(Frozen):
     """Classification record of a form over a finite field."""
 
-    field: object
-    dim: int
-    arf: object
-    radical_dim: int = 0
+    __slots__ = ("field", "dim", "arf", "radical_dim")
+
+    def __init__(self, field, dim, arf, radical_dim=0):
+        self._set("field", field)
+        self._set("dim", dim)
+        self._set("arf", arf)
+        self._set("radical_dim", radical_dim)
 
     @property
     def arf_bit(self):
@@ -374,245 +371,6 @@ def witt_class(q):
     dec = block_decompose(q)
     f = q.field
     return WittClass(f, 2 * len(dec.blocks), f.wp_class_rep(_arf_acc(f, dec)), dec.radical_dim)
-
-
-def isotropic_split_oracle(q):
-    """Independent classification oracle: exhaustively find isotropic
-    vectors, split off hyperbolic planes, recurse.  Returns the number
-    of planes and the terminal anisotropic form."""
-    f = q.field
-    if not getattr(f, "is_finite", False) or f.order > 8:
-        raise SearchSpaceTooLarge("oracle limited to field order <= 8")
-    if q.dim > 6:
-        raise SearchSpaceTooLarge("oracle limited to dimension <= 6")
-    if radical(q):
-        raise SingularForm("oracle expects a nonsingular form")
-    planes = 0
-    cur = q
-    while cur.dim:
-        iso = None
-        vecs = [[]]
-        for _ in range(cur.dim):
-            vecs = [v + [x] for v in vecs for x in f.elements()]
-        for v in vecs:
-            if all(f.is_zero(x) for x in v):
-                continue
-            if f.is_zero(cur.evaluate(v)):
-                iso = v
-                break
-        if iso is None:
-            break
-        w = None
-        for k in range(cur.dim):
-            e = [f.zero] * cur.dim
-            e[k] = f.one
-            if not f.is_zero(cur.bilinear(iso, e)):
-                w = e
-                break
-        c = f.inv(cur.bilinear(iso, w))
-        w = [f.mul(c, x) for x in w]
-        qw = cur.evaluate(w)
-        if not f.is_zero(qw):
-            w = [f.add(wx, f.mul(qw, vx)) for wx, vx in zip(w, iso)]
-        assert f.is_zero(cur.evaluate(w))
-        rows = [
-            [cur.bilinear(iso, _unit(f, cur.dim, k)) for k in range(cur.dim)],
-            [cur.bilinear(w, _unit(f, cur.dim, k)) for k in range(cur.dim)],
-        ]
-        comp = linalg.kernel(f, rows, cur.dim)
-        cur = cur.restricted(comp)
-        planes += 1
-    return planes, cur
-
-
-def _unit(f, n, k):
-    e = [f.zero] * n
-    e[k] = f.one
-    return e
-
-
-# -- Clifford algebra ----------------------------------------------------
-
-
-class CliffordWords:
-    """Multiplication of Clifford monomials e_S in characteristic two.
-
-    Monomials are bitmasks over the form's basis, standing for the
-    ascending ordered product of generators; the rewriting rules are
-    e_i e_i = q(e_i) and e_j e_i = e_i e_j + b(i, j) for i < j.
-    """
-
-    def __init__(self, form):
-        self.form = form
-        self.field = form.field
-        self._cache = {}
-
-    def mul_word_gen(self, mask, j):
-        """Product e_mask * e_j as a {mask: coefficient} dict."""
-        key = (mask, j)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        f = self.field
-        if mask == 0:
-            out = {1 << j: f.one}
-        else:
-            s = mask.bit_length() - 1
-            rest = mask ^ (1 << s)
-            if s < j:
-                out = {mask | (1 << j): f.one}
-            elif s == j:
-                qs = self.form.diag[s]
-                out = {} if f.is_zero(qs) else {rest: qs}
-            else:
-                out = {}
-                for m, c in self.mul_word_gen(rest, j).items():
-                    out[m | (1 << s)] = c
-                bsj = self.form.polar_entry(s, j)
-                if not f.is_zero(bsj):
-                    prev = out.get(rest, f.zero)
-                    v = f.add(prev, bsj)
-                    if f.is_zero(v):
-                        out.pop(rest, None)
-                    else:
-                        out[rest] = v
-        self._cache[key] = out
-        return out
-
-    def mul_words(self, m1, m2):
-        f = self.field
-        cur = {m1: f.one}
-        rem = m2
-        while rem:
-            low = rem & -rem
-            j = low.bit_length() - 1
-            rem ^= low
-            nxt = {}
-            for m, c in cur.items():
-                for mm, cc in self.mul_word_gen(m, j).items():
-                    prev = nxt.get(mm, f.zero)
-                    v = f.add(prev, f.mul(c, cc))
-                    if f.is_zero(v):
-                        nxt.pop(mm, None)
-                    else:
-                        nxt[mm] = v
-            cur = nxt
-        return cur
-
-
-def clifford_algebra(q):
-    """The 2**n dimensional Clifford algebra of the form, as a structure
-    constant algebra with basis indexed by generator subsets."""
-    from . import csa
-
-    if q.dim > 10:
-        raise DimensionTooLarge("Clifford construction capped at 10 generators")
-    f = q.field
-    words = CliffordWords(q)
-    dim = 1 << q.dim
-
-    def product(i, j):
-        return tuple(words.mul_words(i, j).items())
-
-    degree = None
-    even = q.dim % 2 == 0
-    if even and q.dim and is_nonsingular(q):
-        degree = 1 << (q.dim // 2)
-    one = [f.zero] * dim
-    one[0] = f.one
-    return csa.Algebra(
-        f,
-        dim,
-        product,
-        one,
-        label=f"Clifford(dim {q.dim})",
-        degree=degree,
-    )
-
-
-def arf_via_even_clifford_center(q):
-    """Arf class read off the even Clifford algebra: its center is the
-    quadratic etale algebra F[z]/(z**2+z+c) and c represents the class.
-
-    Independent oracle for :func:`arf`: no block decomposition is used,
-    only the commutant linear system inside the even part.
-    """
-    f = q.field
-    n = q.dim
-    if n % 2 or n == 0:
-        raise FormError("even Clifford center oracle needs even dimension")
-    if n > 8:
-        raise DimensionTooLarge("even Clifford center oracle capped at dimension 8")
-    if radical(q):
-        raise SingularForm("form must be nonsingular")
-    words = CliffordWords(q)
-    masks = [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]
-    index = {m: i for i, m in enumerate(masks)}
-    ncols = len(masks)
-    bits = f.bits
-    ech = linalg.PackedEchelon(f, ncols)
-    target = ncols - 2
-    done = False
-    for i in range(n):
-        if done:
-            break
-        for j in range(i + 1, n):
-            g = (1 << i) | (1 << j)
-            rows = {}
-            for col, m in enumerate(masks):
-                prod = dict(words.mul_words(g, m))
-                for mm, cc in words.mul_words(m, g).items():
-                    prev = prod.get(mm, f.zero)
-                    v = f.add(prev, cc)
-                    if f.is_zero(v):
-                        prod.pop(mm, None)
-                    else:
-                        prod[mm] = v
-                for mm, cc in prod.items():
-                    rows.setdefault(index[mm], 0)
-                    rows[index[mm]] |= cc << (col * bits)
-            for row in rows.values():
-                if row and ech.insert(row) and ech.rank == target:
-                    done = True
-                    break
-            if done:
-                break
-    if ech.rank != target:
-        raise FormError("even Clifford center larger than expected")
-    kern = ech.kernel()
-    zt = None
-    for v in kern:
-        coords = linalg.unpack_row(f, v, ncols)
-        if any(not f.is_zero(c) for c in coords[1:]):
-            zt = coords
-            break
-    assert zt is not None
-    # square z-tilde once
-    sq = {}
-    support = [(masks[k], zt[k]) for k in range(ncols) if not f.is_zero(zt[k])]
-    for m1, c1 in support:
-        for m2, c2 in support:
-            coef = f.mul(c1, c2)
-            for mm, cc in words.mul_words(m1, m2).items():
-                prev = sq.get(mm, f.zero)
-                v = f.add(prev, f.mul(coef, cc))
-                if f.is_zero(v):
-                    sq.pop(mm, None)
-                else:
-                    sq[mm] = v
-    for beta in range(1, f.order):
-        b2 = f.mul(beta, beta)
-        ok = True
-        for k in range(1, ncols):
-            m = masks[k]
-            val = f.add(f.mul(b2, sq.get(m, f.zero)), f.mul(beta, zt[k]))
-            if not f.is_zero(val):
-                ok = False
-                break
-        if ok:
-            c = f.add(f.mul(b2, sq.get(0, f.zero)), f.mul(beta, zt[0]))
-            return f.wp_class_rep(c)
-    raise FormError("no Artin-Schreier normalization found in the center")
 
 
 # -- Brauer classes ------------------------------------------------------
@@ -632,13 +390,18 @@ def quaternion_is_split(field, a, b):
 _split_cache = {}  # nothing fills it; perfbench/workloads.cold_cache_problems reads it
 
 
-@dataclass(frozen=True)
-class BrauerClass:
-    """A multiset of quaternion symbols with the split ones deleted."""
+class BrauerClass(Frozen):
+    """A multiset of quaternion symbols with the split ones deleted;
+    ``label`` names the class for a reader and takes no part in equality
+    or hashing."""
 
-    field: object
-    symbols: tuple
-    label: str = _dfield(default="", compare=False)
+    __slots__ = ("field", "symbols", "label")
+    _compare = ("field", "symbols")
+
+    def __init__(self, field, symbols, label=""):
+        self._set("field", field)
+        self._set("symbols", symbols)
+        self._set("label", label)
 
     @classmethod
     def from_symbols(cls, field, pairs, label=""):

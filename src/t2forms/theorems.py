@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as _dfield
 
 from . import csa, fields, quadform, rational
 from .quadform import BrauerClass, WittClass
+from .records import Frozen, Record
 
 # The claim table ``CLAIMS`` sits at the end of the module, after the row
 # generators it names; ``CLAIM_IDS`` lists its ids in report order.
@@ -98,24 +98,33 @@ def _check_grid(claim, grid, cap):
         raise _cap_error(claim, top, cap)
 
 
-@dataclass
-class Prediction:
-    claim: str
-    params: dict
-    witt: WittClass | None = None
-    arf: object | None = None
-    clifford: BrauerClass | None = None
-    notes: tuple = ()
+class Prediction(Record):
+    """What a theorem predicts for one parameter point."""
+
+    __slots__ = ("claim", "params", "witt", "arf", "clifford", "notes")
+
+    def __init__(self, claim, params, witt=None, arf=None, clifford=None, notes=()):
+        self.claim = claim
+        self.params = params
+        self.witt = witt
+        self.arf = arf
+        self.clifford = clifford
+        self.notes = notes
 
 
-@dataclass
-class VerificationReport:
-    claim: str
-    params: dict
-    predicted: dict
-    computed: dict
-    verdict: str  # pass | fail | documented-discrepancy
-    ms: float
+class VerificationReport(Record):
+    """One report of ``verify``; ``verdict`` is pass, fail or
+    documented-discrepancy."""
+
+    __slots__ = ("claim", "params", "predicted", "computed", "verdict", "ms")
+
+    def __init__(self, claim, params, predicted, computed, verdict, ms):
+        self.claim = claim
+        self.params = params
+        self.predicted = predicted
+        self.computed = computed
+        self.verdict = verdict
+        self.ms = ms
 
     def to_json(self, include_ms=False):
         out = {
@@ -711,18 +720,22 @@ def _example1_rows(grid, seed):
     )
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Frozen):
     """One claim of ``verify``.  ``rows(grid, seed)`` yields (params,
     predicted, computed, verdict) per report; ``defaults`` holds each
-    grid key the claim reads with its default value; ``rule`` is the
-    (least degree, parity) of a claim that reads n=, and ``degree`` the
-    degree of the one algebra a claim without a grid builds."""
+    grid key the claim reads with its default value, a new dict when not
+    given; ``rule`` is the (least degree, parity) of a claim that reads
+    n=, and ``degree`` the degree of the one algebra a claim without a
+    grid builds.  Hashing a claim raises ``TypeError``, as ``defaults``
+    is a dict."""
 
-    rows: object
-    defaults: dict = _dfield(default_factory=dict)
-    rule: tuple | None = None
-    degree: int | None = None
+    __slots__ = ("rows", "defaults", "rule", "degree")
+
+    def __init__(self, rows, defaults=None, rule=None, degree=None):
+        self._set("rows", rows)
+        self._set("defaults", {} if defaults is None else defaults)
+        self._set("rule", rule)
+        self._set("degree", degree)
 
     @property
     def reads(self):

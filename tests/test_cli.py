@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -191,7 +190,8 @@ def test_cli_verify_pass_and_exit_codes(capsys, monkeypatch):
     def fake_rows(grid, seed):
         yield {}, {}, {}, "fail"
 
-    fake = dataclasses.replace(theorems.CLAIMS["prop1"], rows=fake_rows)
+    prop1 = theorems.CLAIMS["prop1"]
+    fake = theorems.Claim(fake_rows, prop1.defaults, prop1.rule, prop1.degree)
     monkeypatch.setitem(theorems.CLAIMS, "prop1", fake)
     code, out, _ = run_cli(capsys, "--cmd", "verify", "--claim", "prop1")
     assert code == 1

@@ -7,14 +7,17 @@ from hypothesis import assume, given, settings, strategies as st
 from t2forms import csa, fields, linalg, quadform as qf, rational
 from t2forms.fields import GF2, NotAPower
 
-from support import crossed_product_table, kronecker_rep, mat_mul, with_kronecker_rep
+from support import (
+    _center_rank, _first_nonassociative_triple, b_t2, crossed_product_table, kronecker_rep,
+    mat_mul, sanity_check_csa, splitting_matrix, t1_of, with_kronecker_rep,
+)
 
 
 def test_matrix_algebra_basics(gf4):
     M1 = csa.matrix_algebra(GF2, 1)
     assert M1.dim == 1 and M1.one == [1]
     M2 = csa.matrix_algebra(GF2, 2)
-    rep = csa.sanity_check_csa(M2)
+    rep = sanity_check_csa(M2)
     assert rep["passed"] and rep["center_dim"] == 1
     M3 = csa.matrix_algebra(GF2, 3)
     assert csa.reduced_charpoly(M3, M3.one).t2 == 1
@@ -31,7 +34,7 @@ def test_left_regular_examples():
 
 
 def test_matrix_algebra_m4_sanity():
-    rep = csa.sanity_check_csa(csa.matrix_algebra(GF2, 4), sample_triples=500)
+    rep = sanity_check_csa(csa.matrix_algebra(GF2, 4), sample_triples=500)
     assert rep["passed"] and rep["center_dim"] == 1
 
 
@@ -66,7 +69,7 @@ def test_reduced_charpoly_rejects_non_csa(gf4):
 
 def test_quaternion_examples(gf4):
     Q10 = csa.quaternion_algebra(GF2, 1, 0)
-    assert csa.sanity_check_csa(Q10)["passed"]
+    assert sanity_check_csa(Q10)["passed"]
     Q11 = csa.quaternion_algebra(GF2, 1, 1)
     r = csa.reduced_charpoly(Q11, Q11.basis_vector(2))
     assert (r.t1, r.t2) == (1, 1)
@@ -98,7 +101,7 @@ def test_tensor_examples(gf4):
     M2 = csa.matrix_algebra(GF2, 2)
     T = csa.tensor_product(M2, M2)
     assert T.dim == 16 and T.degree == 4
-    rep = csa.sanity_check_csa(T, sample_triples=300)
+    rep = sanity_check_csa(T, sample_triples=300)
     assert rep["passed"], rep
     M1 = csa.matrix_algebra(GF2, 1)
     A = csa.tensor_product(M2, M1)
@@ -109,15 +112,15 @@ def test_tensor_examples(gf4):
     # a tensor carries its factors, not a splitting representation
     assert T.factors[0] is M2 and T.factors[1] is M2
     with pytest.raises(csa.AlgebraError, match="no splitting representation"):
-        csa.splitting_matrix(T, T.one)
+        splitting_matrix(T, T.one)
 
 
 def test_t2_form_polar_examples():
     M2 = csa.matrix_algebra(GF2, 2)
     e11, e12, e21, e22 = (M2.basis_vector(k) for k in range(4))
-    assert csa.b_t2(M2, e11, e22) == 1
-    assert csa.b_t2(M2, e12, e21) == 1
-    assert csa.b_t2(M2, e11, e12) == 0
+    assert b_t2(M2, e11, e22) == 1
+    assert b_t2(M2, e12, e21) == 1
+    assert b_t2(M2, e11, e12) == 0
     q = csa.t2_form(M2)
     assert q.polar_entry(0, 3) == 1 and q.polar_entry(1, 2) == 1
 
@@ -141,7 +144,7 @@ def test_t2_polar_never_by_polarization_cross_check(gf4):
             by_polarization = fld.add(
                 fld.add(q.evaluate(A.add(x, y)), q.evaluate(x)), q.evaluate(y)
             )
-            assert by_polarization == csa.b_t2(A, x, y)
+            assert by_polarization == b_t2(A, x, y)
             assert by_polarization == q.bilinear(x, y)
 
 
@@ -174,7 +177,7 @@ def test_t2_matches_reduced_charpoly_route(gf4, gf8, gf64_tower):
             x = A.random_element(rng)
             r = csa.reduced_charpoly(A, x)
             assert r.t2 == q.evaluate(x)
-            assert r.t1 == csa.t1_of(A, x)
+            assert r.t1 == t1_of(A, x)
         for k in range(A.dim):
             rk = csa.reduced_charpoly(A, A.basis_vector(k))
             assert rk.t1 == t1[k]
@@ -189,7 +192,7 @@ def test_q1_rank_zero(gf4):
         for _ in range(100):
             x = A.random_element(rng)
             sq = A.mul(x, x)
-            assert csa.t1_of(A, sq) == fld.mul(csa.t1_of(A, x), csa.t1_of(A, x))
+            assert t1_of(A, sq) == fld.mul(t1_of(A, x), t1_of(A, x))
 
 
 def test_trace_zero_subspace(gf4):
@@ -197,7 +200,7 @@ def test_trace_zero_subspace(gf4):
     rows = [[dict(r).get(c, 0) for c in range(M3.dim)] for r in csa.trace_zero_subspace(M3)]
     assert len(rows) == 8
     for row in rows:
-        assert csa.t1_of(M3, row) == 0
+        assert t1_of(M3, row) == 0
     # scalars are orthogonal to the trace-zero hyperplane
     q = csa.t2_form(M3)
     for row in rows:
@@ -215,7 +218,7 @@ def test_second_trace_form_degrees(gf4):
     hyper = csa.trace_zero_subspace(M3)
     assert len(hyper) == 8
     for s in hyper:
-        assert csa.t1_of(M3, [dict(s).get(c, 0) for c in range(M3.dim)]) == 0
+        assert t1_of(M3, [dict(s).get(c, 0) for c in range(M3.dim)]) == 0
     a = gf4.gen
     Q = csa.quaternion_algebra(gf4, a, a ^ 1)
     TQ = csa.second_trace_form(Q)
@@ -259,9 +262,9 @@ def test_lazy_crossed_product_entries_equal_eager_table(gf4, gf64_tower):
 
 
 def test_crossed_product_builds_only_the_entries_it_reads(monkeypatch):
-    # GF(2^11)/GF(2): the identity check reads 2 * 11^2 of the 11^4 =
-    # 14,641 table entries (1 is u_0 e_0, a single basis vector) and no
-    # center scan runs; each entry takes one coords_over
+    # GF(2^11)/GF(2): the identity is certified by the normalized table
+    # and no center scan runs, so the constructor reads none of the
+    # 11^4 = 14,641 table entries; each entry read takes one coords_over
     E = GF2.extend("d^11+d^2+1")
     entries = []
     coords_over = E.coords_over
@@ -272,10 +275,12 @@ def test_crossed_product_builds_only_the_entries_it_reads(monkeypatch):
 
     monkeypatch.setattr(E, "coords_over", counting)
     A = csa.crossed_product(E, GF2)
-    built = len(entries)
-    assert 0 < built <= 2 * 11**2
+    assert entries == []
     assert qf.witt_class(csa.second_trace_form(A)).arf == 1
-    assert len(entries) == built  # the trace form reads no structure constants
+    assert entries == []  # the trace form reads no structure constants
+    A.product(12, 25)
+    A.product(12, 25)
+    assert len(entries) == 1  # built on first use, then memoized
 
 
 def test_crossed_product_runs_no_center_scan(monkeypatch):
@@ -303,7 +308,7 @@ def test_crossed_product_refuses_a_sigma_of_low_order(monkeypatch):
         csa.crossed_product(E, GF2)
     table = crossed_product_table(E, GF2, [[E.one] * 3 for _ in range(3)])
     raw = csa.Algebra(GF2, 9, lambda a, b: table[(a, b)], [1] + [0] * 8, label="raw")
-    assert raw.dim - csa._center_rank(raw).rank > 1
+    assert raw.dim - _center_rank(raw).rank > 1
 
 
 def test_quaternion_table_is_associative_over_gf8(gf8):
@@ -315,7 +320,7 @@ def test_quaternion_table_is_associative_over_gf8(gf8):
     for a in range(1, 8):
         for b in range(8):
             Q = csa.quaternion_algebra(gf8, a, b)
-            assert csa._first_nonassociative_triple(Q, triples) is None, (a, b)
+            assert _first_nonassociative_triple(Q, triples) is None, (a, b)
 
 
 def test_b_subspace_dim_matches_extension_degree():
@@ -331,7 +336,7 @@ def test_square_trace_form_has_zero_rank():
     # the form x -> t1(x^2) polarizes to zero, so its radical is the
     # whole space
     M2 = csa.matrix_algebra(GF2, 2)
-    diag = [csa.t1_of(M2, M2.mul(M2.basis_vector(k), M2.basis_vector(k))) for k in range(4)]
+    diag = [t1_of(M2, M2.mul(M2.basis_vector(k), M2.basis_vector(k))) for k in range(4)]
     q1 = qf.QuadraticForm.diagonal(GF2, diag)
     assert len(qf.radical(q1)) == 4
     dec = qf.block_decompose(q1)
@@ -398,17 +403,17 @@ def test_crossed_product_prop3_identities(gf8, gf4, gf64_tower):
                     acc = E.add(acc, tr)
                 assert acc < F.order
                 expect = acc
-            assert csa.t1_of(A, xc) == expect
+            assert t1_of(A, xc) == expect
             if i != 0:
-                assert csa.t1_of(A, xc) == 0  # u_sigma c lands in the trace kernel
+                assert t1_of(A, xc) == 0  # u_sigma c lands in the trace kernel
             if (i + j) % n != 0:
-                assert csa.b_t2(A, xc, yd) == 0
+                assert b_t2(A, xc, yd) == 0
             if i != 0:
                 # E and the twisted components are orthogonal
                 e_elt = [F.zero] * A.dim
                 for t, coord in enumerate(E.coords_over(F, d)):
                     e_elt[t] = coord
-                assert csa.b_t2(A, e_elt, xc) == 0
+                assert b_t2(A, e_elt, xc) == 0
             if (2 * i) % n != 0:
                 assert q.evaluate(xc) == 0  # t2 vanishes off the involution slice
             trials += 1
@@ -427,7 +432,7 @@ def test_crossed_splitting_rep_agreement(gf4, gf8, gf64_tower):
         A = csa.crossed_product(E, F)
         for _ in range(trials):
             x = A.random_element(rng)
-            mat = csa.splitting_matrix(A, x)
+            mat = splitting_matrix(A, x)
             cpE = linalg.charpoly(E, mat)
             assert all(c < F.order for c in cpE)  # coefficients land in F
             assert tuple(cpE) == csa.reduced_charpoly(A, x).poly
@@ -441,7 +446,7 @@ def test_crossed_rep_diagonal_on_identity_component(gf8):
     x = [0] * 9
     for t, coord in enumerate(gf8.coords_over(GF2, c)):
         x[t] = coord
-    mat = csa.splitting_matrix(A, x)
+    mat = splitting_matrix(A, x)
     for i in range(3):
         for j in range(3):
             if i != j:
@@ -449,7 +454,7 @@ def test_crossed_rep_diagonal_on_identity_component(gf8):
     diag = {mat[i][i] for i in range(3)}
     orbit = {c, gf8.relative_frobenius(GF2, c, 1), gf8.relative_frobenius(GF2, c, 2)}
     assert diag == orbit
-    assert csa.splitting_matrix(A, A.one) == linalg.identity(gf8, 3)
+    assert splitting_matrix(A, A.one) == linalg.identity(gf8, 3)
 
 
 def test_cocycle_validation(gf8):
@@ -548,7 +553,7 @@ def test_coboundary_cocycles_give_csas(gf4, gf8, gf64_tower, data):
     E, F = _draw_extension(data, gf4, gf8, gf64_tower)
     phi = _draw_coboundary_cocycle(data, E, F)
     A = csa.crossed_product(E, F, phi)
-    assert csa.sanity_check_csa(A)["passed"]
+    assert sanity_check_csa(A)["passed"]
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +575,7 @@ def test_certified_crossed_product_center_matches_scan_oracle(center_extensions,
     else:
         phi = _draw_coboundary_cocycle(data, E, F)
     A = csa.crossed_product(E, F, phi)
-    assert csa._center_rank(A).rank == A.dim - 1
+    assert _center_rank(A).rank == A.dim - 1
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -579,7 +584,7 @@ def test_certified_quaternion_algebras_pass_the_sanity_oracle(gf4, gf8, data):
     F = data.draw(st.sampled_from([GF2, gf4, gf8]))
     a = data.draw(st.integers(1, F.order - 1))
     b = data.draw(st.integers(0, F.order - 1))
-    rep = csa.sanity_check_csa(csa.quaternion_algebra(F, a, b))
+    rep = sanity_check_csa(csa.quaternion_algebra(F, a, b))
     assert rep["passed"] and rep["center_dim"] == 1, rep
 
 
@@ -587,6 +592,68 @@ def test_certified_matrix_identity_matches_basis_vector_loop(gf4):
     for F in (GF2, gf4, rational.FunctionField(GF2)):
         for n in range(1, 9):
             assert csa.matrix_algebra(F, n)._identity_failure() is None, (F, n)
+
+
+def _table_outcomes(E, F, values):
+    """How crossed_product answers every n x n table with entries in
+    ``values``: "accepted", or the exception type and message."""
+    n = E.degree_over(F)
+    out = {}
+    for entries in itertools.product(values, repeat=n * n):
+        phi = [list(entries[i * n:(i + 1) * n]) for i in range(n)]
+        try:
+            A = csa.crossed_product(E, F, phi)
+        except csa.AlgebraError as exc:
+            key = f"{type(exc).__name__}: {exc}"
+        else:
+            # the identity is certified by the normalized table; the
+            # basis-vector loop must agree on every table accepted
+            assert A._identity_failure() is None, phi
+            key = "accepted"
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_crossed_product_rejects_the_same_tables_with_the_same_messages(gf4, gf8):
+    # the counts were taken while the constructor still ran the
+    # basis-vector identity check after the cocycle checks
+    gf16 = gf4.extend("b^2+b+a")
+    nonzero = "CocycleInvalid: cocycle values must be nonzero"
+    normalized = "CocycleInvalid: cocycle must be normalized on the identity"
+    fails = "CocycleInvalid: associativity fails on group triple "
+    assert _table_outcomes(gf4, GF2, range(4)) == {
+        nonzero: 85, normalized: 168, fails + "(1,1,1)": 2, "accepted": 1,
+    }
+    assert _table_outcomes(gf8, GF2, (0, 1, gf8.gen)) == {
+        nonzero: 9911, normalized: 9756, fails + "(1,1,1)": 10, fails + "(1,1,2)": 4,
+        fails + "(1,2,1)": 1, "accepted": 1,
+    }
+    assert _table_outcomes(gf16, gf4, (0, 1, gf4.gen, gf16.gen)) == {
+        nonzero: 85, normalized: 168, fails + "(1,1,1)": 1, "accepted": 2,
+    }
+    with pytest.raises(csa.CocycleInvalid, match=r"^cocycle table must be 2x2$"):
+        csa.crossed_product(gf4, GF2, [[1, 1]])
+
+
+def test_certified_crossed_product_identity_matches_basis_vector_oracle(gf4, gf8, gf64_tower):
+    # u_0 e_0 is the identity because e_0 = 1 and the table is normalized
+    rng = random.Random(7)
+    gf16 = gf4.extend("b^2+b+a")
+    for E, F in ((gf8, GF2), (gf16, gf4), (gf64_tower, gf4)):
+        assert E.basis_over(F)[0] == E.one
+        n = E.degree_over(F)
+        tables = ["trivial"] + [csa.cyclic_cocycle(E, F, g) for g in range(1, F.order)]
+        for _ in range(4):
+            # the trivial cocycle in the basis u_i c_i, c_0 = 1
+            c = [E.one] + [rng.randrange(1, E.order) for _ in range(n - 1)]
+            tables.append([
+                [E.mul(E.mul(E.relative_frobenius(F, c[i], j), c[j]), E.inv(c[(i + j) % n]))
+                 for j in range(n)]
+                for i in range(n)
+            ])
+        for phi in tables:
+            A = csa.crossed_product(E, F, phi)
+            assert A._identity_failure() is None, (E, F, phi)
 
 
 def test_crossed_product_frobenius_calls_are_cubic(monkeypatch):
@@ -635,7 +702,10 @@ def test_crossed_product_coords_over_calls_are_quartic(monkeypatch):
         return coords_over(self, *args, **kwargs)
 
     monkeypatch.setattr(fields.Level, "coords_over", counting)
-    csa.crossed_product(E, GF2)
+    A = csa.crossed_product(E, GF2)
+    for a in range(A.dim):
+        for b in range(A.dim):
+            A.product(a, b)
     assert 0 < len(calls) <= 5**4
 
 
@@ -740,7 +810,7 @@ def test_t2_form_polar_matches_b_t2_on_basis_pairs(gf4, gf8, gf64_tower, data):
     basis = [A.basis_vector(k) for k in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
-            assert q.polar_entry(i, j) == csa.b_t2(A, basis[i], basis[j]), (A, i, j)
+            assert q.polar_entry(i, j) == b_t2(A, basis[i], basis[j]), (A, i, j)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -969,18 +1039,72 @@ def test_sanity_check_reports_associativity_witness(gf8):
         return out
 
     bad = csa.Algebra(GF2, 9, corrupted, good.one, label="corrupted")
-    rep = csa.sanity_check_csa(bad)
+    rep = sanity_check_csa(bad)
     assert not rep["passed"]
     assert any(kind == "associativity" for kind, _ in rep["failures"])
 
 
 def test_sanity_check_flags_etale(gf4):
     etale = csa.commutative_quotient(gf4, (gf4.gen, 1, 0, 1))
-    rep = csa.sanity_check_csa(etale)
+    rep = sanity_check_csa(etale)
     assert not rep["passed"]
     assert any(kind == "center" for kind, _ in rep["failures"]) or any(
         kind == "dimension" for kind, _ in rep["failures"]
     )
+
+
+def test_tensor_diagonals_make_no_multiply_on_matrix_factors(gf4, monkeypatch):
+    # every trace value of a matrix factor is 0 or 1, so the form-core
+    # tensors' diagonals need no Level.mul once the factors' are known
+    for F, n1, n2 in ((GF2, 5, 7), (GF2, 6, 6), (gf4, 5, 5)):
+        A, B = csa.matrix_algebra(F, n1), csa.matrix_algebra(F, n2)
+        for X in (A, B):
+            csa.t1_vector(X), csa.t2_diagonal(X)
+        T = csa.tensor_product(A, B)
+        calls = []
+        mul = fields.Level.mul
+        monkeypatch.setattr(
+            fields.Level, "mul", lambda self, x, y: calls.append((x, y)) or mul(self, x, y)
+        )
+        csa.t1_vector(T), csa.t2_diagonal(T)
+        monkeypatch.undo()
+        assert calls == [], (F, n1, n2)
+
+
+def _scaled_mat2(F, c):
+    """Mat(2) over F on the basis c E_00, E_01, E_10, E_11: t1 of its
+    first basis vector is c.  Raw structure constants, so its trace
+    values come from the reduced characteristic polynomial."""
+    M = csa.matrix_algebra(F, 2)
+    scale = [c, F.one, F.one, F.one]
+    inv = [F.inv(x) for x in scale]
+
+    def product(i, j):
+        s = F.mul(scale[i], scale[j])
+        return tuple((k, F.mul(F.mul(s, v), inv[k])) for k, v in M.product(i, j))
+
+    return csa.Algebra(F, 4, product, [F.mul(x, y) for x, y in zip(M.one, inv)],
+                       label="ScaledMat(2)", degree=2)
+
+
+def test_tensor_diagonals_match_full_products_off_0_and_1(gf4):
+    # t1(a (x) b) = t1(a) t1(b) and t2(a (x) b) = t1(a)^2 t2(b) + t2(a) t1(b)^2,
+    # every product taken, on factors with values outside {0, 1}
+    f, a = gf4, gf4.gen
+    C = csa.crossed_product(gf4.extend("b^2+b+a"), gf4)
+    S = _scaled_mat2(f, a)
+    M2 = csa.matrix_algebra(f, 2)
+    assert {a, f.add(a, 1)} & set(csa.t2_diagonal(C)) and a in csa.t1_vector(S)
+    for X, Y in ((C, M2), (M2, C), (C, C), (S, C), (C, S), (S, S)):
+        T = csa.tensor_product(X, Y)
+        tx, ty = csa.t1_vector(X), csa.t1_vector(Y)
+        ux, uy = csa.t2_diagonal(X), csa.t2_diagonal(Y)
+        assert csa.t1_vector(T) == [f.mul(x, y) for x in tx for y in ty]
+        assert csa.t2_diagonal(T) == [
+            f.add(f.mul(f.mul(x, x), w), f.mul(u, f.mul(y, y)))
+            for x, u in zip(tx, ux)
+            for y, w in zip(ty, uy)
+        ]
 
 
 def test_tensor_trace_identities(gf4):
@@ -1005,9 +1129,9 @@ def test_tensor_trace_identities(gf4):
             b2 = B.random_element(rng)
             ab = _pure_tensor(fld, T, a, b)
             a2b2 = _pure_tensor(fld, T, a2, b2)
-            ta, tb = csa.t1_of(A, a), csa.t1_of(B, b)
+            ta, tb = t1_of(A, a), t1_of(B, b)
             # multiplicativity of the reduced trace
-            assert csa.t1_of(T, ab) == fld.mul(ta, tb)
+            assert t1_of(T, ab) == fld.mul(ta, tb)
             # second coefficient of a pure tensor
             expect = fld.add(
                 fld.mul(fld.mul(ta, ta), qB.evaluate(b)),
@@ -1015,14 +1139,14 @@ def test_tensor_trace_identities(gf4):
             )
             assert qT.evaluate(ab) == expect
             # both expansions of the polar form agree
-            lhs = csa.b_t2(T, ab, a2b2)
+            lhs = b_t2(T, ab, a2b2)
             e1 = fld.add(
-                fld.mul(csa.t1_of(A, A.mul(a, a2)), csa.b_t2(B, b, b2)),
-                fld.mul(fld.mul(tb, csa.t1_of(B, b2)), csa.b_t2(A, a, a2)),
+                fld.mul(t1_of(A, A.mul(a, a2)), b_t2(B, b, b2)),
+                fld.mul(fld.mul(tb, t1_of(B, b2)), b_t2(A, a, a2)),
             )
             e2 = fld.add(
-                fld.mul(csa.t1_of(B, B.mul(b, b2)), csa.b_t2(A, a, a2)),
-                fld.mul(fld.mul(ta, csa.t1_of(A, a2)), csa.b_t2(B, b, b2)),
+                fld.mul(t1_of(B, B.mul(b, b2)), b_t2(A, a, a2)),
+                fld.mul(fld.mul(ta, t1_of(A, a2)), b_t2(B, b, b2)),
             )
             assert lhs == e1 == e2
             trials += 1
@@ -1042,15 +1166,15 @@ def test_tensor_trace_zero_product_rule(gf4):
         a2 = A.random_element(rng)
         b2 = B.random_element(rng)
         # force the trace-zero hypothesis on one slot of each pair
-        if csa.t1_of(A, a) != 0:
-            a = A.add(a, _scaled_unit(A, csa.t1_of(A, a)))
-        if csa.t1_of(B, b) != 0:
-            b = B.add(b, _scaled_unit(B, csa.t1_of(B, b)))
-        assert csa.t1_of(A, a) == 0 and csa.t1_of(B, b) == 0
+        if t1_of(A, a) != 0:
+            a = A.add(a, _scaled_unit(A, t1_of(A, a)))
+        if t1_of(B, b) != 0:
+            b = B.add(b, _scaled_unit(B, t1_of(B, b)))
+        assert t1_of(A, a) == 0 and t1_of(B, b) == 0
         ab = _pure_tensor(fld, T, a, b)
         a2b2 = _pure_tensor(fld, T, a2, b2)
-        lhs = csa.b_t2(T, ab, a2b2)
-        rhs = fld.mul(csa.b_t2(A, a, a2), csa.b_t2(B, b, b2))
+        lhs = b_t2(T, ab, a2b2)
+        rhs = fld.mul(b_t2(A, a, a2), b_t2(B, b, b2))
         assert lhs == rhs
         count += 1
     assert count >= 100
@@ -1081,8 +1205,8 @@ def test_scalars_orthogonal_to_trace_kernel(gf4):
         count = 0
         while count < 100:
             x = A.random_element(rng)
-            if csa.t1_of(A, x) != 0:
+            if t1_of(A, x) != 0:
                 continue
             c = A.field.random_element(rng)
-            assert csa.b_t2(A, A.scalar_mul(c, A.one), x) == 0
+            assert b_t2(A, A.scalar_mul(c, A.one), x) == 0
             count += 1

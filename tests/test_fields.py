@@ -16,7 +16,6 @@ from t2forms.fields import (
     poly_mul,
     poly_nth_root,
     poly_pow,
-    poly_roots,
     poly_to_str,
 )
 
@@ -24,6 +23,7 @@ from support import (
     TUPLE_GF2,
     artin_schreier_by_fresh_matrix,
     mul_by_coefficients,
+    poly_roots,
     tables_by_power_test,
 )
 

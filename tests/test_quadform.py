@@ -8,8 +8,10 @@ from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
 from support import (
-    as_list_rows, kernel_generic, oracle_witt_class, quaternion_split_by_norm_search,
-    random_nonsingular_form, reference_decompose,
+    arf_via_even_clifford_center, as_list_rows, clifford_algebra, is_nonsingular,
+    isotropic_split_oracle, kernel_generic, oracle_witt_class,
+    quaternion_split_by_norm_search, random_nonsingular_form, reference_decompose,
+    sanity_check_csa,
 )
 
 
@@ -55,12 +57,12 @@ def test_polarization_identity(gf4):
 def test_radical_examples():
     H = QuadraticForm.binary(GF2, 0, 0)
     assert qf.radical(H) == []
-    assert qf.is_nonsingular(H)
+    assert is_nonsingular(H)
     # [1,1] perp <1>: the diagonal summand spans the radical
     q = qf.direct_sum(QuadraticForm.binary(GF2, 1, 1), QuadraticForm.diagonal(GF2, [1]))
     rad = qf.radical(q)
     assert len(rad) == 1
-    assert not qf.is_nonsingular(q)
+    assert not is_nonsingular(q)
     dec = qf.block_decompose(q)
     assert dec.radical_dim == 1 and dec.radical_diag == [1]
     # over GF(2)(t) the block decomposition gives the radical's dimension
@@ -69,7 +71,7 @@ def test_radical_examples():
     q = qf.direct_sum(QuadraticForm.binary(ff, ff.one, ff.t), QuadraticForm.diagonal(ff, [ff.t]))
     assert reference_decompose(q).radical_rows == [[ff.zero, ff.zero, ff.one]]
     assert qf.block_decompose(q).radical_diag == [ff.t]
-    assert not qf.is_nonsingular(q)
+    assert not is_nonsingular(q)
     with pytest.raises(qf.NotFiniteField):
         qf.radical(q)
 
@@ -197,11 +199,11 @@ def test_witt_class_examples(gf4):
 
 def test_oracle_examples():
     H = QuadraticForm.hyperbolic(GF2)
-    planes, aniso = qf.isotropic_split_oracle(H)
+    planes, aniso = isotropic_split_oracle(H)
     assert planes == 1 and aniso.dim == 0
-    planes, aniso = qf.isotropic_split_oracle(QuadraticForm.binary(GF2, 1, 1))
+    planes, aniso = isotropic_split_oracle(QuadraticForm.binary(GF2, 1, 1))
     assert planes == 0 and aniso.dim == 2
-    planes, _ = qf.isotropic_split_oracle(
+    planes, _ = isotropic_split_oracle(
         qf.direct_sum(QuadraticForm.binary(GF2, 1, 1), QuadraticForm.binary(GF2, 1, 1))
     )
     assert planes == 2
@@ -209,10 +211,10 @@ def test_oracle_examples():
 
 def test_oracle_guards(gf8):
     with pytest.raises(qf.SearchSpaceTooLarge):
-        qf.isotropic_split_oracle(QuadraticForm.hyperbolic(GF2, 4))
+        isotropic_split_oracle(QuadraticForm.hyperbolic(GF2, 4))
     big = gf8.extend("z^2+z+1") if False else None
     q = QuadraticForm.binary(gf8, 1, 1)
-    qf.isotropic_split_oracle(q)  # order 8 is allowed
+    isotropic_split_oracle(q)  # order 8 is allowed
 
 
 def test_witt_matches_oracle_random(gf4):
@@ -237,16 +239,16 @@ def test_direct_sum_and_scale(gf4):
 def test_clifford_algebra_small(gf4):
     # q = [0] on one generator: 2-dimensional, square zero
     q = QuadraticForm.diagonal(GF2, [0])
-    C = qf.clifford_algebra(q)
+    C = clifford_algebra(q)
     assert C.dim == 2
     e1 = C.basis_vector(1)
     assert C.mul(e1, e1) == [0, 0]
     # C(H) is 4-dimensional with trivial center
     from t2forms import csa
 
-    CH = qf.clifford_algebra(QuadraticForm.hyperbolic(GF2))
+    CH = clifford_algebra(QuadraticForm.hyperbolic(GF2))
     assert CH.dim == 4
-    rep = csa.sanity_check_csa(CH)
+    rep = sanity_check_csa(CH)
     assert rep["passed"], rep
     assert rep["center_dim"] == 1
 
@@ -259,7 +261,7 @@ def test_clifford_algebra_quaternion_relations(gf8):
         a = gf8.random_nonzero(rng)
         b = gf8.random_element(rng)
         q = QuadraticForm.binary(gf8, a, b)
-        C = qf.clifford_algebra(q)
+        C = clifford_algebra(q)
         e = C.basis_vector(1)  # mask 0b01
         f = C.basis_vector(3)  # mask 0b11 = e_0 e_1
         ab = gf8.mul(a, b)
@@ -273,14 +275,14 @@ def test_clifford_dimension_cap():
     rng = random.Random(17)
     q = random_nonsingular_form(GF2, 12, rng)
     with pytest.raises(qf.DimensionTooLarge):
-        qf.clifford_algebra(q)
+        clifford_algebra(q)
 
 
 def test_arf_via_even_clifford_center_examples(gf4):
-    assert qf.arf_via_even_clifford_center(QuadraticForm.hyperbolic(GF2)) == 0
-    assert qf.arf_via_even_clifford_center(QuadraticForm.binary(GF2, 1, 1)) == 1
+    assert arf_via_even_clifford_center(QuadraticForm.hyperbolic(GF2)) == 0
+    assert arf_via_even_clifford_center(QuadraticForm.binary(GF2, 1, 1)) == 1
     a = gf4.gen
-    assert qf.arf_via_even_clifford_center(QuadraticForm.binary(gf4, 1, a)) == a
+    assert arf_via_even_clifford_center(QuadraticForm.binary(gf4, 1, a)) == a
 
 
 def test_arf_dual_path_random(gf4):
@@ -289,7 +291,7 @@ def test_arf_dual_path_random(gf4):
         fld = rng.choice([GF2, gf4])
         dim = rng.choice([2, 4, 6])
         q = random_nonsingular_form(fld, dim, rng)
-        assert qf.arf(q) == qf.arf_via_even_clifford_center(q)
+        assert qf.arf(q) == arf_via_even_clifford_center(q)
 
 
 def test_quaternion_is_split(gf4):
