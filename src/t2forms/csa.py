@@ -21,20 +21,21 @@ left regular representation and the polynomial n-th root stays
 available as :func:`reduced_charpoly` and the two are cross-checked in
 the tests.
 
-The constructor checks the identity law, 1 e_k = e_k = e_k 1, on every
-basis vector: raw structure constants, quaternion and commutative
-algebras get this full check.  Matrix algebras are certified: sum E_ii
-is an identity for the E_rc product over any field.  Crossed products
-are certified by their normalized cocycle (:func:`crossed_product`).
-A tensor product checks its two factors instead, which is exact: its
-identity is 1_A (x) 1_B and its product is bilinear, so
-(1_A (x) 1_B)(e_i (x) f_j) = (1_A e_i) (x) (1_B f_j) = e_i (x) f_j when
-both factor laws hold.  Only when a factor fails does the tensor run the
-full check, which names the first failing basis vector of A (x) B.
+The identity law, 1 e_k = e_k = e_k 1, is certified where an algebra is
+built.  Raw structure constants passed to :class:`Algebra` are input
+from outside, and the constructor checks the law on every basis vector.
+Each constructor below proves it instead: sum E_ii is an identity for
+the E_rc product, the identity's rows of a quaternion or commutative
+table are literal unit rows, a crossed product's follow from its
+normalized cocycle (:func:`crossed_product`), and a tensor product's
+identity 1_A (x) 1_B is one because both factors' identities are and
+the product is bilinear.
 
-Algebras are immutable after construction apart from internal trace
+Algebras do not change after construction, apart from internal trace
 caches and the crossed-product table memo, whose entries are fixed
-values; verification work on independent algebras can run concurrently.
+values; rebinding an attribute of a finished algebra breaks that
+contract.  Verification work on independent algebras can run
+concurrently.
 """
 
 from __future__ import annotations
@@ -70,49 +71,32 @@ class SplittingRep:
         self.size = size
         self.images = images  # list of {(row, col): value} dicts
 
-    def image(self, coords):
-        lvl = self.level
-        out = {}
-        for k, x in enumerate(coords):
-            if not x:
-                continue
-            for pos, v in self.images[k].items():
-                w = lvl.add(out.get(pos, 0), lvl.mul(x, v))
-                if w:
-                    out[pos] = w
-                else:
-                    out.pop(pos, None)
-        return out
-
-    def dense(self, coords):
-        img = self.image(coords)
-        n = self.size
-        mat = [[self.level.zero] * n for _ in range(n)]
-        for (r, c), v in img.items():
-            mat[r][c] = v
-        return mat
-
 
 class Algebra:
     """Finite dimensional associative algebra over a field level.
 
     ``product`` is a callable ``(i, j) -> ((k, value), ...)`` giving the
     structure constants sparsely.  ``one`` is the coordinate vector of
-    the identity.  ``degree`` is set for algebras known to be central
-    simple of that degree.
+    the identity, kept as a tuple.  ``degree`` is set for algebras known
+    to be central simple of that degree.  ``factors`` is the pair (A, B)
+    of a tensor product A (x) B, and ``crossed_data`` the extension and
+    cocycle of a crossed product.  A constructor that proves the identity
+    law passes ``_identity_known``; otherwise it is checked here.
     """
 
     def __init__(
         self, field, dim, product, one, label="", degree=None, rep=None,
-        *, _identity_known=False,
+        *, factors=None, crossed_data=None, _identity_known=False,
     ):
         self.field = field
         self.dim = dim
         self.product = product
-        self.one = list(one)
+        self.one = tuple(one)
         self.label = label
         self.degree = degree
         self.rep = rep
+        self.factors = factors
+        self.crossed_data = crossed_data
         self._t1 = None
         self._t2diag = None
         if not _identity_known:
@@ -167,12 +151,6 @@ class Algebra:
 
     def random_element(self, rng):
         return [self.field.random_element(rng) for _ in range(self.dim)]
-
-    def element_from(self, pairs):
-        v = [self.field.zero] * self.dim
-        for k, c in pairs:
-            v[k] = self.field.add(v[k], c)
-        return v
 
     def __repr__(self):
         return f"Algebra({self.label or 'unnamed'}, dim={self.dim} over {self.field!r})"
@@ -290,9 +268,12 @@ def quaternion_algebra(field, a, b):
         {(0, 1): lam1, (1, 0): rep_field.mul(a, lam)},
     ]
     rep = SplittingRep(rep_field, 2, images)
+    # the identity is e_0, and product(0, j) = e_j, product(i, 0) = e_i
+    # are literal rows of the table
     return Algebra(
-        field, 4, product, [one, 0, 0, 0],
+        field, 4, product, (one, 0, 0, 0),
         label=f"Quat({field.show(a)},{field.show(b)})", degree=2, rep=rep,
+        _identity_known=True,
     )
 
 
@@ -316,19 +297,16 @@ def tensor_product(A, B):
 
     one = [f.mul(x, y) if x and y else f.zero for x in A.one for y in B.one]
     degree = A.degree * B.degree if (A.degree and B.degree) else None
-    # (1_A (x) 1_B)(e_i (x) f_j) = (1_A e_i) (x) (1_B f_j) by bilinearity, so
-    # the law on both factors is the law on the tensor; if a factor fails,
-    # the full check in the constructor names the tensor's first failing
-    # basis vector
-    factors_ok = A._identity_failure() is None and B._identity_failure() is None
-    alg = Algebra(
+    # (1_A (x) 1_B)(e_i (x) f_j) = (1_A e_i) (x) (1_B f_j) = e_i (x) f_j by
+    # bilinearity, and on the other side alike: both factor laws held when
+    # the factors were built
+    return Algebra(
         f, A.dim * nB, product, one,
         label=f"Tensor({A.label},{B.label})",
         degree=degree,
-        _identity_known=factors_ok,
+        factors=(A, B),
+        _identity_known=True,
     )
-    alg.factors = (A, B)
-    return alg
 
 
 def _commutative_algebra(field, d, coords, label):
@@ -350,7 +328,12 @@ def _commutative_algebra(field, d, coords, label):
 
     one = [field.zero] * d
     one[0] = field.one
-    return Algebra(field, d, product, one, label=label, rep=SplittingRep(field, d, images))
+    # e_0 = 1 and every caller has coords(0, j) = coords(j, 0) = e_j, so
+    # the identity's rows of the table are the unit rows
+    return Algebra(
+        field, d, product, one, label=label, rep=SplittingRep(field, d, images),
+        _identity_known=True,
+    )
 
 
 def commutative_quotient(field, fpoly, label=None):
@@ -368,12 +351,14 @@ def commutative_quotient(field, fpoly, label=None):
     for _ in range(2 * d - 1):
         pows.append(cur)
         cur = fields.poly_mod(field, fields.poly_mul(field, cur, (field.zero, field.one)), fpoly)
+    # pows[j] is x^j itself for j < d, which f does not reduce: e_0 e_j = e_j
     return _commutative_algebra(field, d, lambda i, j: pows[i + j], label or "quotient")
 
 
 def extension_algebra(E, F):
     """The tower extension E/F as an F-algebra on the product basis of
     E over F (whose first vector is 1)."""
+    # basis[0] = 1, so e_0 e_j = basis[j], whose coordinates are e_j
     basis = E.basis_over(F)
     return _commutative_algebra(
         F, len(basis), lambda i, j: E.coords_over(F, E.mul(basis[i], basis[j])), f"{E!r}/{F!r}"
@@ -490,13 +475,12 @@ def crossed_product(E, F, cocycle="trivial", label=None):
                 img[((i + t) % n, t)] = E.mul(phi[i][t], sig[t][s])
             images.append(img)
     rep = SplittingRep(E, n, images)
-    alg = Algebra(
+    return Algebra(
         F, dim, product, one,
         label=label or f"Crossed({E!r}/{F!r})", degree=n, rep=rep,
+        crossed_data={"E": E, "F": F, "n": n, "phi": phi, "basis_E": basis_E},
         _identity_known=True,
     )
-    alg.crossed_data = {"E": E, "F": F, "n": n, "phi": phi, "basis_E": basis_E}
-    return alg
 
 
 # -- trace forms ---------------------------------------------------------
@@ -553,10 +537,9 @@ def t1_vector(A):
     """Values of the reduced trace on the basis; on a tensor product,
     t1(a (x) b) = t1(a) t1(b)."""
     if A._t1 is None:
-        factors = getattr(A, "factors", None)
-        if factors is not None:
+        if A.factors is not None:
             f = A.field
-            ta, tb = (t1_vector(X) for X in factors)
+            ta, tb = (t1_vector(X) for X in A.factors)
             A._t1 = [v for x in ta for v in _times(f, x, tb)]
         elif A.rep is not None:
             A._t1 = _rep_values(A, linalg.sparse_trace, "reduced trace")
@@ -571,13 +554,12 @@ def t2_diagonal(A):
     products alpha_i beta_j of the eigenvalues is e1(alpha)^2 e2(beta) +
     e2(alpha) e1(beta)^2 - 2 e2(alpha) e2(beta)."""
     if A._t2diag is None:
-        factors = getattr(A, "factors", None)
-        if factors is not None:
+        if A.factors is not None:
             f, one = A.field, A.field.one
-            X, Y = factors
+            X, Y = A.factors
             sx, sy = (
                 [v if v == one or f.is_zero(v) else f.mul(v, v) for v in t1_vector(Z)]
-                for Z in factors
+                for Z in (X, Y)
             )
             ty = t2_diagonal(Y)
             out = []
@@ -613,10 +595,9 @@ def _trace_products(A):
     """
     f = A.field
     R = linalg.row_ring(f)
-    factors = getattr(A, "factors", None)
-    if factors is not None:
-        ra, rb = (_trace_products(X) for X in factors)
-        return R.kron(ra, rb, factors[1].dim)
+    if A.factors is not None:
+        ra, rb = (_trace_products(X) for X in A.factors)
+        return R.kron(ra, rb, A.factors[1].dim)
     t1 = t1_vector(A)
     out = [{} for _ in range(A.dim)]
     if A.rep is None:
@@ -702,7 +683,7 @@ def second_trace_form(A):
 def b_subspace_form(A):
     """t2 restricted to span{u_rho e : rho**2 = id, rho != id} of a
     crossed product; the zero-dimensional form when the degree is odd."""
-    data = getattr(A, "crossed_data", None)
+    data = A.crossed_data
     if data is None:
         raise AlgebraError("not a crossed product")
     n = data["n"]

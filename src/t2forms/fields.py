@@ -408,37 +408,25 @@ class Level:
         return self.bits // sub.bits
 
     def coords_over(self, sub, x):
-        """Coordinates of x in the product basis of this level over sub."""
-        if self is sub:
-            return (x,)
-        if self.parent is sub:
-            return self.coeffs(x)
-        if self == sub:
-            return (x,)
-        out = []
-        for c in self.coeffs(x):
-            out.extend(self.parent.coords_over(sub, c))
-        return tuple(out)
+        """Coordinates of x in the product basis of this level over sub,
+        lowest first: its ``sub.bits``-bit chunks."""
+        n = self.degree_over(sub)
+        sb = sub.bits
+        mask = (1 << sb) - 1
+        return tuple((x >> (sb * i)) & mask for i in range(n))
 
     def from_coords_over(self, sub, coords):
-        if self == sub:
-            (v,) = coords
-            return v
-        d = self.parent.degree_over(sub)
-        cs = [
-            self.parent.from_coords_over(sub, coords[i * d : (i + 1) * d])
-            for i in range(self.rel_degree)
-        ]
-        return self.from_coeffs(cs)
+        self.degree_over(sub)  # FieldError unless sub is a sublevel
+        sb = sub.bits
+        v = 0
+        for i, c in enumerate(coords):
+            v |= c << (sb * i)
+        return v
 
     def basis_over(self, sub):
-        n = self.degree_over(sub)
-        out = []
-        for t in range(n):
-            coords = [0] * n
-            coords[t] = 1
-            out.append(self.from_coords_over(sub, coords))
-        return out
+        """The product basis of this level over sub; its first vector is 1."""
+        sb = sub.bits
+        return [1 << (sb * t) for t in range(self.degree_over(sub))]
 
     def relative_frobenius(self, sub, x, power=1):
         """x raised to |sub| ** power, a generator of Gal(self/sub).  It
@@ -469,23 +457,7 @@ class Level:
         """Render an element in the generator names, e.g. ``a+1``."""
         if self.parent is None:
             return str(x & 1)
-        terms = []
-        for i in reversed(range(self.rel_degree)):
-            c = self.coeffs(x)[i]
-            if not c:
-                continue
-            cs = self.parent.show(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                head = self.gen_name if i == 1 else f"{self.gen_name}^{i}"
-                if cs == "1":
-                    terms.append(head)
-                elif "+" in cs:
-                    terms.append(f"{head}*({cs})")
-                else:
-                    terms.append(f"{head}*{cs}")
-        return "+".join(terms) if terms else "0"
+        return poly_to_str(self.parent, self.coeffs(x), self.gen_name)
 
     def parse(self, text):
         """Parse an element expression in the tower's generator names."""

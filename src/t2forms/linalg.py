@@ -9,8 +9,8 @@ field levels.  GF(2) is the 1-bit case: its packed rows are plain bit
 vectors and scaling is never needed.
 
 :class:`PackedEchelon` is the one elimination engine:
-:class:`GF2Solver` (and :func:`solve_gf2` through it), :func:`kernel`
-and :func:`packed_kernel` run on it.  A GF(2)-linear system written as
+:class:`GF2Solver` (and :func:`solve_gf2` through it) and
+:func:`packed_kernel` run on it.  A GF(2)-linear system written as
 the packed image of each unknown bit is turned into solver rows by
 :func:`rows_from_images`.
 
@@ -449,12 +449,6 @@ def solve_gf2(rows, ncols, rhs):
 
 
 # -- kernels -------------------------------------------------------------
-
-
-def kernel(field, rows, ncols):
-    """Kernel basis of the linear map v -> rows * v, rows as lists over
-    a finite level."""
-    return packed_kernel(field, [pack_row(field, r) for r in rows], ncols)
 
 
 def packed_kernel(field, rows, ncols):

@@ -52,14 +52,6 @@ class NotFiniteField(FormError):
     pass
 
 
-class SearchSpaceTooLarge(FormError):
-    pass
-
-
-class DimensionTooLarge(FormError):
-    pass
-
-
 class QuadraticForm:
     """A quadratic form given by diagonal values and a polar matrix.
 

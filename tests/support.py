@@ -1,7 +1,8 @@
 """Helpers that only the tests use: dense matrix products, random
 nonsingular quadratic forms, and reference implementations of the field
-multiply, the exp/log tables, the GF(2) linear solve, the list-row
-kernel, the Artin-Schreier solve, the crossed-product structure table,
+multiply, the exp/log tables, the GF(2) linear solve, the kernel of
+list rows (through the packed engine and by Gauss-Jordan), the
+Artin-Schreier solve, the crossed-product structure table,
 the coefficient-tuple polynomial route over GF(2), the Kronecker
 splitting representation of a tensor product, the Witt class by
 isotropic splitting, quaternion splitting by norm search and the
@@ -11,8 +12,9 @@ over it take the list-row ring;
 and the independent oracles the pipeline is checked against: polynomial
 roots by enumeration, the isotropic splitting behind that Witt class,
 the Clifford algebra and Arf through the even Clifford center, traces of
-single elements from the definition, and the dense associativity,
-identity and center checks of :func:`sanity_check_csa`."""
+single elements from the definition, dense splitting matrices, and the
+dense associativity, identity and center checks of
+:func:`sanity_check_csa`."""
 
 import itertools
 from typing import NamedTuple
@@ -21,9 +23,16 @@ from t2forms import csa, linalg
 from t2forms.csa import AlgebraError, t1_vector
 from t2forms.fields import GF2, FieldError, fresh_gen_name, poly_divmod, poly_eval, poly_trim
 from t2forms.quadform import (
-    DimensionTooLarge, FormError, QuadraticForm, SearchSpaceTooLarge, SingularForm,
-    WittClass, arf_sum, block_decompose, radical,
+    FormError, QuadraticForm, SingularForm, WittClass, arf_sum, block_decompose, radical,
 )
+
+
+class SearchSpaceTooLarge(FormError):
+    """An exhaustive oracle refused a field or form too large to search."""
+
+
+class DimensionTooLarge(FormError):
+    """A Clifford oracle refused a form of too many generators."""
 
 
 def mat_mul(field, A, B):
@@ -70,7 +79,7 @@ def random_nonsingular_form(field, dim, rng):
                 polar[i][j] = v
                 polar[j][i] = v
         q = QuadraticForm(f, diag, polar)
-        if not linalg.kernel(f, polar, dim):
+        if not kernel(f, polar, dim):
             return q
 
 
@@ -139,10 +148,9 @@ def kronecker_rep(A):
     the Kronecker product of its factors' (recursively) over the larger
     of the two factor levels; None when a factor has none or the two
     levels do not nest."""
-    factors = getattr(A, "factors", None)
-    if factors is None:
+    if A.factors is None:
         return A.rep
-    ra, rb = (kronecker_rep(X) for X in factors)
+    ra, rb = (kronecker_rep(X) for X in A.factors)
     if ra is None or rb is None:
         return None
     if ra.level == rb.level or ra.level.is_extension_of(rb.level):
@@ -191,6 +199,12 @@ def solve_by_augmented_column(rows, ncols, rhs):
     for p, prow in ech.rows.items():
         x |= ((prow >> ncols) & 1) << p
     return x
+
+
+def kernel(field, rows, ncols):
+    """Kernel basis of the linear map v -> rows * v, rows as lists over
+    a finite level, through the packed engine."""
+    return linalg.packed_kernel(field, [linalg.pack_row(field, r) for r in rows], ncols)
 
 
 def kernel_generic(field, rows, ncols):
@@ -523,7 +537,7 @@ def isotropic_split_oracle(q):
             [cur.bilinear(iso, _unit(f, cur.dim, k)) for k in range(cur.dim)],
             [cur.bilinear(w, _unit(f, cur.dim, k)) for k in range(cur.dim)],
         ]
-        comp = linalg.kernel(f, rows, cur.dim)
+        comp = kernel(f, rows, cur.dim)
         cur = cur.restricted(comp)
         planes += 1
     return planes, cur
@@ -723,9 +737,24 @@ def arf_via_even_clifford_center(q):
 def splitting_matrix(A, x):
     """The image of x under the algebra's splitting representation, as a
     dense matrix over the representation field."""
-    if A.rep is None:
+    rep = A.rep
+    if rep is None:
         raise AlgebraError("algebra carries no splitting representation")
-    return A.rep.dense(x)
+    lvl = rep.level
+    mat = [[lvl.zero] * rep.size for _ in range(rep.size)]
+    for k, xk in enumerate(x):
+        if xk:
+            for (r, c), v in rep.images[k].items():
+                mat[r][c] = lvl.add(mat[r][c], lvl.mul(xk, v))
+    return mat
+
+
+def element_from(A, pairs):
+    """The coordinate vector of sum c e_k over the pairs (k, c)."""
+    v = [A.field.zero] * A.dim
+    for k, c in pairs:
+        v[k] = A.field.add(v[k], c)
+    return v
 
 
 def t1_of(A, x):
@@ -749,8 +778,8 @@ def _first_nonassociative_triple(A, triples):
     """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
     or None."""
     for i, j, k in triples:
-        lhs = A.mul(A.element_from(A.product(i, j)), A.basis_vector(k))
-        rhs = A.mul(A.basis_vector(i), A.element_from(A.product(j, k)))
+        lhs = A.mul(element_from(A, A.product(i, j)), A.basis_vector(k))
+        rhs = A.mul(A.basis_vector(i), element_from(A, A.product(j, k)))
         if lhs != rhs:
             return (i, j, k)
     return None

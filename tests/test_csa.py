@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +16,7 @@ from support import (
 
 def test_matrix_algebra_basics(gf4):
     M1 = csa.matrix_algebra(GF2, 1)
-    assert M1.dim == 1 and M1.one == [1]
+    assert M1.dim == 1 and M1.one == (1,)
     M2 = csa.matrix_algebra(GF2, 2)
     rep = sanity_check_csa(M2)
     assert rep["passed"] and rep["center_dim"] == 1
@@ -92,9 +93,9 @@ def test_quaternion_splitting_rep(gf4, gf8):
             for _ in range(5):
                 x = Q.random_element(rng)
                 y = Q.random_element(rng)
-                px = Q.rep.dense(x)
-                py = Q.rep.dense(y)
-                assert mat_mul(R, px, py) == Q.rep.dense(Q.mul(x, y))
+                px = splitting_matrix(Q, x)
+                py = splitting_matrix(Q, y)
+                assert mat_mul(R, px, py) == splitting_matrix(Q, Q.mul(x, y))
 
 
 def test_tensor_examples(gf4):
@@ -588,10 +589,47 @@ def test_certified_quaternion_algebras_pass_the_sanity_oracle(gf4, gf8, data):
     assert rep["passed"] and rep["center_dim"] == 1, rep
 
 
-def test_certified_matrix_identity_matches_basis_vector_loop(gf4):
+def _assert_identity_certified(A):
+    """The identity a constructor certified passes the oracle, and the
+    raw check accepts the same structure constants."""
+    _identity_oracle(A)
+    csa.Algebra(A.field, A.dim, A.product, A.one)
+
+
+def test_certified_matrix_identity_matches_basis_vector_loop(gf4, gf8, gf64_tower):
+    M = csa.matrix_algebra
     for F in (GF2, gf4, rational.FunctionField(GF2)):
         for n in range(1, 9):
-            assert csa.matrix_algebra(F, n)._identity_failure() is None, (F, n)
+            _assert_identity_certified(M(F, n))
+    # quaternions, split or not, over every small level
+    for F in (GF2, gf4, gf8):
+        for a in range(1, F.order):
+            for b in range(F.order):
+                _assert_identity_certified(csa.quaternion_algebra(F, a, b))
+    # F[x]/(f) for f reducible (x^2, x^2+x, x^3+1, (x+a)^2 over GF(4),
+    # x^5+x+1 over GF(8)) and irreducible
+    a = gf4.gen
+    for F, f, irreducible in (
+        (GF2, (0, 0, 1), False), (GF2, (0, 1, 1), False), (GF2, (1, 0, 0, 1), False),
+        (gf4, (gf4.mul(a, a), 0, 1), False), (gf8, (1, 1, 0, 0, 0, 1), False),
+        (GF2, (1, 1), True), (GF2, (1, 1, 0, 1), True), (gf4, (a, 1, 1), True),
+        (gf8, (1, 0, 1, 0, 0, 1), True),
+    ):
+        assert fields.poly_is_irreducible(F, f) == irreducible, (F, f)
+        _assert_identity_certified(csa.commutative_quotient(F, f))
+    gf16 = gf4.extend("b^2+b+a")
+    for E, F in ((gf4, GF2), (gf8, GF2), (gf16, gf4), (gf16, GF2),
+                 (gf64_tower, gf4), (gf64_tower, GF2)):
+        _assert_identity_certified(csa.extension_algebra(E, F))
+    # nested tensors over each kind of factor
+    Q = csa.quaternion_algebra(gf4, a, a)
+    for T in (
+        csa.tensor_product(csa.tensor_product(M(GF2, 2), M(GF2, 3)), M(GF2, 2)),
+        csa.tensor_product(M(gf4, 2), csa.tensor_product(Q, M(gf4, 1))),
+        csa.tensor_product(Q, csa.tensor_product(csa.crossed_product(gf64_tower, gf4), Q)),
+        csa.tensor_product(csa.extension_algebra(gf16, gf4), Q),
+    ):
+        _assert_identity_certified(T)
 
 
 def _table_outcomes(E, F, values):
@@ -652,8 +690,7 @@ def test_certified_crossed_product_identity_matches_basis_vector_oracle(gf4, gf8
                 for i in range(n)
             ])
         for phi in tables:
-            A = csa.crossed_product(E, F, phi)
-            assert A._identity_failure() is None, (E, F, phi)
+            _assert_identity_certified(csa.crossed_product(E, F, phi))
 
 
 def test_crossed_product_frobenius_calls_are_cubic(monkeypatch):
@@ -829,18 +866,28 @@ def test_tensor_factor_route_matches_kronecker_oracle(gf4, gf8, gf64_tower, data
             assert q.polar_entry(i, j) == qo.polar_entry(i, j), (T, i, j)
 
 
-def test_second_trace_form_reads_no_structure_constants():
-    # a tensor's trace form multiplies its factors' trace values and never
-    # basis vectors; the identity law was checked on the factors at construction
-    A = csa.tensor_product(csa.matrix_algebra(GF2, 5), csa.matrix_algebra(GF2, 7))
+def _count_products(monkeypatch):
+    """Every algebra built after this call appends each structure
+    constant it reads, as (i, j), to the returned list."""
     calls = []
-    product = A.product
+    init = csa.Algebra.__init__
 
-    def counting(i, j):
-        calls.append((i, j))
-        return product(i, j)
+    def counting_init(self, field, dim, product, *args, **kwargs):
+        def counted(i, j):
+            calls.append((i, j))
+            return product(i, j)
 
-    A.product = counting
+        init(self, field, dim, counted, *args, **kwargs)
+
+    monkeypatch.setattr(csa.Algebra, "__init__", counting_init)
+    return calls
+
+
+def test_second_trace_form_reads_no_structure_constants(monkeypatch):
+    # a tensor's trace form multiplies its factors' trace values and never
+    # basis vectors, and no constructor re-checks the identity law
+    calls = _count_products(monkeypatch)
+    A = csa.tensor_product(csa.matrix_algebra(GF2, 5), csa.matrix_algebra(GF2, 7))
     q = csa.second_trace_form(A)
     assert q.dim == 1224 and calls == []
 
@@ -878,8 +925,8 @@ def test_tensor_polar_rows_pack_only_the_factor_rows(monkeypatch):
 
 def _identity_oracle(A):
     """Independent oracle: the basis-vector loop of the identity law,
-    1 e_k = e_k = e_k 1 for every k, as every algebra ran it before
-    tensor products were checked on their factors."""
+    1 e_k = e_k = e_k 1 for every k, on anything that has ``field``,
+    ``dim``, ``one`` and ``product``."""
     f = A.field
     support = [(i, x) for i, x in enumerate(A.one) if not f.is_zero(x)]
     for k in range(A.dim):
@@ -897,33 +944,29 @@ def _identity_oracle(A):
                 raise csa.AlgebraError(f"identity law fails on basis vector {k}")
 
 
-def _oracle_verdict(A, B):
-    """The oracle's message on A tensor B (None if it accepts), for a
-    tensor built with the identity check switched off."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(csa.Algebra, "_identity_failure", lambda self: None)
-        T = csa.tensor_product(A, B)
+def _verdict(check, *args):
+    """The AlgebraError message of check(*args), or None if it passes."""
     try:
-        _identity_oracle(T)
+        check(*args)
     except csa.AlgebraError as err:
         return str(err)
     return None
 
 
-def _tensor_verdict(A, B):
-    try:
-        csa.tensor_product(A, B)
-    except csa.AlgebraError as err:
-        return str(err)
-    return None
+def _raw_verdicts(F, dim, product, one):
+    """The raw constructor's verdict on these structure constants, and the
+    oracle's."""
+    raw = types.SimpleNamespace(field=F, dim=dim, product=product, one=one)
+    return _verdict(csa.Algebra, F, dim, product, one), _verdict(_identity_oracle, raw)
 
 
 def _draw_identity_factor(data, F, gf4, gf8, gf64_tower):
     """A matrix, quaternion, crossed-product or nested-tensor factor over
     F (GF(2) or GF(4)), or over GF(4) the quaternion pair split over
-    unrelated levels; then
-    possibly broken after construction: its identity scaled, one entry
-    of it changed, or one structure constant corrupted."""
+    unrelated levels; then possibly a fault: its identity scaled, one
+    entry of it changed, or one structure constant corrupted.  Returns
+    the algebra and the faulty structure constants (product, one), or
+    None for no fault."""
     kinds = ["matrix", "quaternion", "crossed", "nested"] + (["rep-less"] if F == gf4 else [])
     kind = data.draw(st.sampled_from(kinds))
     nonzero = st.integers(1, F.order - 1)
@@ -941,58 +984,54 @@ def _draw_identity_factor(data, F, gf4, gf8, gf64_tower):
     else:
         X = _rep_less_tensor(gf4)
     fault = data.draw(st.sampled_from(["none", "scale", "entry", "product"]))
+    one, product = list(X.one), X.product
+    if fault == "none":
+        return X, None
     if fault == "scale":
         c = data.draw(nonzero)
-        X.one = [F.mul(c, x) for x in X.one]
+        one = [F.mul(c, x) for x in one]
     elif fault == "entry":
         k = data.draw(st.integers(0, X.dim - 1))
-        X.one[k] = F.add(X.one[k], data.draw(nonzero))
-    elif fault == "product":
+        one[k] = F.add(one[k], data.draw(nonzero))
+    else:
         bad = (data.draw(st.integers(0, X.dim - 1)), data.draw(st.integers(0, X.dim - 1)))
         extra = ((data.draw(st.integers(0, X.dim - 1)), data.draw(nonzero)),)
-        product = X.product
-        X.product = lambda i, j: product(i, j) + (extra if (i, j) == bad else ())
-    return X
+        product = lambda i, j: X.product(i, j) + (extra if (i, j) == bad else ())
+    return X, (product, one)
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(data=st.data())
 def test_tensor_identity_check_matches_basis_vector_oracle(gf4, gf8, gf64_tower, data):
+    # a fault can only be raw structure constants, where the constructor's
+    # check gives the oracle's verdict; a tensor of factors that could be
+    # built passes the oracle
     F = data.draw(st.sampled_from([GF2, gf4]))
-    A = _draw_identity_factor(data, F, gf4, gf8, gf64_tower)
-    B = _draw_identity_factor(data, F, gf4, gf8, gf64_tower)
-    assert _tensor_verdict(A, B) == _oracle_verdict(A, B)
+    factors = []
+    for _ in range(2):
+        X, fault = _draw_identity_factor(data, F, gf4, gf8, gf64_tower)
+        if fault is not None:
+            built, expected = _raw_verdicts(F, X.dim, *fault)
+            assert built == expected
+            if expected is not None:
+                return
+            X = csa.Algebra(F, X.dim, *fault, label="raw")
+        factors.append(X)
+    _identity_oracle(csa.tensor_product(*factors))
 
 
 def test_tensor_of_broken_factor_raises_oracle_message():
-    for side in ("one", "product"):
-        A, B = csa.matrix_algebra(GF2, 2), csa.matrix_algebra(GF2, 3)
-        if side == "one":
-            A.one[3] = 0  # 1_A = E_00: E_01 E_00 = 0
-        else:
-            product = A.product
-            A.product = lambda i, j: () if (i, j) == (1, 3) else product(i, j)  # E_01 E_11
-        expected = _oracle_verdict(A, B)
-        assert expected == "identity law fails on basis vector 9"
-        with pytest.raises(csa.AlgebraError) as err:
-            csa.tensor_product(A, B)
-        assert str(err.value) == expected
-
-
-def test_tensor_identity_falls_back_when_both_factors_fail(gf4):
-    # 1_A scaled by a and 1_B by a^2 = a^-1: both factor laws fail, yet
-    # their tensor is the identity of A tensor B, which the full check accepts
-    a = gf4.gen
-    A, B = csa.matrix_algebra(gf4, 2), csa.quaternion_algebra(gf4, 1, a)
-    A.one = [gf4.mul(a, x) for x in A.one]
-    B.one = [gf4.mul(gf4.mul(a, a), x) for x in B.one]
-    for X in (A, B):
-        with pytest.raises(csa.AlgebraError):
-            _identity_oracle(X)
-    assert _oracle_verdict(A, B) is None
-    assert csa.tensor_product(A, B).one == csa.tensor_product(
-        csa.matrix_algebra(gf4, 2), csa.quaternion_algebra(gf4, 1, a)
-    ).one
+    # a broken factor is refused where it is built, with the oracle's
+    # message for that factor, so no tensor of it exists
+    M2 = csa.matrix_algebra(GF2, 2)
+    broken = [
+        (M2.product, (1, 0, 0, 0)),  # 1 = E_00: E_01 E_00 = 0
+        (lambda i, j: () if (i, j) == (1, 3) else M2.product(i, j), M2.one),  # E_01 E_11 = 0
+    ]
+    for product, one in broken:
+        built, expected = _raw_verdicts(GF2, 4, product, one)
+        assert built == expected == "identity law fails on basis vector 1"
+    _identity_oracle(csa.tensor_product(M2, csa.matrix_algebra(GF2, 3)))
 
 
 def test_raw_structure_constants_keep_the_full_identity_check():
@@ -1001,30 +1040,23 @@ def test_raw_structure_constants_keep_the_full_identity_check():
         csa.Algebra(GF2, 4, M2.product, [1, 0, 0, 0], label="raw")
 
 
-def test_tensor_identity_check_reads_factors_only(monkeypatch):
-    # the law on Mat(5) tensor Mat(7) follows from the law on the factors:
-    # 2 * 25 * 5 + 2 * 49 * 7 factor products, none of the tensor's; the
-    # basis-vector loop on the tensor takes 2 * 1225 * 35 = 85,750
-    A, B = csa.matrix_algebra(GF2, 5), csa.matrix_algebra(GF2, 7)
-    factor_calls = []
-    for X in (A, B):
-        product = X.product
-        X.product = lambda i, j, product=product: factor_calls.append((i, j)) or product(i, j)
-    tensor_calls = []
-    init = csa.Algebra.__init__
-
-    def counting_init(self, field, dim, product, *args, **kwargs):
-        def counted(i, j):
-            tensor_calls.append((i, j))
-            return product(i, j)
-
-        init(self, field, dim, counted, *args, **kwargs)
-
-    monkeypatch.setattr(csa.Algebra, "__init__", counting_init)
-    T = csa.tensor_product(A, B)
-    assert T.dim == 1225
-    assert tensor_calls == []
-    assert 0 < len(factor_calls) <= 2 * 25 * 5 + 2 * 49 * 7
+def test_tensor_product_reads_no_structure_constants(gf4, gf64_tower, monkeypatch):
+    # both factor laws held when the factors were built, so neither a
+    # constructor nor a tensor reads a structure constant of its factors or
+    # of itself
+    calls = _count_products(monkeypatch)
+    M = csa.matrix_algebra
+    Q = csa.quaternion_algebra(gf4, gf4.gen, gf4.gen)
+    pairs = [
+        (M(GF2, 5), M(GF2, 7)),
+        (csa.tensor_product(M(GF2, 2), M(GF2, 3)), M(GF2, 2)),
+        (Q, csa.crossed_product(gf64_tower, gf4)),
+        (csa.extension_algebra(gf64_tower, gf4), csa.tensor_product(Q, M(gf4, 2))),
+    ]
+    for A, B in pairs:
+        T = csa.tensor_product(A, B)
+        assert T.dim == A.dim * B.dim and T.factors == (A, B)
+    assert calls == []
 
 
 def test_sanity_check_reports_associativity_witness(gf8):

@@ -868,3 +868,12 @@ def test_coords_over_equal_but_distinct_levels():
         assert E.coords_over(F2, x) == E.coords_over(F1, x) == E.coeffs(x)
         assert E.coords_over(GF2, x) == tuple((x >> k) & 1 for k in range(6))
         assert E.coords_over(E, x) == (x,)
+    # a level of the same order that E is not built on is no sublevel
+    other = GF2.extend("b^3+b+1")
+    for call in (
+        lambda: other.coords_over(F1, 5),
+        lambda: other.from_coords_over(F1, (1, 1, 0)),
+        lambda: other.basis_over(F1),
+    ):
+        with pytest.raises(fields.FieldError, match="not an extension of the given level"):
+            call()

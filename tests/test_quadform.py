@@ -8,10 +8,10 @@ from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm
 
 from support import (
-    arf_via_even_clifford_center, as_list_rows, clifford_algebra, is_nonsingular,
-    isotropic_split_oracle, kernel_generic, oracle_witt_class,
-    quaternion_split_by_norm_search, random_nonsingular_form, reference_decompose,
-    sanity_check_csa,
+    DimensionTooLarge, SearchSpaceTooLarge, arf_via_even_clifford_center, as_list_rows,
+    clifford_algebra, is_nonsingular, isotropic_split_oracle, kernel, kernel_generic,
+    oracle_witt_class, quaternion_split_by_norm_search, random_nonsingular_form,
+    reference_decompose, sanity_check_csa,
 )
 
 
@@ -112,7 +112,7 @@ def test_witt_class_isometry_invariant(gf4):
             q = random_nonsingular_form(fld, dim, rng)
             while True:
                 U = [[fld.random_element(rng) for _ in range(dim)] for _ in range(dim)]
-                if not linalg.kernel(fld, U, dim):
+                if not kernel(fld, U, dim):
                     break
             q2 = q.restricted(U)
             assert qf.witt_class(q2) == qf.witt_class(q)
@@ -210,7 +210,7 @@ def test_oracle_examples():
 
 
 def test_oracle_guards(gf8):
-    with pytest.raises(qf.SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge):
         isotropic_split_oracle(QuadraticForm.hyperbolic(GF2, 4))
     big = gf8.extend("z^2+z+1") if False else None
     q = QuadraticForm.binary(gf8, 1, 1)
@@ -274,7 +274,7 @@ def test_clifford_algebra_quaternion_relations(gf8):
 def test_clifford_dimension_cap():
     rng = random.Random(17)
     q = random_nonsingular_form(GF2, 12, rng)
-    with pytest.raises(qf.DimensionTooLarge):
+    with pytest.raises(DimensionTooLarge):
         clifford_algebra(q)
 
 
@@ -313,7 +313,7 @@ def test_quaternion_is_split_matches_norm_search(gf4, gf8):
                 assert oracle and qf.quaternion_is_split(fld, a, b) == oracle
     big = GF2.extend("a^7+a+1")
     c = next(x for x in range(big.order) if not big.wp_member(x))
-    with pytest.raises(qf.SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge):
         quaternion_split_by_norm_search(big, big.gen, c)
     assert qf.quaternion_is_split(big, big.gen, c)
     ff = rational.FunctionField(GF2)
@@ -509,8 +509,8 @@ def test_restricted_matches_evaluation_rule(gf4, gf8, data):
                 for k in range(n) if k != k0]
     elif kind == "kernel":
         eqs = [[data.draw(el) for _ in range(n)] for _ in range(data.draw(st.integers(0, n)))]
-        kernel = linalg.kernel if getattr(f, "is_finite", False) else kernel_generic
-        rows = kernel(f, eqs, n)
+        solve = kernel if getattr(f, "is_finite", False) else kernel_generic
+        rows = solve(f, eqs, n)
     elif kind == "coordinates":
         picked = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
         rows = [[f.one if c == k else f.zero for c in range(n)] for k in picked]

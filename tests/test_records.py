@@ -95,11 +95,34 @@ def test_default_dicts_are_never_shared():
     assert d.defaults == {} and c.defaults is not d.defaults
 
 
-_LOADED = """
-import sys
+# names that serve only the tests and live in tests/support.py
+_TEST_ONLY = {
+    "fields": ["poly_roots"],
+    "linalg": ["kernel"],
+    "quadform": [
+        "SearchSpaceTooLarge", "DimensionTooLarge", "is_nonsingular", "isotropic_split_oracle",
+        "CliffordWords", "clifford_algebra", "arf_via_even_clifford_center",
+    ],
+    "csa": [
+        "SplittingRep.dense", "SplittingRep.image", "Algebra.element_from", "sanity_check_csa",
+        "_center_rank", "_first_nonassociative_triple", "b_t2", "t1_of", "splitting_matrix",
+    ],
+}
+
+_LOADED = f"""
+import functools, sys
 before = set(sys.modules)
 import t2forms, t2forms.cli
 print(" ".join(sorted(set(sys.modules) - before)))
+found = []
+for mod, names in {_TEST_ONLY!r}.items():
+    for name in names:
+        try:
+            functools.reduce(getattr, name.split("."), sys.modules["t2forms." + mod])
+        except AttributeError:
+            continue
+        found.append(mod + "." + name)
+print(" ".join(found))
 """
 
 
@@ -111,6 +134,9 @@ def test_import_loads_no_dataclasses_inspect_or_string():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    modules, test_only = proc.stdout.split("\n")[:2]
+    loaded = set(modules.split())
     assert {"t2forms", "t2forms.cli", "t2forms.theorems"} <= loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "string"}
+    # and none of the test-only names is left on its old module
+    assert test_only.split() == []
