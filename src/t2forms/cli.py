@@ -541,8 +541,12 @@ def main(argv=None):
 
     try:
         if args.spec:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                job = parse_spec(fh.read())
+            try:
+                with open(args.spec, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ValueError(f"cannot read spec file {args.spec}: {exc.strerror}") from None
+            job = parse_spec(text)
         else:
             data = {}
             for key in ("field", "algebra", "form", "ext", "cmd", "claim", "n", "fields", "pairs"):
@@ -562,8 +566,12 @@ def main(argv=None):
     else:
         text = _render_table(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return code

@@ -7,19 +7,19 @@ that nothing quadratic in the dimension is ever materialized besides
 the forms themselves; a crossed product memoizes each entry of its
 structure table on first use.
 
-Constructed algebras carry a splitting representation: matrix algebras
-act on columns, quaternions get an explicit 2x2 representation over the
-Artin-Schreier extension of their second slot, and cyclic crossed
-products get the regular G x G matrix over E.  Commutative algebras
-(F[x]/(f) and tower extensions E/F) carry their left regular
-representation, so their trace form, the Revoy form, comes out of the
-same pipeline.  A tensor product carries its two factors instead and
-multiplies their trace values, recursing through nested tensors, so
-every value it reads lies in the base field.  The representation makes
-trace forms of large algebras cheap; the independent route through the
-left regular representation and the polynomial n-th root stays
-available as :func:`reduced_charpoly` and the two are cross-checked in
-the tests.
+Constructed algebras carry a splitting representation, which gives t1
+and t2 of each basis vector: matrices act on columns, a quaternion
+algebra has a 2x2 one over the Artin-Schreier extension of its second
+slot, a crossed product the regular G x G matrix over E, and F[x]/(f)
+and E/F their left regular one (so their trace form, the Revoy form,
+comes out of the same pipeline).  A tensor product multiplies its
+factors' values instead.  The polar rows Trd(e_i e_j) take closed forms
+(:func:`_trace_products`): unit rows for matrices, the trace of E/F for
+crossed products, the factors' Kronecker product for tensors, and
+structure constants times t1 otherwise; joining representation images
+is the tests' oracle for them.  :func:`reduced_charpoly`, through the
+left regular representation and the n-th root, is the independent route
+for t1 and t2.
 
 The identity law, 1 e_k = e_k = e_k 1, is certified where an algebra is
 built.  Raw structure constants passed to :class:`Algebra` are input
@@ -79,14 +79,16 @@ class Algebra:
     structure constants sparsely.  ``one`` is the coordinate vector of
     the identity, kept as a tuple.  ``degree`` is set for algebras known
     to be central simple of that degree.  ``factors`` is the pair (A, B)
-    of a tensor product A (x) B, and ``crossed_data`` the extension and
-    cocycle of a crossed product.  A constructor that proves the identity
-    law passes ``_identity_known``; otherwise it is checked here.
+    of a tensor product A (x) B, ``crossed_data`` the extension, cocycle
+    and twisted basis of a crossed product, and ``trace_rows`` a callable
+    giving the rows Trd(e_i e_j) by a closed form the constructor proves.
+    A constructor that proves the identity law passes ``_identity_known``;
+    otherwise it is checked here.
     """
 
     def __init__(
         self, field, dim, product, one, label="", degree=None, rep=None,
-        *, factors=None, crossed_data=None, _identity_known=False,
+        *, factors=None, crossed_data=None, trace_rows=None, _identity_known=False,
     ):
         self.field = field
         self.dim = dim
@@ -97,6 +99,7 @@ class Algebra:
         self.rep = rep
         self.factors = factors
         self.crossed_data = crossed_data
+        self.trace_rows = trace_rows
         self._t1 = None
         self._t2diag = None
         if not _identity_known:
@@ -128,29 +131,6 @@ class Algebra:
         v = [self.field.zero] * self.dim
         v[k] = self.field.one
         return v
-
-    def mul(self, x, y):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                c = f.mul(xi, yj)
-                for k, v in self.product(i, j):
-                    out[k] = f.add(out[k], f.mul(c, v))
-        return out
-
-    def add(self, x, y):
-        return [self.field.add(a, b) for a, b in zip(x, y)]
-
-    def scalar_mul(self, c, x):
-        return [self.field.mul(c, v) for v in x]
-
-    def random_element(self, rng):
-        return [self.field.random_element(rng) for _ in range(self.dim)]
 
     def __repr__(self):
         return f"Algebra({self.label or 'unnamed'}, dim={self.dim} over {self.field!r})"
@@ -207,12 +187,17 @@ def matrix_algebra(field, n):
             return ()
         return ((a * n + d, fone),)
 
+    def trace_rows():
+        # Trd(E_ab E_cd) = [b = c][a = d]: row (a, b) is the unit at (b, a)
+        R = linalg.row_ring(field)
+        return [R.sparse(((b * n + a, fone),), n * n) for a in range(n) for b in range(n)]
+
     images = [{(divmod(k, n)): fone} for k in range(n * n)]
     rep = SplittingRep(field, n, images)
     # sum E_ii is an identity for the E_rc product over any field
     return Algebra(
         field, n * n, product, one, label=f"Mat({n})", degree=n, rep=rep,
-        _identity_known=True,
+        trace_rows=trace_rows, _identity_known=True,
     )
 
 
@@ -478,9 +463,39 @@ def crossed_product(E, F, cocycle="trivial", label=None):
     return Algebra(
         F, dim, product, one,
         label=label or f"Crossed({E!r}/{F!r})", degree=n, rep=rep,
-        crossed_data={"E": E, "F": F, "n": n, "phi": phi, "basis_E": basis_E},
+        crossed_data={"E": E, "F": F, "n": n, "phi": phi, "basis_E": basis_E, "sig": sig},
+        trace_rows=lambda: _crossed_trace_rows(E, F, phi, sig),
         _identity_known=True,
     )
+
+
+def _crossed_trace_rows(E, F, phi, sig):
+    """The packed polar rows of a crossed product (see :func:`_trace_products`).
+    c -> (Tr_E/F(c e_t))_t is GF(2)-linear: one ``linalg.linear_map`` from
+    the bits of E to a packed row over F, applied to Phi(i,-i)
+    sigma^(-i)(e_s) and shifted to block -i for row (i, s)."""
+    n, fb = len(phi), F.bits
+    if fb == 1:
+        trace = E.trace
+    else:  # Tr_E/F(x) is the sum of the sigma^m(x), m < n
+        tr = []
+        for k in range(E.bits):
+            acc = y = 1 << k
+            for _ in range(n - 1):
+                y = E.relative_frobenius(F, y)
+                acc ^= y
+            tr.append(acc)
+        trace = linalg.linear_map(tr)
+    row_of = linalg.linear_map([
+        sum(trace(E.mul(1 << k, e)) << (t * fb) for t, e in enumerate(sig[0]))
+        for k in range(E.bits)
+    ])
+    one, rows = E.one, []
+    for i in range(n):
+        j = -i % n
+        c, shift = phi[i][j], j * n * fb
+        rows += [row_of(x if c == one else E.mul(c, x)) << shift for x in sig[j]]
+    return rows
 
 
 # -- trace forms ---------------------------------------------------------
@@ -580,19 +595,21 @@ def t2_diagonal(A):
 
 def _trace_products(A):
     """Trd(e_i e_j) for every basis pair, as one row of the field's
-    ``linalg.row_ring`` per i (symmetric in i and j).  The diagonal
-    holds Trd(e_i^2) = t1(e_i)^2.
+    ``linalg.row_ring`` per i (symmetric in i and j), from the closed
+    form a constructor passes as ``trace_rows``, else by the routes below.
 
-    On a tensor product the factors' values multiply: Trd((a (x) b)
-    (a' (x) b')) = Trd(a a') Trd(b b'), so its rows are the Kronecker
-    product of its factors' rows, each one shifted copy when the factors
-    are matrix algebras (Trd(E_ab E_cd) is 1 iff b = c and a = d).  With
-    a splitting representation, Trd(e_i e_j) = tr(rho_i rho_j) is the sum
-    over positions (r, c) of rho_i[r, c] rho_j[c, r], found through an
-    index from each position to the images with an entry there; no
-    structure constants are read.  Without either, it is the sum over
-    e_i e_j = sum v_k e_k of v_k t1(e_k).
+    Matrix algebras: Trd(E_ab E_cd) = [b = c][a = d], so row (a, b) is the
+    unit at column (b, a).  Crossed products:
+    Trd(u_i e_s u_j e_t) = [i + j = 0 mod n] Tr_E/F(Phi(i,j) sigma^j(e_s) e_t),
+    as (u_i c)(u_j d) = u_(i+j) Phi(i,j) sigma^j(c) d, and over E the image
+    of u_k x has no diagonal entry for k != 0 and is diag(sigma^t(x)) for k = 0.
+    Tensor products: Trd((a (x) b)(a' (x) b')) = Trd(a a') Trd(b b'), the
+    Kronecker product of the factors' rows.  Every other algebra: the sum
+    over e_i e_j = sum v_k e_k of v_k t1(e_k), exact in the base field,
+    with Trd(e_i^2) = t1(e_i)^2 on the diagonal.
     """
+    if A.trace_rows is not None:
+        return A.trace_rows()
     f = A.field
     R = linalg.row_ring(f)
     if A.factors is not None:
@@ -600,33 +617,16 @@ def _trace_products(A):
         return R.kron(ra, rb, A.factors[1].dim)
     t1 = t1_vector(A)
     out = [{} for _ in range(A.dim)]
-    if A.rep is None:
-        for i in range(A.dim):
-            if not f.is_zero(t1[i]):
-                out[i][i] = f.mul(t1[i], t1[i])
-            for j in range(i + 1, A.dim):
-                acc = f.zero
-                for k, v in A.product(i, j):
+    for i in range(A.dim):
+        if not f.is_zero(t1[i]):
+            out[i][i] = f.mul(t1[i], t1[i])
+        for j in range(i + 1, A.dim):
+            acc = f.zero
+            for k, v in A.product(i, j):
+                if not f.is_zero(t1[k]):
                     acc = f.add(acc, f.mul(v, t1[k]))
-                if not f.is_zero(acc):
-                    out[i][j] = out[j][i] = acc
-    else:
-        lvl = A.rep.level
-        at = {}
-        for j, img in enumerate(A.rep.images):
-            for pos, w in img.items():
-                at.setdefault(pos, []).append((j, w))
-        for i, img in enumerate(A.rep.images):
-            row = out[i]
-            for (r, c), v in img.items():
-                for j, w in at.get((c, r), ()):
-                    if j >= i:
-                        row[j] = lvl.add(row.get(j, lvl.zero), lvl.mul(v, w))
-            for j, v in row.items():
-                if j > i:
-                    out[j][i] = v
-        if lvl != f and any(v >= f.order for row in out for v in row.values()):
-            raise AlgebraError("reduced trace of a basis product does not lie in the base field")
+            if not f.is_zero(acc):
+                out[i][j] = out[j][i] = acc
     return [R.sparse(row.items(), A.dim) for row in out]
 
 

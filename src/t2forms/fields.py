@@ -415,14 +415,6 @@ class Level:
         mask = (1 << sb) - 1
         return tuple((x >> (sb * i)) & mask for i in range(n))
 
-    def from_coords_over(self, sub, coords):
-        self.degree_over(sub)  # FieldError unless sub is a sublevel
-        sb = sub.bits
-        v = 0
-        for i, c in enumerate(coords):
-            v |= c << (sb * i)
-        return v
-
     def basis_over(self, sub):
         """The product basis of this level over sub; its first vector is 1."""
         sb = sub.bits

@@ -11,8 +11,10 @@ a finite level seen as a field that is not finite, so that forms
 over it take the list-row ring;
 and the independent oracles the pipeline is checked against: polynomial
 roots by enumeration, the isotropic splitting behind that Witt class,
-the Clifford algebra and Arf through the even Clifford center, traces of
-single elements from the definition, dense splitting matrices, and the
+the Clifford algebra and Arf through the even Clifford center, element
+arithmetic of an algebra through its structure constants, traces of
+single elements from the definition, dense splitting matrices, the polar
+rows Trd(e_i e_j) by joining splitting-representation images, and the
 dense associativity, identity and center checks of
 :func:`sanity_check_csa`."""
 
@@ -757,6 +759,73 @@ def element_from(A, pairs):
     return v
 
 
+def element_mul(A, x, y):
+    """x y for coordinate vectors of A, through its structure constants."""
+    f = A.field
+    out = [f.zero] * A.dim
+    for i, xi in enumerate(x):
+        if f.is_zero(xi):
+            continue
+        for j, yj in enumerate(y):
+            if f.is_zero(yj):
+                continue
+            c = f.mul(xi, yj)
+            for k, v in A.product(i, j):
+                out[k] = f.add(out[k], f.mul(c, v))
+    return out
+
+
+def element_add(A, x, y):
+    return [A.field.add(a, b) for a, b in zip(x, y)]
+
+
+def scalar_mul(A, c, x):
+    return [A.field.mul(c, v) for v in x]
+
+
+def random_element(A, rng):
+    return [A.field.random_element(rng) for _ in range(A.dim)]
+
+
+def from_coords_over(level, sub, coords):
+    """The element of ``level`` with the given coordinates in its product
+    basis over ``sub``: the inverse of ``Level.coords_over``."""
+    level.degree_over(sub)  # FieldError unless sub is a sublevel
+    v = 0
+    for i, c in enumerate(coords):
+        v |= c << (sub.bits * i)
+    return v
+
+
+def rep_trace_products(A):
+    """Trd(e_i e_j) for every basis pair from the splitting
+    representation, as rows of the field's ``linalg.row_ring``: the
+    oracle for ``csa._trace_products``, which reads no representation.
+    Trd(e_i e_j) = tr(rho_i rho_j) is the sum over positions (r, c) of
+    rho_i[r, c] rho_j[c, r], found through an index from each position to
+    the images with an entry there."""
+    f = A.field
+    lvl = A.rep.level
+    out = [{} for _ in range(A.dim)]
+    at = {}
+    for j, img in enumerate(A.rep.images):
+        for pos, w in img.items():
+            at.setdefault(pos, []).append((j, w))
+    for i, img in enumerate(A.rep.images):
+        row = out[i]
+        for (r, c), v in img.items():
+            for j, w in at.get((c, r), ()):
+                if j >= i:
+                    row[j] = lvl.add(row.get(j, lvl.zero), lvl.mul(v, w))
+        for j, v in row.items():
+            if j > i:
+                out[j][i] = v
+    if lvl != f and any(v >= f.order for row in out for v in row.values()):
+        raise AlgebraError("reduced trace of a basis product does not lie in the base field")
+    R = linalg.row_ring(f)
+    return [R.sparse(row.items(), A.dim) for row in out]
+
+
 def t1_of(A, x):
     f = A.field
     t1 = t1_vector(A)
@@ -771,15 +840,15 @@ def b_t2(A, x, y):
     """Polar form of the second trace coefficient, computed from traces:
     b(x, y) = t1(x y) + t1(x) t1(y)."""
     f = A.field
-    return f.add(t1_of(A, A.mul(x, y)), f.mul(t1_of(A, x), t1_of(A, y)))
+    return f.add(t1_of(A, element_mul(A, x, y)), f.mul(t1_of(A, x), t1_of(A, y)))
 
 
 def _first_nonassociative_triple(A, triples):
     """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
     or None."""
     for i, j, k in triples:
-        lhs = A.mul(element_from(A, A.product(i, j)), A.basis_vector(k))
-        rhs = A.mul(A.basis_vector(i), element_from(A, A.product(j, k)))
+        lhs = element_mul(A, element_from(A, A.product(i, j)), A.basis_vector(k))
+        rhs = element_mul(A, A.basis_vector(i), element_from(A, A.product(j, k)))
         if lhs != rhs:
             return (i, j, k)
     return None

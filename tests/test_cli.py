@@ -368,6 +368,26 @@ def test_cli_out_file(tmp_path, capsys):
     assert doc[0]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_cli_unreadable_spec_file_exits_2(tmp_path, capsys, where):
+    path = tmp_path / "no-such.spec" if where == "missing" else tmp_path
+    code, out, err = run_cli(capsys, "--spec", str(path))
+    reason = "No such file or directory" if where == "missing" else "Is a directory"
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read spec file {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "full-device"])
+def test_cli_unwritable_out_file_exits_2(tmp_path, capsys, where):
+    if where == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full device")
+    path = tmp_path / "no-such-dir" / "x.json" if where == "missing-dir" else "/dev/full"
+    code, out, err = run_cli(capsys, "--cmd", "verify", "--claim", "remark2", "--out", str(path))
+    reason = "No such file or directory" if where == "missing-dir" else "No space left on device"
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
 def test_cli_rejects_negative_plane_count(capsys):
     code, out, err = run_cli(capsys, "--field", "GF2", "--form", "[1,1]+-1*H", "--cmd", "witt")
     assert code == 2 and out == ""

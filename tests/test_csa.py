@@ -9,8 +9,9 @@ from t2forms import csa, fields, linalg, quadform as qf, rational
 from t2forms.fields import GF2, NotAPower
 
 from support import (
-    _center_rank, _first_nonassociative_triple, b_t2, crossed_product_table, kronecker_rep,
-    mat_mul, sanity_check_csa, splitting_matrix, t1_of, with_kronecker_rep,
+    _center_rank, _first_nonassociative_triple, b_t2, crossed_product_table, element_add,
+    element_mul, kronecker_rep, mat_mul, random_element, rep_trace_products, sanity_check_csa,
+    scalar_mul, splitting_matrix, t1_of, with_kronecker_rep,
 )
 
 
@@ -77,7 +78,7 @@ def test_quaternion_examples(gf4):
     a = gf4.gen
     Qaa = csa.quaternion_algebra(gf4, a, a)
     ef = Qaa.basis_vector(3)
-    assert Qaa.mul(ef, ef) == Qaa.scalar_mul(gf4.mul(a, a), Qaa.one)
+    assert element_mul(Qaa, ef, ef) == scalar_mul(Qaa, gf4.mul(a, a), Qaa.one)
     with pytest.raises(csa.AlgebraError):
         csa.quaternion_algebra(GF2, 0, 1)
 
@@ -91,11 +92,11 @@ def test_quaternion_splitting_rep(gf4, gf8):
             Q = csa.quaternion_algebra(fld, a, b)
             R = Q.rep.level
             for _ in range(5):
-                x = Q.random_element(rng)
-                y = Q.random_element(rng)
+                x = random_element(Q, rng)
+                y = random_element(Q, rng)
                 px = splitting_matrix(Q, x)
                 py = splitting_matrix(Q, y)
-                assert mat_mul(R, px, py) == splitting_matrix(Q, Q.mul(x, y))
+                assert mat_mul(R, px, py) == splitting_matrix(Q, element_mul(Q, x, y))
 
 
 def test_tensor_examples(gf4):
@@ -140,10 +141,10 @@ def test_t2_polar_never_by_polarization_cross_check(gf4):
         fld = A.field
         q = csa.t2_form(A)
         for _ in range(500):
-            x = A.random_element(rng)
-            y = A.random_element(rng)
+            x = random_element(A, rng)
+            y = random_element(A, rng)
             by_polarization = fld.add(
-                fld.add(q.evaluate(A.add(x, y)), q.evaluate(x)), q.evaluate(y)
+                fld.add(q.evaluate(element_add(A, x, y)), q.evaluate(x)), q.evaluate(y)
             )
             assert by_polarization == b_t2(A, x, y)
             assert by_polarization == q.bilinear(x, y)
@@ -175,7 +176,7 @@ def test_t2_matches_reduced_charpoly_route(gf4, gf8, gf64_tower):
         q = csa.t2_form(A)
         t1 = csa.t1_vector(A)
         for _ in range(25):
-            x = A.random_element(rng)
+            x = random_element(A, rng)
             r = csa.reduced_charpoly(A, x)
             assert r.t2 == q.evaluate(x)
             assert r.t1 == t1_of(A, x)
@@ -191,8 +192,8 @@ def test_q1_rank_zero(gf4):
     for A in (csa.matrix_algebra(GF2, 3), csa.quaternion_algebra(gf4, gf4.gen, 1)):
         fld = A.field
         for _ in range(100):
-            x = A.random_element(rng)
-            sq = A.mul(x, x)
+            x = random_element(A, rng)
+            sq = element_mul(A, x, x)
             assert t1_of(A, sq) == fld.mul(t1_of(A, x), t1_of(A, x))
 
 
@@ -262,6 +263,29 @@ def test_lazy_crossed_product_entries_equal_eager_table(gf4, gf64_tower):
             assert A.product(a, b) == entry, (E, F, style, a, b)
 
 
+def _count_muls_in_trace_products(monkeypatch):
+    """Every Level.mul made inside csa._trace_products after this call
+    appends its arguments to the returned list."""
+    calls, depth = [], [0]
+    mul, trace_products = fields.Level.mul, csa._trace_products
+
+    def counting_mul(self, x, y):
+        if depth[0]:
+            calls.append((x, y))
+        return mul(self, x, y)
+
+    def counting_rows(A):
+        depth[0] += 1
+        try:
+            return trace_products(A)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fields.Level, "mul", counting_mul)
+    monkeypatch.setattr(csa, "_trace_products", counting_rows)
+    return calls
+
+
 def test_crossed_product_builds_only_the_entries_it_reads(monkeypatch):
     # GF(2^11)/GF(2): the identity is certified by the normalized table
     # and no center scan runs, so the constructor reads none of the
@@ -275,13 +299,27 @@ def test_crossed_product_builds_only_the_entries_it_reads(monkeypatch):
         return coords_over(sub, x)
 
     monkeypatch.setattr(E, "coords_over", counting)
+    muls = _count_muls_in_trace_products(monkeypatch)
     A = csa.crossed_product(E, GF2)
     assert entries == []
     assert qf.witt_class(csa.second_trace_form(A)).arf == 1
     assert entries == []  # the trace form reads no structure constants
+    # the polar rows take the closed form: at most 4 n^2 multiplies in E,
+    # where the join over the representation took 7,381
+    assert 0 < len(muls) <= 4 * 11**2
     A.product(12, 25)
     A.product(12, 25)
     assert len(entries) == 1  # built on first use, then memoized
+
+
+def test_matrix_trace_rows_make_no_multiply(gf4, monkeypatch):
+    # Trd(E_ab E_cd) = [b = c][a = d]: every row of Mat(9) is one unit
+    muls = _count_muls_in_trace_products(monkeypatch)
+    for F in (GF2, gf4):
+        A = csa.matrix_algebra(F, 9)
+        rows = csa._trace_products(A)
+        assert muls == []
+        assert rows == rep_trace_products(A)
 
 
 def test_crossed_product_runs_no_center_scan(monkeypatch):
@@ -337,7 +375,7 @@ def test_square_trace_form_has_zero_rank():
     # the form x -> t1(x^2) polarizes to zero, so its radical is the
     # whole space
     M2 = csa.matrix_algebra(GF2, 2)
-    diag = [t1_of(M2, M2.mul(M2.basis_vector(k), M2.basis_vector(k))) for k in range(4)]
+    diag = [t1_of(M2, element_mul(M2, M2.basis_vector(k), M2.basis_vector(k))) for k in range(4)]
     q1 = qf.QuadraticForm.diagonal(GF2, diag)
     assert len(qf.radical(q1)) == 4
     dec = qf.block_decompose(q1)
@@ -432,7 +470,7 @@ def test_crossed_splitting_rep_agreement(gf4, gf8, gf64_tower):
     for E, F, trials in cases:
         A = csa.crossed_product(E, F)
         for _ in range(trials):
-            x = A.random_element(rng)
+            x = random_element(A, rng)
             mat = splitting_matrix(A, x)
             cpE = linalg.charpoly(E, mat)
             assert all(c < F.order for c in cpE)  # coefficients land in F
@@ -850,6 +888,77 @@ def test_t2_form_polar_matches_b_t2_on_basis_pairs(gf4, gf8, gf64_tower, data):
             assert q.polar_entry(i, j) == b_t2(A, basis[i], basis[j]), (A, i, j)
 
 
+def _draw_monic(data, F, d):
+    return tuple(data.draw(st.integers(0, F.order - 1)) for _ in range(d)) + (F.one,)
+
+
+def _draw_rep_algebra(data, gf4, gf8, gf64_tower):
+    """An algebra that carries a splitting representation: Mat(n), n <= 9,
+    over GF(2) or GF(4); a crossed product over GF(2), GF(4) or the
+    GF(64) tower under a trivial, cyclic or coboundary cocycle; a
+    quaternion algebra [a, b) with b in wp(F) or not, so that its
+    representation lives over F or over the Artin-Schreier extension;
+    F[x]/(f) for f reducible or irreducible, over a finite level or over
+    GF(2)(t); or an extension algebra E/F."""
+    kinds = ["matrix", "crossed", "quaternion", "quotient", "extension"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "matrix":
+        F = data.draw(st.sampled_from([GF2, gf4]))
+        return csa.matrix_algebra(F, data.draw(st.integers(1, 9)))
+    if kind == "crossed":
+        E, F = data.draw(st.sampled_from([
+            (gf4, GF2), (gf8, GF2), (GF2.extend("d^5+d^2+1"), GF2), (gf64_tower, gf4),
+            (gf64_tower, GF2),
+        ]))
+        style = data.draw(st.sampled_from(["trivial", "cyclic", "coboundary"]))
+        if style == "trivial":
+            return csa.crossed_product(E, F)
+        if style == "cyclic":
+            return csa.crossed_product(
+                E, F, csa.cyclic_cocycle(E, F, data.draw(st.integers(1, F.order - 1)))
+            )
+        return csa.crossed_product(E, F, _draw_coboundary_cocycle(data, E, F))
+    if kind == "extension":
+        gf16 = gf4.extend("b^2+b+a")
+        E, F = data.draw(st.sampled_from([
+            (gf4, GF2), (gf8, GF2), (gf16, gf4), (gf16, GF2), (gf64_tower, gf4), (gf64_tower, GF2),
+        ]))
+        return csa.extension_algebra(E, F)
+    if kind == "quaternion":
+        F = data.draw(st.sampled_from([GF2, gf4, gf8]))
+        x = data.draw(st.integers(0, F.order - 1))
+        b = F.add(F.square(x), x)  # in wp(F)
+        if data.draw(st.booleans()):
+            b = F.add(b, F.nonresidue())
+            assert F.artin_schreier_solve(b) is None
+        return csa.quaternion_algebra(F, data.draw(st.integers(1, F.order - 1)), b)
+    F = data.draw(st.sampled_from([GF2, gf4, gf8, "GF(2)(t)"]))
+    if F == "GF(2)(t)":
+        F = rational.FunctionField(GF2)
+        t, one, zero = F.t, F.one, F.zero
+        # x^2 + x + t and x^2 + t irreducible, (x + t)(x + 1) and x^3 reducible
+        f = data.draw(st.sampled_from([
+            (t, one, one), (t, zero, one), (t, F.add(t, one), one), (zero, zero, zero, one),
+        ]))
+    elif data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        f = fields.find_irreducible(F, data.draw(st.integers(1, 4)), rng)
+    else:
+        g = _draw_monic(data, F, data.draw(st.integers(1, 2)))
+        f = fields.poly_mul(F, g, _draw_monic(data, F, data.draw(st.integers(1, 3))))
+    return csa.commutative_quotient(F, f)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_trace_products_match_rep_join_oracle(gf4, gf8, gf64_tower, data):
+    # the closed forms of matrix algebras and crossed products, and the
+    # structure-constant sum of the others, give row for row the rows of
+    # the join over the splitting representation
+    A = _draw_rep_algebra(data, gf4, gf8, gf64_tower)
+    assert csa._trace_products(A) == rep_trace_products(A), A
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_tensor_factor_route_matches_kronecker_oracle(gf4, gf8, gf64_tower, data):
@@ -907,8 +1016,11 @@ def test_tensor_polar_rows_match_kronecker_oracle(gf4, gf8):
         csa.tensor_product(csa.crossed_product(gf8, GF2), M(GF2, 2)),
     ]
     for T in cases:
-        q, qo = csa.t2_form(T), csa.t2_form(with_kronecker_rep(T))
+        oracle = with_kronecker_rep(T)
+        q, qo = csa.t2_form(T), csa.t2_form(oracle)
         assert q.diag == qo.diag and q.polar == qo.polar, T
+        # and the join over the Kronecker representation gives the same rows
+        assert csa._trace_products(T) == rep_trace_products(oracle), T
 
 
 def test_tensor_polar_rows_pack_only_the_factor_rows(monkeypatch):
@@ -1155,10 +1267,10 @@ def test_tensor_trace_identities(gf4):
         qA = csa.t2_form(A)
         qB = csa.t2_form(B)
         for _ in range(100):
-            a = A.random_element(rng)
-            b = B.random_element(rng)
-            a2 = A.random_element(rng)
-            b2 = B.random_element(rng)
+            a = random_element(A, rng)
+            b = random_element(B, rng)
+            a2 = random_element(A, rng)
+            b2 = random_element(B, rng)
             ab = _pure_tensor(fld, T, a, b)
             a2b2 = _pure_tensor(fld, T, a2, b2)
             ta, tb = t1_of(A, a), t1_of(B, b)
@@ -1173,11 +1285,11 @@ def test_tensor_trace_identities(gf4):
             # both expansions of the polar form agree
             lhs = b_t2(T, ab, a2b2)
             e1 = fld.add(
-                fld.mul(t1_of(A, A.mul(a, a2)), b_t2(B, b, b2)),
+                fld.mul(t1_of(A, element_mul(A, a, a2)), b_t2(B, b, b2)),
                 fld.mul(fld.mul(tb, t1_of(B, b2)), b_t2(A, a, a2)),
             )
             e2 = fld.add(
-                fld.mul(t1_of(B, B.mul(b, b2)), b_t2(A, a, a2)),
+                fld.mul(t1_of(B, element_mul(B, b, b2)), b_t2(A, a, a2)),
                 fld.mul(fld.mul(ta, t1_of(A, a2)), b_t2(B, b, b2)),
             )
             assert lhs == e1 == e2
@@ -1193,15 +1305,15 @@ def test_tensor_trace_zero_product_rule(gf4):
     fld = GF2
     count = 0
     for _ in range(200):
-        a = A.random_element(rng)
-        b = B.random_element(rng)
-        a2 = A.random_element(rng)
-        b2 = B.random_element(rng)
+        a = random_element(A, rng)
+        b = random_element(B, rng)
+        a2 = random_element(A, rng)
+        b2 = random_element(B, rng)
         # force the trace-zero hypothesis on one slot of each pair
         if t1_of(A, a) != 0:
-            a = A.add(a, _scaled_unit(A, t1_of(A, a)))
+            a = element_add(A, a, _scaled_unit(A, t1_of(A, a)))
         if t1_of(B, b) != 0:
-            b = B.add(b, _scaled_unit(B, t1_of(B, b)))
+            b = element_add(B, b, _scaled_unit(B, t1_of(B, b)))
         assert t1_of(A, a) == 0 and t1_of(B, b) == 0
         ab = _pure_tensor(fld, T, a, b)
         a2b2 = _pure_tensor(fld, T, a2, b2)
@@ -1236,9 +1348,9 @@ def test_scalars_orthogonal_to_trace_kernel(gf4):
     for A in (csa.matrix_algebra(GF2, 3), csa.crossed_product(gf4, GF2)):
         count = 0
         while count < 100:
-            x = A.random_element(rng)
+            x = random_element(A, rng)
             if t1_of(A, x) != 0:
                 continue
             c = A.field.random_element(rng)
-            assert b_t2(A, A.scalar_mul(c, A.one), x) == 0
+            assert b_t2(A, scalar_mul(A, c, A.one), x) == 0
             count += 1

@@ -22,6 +22,7 @@ from t2forms.fields import (
 from support import (
     TUPLE_GF2,
     artin_schreier_by_fresh_matrix,
+    from_coords_over,
     mul_by_coefficients,
     poly_roots,
     tables_by_power_test,
@@ -103,7 +104,7 @@ def test_tower_embedding(gf4, gf64_tower):
     assert gf64_tower.degree_over(GF2) == 6
     x = 45
     coords = gf64_tower.coords_over(GF2, x)
-    assert gf64_tower.from_coords_over(GF2, coords) == x
+    assert from_coords_over(gf64_tower, GF2, coords) == x
 
 
 def test_absolute_trace(gf4):
@@ -872,7 +873,7 @@ def test_coords_over_equal_but_distinct_levels():
     other = GF2.extend("b^3+b+1")
     for call in (
         lambda: other.coords_over(F1, 5),
-        lambda: other.from_coords_over(F1, (1, 1, 0)),
+        lambda: from_coords_over(other, F1, (1, 1, 0)),
         lambda: other.basis_over(F1),
     ):
         with pytest.raises(fields.FieldError, match="not an extension of the given level"):

@@ -97,7 +97,7 @@ def test_default_dicts_are_never_shared():
 
 # names that serve only the tests and live in tests/support.py
 _TEST_ONLY = {
-    "fields": ["poly_roots"],
+    "fields": ["poly_roots", "Level.from_coords_over"],
     "linalg": ["kernel"],
     "quadform": [
         "SearchSpaceTooLarge", "DimensionTooLarge", "is_nonsingular", "isotropic_split_oracle",
@@ -106,6 +106,8 @@ _TEST_ONLY = {
     "csa": [
         "SplittingRep.dense", "SplittingRep.image", "Algebra.element_from", "sanity_check_csa",
         "_center_rank", "_first_nonassociative_triple", "b_t2", "t1_of", "splitting_matrix",
+        "Algebra.mul", "Algebra.add", "Algebra.scalar_mul", "Algebra.random_element",
+        "rep_trace_products",
     ],
 }
 

@@ -11,6 +11,8 @@ from t2forms import csa, fields, linalg, quadform as qf, theorems
 from t2forms.fields import GF2
 from t2forms.quadform import QuadraticForm, WittClass
 
+from support import element_add, scalar_mul
+
 
 def test_revoy_gf4_is_norm_form(gf4):
     q = theorems.revoy_trace_form_of_extension(gf4, GF2)
@@ -58,7 +60,7 @@ def _charpoly_revoy_form(field, fpoly):
         k0 = next(k for k, v in enumerate(t1) if v)
         lam = field.inv(t1[k0])
         basis = [
-            alg.add(e, alg.scalar_mul(field.mul(t1[k], lam), basis[k0]))
+            element_add(alg, e, scalar_mul(alg, field.mul(t1[k], lam), basis[k0]))
             for k, e in enumerate(basis)
             if k != k0
         ]
@@ -67,7 +69,7 @@ def _charpoly_revoy_form(field, fpoly):
     polar = [[field.zero] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            b = field.add(coeff(alg.add(basis[i], basis[j]), 2), field.add(diag[i], diag[j]))
+            b = field.add(coeff(element_add(alg, basis[i], basis[j]), 2), field.add(diag[i], diag[j]))
             polar[i][j] = polar[j][i] = b
     return diag, polar
 
