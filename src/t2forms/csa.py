@@ -7,19 +7,33 @@ that nothing quadratic in the dimension is ever materialized besides
 the forms themselves; a crossed product memoizes each entry of its
 structure table on first use.
 
-Constructed algebras carry a splitting representation, which gives t1
-and t2 of each basis vector: matrices act on columns, a quaternion
-algebra has a 2x2 one over the Artin-Schreier extension of its second
-slot, a crossed product the regular G x G matrix over E, and F[x]/(f)
-and E/F their left regular one (so their trace form, the Revoy form,
-comes out of the same pipeline).  A tensor product multiplies its
-factors' values instead.  The polar rows Trd(e_i e_j) take closed forms
-(:func:`_trace_products`): unit rows for matrices, the trace of E/F for
-crossed products, the factors' Kronecker product for tensors, and
-structure constants times t1 otherwise; joining representation images
-is the tests' oracle for them.  :func:`reduced_charpoly`, through the
-left regular representation and the n-th root, is the independent route
-for t1 and t2.
+Each constructor proves the values t1 and t2 of its basis vectors, the
+reduced trace and the second coefficient of the reduced characteristic
+polynomial, and passes them as ``diagonals``:
+
+- M_n: t1(E_ab) = [a = b] and t2 = 0, since E_aa is a rank-one
+  idempotent (eigenvalues 1, 0, ..., 0) and E_ab, a != b, is nilpotent.
+- [a, b): t1 = (0, 0, 1, 0) and t2 = (1, a, b, ab) on 1, e, f, ef.  For
+  degree two t2 is the reduced norm, and x**2 + t1(x) x + t2(x) = 0
+  reads off e**2 = a, f**2 + f = b and (ef)**2 = ab.
+- Crossed products: over E, u_i e_s acts as the weighted permutation
+  t -> t + i of weight Phi(i,t) sigma^t(e_s) on column t.  So u_0 e_s is
+  diag(sigma^t(e_s)), with t1 = Tr_E/F(e_s) and t2 = e2(sigma^t(e_s));
+  u_h e_s, n = 2h, is a product of n/2 transpositions with t2 =
+  sum over t < h of the weights on t and t + h; every other i permutes
+  in cycles of length at least 3, which give no x^(L-1) or x^(L-2) term.
+- F[x]/(f) and E/F: the left regular matrix of e_k is read off the
+  table, and its trace and second coefficient give the values (so their
+  trace form, the Revoy form, comes out of the same pipeline).
+
+A tensor product multiplies its factors' values instead.  The polar rows
+Trd(e_i e_j) take closed forms (:func:`_trace_products`): unit rows for
+matrices, the trace of E/F for crossed products, the factors' Kronecker
+product for tensors, and structure constants times t1 otherwise.
+Splitting representations are the tests' oracle for all of these, and
+:func:`reduced_charpoly`, through the left regular representation and
+the n-th root, is the independent route for t1 and t2 and the one a raw
+:class:`Algebra` takes.
 
 The identity law, 1 e_k = e_k = e_k 1, is certified where an algebra is
 built.  Raw structure constants passed to :class:`Algebra` are input
@@ -61,17 +75,6 @@ class NotCSA(AlgebraError):
     pass
 
 
-class SplittingRep:
-    """Sparse matrix images of the algebra basis over a splitting field
-    (for commutative algebras: the left regular representation over the
-    algebra's own field)."""
-
-    def __init__(self, level, size, images):
-        self.level = level
-        self.size = size
-        self.images = images  # list of {(row, col): value} dicts
-
-
 class Algebra:
     """Finite dimensional associative algebra over a field level.
 
@@ -80,15 +83,18 @@ class Algebra:
     the identity, kept as a tuple.  ``degree`` is set for algebras known
     to be central simple of that degree.  ``factors`` is the pair (A, B)
     of a tensor product A (x) B, ``crossed_data`` the extension, cocycle
-    and twisted basis of a crossed product, and ``trace_rows`` a callable
-    giving the rows Trd(e_i e_j) by a closed form the constructor proves.
-    A constructor that proves the identity law passes ``_identity_known``;
+    and twisted basis of a crossed product.  ``diagonals`` is a callable
+    giving the pair (t1 values, t2 values) of the basis, and ``trace_rows``
+    one giving the rows Trd(e_i e_j), each by a closed form the
+    constructor proves; without them the values come from the factors of
+    a tensor product, or else from :func:`reduced_charpoly`.  A constructor that proves the identity law passes ``_identity_known``;
     otherwise it is checked here.
     """
 
     def __init__(
-        self, field, dim, product, one, label="", degree=None, rep=None,
-        *, factors=None, crossed_data=None, trace_rows=None, _identity_known=False,
+        self, field, dim, product, one, label="", degree=None,
+        *, factors=None, crossed_data=None, diagonals=None, trace_rows=None,
+        _identity_known=False,
     ):
         self.field = field
         self.dim = dim
@@ -96,9 +102,9 @@ class Algebra:
         self.one = tuple(one)
         self.label = label
         self.degree = degree
-        self.rep = rep
         self.factors = factors
         self.crossed_data = crossed_data
+        self.diagonals = diagonals
         self.trace_rows = trace_rows
         self._t1 = None
         self._t2diag = None
@@ -192,12 +198,15 @@ def matrix_algebra(field, n):
         R = linalg.row_ring(field)
         return [R.sparse(((b * n + a, fone),), n * n) for a in range(n) for b in range(n)]
 
-    images = [{(divmod(k, n)): fone} for k in range(n * n)]
-    rep = SplittingRep(field, n, images)
+    def diagonals():
+        # E_aa is a rank-one idempotent and E_ab, a != b, nilpotent: t1 is
+        # 1 exactly on the identity's support, and t2 vanishes
+        return list(one), [field.zero] * (n * n)
+
     # sum E_ii is an identity for the E_rc product over any field
     return Algebra(
-        field, n * n, product, one, label=f"Mat({n})", degree=n, rep=rep,
-        trace_rows=trace_rows, _identity_known=True,
+        field, n * n, product, one, label=f"Mat({n})", degree=n,
+        diagonals=diagonals, trace_rows=trace_rows, _identity_known=True,
     )
 
 
@@ -239,26 +248,20 @@ def quaternion_algebra(field, a, b):
             return ((i, one),)
         return table[(i, j)]
 
-    lam = field.artin_schreier_solve(b)
-    if lam is not None:
-        rep_field = field
-    else:
-        rep_field = field.artin_schreier_extension(b)
-        lam = rep_field.gen
-    lam1 = rep_field.add(lam, rep_field.one)
-    images = [
-        {(0, 0): one, (1, 1): one},
-        {(0, 1): one, (1, 0): a},
-        {(0, 0): lam, (1, 1): lam1},
-        {(0, 1): lam1, (1, 0): rep_field.mul(a, lam)},
-    ]
-    rep = SplittingRep(rep_field, 2, images)
+    zero = f_.zero
+
+    def diagonals():
+        # x**2 + t1(x) x + t2(x): (x + 1)**2 for 1, and for e, f and ef, which
+        # are not central, the minimal polynomial: e**2 = a, f**2 + f = b,
+        # (ef)**2 = ab
+        return [zero, zero, one, zero], [one, a, b, ab]
+
     # the identity is e_0, and product(0, j) = e_j, product(i, 0) = e_i
     # are literal rows of the table
     return Algebra(
         field, 4, product, (one, 0, 0, 0),
-        label=f"Quat({field.show(a)},{field.show(b)})", degree=2, rep=rep,
-        _identity_known=True,
+        label=f"Quat({field.show(a)},{field.show(b)})", degree=2,
+        diagonals=diagonals, _identity_known=True,
     )
 
 
@@ -296,28 +299,32 @@ def tensor_product(A, B):
 
 def _commutative_algebra(field, d, coords, label):
     """Commutative algebra with basis e_0 = 1, ..., e_(d-1), where
-    ``coords(i, j)`` gives the coordinates of e_i e_j.  Its left regular
-    representation is its splitting representation: image k is the
-    matrix of multiplication by e_k."""
+    ``coords(i, j)`` gives the coordinates of e_i e_j.  Its t1 and t2 are
+    those of the left regular matrix of each e_i, whose column j is the
+    table entry e_i e_j."""
     table = {}
-    images = [{} for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            pairs = tuple((k, c) for k, c in enumerate(coords(i, j)) if not field.is_zero(c))
-            table[(i, j)] = pairs
-            for k, c in pairs:
-                images[i][(k, j)] = c
+            table[(i, j)] = tuple(
+                (k, c) for k, c in enumerate(coords(i, j)) if not field.is_zero(c)
+            )
 
     def product(i, j):
         return table[(i, j)]
+
+    def diagonals():
+        mats = [{(k, j): c for j in range(d) for k, c in table[(i, j)]} for i in range(d)]
+        return (
+            [linalg.sparse_trace(field, m) for m in mats],
+            [linalg.sparse_second_coefficient(field, m) for m in mats],
+        )
 
     one = [field.zero] * d
     one[0] = field.one
     # e_0 = 1 and every caller has coords(0, j) = coords(j, 0) = e_j, so
     # the identity's rows of the table are the unit rows
     return Algebra(
-        field, d, product, one, label=label, rep=SplittingRep(field, d, images),
-        _identity_known=True,
+        field, d, product, one, label=label, diagonals=diagonals, _identity_known=True,
     )
 
 
@@ -452,28 +459,57 @@ def crossed_product(E, F, cocycle="trivial", label=None):
 
     one = [F.zero] * dim
     one[0] = F.one  # u_id * 1
-    images = []
-    for i in range(n):
-        for s in range(n):
-            img = {}
-            for t in range(n):
-                img[((i + t) % n, t)] = E.mul(phi[i][t], sig[t][s])
-            images.append(img)
-    rep = SplittingRep(E, n, images)
     return Algebra(
         F, dim, product, one,
-        label=label or f"Crossed({E!r}/{F!r})", degree=n, rep=rep,
+        label=label or f"Crossed({E!r}/{F!r})", degree=n,
         crossed_data={"E": E, "F": F, "n": n, "phi": phi, "basis_E": basis_E, "sig": sig},
+        diagonals=lambda: _crossed_diagonals(E, F, phi, sig),
         trace_rows=lambda: _crossed_trace_rows(E, F, phi, sig),
         _identity_known=True,
     )
 
 
-def _crossed_trace_rows(E, F, phi, sig):
+def _crossed_diagonals(E, F, phi, sig):
+    """t1 and t2 of the basis u_i e_s of a crossed product.  Over E,
+    u_i e_s maps column t to row t + i with weight w_t = Phi(i,t) sigma^t(e_s).
+    For i = 0 that is diag(w_t), w_t = sigma^t(e_s) as Phi is normalized:
+    t1 = Tr_E/F(e_s) and t2 = e2(w), by a running sum.  For i = n/2 = h the
+    permutation is the n/2 transpositions (t, t + h), and t2 is the sum over
+    t < h of w_t w_(t+h), the principal 2x2 minors.  Every other i has no
+    diagonal entry and no 2-cycle, so t1 = t2 = 0.  The values lie in F
+    for a valid cocycle; an AlgebraError says otherwise."""
+    n, one = len(phi), E.one
+    t1, t2 = [0] * (n * n), [0] * (n * n)
+    for s in range(n):
+        acc = run = 0
+        for row in sig:
+            if run:
+                acc ^= E.mul(run, row[s])
+            run ^= row[s]
+        t1[s], t2[s] = run, acc
+    if n % 2 == 0:
+        h = n // 2
+        pair = [E.mul(phi[h][t], phi[h][t + h]) for t in range(h)]
+        for s in range(n):
+            acc = 0
+            for t, c in enumerate(pair):
+                w = E.mul(sig[t][s], sig[t + h][s])
+                acc ^= w if c == one else E.mul(c, w)
+            t2[h * n + s] = acc
+    if any(v >= F.order for v in t1):
+        raise AlgebraError("reduced trace does not lie in the base field")
+    if any(v >= F.order for v in t2):
+        raise AlgebraError("second trace coefficient does not lie in the base field")
+    return t1, t2
+
+
+def _crossed_trace_rows(E, F, phi, sig, block=None):
     """The packed polar rows of a crossed product (see :func:`_trace_products`).
     c -> (Tr_E/F(c e_t))_t is GF(2)-linear: one ``linalg.linear_map`` from
     the bits of E to a packed row over F, applied to Phi(i,-i)
-    sigma^(-i)(e_s) and shifted to block -i for row (i, s)."""
+    sigma^(-i)(e_s) and shifted to block -i for row (i, s).  With ``block``
+    only the n rows (block, s) are built, unshifted: their columns are
+    those of block -block."""
     n, fb = len(phi), F.bits
     if fb == 1:
         trace = E.trace
@@ -491,9 +527,9 @@ def _crossed_trace_rows(E, F, phi, sig):
         for k in range(E.bits)
     ])
     one, rows = E.one, []
-    for i in range(n):
+    for i in range(n) if block is None else (block,):
         j = -i % n
-        c, shift = phi[i][j], j * n * fb
+        c, shift = phi[i][j], (j * n * fb if block is None else 0)
         rows += [row_of(x if c == one else E.mul(c, x)) << shift for x in sig[j]]
     return rows
 
@@ -526,17 +562,6 @@ def reduced_charpoly(A, x):
     return ReducedCharPoly(n, root)
 
 
-def _rep_values(A, coefficient, what):
-    """A characteristic coefficient of every basis image of the splitting
-    representation, brought down to the algebra's field when the
-    representation lives over a proper extension of it."""
-    lvl = A.rep.level
-    vals = [coefficient(lvl, img) for img in A.rep.images]
-    if lvl != A.field and any(v >= A.field.order for v in vals):
-        raise AlgebraError(f"{what} does not lie in the base field")
-    return vals
-
-
 def _times(f, x, ys):
     """x y for every y in ys, with no multiply where x or y is 0 or 1, as
     every trace value of a matrix factor is."""
@@ -549,15 +574,16 @@ def _times(f, x, ys):
 
 
 def t1_vector(A):
-    """Values of the reduced trace on the basis; on a tensor product,
-    t1(a (x) b) = t1(a) t1(b)."""
+    """Values of the reduced trace on the basis: on a tensor product,
+    t1(a (x) b) = t1(a) t1(b); else the constructor's ``diagonals``; else,
+    for raw structure constants, the reduced characteristic polynomial."""
     if A._t1 is None:
         if A.factors is not None:
             f = A.field
             ta, tb = (t1_vector(X) for X in A.factors)
             A._t1 = [v for x in ta for v in _times(f, x, tb)]
-        elif A.rep is not None:
-            A._t1 = _rep_values(A, linalg.sparse_trace, "reduced trace")
+        elif A.diagonals is not None:
+            A._t1, A._t2diag = A.diagonals()
         else:
             A._t1 = [reduced_charpoly(A, A.basis_vector(k)).t1 for k in range(A.dim)]
     return A._t1
@@ -567,7 +593,8 @@ def t2_diagonal(A):
     """Values of the second reduced coefficient on the basis.  On a
     tensor product, t2(a (x) b) = t1(a)^2 t2(b) + t2(a) t1(b)^2: e2 of the
     products alpha_i beta_j of the eigenvalues is e1(alpha)^2 e2(beta) +
-    e2(alpha) e1(beta)^2 - 2 e2(alpha) e2(beta)."""
+    e2(alpha) e1(beta)^2 - 2 e2(alpha) e2(beta).  Other algebras take the
+    same sources as :func:`t1_vector`."""
     if A._t2diag is None:
         if A.factors is not None:
             f, one = A.field, A.field.one
@@ -584,10 +611,8 @@ def t2_diagonal(A):
                 else:
                     out += map(f.add, _times(f, s, ty), _times(f, u, sy))
             A._t2diag = out
-        elif A.rep is not None:
-            A._t2diag = _rep_values(
-                A, linalg.sparse_second_coefficient, "second trace coefficient"
-            )
+        elif A.diagonals is not None:
+            A._t1, A._t2diag = A.diagonals()
         else:
             A._t2diag = [reduced_charpoly(A, A.basis_vector(k)).t2 for k in range(A.dim)]
     return A._t2diag
@@ -682,12 +707,16 @@ def second_trace_form(A):
 
 def b_subspace_form(A):
     """t2 restricted to span{u_rho e : rho**2 = id, rho != id} of a
-    crossed product; the zero-dimensional form when the degree is odd."""
+    crossed product; the zero-dimensional form when the degree is odd.
+    For n = 2h that is the block u_h e_t, built on its own: its values are
+    a slice of :func:`t2_diagonal`, and as t1 vanishes on it its polar
+    rows are the trace rows of block h, whose support is block h again."""
     data = A.crossed_data
     if data is None:
         raise AlgebraError("not a crossed product")
     n = data["n"]
-    q = t2_form(A)
     if n % 2:
         return QuadraticForm(A.field, [], [])
-    return q.restricted([((n // 2 * n + t, A.field.one),) for t in range(n)])
+    h = n // 2
+    rows = _crossed_trace_rows(data["E"], data["F"], data["phi"], data["sig"], block=h)
+    return QuadraticForm.from_rows(A.field, t2_diagonal(A)[h * n:(h + 1) * n], rows)

@@ -136,7 +136,6 @@ class Level:
         self._trace_mask = None
         self._sqrt_map = None
         self._as_solver = None
-        self._as_extensions = {}
         self._signature = (
             (None,) if parent is None else parent._signature + (self.poly, self.gen_name)
         )
@@ -352,17 +351,6 @@ class Level:
             return None
         assert self.square(sol) ^ sol == c
         return sol
-
-    def artin_schreier_extension(self, b):
-        """The level over this one with generator y, y^2 + y = b; built
-        once per b and kept on this level.  The caller has found that
-        ``artin_schreier_solve(b)`` is None, so the quadratic has no root
-        here and is irreducible (the same contract as ``_irreducible``)."""
-        ext = self._as_extensions.get(b)
-        if ext is None:
-            ext = self.extend((b, 1, 1), fresh_gen_name(self), _irreducible=True)
-            self._as_extensions[b] = ext
-        return ext
 
     def wp_member(self, c):
         """Whether c lies in {x**2 + x}, the Artin-Schreier subgroup."""

@@ -3,8 +3,10 @@ nonsingular quadratic forms, and reference implementations of the field
 multiply, the exp/log tables, the GF(2) linear solve, the kernel of
 list rows (through the packed engine and by Gauss-Jordan), the
 Artin-Schreier solve, the crossed-product structure table,
-the coefficient-tuple polynomial route over GF(2), the Kronecker
-splitting representation of a tensor product, the Witt class by
+the coefficient-tuple polynomial route over GF(2), the splitting
+representations of the constructed algebras (over the Artin-Schreier
+extension a quaternion algebra may need, built once per level and b) and
+the Kronecker one of a tensor product, the Witt class by
 isotropic splitting, quaternion splitting by norm search and the
 symplectic reduction on dense list rows;
 a finite level seen as a field that is not finite, so that forms
@@ -19,6 +21,7 @@ dense associativity, identity and center checks of
 :func:`sanity_check_csa`."""
 
 import itertools
+import weakref
 from typing import NamedTuple
 
 from t2forms import csa, linalg
@@ -145,13 +148,114 @@ def crossed_product_table(E, F, phi):
     return table
 
 
+class SplittingRep(NamedTuple):
+    """Sparse matrix images of the algebra basis over a splitting field
+    (for commutative algebras: the left regular representation over the
+    algebra's own field)."""
+
+    level: object
+    size: int
+    images: list  # {(row, col): value} per basis vector
+
+
+_AS_EXTENSIONS = {}
+
+
+def artin_schreier_extension(level, b):
+    """The level over ``level`` with generator y, y^2 + y = b, built once
+    per (level, b).  The caller has found that ``artin_schreier_solve(b)``
+    is None, so the quadratic has no root there and is irreducible."""
+    ext = _AS_EXTENSIONS.get((level, b))
+    if ext is None:
+        ext = level.extend((b, 1, 1), fresh_gen_name(level), _irreducible=True)
+        _AS_EXTENSIONS[(level, b)] = ext
+    return ext
+
+
+_REPS = weakref.WeakKeyDictionary()
+
+
+def splitting_rep(A):
+    """The splitting representation of a constructed algebra, built once
+    per algebra (or attached by :func:`with_kronecker_rep`), or None for a
+    tensor product or raw structure constants:
+    - Mat(n): E_rc acts as the unit matrix at (r, c);
+    - Quat(a, b): 2x2 over F, or over F(y), y^2 + y = b, when b is not in
+      wp(F), with f = diag(y, y + 1) and e = [[0, 1], [a, 0]];
+    - a crossed product: the regular G x G matrices over E, u_i e_s mapping
+      column t to row t + i with weight Phi(i,t) sigma^t(e_s);
+    - F[x]/(f) and E/F (degree None): the left regular matrices, read off
+      the table."""
+    if A not in _REPS:
+        _REPS[A] = _build_splitting_rep(A)
+    return _REPS[A]
+
+
+def _build_splitting_rep(A):
+    f = A.field
+    one = f.one
+    if A.factors is not None:
+        return None
+    if A.crossed_data is not None:
+        E, n, phi, sig = (A.crossed_data[k] for k in ("E", "n", "phi", "sig"))
+        images = [
+            {((i + t) % n, t): E.mul(phi[i][t], sig[t][s]) for t in range(n)}
+            for i in range(n)
+            for s in range(n)
+        ]
+        return SplittingRep(E, n, images)
+    if A.degree is None:
+        images = [
+            {(k, j): c for j in range(A.dim) for k, c in A.product(i, j)} for i in range(A.dim)
+        ]
+        return SplittingRep(f, A.dim, images)
+    if A.label.startswith("Mat("):
+        n = A.degree
+        return SplittingRep(f, n, [{divmod(k, n): one} for k in range(n * n)])
+    if A.label.startswith("Quat("):
+        a = dict(A.product(1, 1))[0]
+        b = dict(A.product(2, 2)).get(0, f.zero)
+        lam = f.artin_schreier_solve(b)
+        lvl = f
+        if lam is None:
+            lvl = artin_schreier_extension(f, b)
+            lam = lvl.gen
+        lam1 = lvl.add(lam, lvl.one)
+        images = [
+            {(0, 0): one, (1, 1): one},
+            {(0, 1): one, (1, 0): a},
+            {(0, 0): lam, (1, 1): lam1},
+            {(0, 1): lam1, (1, 0): lvl.mul(a, lam)},
+        ]
+        return SplittingRep(lvl, 2, images)
+    return None
+
+
+def rep_diagonals(A, rep):
+    """t1 and t2 of every basis image of ``rep``, brought down to the
+    algebra's field when the representation lives over a proper extension
+    of it: the oracle for the closed forms behind ``csa.t1_vector`` and
+    ``csa.t2_diagonal``."""
+    lvl = rep.level
+    out = []
+    for coefficient, what in (
+        (linalg.sparse_trace, "reduced trace"),
+        (linalg.sparse_second_coefficient, "second trace coefficient"),
+    ):
+        vals = [coefficient(lvl, img) for img in rep.images]
+        if lvl != A.field and any(v >= A.field.order for v in vals):
+            raise AlgebraError(f"{what} does not lie in the base field")
+        out.append(vals)
+    return tuple(out)
+
+
 def kronecker_rep(A):
     """The splitting representation of A, where a tensor product's is
     the Kronecker product of its factors' (recursively) over the larger
     of the two factor levels; None when a factor has none or the two
     levels do not nest."""
     if A.factors is None:
-        return A.rep
+        return splitting_rep(A)
     ra, rb = (kronecker_rep(X) for X in A.factors)
     if ra is None or rb is None:
         return None
@@ -171,20 +275,21 @@ def kronecker_rep(A):
         for ia in ra.images
         for ib in rb.images
     ]
-    return csa.SplittingRep(lvl, ra.size * m, images)
+    return SplittingRep(lvl, ra.size * m, images)
 
 
 def with_kronecker_rep(T):
-    """T without its factors, carrying :func:`kronecker_rep` instead, so
-    that the trace functions read the representation; None when there is
-    none."""
+    """T without its factors, its t1 and t2 read off :func:`kronecker_rep`
+    (``diagonals``); None when there is none."""
     rep = kronecker_rep(T)
     if rep is None:
         return None
-    return csa.Algebra(
+    oracle = csa.Algebra(
         T.field, T.dim, T.product, T.one, label=T.label, degree=T.degree,
-        rep=rep, _identity_known=True,
+        diagonals=lambda: rep_diagonals(T, rep), _identity_known=True,
     )
+    _REPS[oracle] = rep
+    return oracle
 
 
 def solve_by_augmented_column(rows, ncols, rhs):
@@ -739,7 +844,7 @@ def arf_via_even_clifford_center(q):
 def splitting_matrix(A, x):
     """The image of x under the algebra's splitting representation, as a
     dense matrix over the representation field."""
-    rep = A.rep
+    rep = splitting_rep(A)
     if rep is None:
         raise AlgebraError("algebra carries no splitting representation")
     lvl = rep.level
@@ -805,13 +910,14 @@ def rep_trace_products(A):
     rho_i[r, c] rho_j[c, r], found through an index from each position to
     the images with an entry there."""
     f = A.field
-    lvl = A.rep.level
+    rep = splitting_rep(A)
+    lvl = rep.level
     out = [{} for _ in range(A.dim)]
     at = {}
-    for j, img in enumerate(A.rep.images):
+    for j, img in enumerate(rep.images):
         for pos, w in img.items():
             at.setdefault(pos, []).append((j, w))
-    for i, img in enumerate(A.rep.images):
+    for i, img in enumerate(rep.images):
         row = out[i]
         for (r, c), v in img.items():
             for j, w in at.get((c, r), ()):

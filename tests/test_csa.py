@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import types
@@ -10,8 +11,8 @@ from t2forms.fields import GF2, NotAPower
 
 from support import (
     _center_rank, _first_nonassociative_triple, b_t2, crossed_product_table, element_add,
-    element_mul, kronecker_rep, mat_mul, random_element, rep_trace_products, sanity_check_csa,
-    scalar_mul, splitting_matrix, t1_of, with_kronecker_rep,
+    element_mul, kronecker_rep, mat_mul, random_element, rep_diagonals, rep_trace_products,
+    sanity_check_csa, scalar_mul, splitting_matrix, splitting_rep, t1_of, with_kronecker_rep,
 )
 
 
@@ -90,7 +91,7 @@ def test_quaternion_splitting_rep(gf4, gf8):
             a = fld.random_nonzero(rng)
             b = fld.random_element(rng)
             Q = csa.quaternion_algebra(fld, a, b)
-            R = Q.rep.level
+            R = splitting_rep(Q).level
             for _ in range(5):
                 x = random_element(Q, rng)
                 y = random_element(Q, rng)
@@ -369,6 +370,18 @@ def test_b_subspace_dim_matches_extension_degree():
     A = csa.crossed_product(E16, GF2)
     B = csa.b_subspace_form(A)
     assert B.dim == 4
+
+
+def test_b_subspace_form_equals_the_restricted_t2_form(gf4):
+    # the u_(n/2) block built on its own is the whole algebra's t2 form
+    # restricted to it; over GF(4) the cyclic cocycle's value is a + 1
+    for F, n in itertools.product((GF2, gf4), (2, 4, 6)):
+        E = _extension_of_degree(F, n)
+        for cocycle in ("trivial", csa.cyclic_cocycle(E, F, F.order - 1)):
+            A = csa.crossed_product(E, F, cocycle)
+            want = csa.t2_form(A).restricted([((n // 2 * n + t, F.one),) for t in range(n)])
+            B = csa.b_subspace_form(A)
+            assert (B.dim, B.diag, B.polar) == (n, want.diag, want.polar), (F, n, cocycle)
 
 
 def test_square_trace_form_has_zero_rank():
@@ -947,6 +960,55 @@ def _draw_rep_algebra(data, gf4, gf8, gf64_tower):
         g = _draw_monic(data, F, data.draw(st.integers(1, 2)))
         f = fields.poly_mul(F, g, _draw_monic(data, F, data.draw(st.integers(1, 3))))
     return csa.commutative_quotient(F, f)
+
+
+@functools.cache
+def _extension_of_degree(base, n):
+    return base.extend(fields.find_irreducible(base, n, random.Random(n)), fields.fresh_gen_name(base))
+
+
+def _draw_closed_form_algebra(data, gf4, gf8):
+    """Mat(n), n <= 6, over GF(2) or GF(4); [a, b) over GF(2), GF(4) or
+    GF(8) with b of trace 0 or 1, so that its representation lives over F
+    or over the Artin-Schreier extension; or a crossed product of degree
+    2 to 7 over GF(2) or GF(4) under a trivial or cyclic cocycle.  Returns
+    the algebra and the basis indices to hold against the reduced
+    characteristic polynomial: all of them, or for a crossed product one
+    drawn index of every block u_i, the u_(n/2) block included."""
+    kind = data.draw(st.sampled_from(["matrix", "quaternion", "crossed"]))
+    if kind == "matrix":
+        F = data.draw(st.sampled_from([GF2, gf4]))
+        A = csa.matrix_algebra(F, data.draw(st.integers(1, 6)))
+        return A, range(A.dim)
+    if kind == "quaternion":
+        F = data.draw(st.sampled_from([GF2, gf4, gf8]))
+        x = data.draw(st.integers(0, F.order - 1))
+        b = F.add(F.square(x), x)
+        if data.draw(st.booleans()):
+            b = F.add(b, F.nonresidue())
+        A = csa.quaternion_algebra(F, data.draw(st.integers(1, F.order - 1)), b)
+        return A, range(4)
+    F = data.draw(st.sampled_from([GF2, gf4]))
+    n = data.draw(st.integers(2, 7))
+    E = _extension_of_degree(F, n)
+    if data.draw(st.booleans()):
+        A = csa.crossed_product(E, F)
+    else:
+        A = csa.crossed_product(E, F, csa.cyclic_cocycle(E, F, data.draw(st.integers(1, F.order - 1))))
+    return A, [i * n + data.draw(st.integers(0, n - 1)) for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_closed_form_diagonals_match_rep_and_charpoly_oracles(gf4, gf8, data):
+    # the constructors' t1 and t2 equal the values of the splitting
+    # representation's images and the reduced characteristic polynomial
+    A, ks = _draw_closed_form_algebra(data, gf4, gf8)
+    t1, t2 = csa.t1_vector(A), csa.t2_diagonal(A)
+    assert (t1, t2) == rep_diagonals(A, splitting_rep(A)), A
+    for k in ks:
+        r = csa.reduced_charpoly(A, A.basis_vector(k))
+        assert (t1[k], t2[k]) == (r.t1, r.t2), (A, k)
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -22,6 +22,7 @@ from t2forms.fields import (
 from support import (
     TUPLE_GF2,
     artin_schreier_by_fresh_matrix,
+    artin_schreier_extension,
     from_coords_over,
     mul_by_coefficients,
     poly_roots,
@@ -697,10 +698,12 @@ def test_levels_with_a_flat_form_stay_picklable(table_levels, table_free_levels)
 
 
 def test_artin_schreier_extension_is_built_once_per_b():
-    lvl = GF2.extend("a^3+a+1")  # a fresh level keeps no extension yet
+    # the quaternion oracle's extension, kept per (level, b)
+    lvl = GF2.extend("a^5+a^2+1")
     b = lvl.nonresidue()
-    ext = lvl.artin_schreier_extension(b)
-    assert lvl.artin_schreier_extension(b) is ext
+    ext = artin_schreier_extension(lvl, b)
+    assert artin_schreier_extension(lvl, b) is ext
+    assert artin_schreier_extension(GF2.extend("a^5+a^2+1"), b) is ext  # levels compare by signature
     assert ext == lvl.extend((b, 1, 1), fields.fresh_gen_name(lvl))
     assert ext.add(ext.square(ext.gen), ext.gen) == b
 

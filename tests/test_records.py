@@ -97,14 +97,14 @@ def test_default_dicts_are_never_shared():
 
 # names that serve only the tests and live in tests/support.py
 _TEST_ONLY = {
-    "fields": ["poly_roots", "Level.from_coords_over"],
+    "fields": ["poly_roots", "Level.from_coords_over", "Level.artin_schreier_extension"],
     "linalg": ["kernel"],
     "quadform": [
         "SearchSpaceTooLarge", "DimensionTooLarge", "is_nonsingular", "isotropic_split_oracle",
         "CliffordWords", "clifford_algebra", "arf_via_even_clifford_center",
     ],
     "csa": [
-        "SplittingRep.dense", "SplittingRep.image", "Algebra.element_from", "sanity_check_csa",
+        "SplittingRep", "Algebra.rep", "_rep_values", "Algebra.element_from", "sanity_check_csa",
         "_center_rank", "_first_nonassociative_triple", "b_t2", "t1_of", "splitting_matrix",
         "Algebra.mul", "Algebra.add", "Algebra.scalar_mul", "Algebra.random_element",
         "rep_trace_products",
@@ -142,3 +142,15 @@ def test_import_loads_no_dataclasses_inspect_or_string():
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "string"}
     # and none of the test-only names is left on its old module
     assert test_only.split() == []
+
+
+def test_constructed_algebras_carry_no_representation(gf4):
+    # every constructor passes closed-form diagonals and no images
+    for A in (
+        csa.matrix_algebra(GF2, 2),
+        csa.quaternion_algebra(gf4, gf4.one, gf4.gen),
+        csa.crossed_product(gf4, GF2),
+        csa.commutative_quotient(GF2, (1, 1, 1)),
+        csa.extension_algebra(gf4, GF2),
+    ):
+        assert not hasattr(A, "rep") and A.diagonals is not None, A
