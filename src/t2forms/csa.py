@@ -431,15 +431,16 @@ def crossed_product(E, F, cocycle="trivial", label=None):
     # the cocycle identity; associativity on the basis triples
     # (u_i e_s, u_j e_t, u_k e_r) is this identity times sig^(j+k)(e_s) sig^k(e_t);
     # y runs through sigma^k(Phi(i,j)), one step of sigma per k
-    for i in range(n):
-        for j in range(n):
-            y = phi[i][j]
-            for k in range(n):
-                if k:
-                    y = E.relative_frobenius(F, y)
-                lhs = E.mul(phi[(i + j) % n][k], y)
-                if lhs != E.mul(phi[i][(j + k) % n], phi[j][k]):
-                    raise CocycleInvalid(f"associativity fails on group triple ({i},{j},{k})")
+    if cocycle != "trivial":  # all ones: sigma(1) = 1 makes both sides 1
+        for i in range(n):
+            for j in range(n):
+                y = phi[i][j]
+                for k in range(n):
+                    if k:
+                        y = E.relative_frobenius(F, y)
+                    lhs = E.mul(phi[(i + j) % n][k], y)
+                    if lhs != E.mul(phi[i][(j + k) % n], phi[j][k]):
+                        raise CocycleInvalid(f"associativity fails on group triple ({i},{j},{k})")
 
     dim = n * n
     # each entry is computed on first use: the identity check reads a

@@ -29,22 +29,22 @@ Two routes for multiplication and inversion, by level:
   its own flat form; a deeper one maps its tower coordinates to the
   flat form and back by two GF(2)-linear chunk tables.
 
-Polynomials over a level are trimmed tuples of element ints, lowest
-degree first; the zero polynomial is the empty tuple.  The polynomial
-helpers are duck-typed over their field argument so they also work for
-``rational.FunctionField`` coefficient fields.  Over ``GF2`` itself they
-pack a polynomial into one int, bit i the coefficient of x^i, and work by
-shift and xor (the ``gf2x_`` section): products, division, gcds and the
-irreducibility scan.  :class:`PolyRing` offers either representation
-behind one table of operations, so a routine written once against it,
-such as the factor-witness scan or ``rational``'s fractions, runs on ints
-over GF2 and on tuples over any other field; a ``rational.Rat`` keeps
-its numerator and denominator in its ring's form between operations.
+Polynomials over a level are given and returned as trimmed tuples of
+element ints, lowest degree first; the zero polynomial is the empty
+tuple.  Inside, every finite level has one polynomial arithmetic,
+:class:`PolyRing`: a polynomial is one int with a ``bits``-bit chunk per
+coefficient, the layout of ``linalg.PackedRows``, so GF(2)[x] (the
+``gf2x_`` section, bit i the coefficient of x^i) is its case bits = 1.
+``poly_mul``, ``poly_divmod``, ``poly_mod`` and ``poly_gcd`` convert
+through it over any ``Level``, and the irreducibility scan, the factor
+witness and ``rational``'s fractions run on it throughout.  The helpers
+are duck-typed over their field argument, so over a field that is not a
+``Level``, such as a ``rational.FunctionField`` coefficient field, they
+run their coefficient-tuple loops.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 
@@ -136,6 +136,7 @@ class Level:
         self._trace_mask = None
         self._sqrt_map = None
         self._as_solver = None
+        self._poly_ring = None
         self._signature = (
             (None,) if parent is None else parent._signature + (self.poly, self.gen_name)
         )
@@ -352,6 +353,13 @@ class Level:
         assert self.square(sol) ^ sol == c
         return sol
 
+    def poly_ring(self):
+        """The polynomials over this level (:class:`PolyRing`), built on
+        the first call, as the trace mask is."""
+        if self._poly_ring is None:
+            self._poly_ring = PolyRing(self)
+        return self._poly_ring
+
     def wp_member(self, c):
         """Whether c lies in {x**2 + x}, the Artin-Schreier subgroup."""
         return self.trace(c) == 0
@@ -474,8 +482,8 @@ def fresh_gen_name(level):
 # -- GF(2)[x] packed in ints -------------------------------------------
 #
 # Bit i of the int is the coefficient of x^i, so addition is xor.  These
-# carry the GF2 route of the polynomial helpers below, the levels directly
-# over GF(2) (element and mask are such ints) and GF(2)(t) in ``rational``.
+# are :class:`PolyRing` over GF2, the case of one bit per coefficient, and
+# the flat form of every level (element and mask are such ints).
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -547,26 +555,127 @@ def gf2x_xgcd(a, m):
 
 
 class PolyRing:
-    """The polynomials over a field as one table of operations: ints (the
-    ``gf2x_`` routines) over ``GF2``, trimmed tuples (the helpers below,
-    bound to the field) over any other field.  ``read`` takes a
-    coefficient sequence, trimmed or not; ``write`` gives the trimmed
-    tuple back.  ``gcd`` is monic."""
+    """The polynomials over a finite level, each one int with a
+    ``bits``-bit chunk per coefficient, lowest degree in the lowest
+    chunk (the layout of ``linalg.PackedRows``); ``read`` takes a
+    coefficient sequence, trimmed or not, and ``write`` gives the trimmed
+    tuple back.
 
-    def __init__(self, field):
-        if field is GF2:
+    ``add`` is xor; ``square`` puts the square of chunk i at chunk 2i;
+    ``mul`` xors a scaled, shifted copy of one operand per chunk of the
+    other; ``divmod`` clears the top chunk with a shifted copy of c*d.
+    The multiples c*d of a divisor live as long as one division, or as
+    the reducer ``mod_by(d)`` its caller holds for a scan, so there are
+    at most 2^bits - 1 of them per divisor and none on the level.
+    ``gcd`` is monic.  Over ``GF2`` (bits = 1) the operations are the
+    ``gf2x_`` routines.  Each level builds its ring once
+    (:meth:`Level.poly_ring`)."""
+
+    def __init__(self, level):
+        self.level = level
+        self.bits = level.bits
+        self._mask = level.order - 1
+        self._ones = 1  # bit 0 of each chunk, as many chunks as scaled
+        self.one, self.x = 1, level.order
+        self.add = operator.xor
+        if self.bits == 1:
             self.read, self.write = gf2x_from_poly, gf2x_to_poly
-            self.one, self.x = 1, 2
-            self.deg, self.add = gf2x_deg, operator.xor
-            self.mul, self.square = gf2x_mul, gf2x_square
-            self.divmod, self.gcd = gf2x_divmod, gf2x_gcd
-        else:
-            bind = functools.partial
-            self.read, self.write = poly_trim, tuple
-            self.one, self.x = (field.one,), (field.zero, field.one)
-            self.deg, self.add = poly_deg, bind(poly_add, field)
-            self.mul, self.square = bind(poly_mul, field), bind(_poly_square, field)
-            self.divmod, self.gcd = bind(poly_divmod, field), bind(poly_gcd, field)
+            self.deg, self.mul, self.square = gf2x_deg, gf2x_mul, gf2x_square
+            self.divmod, self.gcd, self.mod_by = gf2x_divmod, gf2x_gcd, _gf2x_mod_by
+
+    def read(self, p):
+        return linalg.pack_row(self.level, p)
+
+    def write(self, a):
+        b, m = self.bits, self._mask
+        return tuple((a >> s) & m for s in range(0, a.bit_length(), b))
+
+    def deg(self, a):
+        return (a.bit_length() - 1) // self.bits
+
+    def lead(self, a):
+        return a >> (self.deg(a) * self.bits)
+
+    def scale(self, c, a):
+        """c a, each chunk of a times the element c.  That is GF(2)-linear
+        in the chunk, so bit k of every chunk adds c e_k, e_k = 1 << k:
+        (a >> k) & ones has a 0 or 1 in each chunk, and its integer
+        product with c e_k puts c e_k in the chunks of the ones, with no
+        carry.  ``bits`` field products per scaling, whatever deg a."""
+        if c == 1:
+            return a
+        ones = self._ones
+        if a.bit_length() > ones.bit_length():
+            chunks = a.bit_length() // self.bits + 1
+            ones = self._ones = ((1 << (chunks * self.bits)) - 1) // self._mask
+        mul = self.level.mul
+        r = 0
+        for k in range(self.bits):
+            r ^= ((a >> k) & ones) * mul(c, 1 << k)
+        return r
+
+    def mul(self, a, d):
+        if a.bit_length() < d.bit_length():
+            a, d = d, a
+        b, m = self.bits, self._mask
+        r = s = 0
+        while d:
+            if d & m:
+                r ^= self.scale(d & m, a) << s
+            d >>= b
+            s += b
+        return r
+
+    def square(self, a):
+        mul, b, m = self.level.mul, self.bits, self._mask
+        r = s = 0
+        while a:
+            c = a & m
+            if c:
+                r |= mul(c, c) << s
+            a >>= b
+            s += 2 * b
+        return r
+
+    def divmod(self, a, d):
+        """(q, r) with a = q d + r and deg r < deg d."""
+        if not d:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._reduce(a, d, self.level.inv(self.lead(d)), {})
+
+    def mod_by(self, d):
+        """a -> a mod d, one reducer per divisor: the multiples of d it
+        has made serve every later reduction by it."""
+        lead_inv, multiples = self.level.inv(self.lead(d)), {}
+        return lambda a: self._reduce(a, d, lead_inv, multiples)[1]
+
+    def _reduce(self, a, d, lead_inv, multiples):
+        # multiples maps a top chunk t to (c, c d), c = t / lead(d), so
+        # that a ^ (c d << s) has no chunk at t's place
+        b = self.bits
+        top = (d.bit_length() - 1) // b * b
+        q = 0
+        s = (a.bit_length() - 1) // b * b - top
+        while s >= 0:
+            t = a >> (top + s)
+            pair = multiples.get(t)
+            if pair is None:
+                c = t if lead_inv == 1 else self.level.mul(t, lead_inv)
+                pair = multiples[t] = (c, self.scale(c, d))
+            q |= pair[0] << s
+            a ^= pair[1] << s
+            s = (a.bit_length() - 1) // b * b - top
+        return q, a
+
+    def gcd(self, a, d):
+        inv = self.level.inv
+        while d:
+            a, d = d, self._reduce(a, d, inv(self.lead(d)), {})[1]
+        return self.scale(inv(self.lead(a)), a) if a else a
+
+
+def _gf2x_mod_by(d):
+    return lambda a: gf2x_divmod(a, d)[1]
 
 
 # -- polynomials -------------------------------------------------------
@@ -600,8 +709,9 @@ def poly_scale(field, c, p):
 
 
 def poly_mul(field, p, q):
-    if field is GF2:
-        return gf2x_to_poly(gf2x_mul(gf2x_from_poly(p), gf2x_from_poly(q)))
+    if isinstance(field, Level):
+        R = field.poly_ring()
+        return R.write(R.mul(R.read(p), R.read(q)))
     if not p or not q:
         return ()
     out = [field.zero] * (len(p) + len(q) - 1)
@@ -626,9 +736,10 @@ def poly_pow(field, p, n):
 
 
 def poly_divmod(field, p, q):
-    if field is GF2:
-        quot, rem = gf2x_divmod(gf2x_from_poly(p), gf2x_from_poly(q))
-        return gf2x_to_poly(quot), gf2x_to_poly(rem)
+    if isinstance(field, Level):
+        R = field.poly_ring()
+        quot, rem = R.divmod(R.read(p), R.read(q))
+        return R.write(quot), R.write(rem)
     q = poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
@@ -662,8 +773,9 @@ def poly_monic(field, p):
 
 
 def poly_gcd(field, p, q):
-    if field is GF2:
-        return gf2x_to_poly(gf2x_gcd(gf2x_from_poly(p), gf2x_from_poly(q)))
+    if isinstance(field, Level):
+        R = field.poly_ring()
+        return R.write(R.gcd(R.read(p), R.read(q)))
     a, b = poly_trim(p), poly_trim(q)
     while b:
         a, b = b, poly_mod(field, a, b)
@@ -686,9 +798,9 @@ def poly_factor_witness(field, p):
     least coefficient tuple (c_0, ..., c_(k-1)): the divisor that trial
     division over the monic polynomials of degree k, in that order, meets
     first.  No field element is enumerated, so levels of any size are
-    accepted.  The scan and the split run in :class:`PolyRing`, on ints
-    over GF2."""
-    ring = PolyRing(field)
+    accepted.  The scan and the split run in the field's ring
+    (:class:`PolyRing` over a level)."""
+    ring = field.poly_ring()
     p = ring.read(poly_monic(field, p))
     found = _distinct_degree_scan(field, ring, p)
     if found is None:
@@ -704,22 +816,18 @@ def _distinct_degree_scan(field, ring, p):
     Ben-Or's form of Rabin's test: for k = 1, 2, ..., deg(p)/2, h_k =
     x^(q^k) mod p and g_k = gcd(h_k - x, p) is the product of the
     distinct monic irreducible factors of p whose degree divides k."""
-    x = ring.x
+    n = ring.deg(p)
+    if n < 2:  # no k to scan, and no reducer for p = 0
+        return None
+    x, square, mod_p = ring.x, ring.square, ring.mod_by(p)
     h = x
-    for k in range(1, ring.deg(p) // 2 + 1):
+    for k in range(1, n // 2 + 1):
         for _ in range(field.bits):  # h^q, q = 2^bits
-            h = ring.divmod(ring.square(h), p)[1]
+            h = mod_p(square(h))
         g = ring.gcd(p, ring.add(h, x))
         if g != ring.one:
             return k, g
     return None
-
-
-def _poly_square(field, h):
-    """h^2: the squared coefficients go to the even positions."""
-    sq = [field.zero] * (2 * len(h) - 1)
-    sq[::2] = [field.square(c) for c in h]
-    return tuple(sq)
 
 
 def _equal_degree_factors(field, ring, g, k):
@@ -751,9 +859,10 @@ def _trace_split(field, ring, f, a, k):
     deg = ring.deg
     if deg(f) == k:
         return [f]
-    y = t = ring.divmod(a, f)[1]
+    mod_f = ring.mod_by(f)
+    y = t = mod_f(a)
     for _ in range(k * field.bits - 1):
-        y = ring.divmod(ring.square(y), f)[1]
+        y = mod_f(ring.square(y))
         t = ring.add(t, y)
     s = ring.gcd(f, t)
     if 0 < deg(s) < deg(f):
@@ -765,7 +874,7 @@ def poly_is_irreducible(field, p):
     """The distinct-degree scan alone: no witness is split out."""
     if poly_deg(p) < 1:
         return False
-    ring = PolyRing(field)
+    ring = field.poly_ring()
     return _distinct_degree_scan(field, ring, ring.read(poly_monic(field, p))) is None
 
 

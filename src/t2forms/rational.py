@@ -16,15 +16,15 @@ section 4.5.1): only gcds of a numerator against the other denominator,
 or of the two denominators, are taken, and none when a denominator is 1,
 so sums and products of polynomials take no gcd at all.
 
-The fraction formulas are written once against ``fields.PolyRing``,
-chosen in ``__init__``, and a ``Rat`` keeps its numerator and
-denominator in that ring's form: over GF(2) they are ints, bit i the
-coefficient of t^i, so every product, division and gcd is shift and xor;
-over a larger coefficient level they are coefficient tuples.  ``make``
-is the only operation that reads caller input, so ``add``, ``mul``,
-``square`` and ``inv`` convert nothing; ``Rat.num`` and ``Rat.den`` give
-trimmed tuples either way, built when read.  Over GF(2) every nonzero
-polynomial is monic, so ``inv`` only swaps numerator and denominator.
+The fraction formulas are written once against the coefficient level's
+``fields.PolyRing``, and a ``Rat`` keeps its numerator and denominator
+in that ring's form: one int with a ``bits``-bit chunk per coefficient
+of t (over GF(2), bit i the coefficient of t^i), so every product,
+division and gcd is shift, xor and per-chunk scaling.  ``make`` is the
+only operation that reads caller input, so ``add``, ``mul``, ``square``
+and ``inv`` convert nothing; ``Rat.num`` and ``Rat.den`` give trimmed
+tuples, built when read.  A monic numerator (every nonzero one over
+GF(2)) makes ``inv`` a swap of numerator and denominator.
 """
 
 from __future__ import annotations
@@ -36,17 +36,18 @@ from .fields import poly_deg, poly_scale, poly_sqrt, poly_to_str
 class Rat:
     """A rational function in lowest terms with monic denominator.
 
-    Numerator and denominator are kept in the ring form of the field that
-    made the fraction (``fields.PolyRing``): ints over GF2, trimmed tuples
-    over any other coefficient level.  ``num`` and ``den`` read them as
-    trimmed coefficient tuples either way, and two fractions are equal,
+    Numerator and denominator are kept in the form of ``ring``, the
+    polynomial ring of the coefficient level of the field that made the
+    fraction (``fields.PolyRing``: packed ints).  ``num`` and ``den``
+    read them as trimmed coefficient tuples, and two fractions are equal,
     and hash alike, when those tuples are.  Immutable."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_ring")
 
-    def __init__(self, num, den):
+    def __init__(self, num, den, ring):
         _set_num(self, num)
         _set_den(self, den)
+        _set_ring(self, ring)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Rat.{name}")
@@ -55,20 +56,20 @@ class Rat:
         raise AttributeError(f"cannot delete Rat.{name}")
 
     def __reduce__(self):
-        return Rat, (self._num, self._den)
+        return Rat, (self._num, self._den, self._ring)
 
     @property
     def num(self):
-        return _as_tuple(self._num)
+        return self._ring.write(self._num)
 
     @property
     def den(self):
-        return _as_tuple(self._den)
+        return self._ring.write(self._den)
 
     def __eq__(self, other):
         if not isinstance(other, Rat):
             return NotImplemented
-        if type(self._num) is type(other._num):
+        if self._ring is other._ring:
             return self._num == other._num and self._den == other._den
         return self.num == other.num and self.den == other.den
 
@@ -84,11 +85,7 @@ class Rat:
 
 
 # the slots' own setters, which __setattr__ does not intercept
-_set_num, _set_den = Rat._num.__set__, Rat._den.__set__
-
-
-def _as_tuple(p):
-    return fields.gf2x_to_poly(p) if type(p) is int else p
+_set_num, _set_den, _set_ring = Rat._num.__set__, Rat._den.__set__, Rat._ring.__set__
 
 
 class FunctionField:
@@ -99,12 +96,10 @@ class FunctionField:
     def __init__(self, coeff_level, var="t"):
         self.coeff = coeff_level
         self.var = var
-        R = self._ring = fields.PolyRing(coeff_level)
-        # over GF(2) every nonzero polynomial is monic
-        self._all_monic = coeff_level is fields.GF2
-        self.zero = Rat(R.read(()), R.one)
-        self.one = Rat(R.one, R.one)
-        self.t = Rat(R.x, R.one)
+        R = self._ring = coeff_level.poly_ring()
+        self.zero = Rat(R.read(()), R.one, R)
+        self.one = Rat(R.one, R.one, R)
+        self.t = Rat(R.x, R.one, R)
 
     def make(self, num, den=None):
         """The fraction num/den of two coefficient sequences, trimmed or
@@ -118,10 +113,11 @@ class FunctionField:
             return self.zero
         g = R.gcd(a, b)
         a, b = _quo(R, a, g), _quo(R, b, g)
-        if not self._all_monic and b[-1] != k.one:
-            inv = k.inv(b[-1])
-            a, b = poly_scale(k, inv, a), poly_scale(k, inv, b)
-        return Rat(a, b)
+        lead = R.lead(b)
+        if lead != k.one:
+            inv = k.inv(lead)
+            a, b = R.scale(inv, a), R.scale(inv, b)
+        return Rat(a, b, R)
 
     def is_zero(self, x):
         return not x._num
@@ -133,7 +129,7 @@ class FunctionField:
         g = one if one in (b, d) else R.gcd(b, d)
         if g == one:
             num = R.add(R.mul(a, d), R.mul(c, b))
-            return Rat(num, R.mul(b, d)) if num else self.zero
+            return Rat(num, R.mul(b, d), R) if num else self.zero
         # b = g b', d = g d': a/b + c/d = (a d' + c b') / (g b' d'), and a
         # factor the new numerator t shares with that denominator divides g
         b1, d1 = _quo(R, b, g), _quo(R, d, g)
@@ -141,7 +137,7 @@ class FunctionField:
         if not t:
             return self.zero
         g2 = R.gcd(t, g)
-        return Rat(_quo(R, t, g2), R.mul(b1, _quo(R, d, g2)))
+        return Rat(_quo(R, t, g2), R.mul(b1, _quo(R, d, g2)), R)
 
     sub = add  # characteristic two
 
@@ -155,22 +151,20 @@ class FunctionField:
         one, mul = R.one, R.mul
         g1 = one if d == one else R.gcd(a, d)
         g2 = one if b == one else R.gcd(c, b)
-        return Rat(mul(_quo(R, a, g1), _quo(R, c, g2)), mul(_quo(R, b, g2), _quo(R, d, g1)))
+        return Rat(mul(_quo(R, a, g1), _quo(R, c, g2)), mul(_quo(R, b, g2), _quo(R, d, g1)), R)
 
     def square(self, x):
         # num and den are coprime, so their squares are too
         R = self._ring
-        return Rat(R.square(x._num), R.square(x._den))
+        return Rat(R.square(x._num), R.square(x._den), R)
 
     def inv(self, x):
         if not x._num:
             raise ZeroDivisionError("inverse of zero")
         # already in lowest terms: only the leading coefficient moves
-        if self._all_monic:
-            return Rat(x._den, x._num)
-        k = self.coeff
-        c = k.inv(x._num[-1])
-        return Rat(poly_scale(k, c, x._den), poly_scale(k, c, x._num))
+        R = self._ring
+        c = self.coeff.inv(R.lead(x._num))
+        return Rat(R.scale(c, x._den), R.scale(c, x._num), R)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))

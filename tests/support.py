@@ -3,10 +3,11 @@ nonsingular quadratic forms, and reference implementations of the field
 multiply, the exp/log tables, the GF(2) linear solve, the kernel of
 list rows (through the packed engine and by Gauss-Jordan), the
 Artin-Schreier solve, the crossed-product structure table,
-the coefficient-tuple polynomial route over GF(2), the splitting
-representations of the constructed algebras (over the Artin-Schreier
-extension a quaternion algebra may need, built once per level and b) and
-the Kronecker one of a tensor product, the Witt class by
+the coefficient-tuple polynomial ring (the oracle of the packed
+``fields.PolyRing``) with GF(2) and any finite level seen through it,
+the splitting representations of the constructed algebras (over the
+Artin-Schreier extension a quaternion algebra may need, built once per
+level and b) and the Kronecker one of a tensor product, the Witt class by
 isotropic splitting, quaternion splitting by norm search and the
 symplectic reduction on dense list rows;
 a finite level seen as a field that is not finite, so that forms
@@ -20,13 +21,18 @@ rows Trd(e_i e_j) by joining splitting-representation images, and the
 dense associativity, identity and center checks of
 :func:`sanity_check_csa`."""
 
+import functools
 import itertools
+import operator
 import weakref
 from typing import NamedTuple
 
 from t2forms import csa, linalg
 from t2forms.csa import AlgebraError, t1_vector
-from t2forms.fields import GF2, FieldError, fresh_gen_name, poly_divmod, poly_eval, poly_trim
+from t2forms.fields import (
+    GF2, FieldError, fresh_gen_name, poly_add, poly_deg, poly_divmod, poly_eval, poly_gcd,
+    poly_mul, poly_scale, poly_trim,
+)
 from t2forms.quadform import (
     FormError, QuadraticForm, SingularForm, WittClass, arf_sum, block_decompose, radical,
 )
@@ -383,6 +389,51 @@ def artin_schreier_by_fresh_matrix(level, c):
     return solve_by_augmented_column(mat, level.bits, c)
 
 
+def _poly_square(field, h):
+    """h^2: the squared coefficients go to the even positions."""
+    sq = [field.zero] * (2 * len(h) - 1)
+    sq[::2] = [field.square(c) for c in h]
+    return tuple(sq)
+
+
+class TupleRing:
+    """The polynomials over a field as trimmed coefficient tuples, the
+    ring table of ``fields.PolyRing`` on the tuple loops of the
+    ``fields.poly_`` helpers, bound to the field.  Over a field that is
+    not a ``fields.Level`` those helpers never pack, so this is the
+    oracle of the packed ring."""
+
+    def __init__(self, field):
+        bind = functools.partial
+        self.read, self.write = poly_trim, tuple
+        self.one, self.x = (field.one,), (field.zero, field.one)
+        self.deg, self.add = poly_deg, bind(poly_add, field)
+        self.mul, self.square = bind(poly_mul, field), bind(_poly_square, field)
+        self.divmod, self.gcd = bind(poly_divmod, field), bind(poly_gcd, field)
+        self.lead, self.scale = operator.itemgetter(-1), bind(poly_scale, field)
+
+    def mod_by(self, d):
+        return lambda a: self.divmod(a, d)[1]
+
+
+class TupleLevel:
+    """A finite level seen as a duck-typed field that is not a
+    ``fields.Level``: its elements and arithmetic are the level's, but
+    the polynomial helpers take their tuple loops over it and its
+    ``poly_ring`` is a :class:`TupleRing`, so the factor witness,
+    ``find_irreducible`` and ``rational.FunctionField`` over it are the
+    oracles of the packed route the level takes."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def __getattr__(self, name):
+        return getattr(self.level, name)
+
+    def poly_ring(self):
+        return TupleRing(self)
+
+
 class TupleGF2:
     """GF(2) as a duck-typed field that is not ``fields.GF2``: the
     polynomial helpers, the factor witness and ``rational.FunctionField``
@@ -419,6 +470,9 @@ class TupleGF2:
 
     def show(self, x):
         return str(x)
+
+    def poly_ring(self):
+        return TupleRing(self)
 
 
 TUPLE_GF2 = TupleGF2()

@@ -523,6 +523,38 @@ def test_cocycle_validation(gf8):
         csa.crossed_product(gf8, GF2, notnorm)
 
 
+def test_trivial_cocycle_runs_no_identity_check(monkeypatch):
+    # the all-ones table satisfies the cocycle identity as sigma(1) = 1,
+    # so a trivial product makes no Level.mul outside the Frobenius steps
+    # of its sigma table; an explicit table, all ones too, is checked
+    E = GF2.extend("a^9+a^4+1")
+    n = 9
+    muls, frobs, depth = [], [], [0]
+    mul, frob = fields.Level.mul, fields.Level.relative_frobenius
+
+    def counting_mul(self, x, y):
+        if not depth[0]:
+            muls.append((x, y))
+        return mul(self, x, y)
+
+    def counting_frob(self, *args):
+        frobs.append(args)
+        depth[0] += 1
+        try:
+            return frob(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fields.Level, "mul", counting_mul)
+    monkeypatch.setattr(fields.Level, "relative_frobenius", counting_frob)
+    csa.crossed_product(E, GF2)
+    assert muls == [] and len(frobs) == n * (n - 1)
+    ones = csa.cyclic_cocycle(E, GF2, 1)
+    frobs.clear()
+    csa.crossed_product(E, GF2, ones)
+    assert len(muls) == 2 * n**3 and len(frobs) == n * (n - 1) + n * n * (n - 1)
+
+
 def _basis_pair_first_failure(E, F, phi):
     """Independent oracle: the first group triple (i, j, k) on which the
     crossed-product multiplication is not associative on some pair of

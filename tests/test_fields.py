@@ -21,6 +21,7 @@ from t2forms.fields import (
 
 from support import (
     TUPLE_GF2,
+    TupleLevel,
     artin_schreier_by_fresh_matrix,
     artin_schreier_extension,
     from_coords_over,
@@ -378,15 +379,15 @@ def test_irreducibility_matches_sympy():
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, owner=fields):
     calls = []
-    original = getattr(fields, name)
+    original = getattr(owner, name)
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(fields, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -400,13 +401,14 @@ def test_witness_divisions_are_few(monkeypatch):
     assert 0 < len(calls) <= 130
 
 
-def test_witness_divisions_are_few_on_tuples(monkeypatch, gf4):
-    # the same over GF(4), where the scan runs on coefficient tuples:
-    # x^24+x^9+x^3+a is irreducible, 12 steps of two squarings and 12
-    # gcds take 116 divisions; trial division would try every monic
-    # divisor of degree <= 12, millions of divisions
+def test_witness_divisions_are_few_on_packed_chunks(monkeypatch, gf4):
+    # the same over GF(4), where the scan runs on two-bit chunks: every
+    # division of the ring (a divmod, a gcd step or a reduction by the
+    # scan's modulus) is one _reduce.  x^24+x^9+x^3+a is irreducible, 12
+    # steps of two squarings and 12 gcds take 116 divisions; trial
+    # division would try every monic divisor of degree <= 12, millions
     p = (gf4.gen, 0, 0, 1) + (0,) * 5 + (1,) + (0,) * 14 + (1,)
-    calls = _count_calls(monkeypatch, "poly_divmod")
+    calls = _count_calls(monkeypatch, "_reduce", fields.PolyRing)
     assert fields.poly_factor_witness(gf4, p) is None
     assert 0 < len(calls) <= 130
 
@@ -443,6 +445,64 @@ def test_find_irreducible_draws_as_the_tuple_route(degree):
         got = fields.find_irreducible(GF2, degree, rng)
         assert got == fields.find_irreducible(TUPLE_GF2, degree, oracle_rng)
         assert rng.getstate() == oracle_rng.getstate()  # draw for draw
+
+
+# -- the packed ring over larger levels against the tuple ring ----------
+
+
+def _draw_factored(data, F, top):
+    """A polynomial of degree <= top over F, not monic: random, or a
+    product of random monic factors with one of them possibly repeated,
+    so that the scan meets repeated and distinct factors of one degree."""
+    elem = st.integers(0, F.order - 1)
+    if data.draw(st.booleans()):
+        return tuple(data.draw(st.lists(elem, max_size=top + 1)))
+    p = (1,)
+    while fields.poly_deg(p) < top:
+        f = _draw_monic(data, F, data.draw(st.integers(1, max(1, (top - fields.poly_deg(p)) // 2))))
+        p = poly_mul(F, p, poly_mul(F, f, f) if data.draw(st.booleans()) else f)
+        if data.draw(st.booleans()):
+            break
+    return fields.poly_scale(F, data.draw(st.integers(1, F.order - 1)), p)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_packed_ring_equals_tuple_ring(gf4, gf8, large_levels, data):
+    # GF(4), GF(8), table-free GF(2^13) and GF(4^8) over table-backed GF(4):
+    # the ring operations, the public helpers, the factor witness and
+    # find_irreducible's choice and rng state
+    F, top = data.draw(st.sampled_from(
+        [(gf4, 12), (gf8, 10), (large_levels[0], 6), (large_levels[1], 6)]
+    ))
+    T = TupleLevel(F)
+    R, S = F.poly_ring(), T.poly_ring()
+    elem = st.integers(0, F.order - 1)
+    p, q = (data.draw(st.lists(elem, max_size=top + 1)) for _ in range(2))
+    a, b = R.read(p), R.read(q)
+    tp, tq = S.read(p), S.read(q)
+    assert R.write(a) == tp and R.deg(a) == S.deg(tp)
+    assert R.write(R.mul(a, b)) == S.mul(tp, tq) == poly_mul(F, p, q)
+    assert R.write(R.square(a)) == S.square(tp)
+    assert R.write(R.gcd(a, b)) == S.gcd(tp, tq) == fields.poly_gcd(F, p, q)
+    if b:
+        quot, rem = R.divmod(a, b)
+        assert (R.write(quot), R.write(rem)) == S.divmod(tp, tq) == fields.poly_divmod(F, p, q)
+        assert R.write(R.mod_by(b)(a)) == S.mod_by(tq)(tp)
+        assert R.lead(b) == S.lead(tq)
+    else:
+        for field in (F, T):
+            with pytest.raises(ZeroDivisionError):
+                fields.poly_divmod(field, p, q)
+    f = _draw_factored(data, F, top)
+    witness = fields.poly_factor_witness(F, f)
+    assert witness == fields.poly_factor_witness(T, f)
+    if witness is not None:
+        assert poly_mul(F, *witness) == fields.poly_monic(F, f)
+    seed, degree = data.draw(st.integers(0, 1 << 16)), data.draw(st.integers(1, top // 2 + 1))
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert fields.find_irreducible(F, degree, rng) == fields.find_irreducible(T, degree, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()  # draw for draw
 
 
 def test_int_route_matches_sympy():

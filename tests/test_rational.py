@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from t2forms import fields, rational, theorems
 from t2forms.fields import GF2, poly_add, poly_mul
 
-from support import TUPLE_GF2
+from support import TUPLE_GF2, TupleLevel
 
 
 def _clmul(a, b):
@@ -75,12 +75,14 @@ def test_arithmetic_roundtrip(gf4):
 
 
 _FUNCTION_FIELDS = (rational.FunctionField(GF2), rational.FunctionField(GF2.extend("a^2+a+1")))
-# GF(2)(t) on coefficient tuples: the oracle of the int route GF2 takes
+# GF(2)(t) and GF(4)(t) on coefficient tuples: the oracles of the packed
+# rings their levels give
 _TUPLE_GF2T = rational.FunctionField(TUPLE_GF2)
+_TUPLE_GF4T = rational.FunctionField(TupleLevel(_FUNCTION_FIELDS[1].coeff))
 
 
 def _tuple_route(ff):
-    return _TUPLE_GF2T if ff.coeff is GF2 else ff
+    return _TUPLE_GF2T if ff.coeff is GF2 else _TUPLE_GF4T
 
 
 def _draw_rat(data, ff):
@@ -99,8 +101,8 @@ def _draw_rat(data, ff):
 @given(data=st.data())
 def test_henrici_add_mul_equal_full_gcd(data):
     ff = data.draw(st.sampled_from(_FUNCTION_FIELDS))
-    # the full-gcd side runs on coefficient tuples, so over GF(2) it does
-    # not share the int route with the side under test
+    # the full-gcd side runs on coefficient tuples, so it does not share
+    # the packed route with the side under test
     ref = _tuple_route(ff)
     k = ref.coeff
     x, y = _draw_rat(data, ff), _draw_rat(data, ff)
@@ -139,13 +141,17 @@ def test_gf2t_int_route_equals_tuple_route(data):
 
 def test_rat_contract_across_routes():
     ff = _FUNCTION_FIELDS[0]
-    for num, den in [((1, 0, 1, 0), (0, 1, 1)), ((0, 0, 1), None), ((), None), ((1,), (1, 1, 0))]:
-        x, y = ff.make(num, den), _TUPLE_GF2T.make(num, den)
-        assert x == y and y == x
-        assert hash(x) == hash(y) == hash((x.num, x.den))
-        for z in (x, y):
-            for p in (z.num, z.den):
-                assert type(p) is tuple and p == fields.poly_trim(p)
+    cases = [((1, 0, 1, 0), (0, 1, 1)), ((0, 0, 1), None), ((), None), ((1,), (1, 1, 0))]
+    gf4_cases = [((2, 3, 0), (1, 2)), ((3,), (0, 2, 0))]
+    for field, field_cases in zip(_FUNCTION_FIELDS, (cases, cases + gf4_cases)):
+        for num, den in field_cases:
+            x, y = field.make(num, den), _tuple_route(field).make(num, den)
+            assert x == y and y == x
+            assert hash(x) == hash(y) == hash((x.num, x.den))
+            assert x == pickle.loads(pickle.dumps(x))
+            for z in (x, y):
+                for p in (z.num, z.den):
+                    assert type(p) is tuple and p == fields.poly_trim(p)
     assert ff.make((0, 1), (1,)) != _TUPLE_GF2T.make((1, 1), (1,))
     # false exactly at zero, on either ring form
     for z in (ff, _TUPLE_GF2T, _FUNCTION_FIELDS[1]):
@@ -162,24 +168,28 @@ def test_rat_contract_across_routes():
 
 
 def test_gf2t_operations_convert_nothing(monkeypatch):
+    # over GF(2)(t) and GF(4)(t): a field shares its level's ring, whose
+    # read and write are the only conversions
     calls = []
-    for name in ("gf2x_from_poly", "gf2x_to_poly"):
-        orig = getattr(fields, name)
-        monkeypatch.setattr(
-            fields, name, lambda p, _orig=orig, _name=name: calls.append(_name) or _orig(p)
-        )
-    # the field binds its ring after the counters are in place
-    ff = rational.FunctionField(GF2)
-    rng = random.Random(43)
-    xs = [ff.random_element(rng, 4) for _ in range(20)] + [ff.make((1, 1)), ff.t, ff.one]
-    calls.clear()
-    for x, y in zip(xs, xs[1:] + xs[:1]):
-        ff.add(x, y)
-        ff.mul(x, y)
-        ff.square(x)
-        if not ff.is_zero(x):
-            ff.inv(x)
-    assert calls == []
+    for ff in _FUNCTION_FIELDS:
+        R = ff.coeff.poly_ring()
+        assert ff._ring is R
+        for name in ("read", "write"):
+            orig = getattr(R, name)
+            monkeypatch.setattr(
+                R, name, lambda p, _orig=orig, _name=name: calls.append(_name) or _orig(p)
+            )
+        rng = random.Random(43)
+        xs = [ff.random_element(rng, 4) for _ in range(20)] + [ff.make((1, 1)), ff.t, ff.one]
+        assert calls
+        calls.clear()
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            ff.add(x, y)
+            ff.mul(x, y)
+            ff.square(x)
+            if not ff.is_zero(x):
+                ff.inv(x)
+        assert calls == []
 
 
 def test_cubic_pipeline_int_route_equals_tuple_route():

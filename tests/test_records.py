@@ -97,7 +97,10 @@ def test_default_dicts_are_never_shared():
 
 # names that serve only the tests and live in tests/support.py
 _TEST_ONLY = {
-    "fields": ["poly_roots", "Level.from_coords_over", "Level.artin_schreier_extension"],
+    "fields": [
+        "poly_roots", "Level.from_coords_over", "Level.artin_schreier_extension", "_poly_square",
+        "TupleRing",
+    ],
     "linalg": ["kernel"],
     "quadform": [
         "SearchSpaceTooLarge", "DimensionTooLarge", "is_nonsingular", "isotropic_split_oracle",
