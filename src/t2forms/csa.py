@@ -339,10 +339,18 @@ def commutative_quotient(field, fpoly, label=None):
     if d < 1:
         raise AlgebraError("defining polynomial must have positive degree")
     pows = []
-    cur = (field.one,)
-    for _ in range(2 * d - 1):
-        pows.append(cur)
-        cur = fields.poly_mod(field, fields.poly_mul(field, cur, (field.zero, field.one)), fpoly)
+    if isinstance(field, fields.Level):
+        # on the level's packed ring a multiply by x is a one-chunk shift
+        R = field.poly_ring()
+        red, cur = R.mod_by(R.read(fpoly)), R.one
+        for _ in range(2 * d - 1):
+            pows.append(R.write(cur))
+            cur = red(cur << R.bits)
+    else:
+        cur = (field.one,)
+        for _ in range(2 * d - 1):
+            pows.append(cur)
+            cur = fields.poly_mod(field, fields.poly_mul(field, cur, (field.zero, field.one)), fpoly)
     # pows[j] is x^j itself for j < d, which f does not reduce: e_0 e_j = e_j
     return _commutative_algebra(field, d, lambda i, j: pows[i + j], label or "quotient")
 

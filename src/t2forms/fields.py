@@ -85,8 +85,8 @@ class Level:
 
     Never instantiated directly: use the module constant ``GF2`` and
     :meth:`extend`.  A level's arithmetic never changes after
-    construction, but other modules attach caches to it (``linalg``'s
-    scaling tables, the verification harness's ``_tensor_cache``).
+    construction, but the verification harness attaches its
+    ``_tensor_cache`` to it.
     """
 
     is_finite = True

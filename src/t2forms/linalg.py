@@ -2,11 +2,13 @@
 
 Every elimination runs on packed rows over a finite level: a row is a
 single int holding ``field.bits`` bits per entry, so row addition is
-integer xor.  Scalar multiples of packed rows go through per-chunk
-lookup tables cached on the field object.  Each is a :func:`linear_table`,
-the one builder of GF(2)-linear lookup tables, which also serves the
-field levels.  GF(2) is the 1-bit case: its packed rows are plain bit
-vectors and scaling is never needed.
+integer xor.  A packed row has the layout of a polynomial of the
+level's ``fields.PolyRing``, so a scalar multiple of a row is the
+ring's ``scale``: one field product per bit plane, whatever the row's
+length, and no table.  GF(2) is the 1-bit case: its packed rows are
+plain bit vectors and scaling is never needed.  :func:`linear_table` is
+the one builder of GF(2)-linear lookup tables, for the field levels and
+:func:`linear_map`.
 
 :class:`PackedEchelon` is the one elimination engine:
 :class:`GF2Solver` (and :func:`solve_gf2` through it) and
@@ -30,16 +32,6 @@ import operator
 
 
 # -- packed rows over a finite level -------------------------------------
-
-
-def _chunk_conf(field):
-    conf = getattr(field, "_chunk_conf_cache", None)
-    if conf is None:
-        bits = field.bits
-        ent = max(1, 12 // bits)
-        conf = (ent * bits, (1 << (ent * bits)) - 1)
-        field._chunk_conf_cache = conf
-    return conf
 
 
 def linear_table(images):
@@ -67,45 +59,10 @@ def _apply_chunks(tables, v):
     return out
 
 
-def _scale_table(field, c):
-    tables = getattr(field, "_scale_tables", None)
-    if tables is None:
-        tables = field._scale_tables = {}
-    tbl = tables.get(c)
-    if tbl is None:
-        bits = field.bits
-        units = [field.mul(c, 1 << j) for j in range(bits)]
-        images = [u << (e * bits) for e in range(_chunk_conf(field)[0] // bits) for u in units]
-        # c != 0 permutes chunk values: the field's tables share their ints (key None)
-        ints = tables.get(None) or tables.setdefault(None, list(range(1 << len(images))))
-        tbl = tables[c] = [ints[v] for v in linear_table(images)]
-    return tbl
-
-
 def scale_row(field, row, c):
-    if c == field.one or row == 0:
-        return row
-    if c == 0:
-        return 0
-    if field.bits > 12:
-        bits = field.bits
-        emask = (1 << bits) - 1
-        out = 0
-        shift = 0
-        while row:
-            out |= field.mul(c, row & emask) << shift
-            row >>= bits
-            shift += bits
-        return out
-    chunk_bits, cmask = _chunk_conf(field)
-    tbl = _scale_table(field, c)
-    out = 0
-    shift = 0
-    while row:
-        out |= tbl[row & cmask] << shift
-        row >>= chunk_bits
-        shift += chunk_bits
-    return out
+    """c times each entry of the packed ``row``: the bit-plane ``scale``
+    of the level's polynomial ring, which reads the same layout."""
+    return row if c == 1 or not row else field.poly_ring().scale(c, row)
 
 
 def pack_row(field, entries):
@@ -135,13 +92,14 @@ def row_ring(field):
 
 class PackedRows:
     """Packed rows over a finite level: a row is one int, and entries
-    other than one are scaled by :func:`scale_row`.  ``add`` is the
-    scalar add, integer xor."""
+    other than one are scaled by the level's polynomial ring
+    (:func:`scale_row`).  ``add`` is the scalar add, integer xor."""
 
     def __init__(self, field):
         self.field, self.one, self.bits = field, field.one, field.bits
         self.emask = (1 << field.bits) - 1
         self.add = operator.xor
+        self._scale = field.poly_ring().scale
 
     def entry(self, row, j):
         return (row >> (j * self.bits)) & self.emask
@@ -182,11 +140,11 @@ class PackedRows:
         """The Kronecker product of the rows ``ra`` and ``rb`` (``nb`` columns):
         row (i, j) is the sum over the nonzero entries (c, v) of ra[i] of
         v rb[j] shifted to column c nb; v = 1 scales nothing."""
-        f, one, step, out = self.field, self.one, nb * self.bits, []
+        scale, one, step, out = self._scale, self.one, nb * self.bits, []
         for a in ra:
             rows = [0] * len(rb)
             for c, v in self.items(a):
-                part = rb if v == one else [scale_row(f, b, v) for b in rb]
+                part = rb if v == one else [scale(v, b) if b else 0 for b in rb]
                 rows = [r | (b << (c * step)) for r, b in zip(rows, part)]
             out += rows
         return out
@@ -223,7 +181,7 @@ class PackedRows:
         added.  On the trace-zero hyperplane e_k + l_k e_k0, v R^T is thus
         v with its entry at k0 times (l_k) added and column k0 dropped: a
         few xors."""
-        f, bits, emask = self.field, self.bits, self.emask
+        scale, one, bits, emask = self._scale, self.one, self.bits, self.emask
         cols = [0] * ncols
         for a, s in enumerate(sup):
             for k, x in s:
@@ -249,7 +207,7 @@ class PackedRows:
             for shift, col in extra:
                 e = (v >> shift) & emask
                 if e:
-                    w ^= scale_row(f, col, e)
+                    w ^= col if e == one else scale(e, col)
             out.append(w)
         return out
 
@@ -328,6 +286,7 @@ class PackedEchelon:
         self.field = field
         self.ncols = ncols
         self.rows = {}  # pivot column -> normalized reduced row
+        self._scale = field.poly_ring().scale
 
     @property
     def rank(self):
@@ -340,14 +299,13 @@ class PackedEchelon:
         over the pivots suffices.  Entries equal to one need no scaling,
         which covers every entry over GF(2).
         """
-        field = self.field
-        bits = field.bits
+        bits = self.field.bits
         emask = (1 << bits) - 1
-        one = field.one
+        one, scale = self.field.one, self._scale
         for p, prow in self.rows.items():
             e = (row >> (p * bits)) & emask
             if e:
-                row ^= prow if e == one else scale_row(field, prow, e)
+                row ^= prow if e == one else scale(e, prow)
         return row
 
     def insert(self, row):
@@ -358,17 +316,17 @@ class PackedEchelon:
             return False
         bits = field.bits
         emask = (1 << bits) - 1
-        one = field.one
+        one, scale = field.one, self._scale
         c = ((row & -row).bit_length() - 1) // bits
         shift = c * bits
         e = (row >> shift) & emask
         if e != one:
-            row = scale_row(field, row, field.inv(e))
+            row = scale(field.inv(e), row)
         rows = self.rows
         for p, prow in rows.items():
             pe = (prow >> shift) & emask
             if pe:
-                rows[p] = prow ^ (row if pe == one else scale_row(field, row, pe))
+                rows[p] = prow ^ (row if pe == one else scale(pe, row))
         rows[c] = row
         return True
 

@@ -11,8 +11,8 @@ is the source of truth for everything else.
 The polar matrix is held as rows of the field's row ring
 (``linalg.row_ring``): packed ints over a finite level, one int per row
 with ``field.bits`` bits per entry, so row operations are integer xors
-plus ``linalg.scale_row`` for scalars other than one; lists of field
-elements over any other field, such as ``rational.FunctionField``.
+plus the level's bit-plane scaling for scalars other than one; lists of
+field elements over any other field, such as ``rational.FunctionField``.
 Restriction to a sparse basis and the symplectic block reduction are
 each written once against the ring and run on every field.  The
 reduction carries no basis: the invariants (Witt class, Arf, Clifford

@@ -1,9 +1,10 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from t2forms import linalg
+from t2forms import fields, linalg
 from t2forms.fields import GF2
 
 from support import (
@@ -204,14 +205,126 @@ def test_packed_kron_scales_entries_other_than_one(gf4):
     ]
 
 
-def test_scale_tables_of_a_level_share_their_ints(gf8):
-    # scaling by c != 0 permutes the chunk values, so every table of the
-    # level holds the same int object for the same value
-    t3, t5 = linalg._scale_table(gf8, 3), linalg._scale_table(gf8, 5)
-    assert sorted(t3) == sorted(t5) == list(range(len(t3)))
-    first = {v: id(v) for v in t3}
-    assert all(id(v) == first[v] for v in t5)
+def test_scale_row_scales_each_entry_of_a_gf8_row(gf8):
     row = linalg.pack_row(gf8, [1, 2, 3, 4, 5, 6, 7, 0, 1])
     assert linalg.unpack_row(gf8, linalg.scale_row(gf8, row, 3), 9) == [
         gf8.mul(3, x) for x in [1, 2, 3, 4, 5, 6, 7, 0, 1]
     ]
+
+
+# -- scaling packed rows: the level's bit-plane scale ---------------------
+
+
+@pytest.fixture(scope="module")
+def scaling_levels(gf4, gf8):
+    # GF(2^7) and GF(2^11) multiply by exp/log tables; GF(2^12), GF(2^13)
+    # and GF(4^8), a relative tower, multiply without them
+    return [
+        GF2, gf4, gf8, GF2.extend("a^7+a+1"), GF2.extend("a^11+a^2+1"),
+        GF2.extend("a^12+a^6+a^4+a+1"), GF2.extend("a^13+a^4+a^3+a+1"),
+        gf4.extend(fields.find_irreducible(gf4, 8, random.Random(2)), "b"),
+    ]
+
+
+def _entries(F, rng, n):
+    # a zero row now and then; otherwise random entries with many 0, 1
+    # and order - 1 among them
+    if rng.random() < 0.1:
+        return [0] * n
+    pool = (0, 1, F.order - 1)
+    return [rng.choice(pool) if rng.random() < 0.3 else rng.randrange(F.order) for _ in range(n)]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_packed_scaling_matches_entrywise_products(scaling_levels, data):
+    # scale_row, axpy, kron and times_transpose against field.mul entry by
+    # entry, on rows of 0 to 1,300 entries and c in {0, 1, random}
+    F = data.draw(st.sampled_from(scaling_levels))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    P, mul = linalg.row_ring(F), F.mul
+    c = data.draw(st.sampled_from([0, 1, rng.randrange(F.order)]))
+    n = data.draw(st.sampled_from([0, 1, 2, 9, rng.randrange(1301), 1300]))
+    src, dst = _entries(F, rng, n), _entries(F, rng, n)
+    want = [mul(c, x) for x in src]
+    assert linalg.unpack_row(F, linalg.scale_row(F, P.read(src), c), n) == want
+    assert P.unpack(P.scale(P.read(src), c), n) == want
+    assert P.unpack(P.axpy(P.read(dst), c, P.read(src)), n) == [
+        x ^ y for x, y in zip(dst, want)
+    ]
+    na, nb = rng.randint(1, 36), rng.randint(1, 36)
+    ra = [_entries(F, rng, na) for _ in range(rng.randint(1, 3))]
+    rb = [_entries(F, rng, nb) for _ in range(rng.randint(1, 3))]
+    rows = P.kron([P.read(r) for r in ra], [P.read(r) for r in rb], nb)
+    assert [P.unpack(r, na * nb) for r in rows] == [
+        [mul(x, y) for x in a for y in b] for a in ra for b in rb
+    ]
+    # R has n + 2 rows; its column k is the next unit vector in order
+    # (moved as a slice of v) or two random entries in random rows
+    sup, b = [[] for _ in range(n + 2)], 0
+    for k in range(n):
+        if rng.random() < 0.5:
+            sup[b].append((k, 1))
+            b += 1
+        else:
+            for a in rng.sample(range(n + 2), 2):
+                sup[a].append((k, rng.randrange(F.order)))
+    vs = [_entries(F, rng, n) for _ in range(2)]
+    images = P.times_transpose([P.read(v) for v in vs], sup, n)
+    oracle = []
+    for v in vs:
+        w = [0] * (n + 2)
+        for a, s in enumerate(sup):
+            for k, x in s:
+                w[a] ^= mul(x, v[k])
+        oracle.append(w)
+    assert [P.unpack(w, n + 2) for w in images] == oracle
+
+
+@pytest.mark.parametrize("index", [1, 2, 5, 6, 7])
+def test_one_scaling_makes_at_most_bits_products(scaling_levels, index, monkeypatch):
+    # the bit-plane scale takes at most one product per bit of an entry,
+    # so a scaling costs the same number of products at every row length
+    F = scaling_levels[index]
+    P, rng = linalg.row_ring(F), random.Random(index)
+    counts = []
+    mul = fields.Level.mul
+
+    def counted(self, x, y):
+        if self is F:
+            counts[-1] += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(fields.Level, "mul", counted)
+    for n in (1, 9, 1300):
+        row = P.read([rng.randrange(1, F.order) for _ in range(n)])
+        c = rng.randrange(2, F.order)
+        for op in (lambda: linalg.scale_row(F, row, c), lambda: P.scale(row, c),
+                   lambda: P.axpy(row, c, row)):
+            counts.append(0)
+            op()
+    assert len(set(counts)) == 1 and 0 < counts[0] <= F.bits, counts
+
+
+def test_no_per_scalar_tables_remain():
+    # packed rows scale by the level's polynomial ring, with no lookup
+    # table per (level, scalar) and no per-chunk route beside it
+    for name in ("_scale_table", "_chunk_conf"):
+        assert not hasattr(linalg, name), name
+
+
+def test_scaling_attaches_nothing_to_the_level():
+    # hundreds of distinct scalars over a fresh table-free GF(2^12) leave
+    # no per-scalar state: only the level's polynomial ring, whose one int
+    # of chunk ones is as long as the longest row scaled
+    F = GF2.extend("a^12+a^6+a^4+a+1")
+    before = dict(vars(F))
+    row = linalg.pack_row(F, [1, 2, 3, 4, 5, 6, 7, 4095])
+    for c in range(2, 402):
+        assert linalg.unpack_row(F, linalg.scale_row(F, row, c), 8) == [
+            F.mul(c, x) for x in [1, 2, 3, 4, 5, 6, 7, 4095]
+        ]
+    after = vars(F)
+    assert after.keys() == before.keys()
+    assert {k for k in after if after[k] is not before[k]} <= {"_poly_ring"}
+    assert F.poly_ring()._ones.bit_length() <= 9 * F.bits
