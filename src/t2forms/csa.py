@@ -5,7 +5,7 @@ returns the expansion of e_i e_j as ``((k, value), ...)`` pairs.  Large
 algebras (tensor products, Clifford algebras) keep the product lazy so
 that nothing quadratic in the dimension is ever materialized besides
 the forms themselves; a crossed product memoizes each entry of its
-structure table on first use.
+structure table on first use, and F[x]/(f) each power x^k it reads.
 
 Each constructor proves the values t1 and t2 of its basis vectors, the
 reduced trace and the second coefficient of the reduced characteristic
@@ -22,15 +22,27 @@ polynomial, and passes them as ``diagonals``:
   u_h e_s, n = 2h, is a product of n/2 transpositions with t2 =
   sum over t < h of the weights on t and t + h; every other i permutes
   in cycles of length at least 3, which give no x^(L-1) or x^(L-2) term.
-- F[x]/(f) and E/F: the left regular matrix of e_k is read off the
-  table, and its trace and second coefficient give the values (so their
-  trace form, the Revoy form, comes out of the same pipeline).
+- F[x]/(f): multiplication by x has characteristic polynomial f, so
+  x^i has eigenvalues r^i over the roots r of f, with multiplicity, and
+  t1(x^i) = p_i, the power sum, which Newton's identities give from the
+  coefficients of f (:func:`_power_sums`).  t2(x^i) is e2 of the left
+  regular matrix of x^i, whose column j is x^(i+j) mod f: in
+  characteristic two e2 is not a polynomial in the power sums.
+- E/F: multiplication by e_s has the conjugates sigma^t(e_s) as
+  eigenvalues, sigma the Frobenius of E/F, so t1 = Tr_E/F(e_s) and
+  t2 = e2(sigma^t(e_s)), as on the u_0 block of a crossed product.
+  The trace form of these two, the Revoy form, comes out of the same
+  pipeline.
 
 A tensor product multiplies its factors' values instead.  The polar rows
 Trd(e_i e_j) take closed forms (:func:`_trace_products`): unit rows for
-matrices, the trace of E/F for crossed products, the factors' Kronecker
-product for tensors, and structure constants times t1 otherwise.
-Splitting representations are the tests' oracle for all of these, and
+matrices, the f coefficient of e_i e_j for quaternions, the trace of E/F
+for crossed products and extension algebras, the power sums p_(i+j) for
+F[x]/(f), and the factors' Kronecker product for tensors; structure
+constants times t1 serve a raw :class:`Algebra` only.
+Splitting representations are the tests' oracle for all of these, the
+left regular matrices and structure constants of the table for F[x]/(f)
+and E/F, and
 :func:`reduced_charpoly`, through the left regular representation and
 the n-th root, is the independent route for t1 and t2 and the one a raw
 :class:`Algebra` takes.
@@ -256,12 +268,23 @@ def quaternion_algebra(field, a, b):
         # (ef)**2 = ab
         return [zero, zero, one, zero], [one, a, b, ab]
 
+    def trace_rows():
+        # Trd(e_i e_j) is the f coefficient of e_i e_j, as t1 = (0, 0, 1, 0):
+        # 1 e_j = e_j; e 1 = e, e e = a, e f = ef, e ef = a f; f 1 = f,
+        # f e = e + ef, f f = b + f, f ef = b e; ef 1 = ef, ef e = a + a f,
+        # ef f = b e + ef, ef ef = ab
+        R = linalg.row_ring(field)
+        return [R.read(r) for r in (
+            (zero, zero, one, zero), (zero, zero, zero, a),
+            (one, zero, one, zero), (zero, a, zero, zero),
+        )]
+
     # the identity is e_0, and product(0, j) = e_j, product(i, 0) = e_i
     # are literal rows of the table
     return Algebra(
-        field, 4, product, (one, 0, 0, 0),
+        field, 4, product, (one, zero, zero, zero),
         label=f"Quat({field.show(a)},{field.show(b)})", degree=2,
-        diagonals=diagonals, _identity_known=True,
+        diagonals=diagonals, trace_rows=trace_rows, _identity_known=True,
     )
 
 
@@ -297,71 +320,120 @@ def tensor_product(A, B):
     )
 
 
-def _commutative_algebra(field, d, coords, label):
-    """Commutative algebra with basis e_0 = 1, ..., e_(d-1), where
-    ``coords(i, j)`` gives the coordinates of e_i e_j.  Its t1 and t2 are
-    those of the left regular matrix of each e_i, whose column j is the
-    table entry e_i e_j."""
-    table = {}
-    for i in range(d):
-        for j in range(d):
-            table[(i, j)] = tuple(
-                (k, c) for k, c in enumerate(coords(i, j)) if not field.is_zero(c)
-            )
-
-    def product(i, j):
-        return table[(i, j)]
-
-    def diagonals():
-        mats = [{(k, j): c for j in range(d) for k, c in table[(i, j)]} for i in range(d)]
-        return (
-            [linalg.sparse_trace(field, m) for m in mats],
-            [linalg.sparse_second_coefficient(field, m) for m in mats],
-        )
-
-    one = [field.zero] * d
-    one[0] = field.one
-    # e_0 = 1 and every caller has coords(0, j) = coords(j, 0) = e_j, so
-    # the identity's rows of the table are the unit rows
-    return Algebra(
-        field, d, product, one, label=label, diagonals=diagonals, _identity_known=True,
-    )
-
-
 def commutative_quotient(field, fpoly, label=None):
     """F[x]/(f) as an algebra with basis 1, x, ..., x^(deg-1).
 
     ``f`` need not be irreducible; the quotient is then merely etale (or
     worse), which is exactly what the reducible-extension audit needs.
+    The values come from the power sums p_k of the roots of f (see
+    :func:`_power_sums`): t1(x^i) = p_i and Trd(x^i x^j) = p_(i+j), as
+    multiplication by x has characteristic polynomial f.  t2(x^i) is e2 of
+    the left regular matrix M_i of x^i, whose column j is x^(i+j) mod f.
     """
     fpoly = fields.poly_monic(field, fpoly)
     d = fields.poly_deg(fpoly)
     if d < 1:
         raise AlgebraError("defining polynomial must have positive degree")
-    pows = []
-    if isinstance(field, fields.Level):
-        # on the level's packed ring a multiply by x is a one-chunk shift
-        R = field.poly_ring()
-        red, cur = R.mod_by(R.read(fpoly)), R.one
-        for _ in range(2 * d - 1):
-            pows.append(R.write(cur))
-            cur = red(cur << R.bits)
-    else:
-        cur = (field.one,)
-        for _ in range(2 * d - 1):
-            pows.append(cur)
-            cur = fields.poly_mod(field, fields.poly_mul(field, cur, (field.zero, field.one)), fpoly)
-    # pows[j] is x^j itself for j < d, which f does not reduce: e_0 e_j = e_j
-    return _commutative_algebra(field, d, lambda i, j: pows[i + j], label or "quotient")
+    zero, add, mul, is_zero = field.zero, field.add, field.mul, field.is_zero
+    low = fpoly[:d]
+    # pows[m] holds the d coordinates of x^m mod f: a multiply by x shifts
+    # them up, and the top one comes back as top * (f - x^d)
+    cur = [field.one] + [zero] * (d - 1)
+    pows = [cur]
+    for _ in range(2 * d - 2):
+        top = cur[-1]
+        cur = [zero] + cur[:-1]
+        if not is_zero(top):
+            cur = [v if is_zero(c) else add(v, mul(top, c)) for v, c in zip(cur, low)]
+        pows.append(cur)
+    p = _power_sums(field, low, 2 * d - 1)
+
+    def diagonals():
+        # M_i[k][j] = coord_k(x^(i+j)); e2(M_i) is the sum over k < j of
+        # M_kk M_jj + M_kj M_jk, the diagonal part by a running sum
+        t2 = []
+        for i in range(d):
+            acc = run = zero
+            for j in range(d):
+                col = pows[i + j]
+                for k in range(j):
+                    v = col[k]
+                    if not is_zero(v):
+                        w = pows[i + k][j]
+                        if not is_zero(w):
+                            acc = add(acc, mul(v, w))
+                v = col[j]
+                if not is_zero(v):
+                    if not is_zero(run):
+                        acc = add(acc, mul(run, v))
+                    run = add(run, v)
+            t2.append(acc)
+        return p[:d], t2
+
+    def trace_rows():
+        R = linalg.row_ring(field)
+        return [R.read(p[i:i + d]) for i in range(d)]
+
+    # e_i e_j = x^(i+j): one sparse column per power, built on first use
+    cols = [None] * (2 * d - 1)
+
+    def product(i, j):
+        col = cols[i + j]
+        if col is None:
+            col = cols[i + j] = tuple((k, c) for k, c in enumerate(pows[i + j]) if not is_zero(c))
+        return col
+
+    one = [zero] * d
+    one[0] = field.one
+    # e_0 e_j = x^j is its own unit column for j < d, which f does not reduce
+    return Algebra(
+        field, d, product, one, label=label or "quotient",
+        diagonals=diagonals, trace_rows=trace_rows, _identity_known=True,
+    )
+
+
+def _power_sums(field, low, m):
+    """p_0, ..., p_(m-1), the power sums of the roots of the monic
+    f = x^d + c_(d-1) x^(d-1) + ... + c_0 with ``low`` = (c_0, ..., c_(d-1)),
+    by Newton's identities.  In characteristic two e_k = c_(d-k), and
+    p_k = e_1 p_(k-1) + ... + e_(k-1) p_1 + k e_k for k <= d, where k e_k
+    is e_k for odd k and 0 for even k, and p_k = e_1 p_(k-1) + ... +
+    e_d p_(k-d) for k > d; p_0 = d mod 2."""
+    d, zero, add, mul, is_zero = len(low), field.zero, field.add, field.mul, field.is_zero
+    p = [field.one if d % 2 else zero]
+    for k in range(1, m):
+        acc = low[d - k] if k <= d and k % 2 else zero
+        for i in range(1, min(k - 1, d) + 1):
+            c, q = low[d - i], p[k - i]
+            if not is_zero(c) and not is_zero(q):
+                acc = add(acc, mul(c, q))
+        p.append(acc)
+    return p
 
 
 def extension_algebra(E, F):
-    """The tower extension E/F as an F-algebra on the product basis of
-    E over F (whose first vector is 1)."""
+    """The tower extension E/F as an F-algebra on the product basis e_s
+    of E over F (whose first vector is 1): the u_0 block of the crossed
+    product of E/F.  Multiplication by e_s has the conjugates
+    sigma^t(e_s) as eigenvalues, so t1 = Tr_E/F(e_s) and t2 = e2 of the
+    conjugates (:func:`_conjugate_sums`), and Trd(e_s e_t) = Tr_E/F(e_s e_t)."""
+    sig = _twisted_basis(E, F)
+    n = len(sig)
+    phi = [[E.one] * n] * n  # the trivial cocycle; block 0 reads Phi(0, 0)
+    basis = sig[0]
+
+    def product(i, j):
+        w = E.mul(basis[i], basis[j])
+        return tuple((k, c) for k, c in enumerate(E.coords_over(F, w)) if c)
+
+    one = [F.zero] * n
+    one[0] = F.one
     # basis[0] = 1, so e_0 e_j = basis[j], whose coordinates are e_j
-    basis = E.basis_over(F)
-    return _commutative_algebra(
-        F, len(basis), lambda i, j: E.coords_over(F, E.mul(basis[i], basis[j])), f"{E!r}/{F!r}"
+    return Algebra(
+        F, n, product, one, label=f"{E!r}/{F!r}",
+        diagonals=lambda: _conjugate_sums(E, sig),
+        trace_rows=lambda: _crossed_trace_rows(E, F, phi, sig, block=0),
+        _identity_known=True,
     )
 
 
@@ -425,11 +497,8 @@ def crossed_product(E, F, cocycle="trivial", label=None):
                 raise CocycleInvalid("cocycle values must be nonzero")
             if (i == 0 or j == 0) and phi[i][j] != E.one:
                 raise CocycleInvalid("cocycle must be normalized on the identity")
-    basis_E = E.basis_over(F)
-    # sigma^j(e_t) = sigma(sigma^(j-1)(e_t)): one step of sigma per entry
-    sig = [basis_E]
-    for _ in range(1, n):
-        sig.append([E.relative_frobenius(F, e) for e in sig[-1]])
+    sig = _twisted_basis(E, F)
+    basis_E = sig[0]
     # the center argument needs sigma of order n; sigma^j is F-linear, so
     # its images of the basis decide whether it is the identity
     for j in range(1, n):
@@ -478,24 +547,43 @@ def crossed_product(E, F, cocycle="trivial", label=None):
     )
 
 
+def _twisted_basis(E, F):
+    """sig[t][s] = sigma^t(e_s) for the product basis e_s of E over F and
+    t < n = [E:F], sigma the Frobenius of E/F: one step of sigma per entry."""
+    sig = [E.basis_over(F)]
+    for _ in range(1, E.degree_over(F)):
+        sig.append([E.relative_frobenius(F, e) for e in sig[-1]])
+    return sig
+
+
+def _conjugate_sums(E, sig):
+    """For each s, the sum and the second elementary symmetric function
+    of the conjugates sigma^t(e_s), t < n: Tr_E/F(e_s) and e2 by a running
+    sum, acc += run * w before run += w."""
+    t1, t2 = [], []
+    for s in range(len(sig)):
+        acc = run = 0
+        for row in sig:
+            if run:
+                acc ^= E.mul(run, row[s])
+            run ^= row[s]
+        t1.append(run)
+        t2.append(acc)
+    return t1, t2
+
+
 def _crossed_diagonals(E, F, phi, sig):
     """t1 and t2 of the basis u_i e_s of a crossed product.  Over E,
     u_i e_s maps column t to row t + i with weight w_t = Phi(i,t) sigma^t(e_s).
     For i = 0 that is diag(w_t), w_t = sigma^t(e_s) as Phi is normalized:
-    t1 = Tr_E/F(e_s) and t2 = e2(w), by a running sum.  For i = n/2 = h the
+    t1 = Tr_E/F(e_s) and t2 = e2(w) (:func:`_conjugate_sums`).  For i = n/2 = h the
     permutation is the n/2 transpositions (t, t + h), and t2 is the sum over
     t < h of w_t w_(t+h), the principal 2x2 minors.  Every other i has no
     diagonal entry and no 2-cycle, so t1 = t2 = 0.  The values lie in F
     for a valid cocycle; an AlgebraError says otherwise."""
     n, one = len(phi), E.one
     t1, t2 = [0] * (n * n), [0] * (n * n)
-    for s in range(n):
-        acc = run = 0
-        for row in sig:
-            if run:
-                acc ^= E.mul(run, row[s])
-            run ^= row[s]
-        t1[s], t2[s] = run, acc
+    t1[:n], t2[:n] = _conjugate_sums(E, sig)
     if n % 2 == 0:
         h = n // 2
         pair = [E.mul(phi[h][t], phi[h][t + h]) for t in range(h)]
@@ -638,9 +726,11 @@ def _trace_products(A):
     as (u_i c)(u_j d) = u_(i+j) Phi(i,j) sigma^j(c) d, and over E the image
     of u_k x has no diagonal entry for k != 0 and is diag(sigma^t(x)) for k = 0.
     Tensor products: Trd((a (x) b)(a' (x) b')) = Trd(a a') Trd(b b'), the
-    Kronecker product of the factors' rows.  Every other algebra: the sum
-    over e_i e_j = sum v_k e_k of v_k t1(e_k), exact in the base field,
-    with Trd(e_i^2) = t1(e_i)^2 on the diagonal.
+    Kronecker product of the factors' rows.  Quaternion algebras, F[x]/(f)
+    and extension algebras pass their rows too, so the rest serves raw
+    :class:`Algebra` structure constants only: the sum over
+    e_i e_j = sum v_k e_k of v_k t1(e_k), exact in the base field, with
+    Trd(e_i^2) = t1(e_i)^2 on the diagonal.
     """
     if A.trace_rows is not None:
         return A.trace_rows()

@@ -425,32 +425,6 @@ def identity(field, n):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def sparse_trace(field, entries):
-    acc = field.zero
-    for (r, c), v in entries.items():
-        if r == c:
-            acc = field.add(acc, v)
-    return acc
-
-
-def sparse_second_coefficient(field, entries):
-    """Sum of the principal 2x2 minors of a {(row, col): value} matrix,
-    the second elementary symmetric function of the eigenvalues (signs
-    are immaterial here)."""
-    acc = field.zero
-    running = field.zero
-    for (r, c), v in sorted(entries.items()):
-        if r == c and not field.is_zero(v):
-            acc = field.add(acc, field.mul(v, running))
-            running = field.add(running, v)
-    for (r, c), v in entries.items():
-        if r < c:
-            w = entries.get((c, r))
-            if w is not None and not field.is_zero(w):
-                acc = field.add(acc, field.mul(v, w))
-    return acc
-
-
 def charpoly(field, A):
     """Monic characteristic polynomial of a square matrix, low degree
     first, by Hessenberg reduction and the Hessenberg recurrence."""

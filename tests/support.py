@@ -17,7 +17,9 @@ roots by enumeration, the isotropic splitting behind that Witt class,
 the Clifford algebra and Arf through the even Clifford center, element
 arithmetic of an algebra through its structure constants, traces of
 single elements from the definition, dense splitting matrices, the polar
-rows Trd(e_i e_j) by joining splitting-representation images, and the
+rows Trd(e_i e_j) by joining splitting-representation images, the t1, t2
+and Trd(e_i e_j) of a commutative algebra read off its left regular
+matrices and structure constants, and the
 dense associativity, identity and center checks of
 :func:`sanity_check_csa`."""
 
@@ -237,6 +239,61 @@ def _build_splitting_rep(A):
     return None
 
 
+def sparse_trace(field, entries):
+    acc = field.zero
+    for (r, c), v in entries.items():
+        if r == c:
+            acc = field.add(acc, v)
+    return acc
+
+
+def sparse_second_coefficient(field, entries):
+    """Sum of the principal 2x2 minors of a {(row, col): value} matrix,
+    the second elementary symmetric function of the eigenvalues (signs
+    are immaterial here)."""
+    acc = field.zero
+    running = field.zero
+    for (r, c), v in sorted(entries.items()):
+        if r == c and not field.is_zero(v):
+            acc = field.add(acc, field.mul(v, running))
+            running = field.add(running, v)
+    for (r, c), v in entries.items():
+        if r < c:
+            w = entries.get((c, r))
+            if w is not None and not field.is_zero(w):
+                acc = field.add(acc, field.mul(v, w))
+    return acc
+
+
+def table_diagonals(A):
+    """t1 and t2 of every basis vector e_i from its left regular matrix,
+    whose column j is the table entry e_i e_j: the oracle for the closed
+    forms of a commutative quotient and an extension algebra, which are
+    their own left regular representations."""
+    f = A.field
+    mats = [{(k, j): c for j in range(A.dim) for k, c in A.product(i, j)} for i in range(A.dim)]
+    return [sparse_trace(f, m) for m in mats], [sparse_second_coefficient(f, m) for m in mats]
+
+
+def table_trace_products(A):
+    """Trd(e_i e_j) for every basis pair by the structure constants: the
+    sum over e_i e_j = sum v_k e_k of v_k t1(e_k), with t1 from
+    :func:`table_diagonals`, as rows of the field's ``linalg.row_ring``."""
+    f = A.field
+    t1 = table_diagonals(A)[0]
+    rows = []
+    for i in range(A.dim):
+        row = []
+        for j in range(A.dim):
+            acc = f.zero
+            for k, v in A.product(i, j):
+                acc = f.add(acc, f.mul(v, t1[k]))
+            row.append(acc)
+        rows.append(row)
+    R = linalg.row_ring(f)
+    return [R.read(row) for row in rows]
+
+
 def rep_diagonals(A, rep):
     """t1 and t2 of every basis image of ``rep``, brought down to the
     algebra's field when the representation lives over a proper extension
@@ -245,8 +302,8 @@ def rep_diagonals(A, rep):
     lvl = rep.level
     out = []
     for coefficient, what in (
-        (linalg.sparse_trace, "reduced trace"),
-        (linalg.sparse_second_coefficient, "second trace coefficient"),
+        (sparse_trace, "reduced trace"),
+        (sparse_second_coefficient, "second trace coefficient"),
     ):
         vals = [coefficient(lvl, img) for img in rep.images]
         if lvl != A.field and any(v >= A.field.order for v in vals):

@@ -130,6 +130,48 @@ def test_cli_galois_check_example(capsys):
     assert "a+1" in doc["roots"]
 
 
+def _witt(dim, arf):
+    return {"dim": dim, "arf": str(arf), "arf_bit": arf, "radical_dim": 0}
+
+
+def _split(degree, poly, dim, arf, **extra):
+    return {
+        "degree": degree, "poly": poly, "form_dim": dim, "form_radical_dim": 0,
+        "computed_witt": _witt(dim, arf), "reducible": False,
+        "predicted_witt": _witt(dim, arf), "verdict": "inconclusive", **extra,
+    }
+
+
+def _not_a_field(poly, factors, roots):
+    return {
+        "degree": 3, "poly": poly, "form_dim": 2, "form_radical_dim": 2,
+        "verdict": "documented-discrepancy", "reducible": True,
+        "factorization": factors, "roots": roots,
+        "note": "quotient is not a field, a fortiori not a Galois field extension",
+    }
+
+
+GALOIS_CHECK_PINNED = [
+    ("GF2", "x^3+x+1", _split(3, "x^3+x+1", 2, 1)),
+    ("GF2", "x^5+x^2+1", _split(5, "x^5+x^2+1", 4, 1)),
+    ("GF2", "x^3", _not_a_field("x^3", ["x", "x^2"], ["0", "0", "0"])),
+    ("GF2", "x^3+x^2", _not_a_field("x^3+x^2", ["x", "x^2+x"], ["0", "0", "1"])),
+    ('extend(GF2,"a^2+a+1")', "x^3+a", _split(
+        3, "x^3+a", 2, 0,
+        degenerate="both classes coincide over this field, the test cannot discriminate",
+    )),
+]
+
+
+@pytest.mark.parametrize("field, ext, expected", GALOIS_CHECK_PINNED)
+def test_cli_galois_check_output_is_pinned(capsys, field, ext, expected):
+    # the Revoy forms of irreducible, repeated-root and reducible cubics
+    # and a quintic: the whole JSON document, byte for byte
+    code, out, _ = run_cli(capsys, "--field", field, "--ext", ext, "--cmd", "galois-check")
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_cli_galois_check_above_the_enumeration_limit(capsys):
     # GF(8^5) has 2^15 elements; the roots come from the factorization
     code, out, _ = run_cli(

@@ -12,8 +12,8 @@ from t2forms.fields import GF2, NotAPower
 from support import (
     _center_rank, _first_nonassociative_triple, b_t2, crossed_product_table, element_add,
     element_mul, kronecker_rep, mat_mul, random_element, rep_diagonals, rep_trace_products,
-    sanity_check_csa, scalar_mul, splitting_matrix, splitting_rep, t1_of, with_kronecker_rep,
-    TupleLevel,
+    sanity_check_csa, scalar_mul, splitting_matrix, splitting_rep, t1_of, table_diagonals,
+    table_trace_products, with_kronecker_rep, TupleLevel,
 )
 
 
@@ -74,8 +74,8 @@ def test_reduced_charpoly_rejects_non_csa(gf4):
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_commutative_quotient_table_matches_tuple_route(gf4, gf8, data):
-    # over a level the powers x^j mod f are shifts on its packed ring; over
-    # TupleLevel, not a Level, they come from the tuple poly_mul/poly_mod
+    # the powers x^j mod f take one route for every field: a level and the
+    # same level seen through TupleLevel, which is not a Level, agree
     F = data.draw(st.sampled_from(["GF(2^13)", GF2, gf4, gf8]))
     if F == "GF(2^13)":
         F = GF2.extend("a^13+a^4+a^3+a+1")
@@ -86,6 +86,137 @@ def test_commutative_quotient_table_matches_tuple_route(gf4, gf8, data):
     pairs = list(itertools.product(range(A.dim), repeat=2))
     assert A.dim == B.dim
     assert [A.product(i, j) for i, j in pairs] == [B.product(i, j) for i, j in pairs]
+
+
+@functools.cache
+def _gf2_13():
+    return GF2.extend("a^13+a^4+a^3+a+1")
+
+
+def _draw_scalar(data, F, nonzero=False):
+    """An element of a finite level, or of GF(2^k)(t) a fraction whose
+    numerator and denominator have degree at most 1."""
+    if F.is_finite:
+        return data.draw(st.integers(1 if nonzero else 0, F.order - 1))
+    k = F.coeff
+    el = st.integers(0, k.order - 1)
+    num = data.draw(st.lists(el, min_size=2, max_size=2))
+    if nonzero and not any(num):
+        num[0] = k.one
+    return F.make(num, [data.draw(el), data.draw(st.integers(1, k.order - 1))])
+
+
+def _draw_quotient_poly(data, F):
+    """f of degree 1 to 9 over F, drawn as it comes (any coefficients
+    below a nonzero lead, so non-monic input too), as a product of two
+    such factors, or with repeated roots: x^3 or (x + 1)^2 (x + t), with
+    t the generator of a finite F or the variable of GF(2^k)(t)."""
+    kind = data.draw(st.sampled_from(["any", "product", "repeated"]))
+    if kind == "repeated":
+        one, zero = F.one, F.zero
+        if data.draw(st.booleans()):
+            return (zero, zero, zero, one)
+        t = F.gen if F.is_finite else F.t
+        return fields.poly_mul(F, (one, zero, one), (t, one))
+    if kind == "product":
+        d = data.draw(st.integers(1, 4))
+        g, h = ([_draw_scalar(data, F) for _ in range(e)] + [_draw_scalar(data, F, True)]
+                for e in (d, data.draw(st.integers(1, 9 - d))))
+        return fields.poly_mul(F, g, h)
+    d = data.draw(st.integers(1, 9))
+    return [_draw_scalar(data, F) for _ in range(d)] + [_draw_scalar(data, F, True)]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(data=st.data())
+def test_commutative_quotient_power_sums_match_table_oracle(gf4, gf8, data):
+    # t1, t2 and every polar row of F[x]/(f) by power sums equal the values
+    # read off the left regular matrices and the structure constants; and
+    # p_k = Trd(x^i x^j), i + j = k, is the trace of the left regular
+    # matrix of x^k for every k < 2d - 1
+    F = data.draw(st.sampled_from(["GF(2)", "GF(4)", "GF(8)", "GF(2^13)", "GF(2)(t)", "GF(4)(t)"]))
+    F = {
+        "GF(2)": GF2, "GF(4)": gf4, "GF(8)": gf8, "GF(2^13)": _gf2_13(),
+        "GF(2)(t)": rational.FunctionField(GF2), "GF(4)(t)": rational.FunctionField(gf4),
+    }[F]
+    A = csa.commutative_quotient(F, _draw_quotient_poly(data, F))
+    d, t1, t2 = A.dim, csa.t1_vector(A), csa.t2_diagonal(A)
+    R, rows = linalg.row_ring(F), csa._trace_products(A)
+    assert (t1, t2) == table_diagonals(A), A
+    assert rows == table_trace_products(A), A
+    q = csa.t2_form(A)
+    for i in range(d):
+        for j in range(d):
+            b = F.add(F.mul(t1[i], t1[j]), R.entry(rows[i], j))
+            assert q.polar_entry(i, j) == b, (A, i, j)
+    for k in range(2 * d - 1):
+        i = min(k, d - 1)
+        y = A.product(i, k - i)  # x^k
+        # column c of the left regular matrix of x^k is x^k e_c
+        trace = F.zero
+        for c in range(d):
+            for m, v in y:
+                for r, w in A.product(m, c):
+                    if r == c:
+                        trace = F.add(trace, F.mul(v, w))
+        assert R.entry(rows[i], k - i) == trace, (A, k)
+
+
+def test_extension_algebra_conjugate_sums_match_table_oracle(gf4, gf8, gf64_tower):
+    # t1 = Tr_E/F(e_s), t2 = e2 of the conjugates and the rows Tr_E/F(e_s e_t)
+    # equal the values read off E/F's own multiplication table
+    gf16 = gf4.extend("b^2+b+a")
+    gf64 = GF2.extend("d^6+d+1")
+    for E, F in ((gf4, GF2), (gf8, GF2), (gf16, gf4), (gf64_tower, gf4), (gf64, GF2)):
+        A = csa.extension_algebra(E, F)
+        assert (csa.t1_vector(A), csa.t2_diagonal(A)) == table_diagonals(A), A
+        assert csa._trace_products(A) == table_trace_products(A), A
+
+
+def _algebra_tree(A):
+    yield A
+    for X in A.factors or ():
+        yield from _algebra_tree(X)
+
+
+def test_constructors_never_read_their_table(gf4, gf8, gf64_tower, monkeypatch):
+    # every constructor's t1, t2 and polar rows are closed forms: with the
+    # product of an algebra and of all its factors raising, the trace forms
+    # of each kind, and of tensors of them, still come out
+    M, T = csa.matrix_algebra, csa.tensor_product
+    a = gf4.gen
+    FF = rational.FunctionField(GF2)
+    gf16 = gf4.extend("b^2+b+a")
+
+    def cases():
+        Q = csa.quaternion_algebra(gf4, a, a)
+        C = csa.crossed_product(gf64_tower, gf4, csa.cyclic_cocycle(gf64_tower, gf4, a))
+        Z = csa.commutative_quotient(gf8, (1, 1, 0, 1, 1))
+        X = csa.extension_algebra(gf16, gf4)
+        return [
+            M(gf4, 3), M(FF, 2), Q, csa.quaternion_algebra(FF, FF.t, FF.one), C,
+            csa.crossed_product(gf8, GF2), csa.crossed_product(gf16, gf4), Z,
+            csa.commutative_quotient(FF, (FF.t, FF.one, FF.zero, FF.one)), X,
+            csa.extension_algebra(gf64_tower, GF2), T(Q, M(gf4, 2)), T(C, Q), T(X, Q),
+            T(Z, Z), T(csa.commutative_quotient(gf4, (a, 1, 1)), X),
+        ]
+
+    def boom(i, j):
+        raise AssertionError(f"read the table at ({i}, {j})")
+
+    for A in cases():
+        for Y in _algebra_tree(A):
+            monkeypatch.setattr(Y, "product", boom)
+        csa.t2_form(A)
+        if A.degree is None:
+            csa.t2_form_of_degree(A, A.dim)
+        else:
+            csa.second_trace_form(A)
+        if A.crossed_data is not None:
+            csa.b_subspace_form(A)
+    # and the tables are still there for the tests: x^4 = x^3 + x + 1, so
+    # x^2 x^3 = x^5 = x^3 + x^2 + 1
+    assert cases()[7].product(2, 3) == ((0, 1), (2, 1), (3, 1))
 
 
 def test_quaternion_examples(gf4):
@@ -707,6 +838,12 @@ def test_certified_matrix_identity_matches_basis_vector_loop(gf4, gf8, gf64_towe
         for a in range(1, F.order):
             for b in range(F.order):
                 _assert_identity_certified(csa.quaternion_algebra(F, a, b))
+    # and over GF(2)(t), whose zero is a fraction, not the int 0
+    FF = rational.FunctionField(GF2)
+    for a, b in ((FF.t, FF.one), (FF.one, FF.zero), (FF.t, FF.add(FF.t, FF.one))):
+        Q = csa.quaternion_algebra(FF, a, b)
+        assert Q.one == (FF.one, FF.zero, FF.zero, FF.zero)
+        _assert_identity_certified(Q)
     # F[x]/(f) for f reducible (x^2, x^2+x, x^3+1, (x+a)^2 over GF(4),
     # x^5+x+1 over GF(8)) and irreducible
     a = gf4.gen

@@ -101,7 +101,7 @@ _TEST_ONLY = {
         "poly_roots", "Level.from_coords_over", "Level.artin_schreier_extension", "_poly_square",
         "TupleRing",
     ],
-    "linalg": ["kernel"],
+    "linalg": ["kernel", "sparse_trace", "sparse_second_coefficient"],
     "quadform": [
         "SearchSpaceTooLarge", "DimensionTooLarge", "is_nonsingular", "isotropic_split_oracle",
         "CliffordWords", "clifford_algebra", "arf_via_even_clifford_center",
@@ -148,7 +148,8 @@ def test_import_loads_no_dataclasses_inspect_or_string():
 
 
 def test_constructed_algebras_carry_no_representation(gf4):
-    # every constructor passes closed-form diagonals and no images
+    # every constructor passes closed-form diagonals and polar rows, and no
+    # images
     for A in (
         csa.matrix_algebra(GF2, 2),
         csa.quaternion_algebra(gf4, gf4.one, gf4.gen),
@@ -157,3 +158,4 @@ def test_constructed_algebras_carry_no_representation(gf4):
         csa.extension_algebra(gf4, GF2),
     ):
         assert not hasattr(A, "rep") and A.diagonals is not None, A
+        assert A.trace_rows is not None, A
