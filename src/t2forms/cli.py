@@ -344,6 +344,8 @@ def _int_list(text, cap=None):
         error = f"n={part}: expected an integer or a lo..hi range"
         lo = _int_atom(lo, error)
         hi = _int_atom(hi, error) if dots else lo
+        if lo > hi:
+            raise ParseError(f"n={part}: empty range, write lo..hi with lo <= hi")
         if cap is not None and max(abs(lo), abs(hi)) > cap:
             raise ParseError(f"n={part} exceeds --max-degree {cap}")
         out.extend(range(lo, hi + 1))

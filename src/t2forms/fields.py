@@ -85,8 +85,10 @@ class Level:
 
     Never instantiated directly: use the module constant ``GF2`` and
     :meth:`extend`.  A level's arithmetic never changes after
-    construction, but the verification harness attaches its
-    ``_tensor_cache`` to it.
+    construction, but the verification harness attaches its memo,
+    ``_tensor_cache``, to it: tensor forms and matrix Witt classes on a
+    base field, crossed-product Witt classes on an extension.  A pickle
+    or copy of the level leaves the memo out.
     """
 
     is_finite = True
@@ -454,6 +456,11 @@ class Level:
         if len(coeffs) > 1:
             raise UnknownGenerator("expression does not reduce to a single element")
         return coeffs[0] if coeffs else 0
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_tensor_cache", None)
+        return state
 
     def __eq__(self, other):
         return isinstance(other, Level) and self._signature == other._signature

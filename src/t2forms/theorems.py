@@ -446,7 +446,9 @@ _FIELD_BUILDERS = {
 
 
 _standard_fields = {}
-_extensions = {}  # (base, degree, seed) -> level, one seed at a time
+# (base, degree, seed) -> the polynomial find_irreducible drew, replaced
+# by the level built on it once a claim multiplies in it; one seed at a time
+_extensions = {}
 
 
 def standard_field(name):
@@ -463,11 +465,13 @@ def standard_field(name):
 
 
 def clear_standard_fields():
-    """Forget the levels :func:`standard_field` built and the extensions
-    the claims drew from them; the next call builds a fresh one (GF2
-    stays the module constant)."""
+    """Forget the levels :func:`standard_field` built, the extensions
+    the claims drew from them and the memo of Witt classes and tensor
+    forms on GF2, so the next run starts cold (GF2 stays the module
+    constant)."""
     _standard_fields.clear()
     _extensions.clear()
+    fields.GF2.__dict__.pop("_tensor_cache", None)
 
 
 _MASK64 = (1 << 64) - 1
@@ -495,18 +499,28 @@ def _mix16(*ints):
     return acc & 0xFFFF
 
 
-def _ext_of_degree(base, degree, seed=0):
-    """The seeded extension of the given degree, built once per
-    (base, degree, seed) with ``base`` compared by signature.  The memo
-    holds the levels of the seed last asked for only, so a caller that
-    walks many seeds keeps one seed's levels at a time."""
+def _ext_poly(base, degree, seed=0):
+    """The seeded irreducible polynomial of the given degree over
+    ``base``, drawn once per (base, degree, seed) with ``base`` compared
+    by signature.  The memo holds the draws of the seed last asked for
+    only, so a caller that walks many seeds keeps one seed's at a time."""
     key = (base, degree, seed)
     if key not in _extensions:
         if _extensions and next(iter(_extensions))[2] != seed:
             _extensions.clear()
         rng = random.Random(_mix16(seed, base.bits, degree))
-        poly = fields.find_irreducible(base, degree, rng)
-        # find_irreducible has just proved poly irreducible
+        _extensions[key] = fields.find_irreducible(base, degree, rng)
+    got = _extensions[key]
+    return got.poly if isinstance(got, fields.Level) else got
+
+
+def _ext_of_degree(base, degree, seed=0):
+    """The level on :func:`_ext_poly`'s polynomial, built the first time
+    it is asked for and memoised in its place."""
+    poly = _ext_poly(base, degree, seed)
+    key = (base, degree, seed)
+    if not isinstance(_extensions[key], fields.Level):
+        # find_irreducible has proved poly irreducible
         _extensions[key] = base.extend(poly, fields.fresh_gen_name(base), _irreducible=True)
     return _extensions[key]
 
@@ -528,10 +542,25 @@ def tensor_trace_form(field, n1, n2):
 
 
 def matrix_trace_witt(field, n):
+    """Cached Witt class of the second trace form of M_n."""
     cache = _tensor_form_cache(field)
     key = ("mat", n)
     if key not in cache:
         cache[key] = quadform.witt_class(csa.second_trace_form(csa.matrix_algebra(field, n)))
+    return cache[key]
+
+
+def crossed_trace_witt(E, base, style, A=None):
+    """Cached Witt class of the second trace form of the crossed product
+    of E/base with the ``trivial`` or the ``cyclic`` cocycle (wrap-around
+    value base.gen), held on E; ``A``, when given, is that algebra."""
+    cache = _tensor_form_cache(E)
+    key = ("crossed", base, style)
+    if key not in cache:
+        if A is None:
+            cocycle = "trivial" if style == "trivial" else csa.cyclic_cocycle(E, base, base.gen)
+            A = csa.crossed_product(E, base, cocycle)
+        cache[key] = quadform.witt_class(csa.second_trace_form(A))
     return cache[key]
 
 
@@ -565,7 +594,7 @@ def _prop1_rows(grid, seed):
         fld = standard_field(name)
         for n in ns:
             pred = predicted_matrix_class(fld, n)
-            w = quadform.witt_class(csa.second_trace_form(csa.matrix_algebra(fld, n)))
+            w = matrix_trace_witt(fld, n)
             ok = w == pred.witt
             yield {"field": name, "n": n}, witt_to_dict(pred.witt), witt_to_dict(w), _verdict(ok)
 
@@ -575,7 +604,7 @@ def _thm1_rows(grid, seed):
     for n in grid["n"]:
         E = _ext_of_degree(base, n, seed)
         A = csa.crossed_product(E, base)
-        wA = quadform.witt_class(csa.second_trace_form(A))
+        wA = crossed_trace_witt(E, base, "trivial", A)
         qE = revoy_trace_form_of_extension(E, base)
         if n % 2:
             wref = quadform.witt_class(qE)
@@ -591,8 +620,7 @@ def _thm1_rows(grid, seed):
 def _cor1_rows(grid, seed):
     base = fields.GF2
     for n in grid["n"]:
-        E = _ext_of_degree(base, n, seed)
-        w = quadform.witt_class(csa.second_trace_form(csa.crossed_product(E, base)))
+        w = crossed_trace_witt(_ext_of_degree(base, n, seed), base, "trivial")
         pred = predicted_crossed_odd(base, n)
         ok = same_witt_class(w, pred.witt)
         yield {"n": n}, witt_to_dict(pred.witt), witt_to_dict(w), _verdict(ok)
@@ -603,9 +631,8 @@ def _cor2_rows(grid, seed):
     for name in names:
         base = standard_field(name)
         for n in ns:
-            E = _ext_of_degree(base, n, seed)
-            # E.poly is irreducible by construction, so no factor witness
-            w = quadform.witt_class(revoy_trace_form(base, E.poly))
+            # the drawn polynomial is irreducible, so no factor witness
+            w = quadform.witt_class(revoy_trace_form(base, _ext_poly(base, n, seed)))
             got = _irreducible_verdict(base, n, w)
             computed = {k: got[k] for k in ("verdict", "degenerate") if k in got}
             ok = got["verdict"] == "inconclusive"
@@ -697,12 +724,7 @@ def _remark3_rows(grid, seed):
     for n in grid["n"]:
         for name, style in (("GF2", "trivial"), ("GF4", "trivial"), ("GF4", "cyclic")):
             base = standard_field(name)
-            E = _ext_of_degree(base, n, seed)
-            if style == "trivial":
-                A = csa.crossed_product(E, base)
-            else:
-                A = csa.crossed_product(E, base, csa.cyclic_cocycle(E, base, base.gen))
-            w = quadform.witt_class(csa.second_trace_form(A))
+            w = crossed_trace_witt(_ext_of_degree(base, n, seed), base, style)
             wm = matrix_trace_witt(base, n)
             ok = same_witt_class(w, wm)
             params = {"field": name, "n": n, "cocycle": style}

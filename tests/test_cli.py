@@ -251,6 +251,7 @@ def test_cli_verify_empty_run(capsys):
         (("--claim", "thm4", "--pairs", "3x"), "pairs=3x: expected n1xn2"),
         (("--claim", "thm4", "--pairs", "3x5x7"), "pairs=3x5x7: expected n1xn2"),
         (("--claim", "prop1", "--n", "a"), "n=a: expected an integer or a lo..hi range"),
+        (("--claim", "prop1", "--n", "2..1"), "n=2..1: empty range, write lo..hi with lo <= hi"),
     ],
 )
 def test_cli_malformed_grid_item_names_key_and_item(capsys, argv, message):

@@ -13,7 +13,7 @@ from support import (
     _center_rank, _first_nonassociative_triple, b_t2, crossed_product_table, element_add,
     element_mul, kronecker_rep, mat_mul, random_element, rep_diagonals, rep_trace_products,
     sanity_check_csa, scalar_mul, splitting_matrix, splitting_rep, t1_of, table_diagonals,
-    table_trace_products, with_kronecker_rep, TupleLevel,
+    table_trace_products, with_kronecker_rep,
 )
 
 
@@ -69,23 +69,6 @@ def test_reduced_charpoly_rejects_non_csa(gf4):
     etale = csa.commutative_quotient(gf4, (gf4.gen, 1, 0, 1))
     with pytest.raises(NotAPower):
         csa.reduced_charpoly(etale, etale.basis_vector(1))
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(data=st.data())
-def test_commutative_quotient_table_matches_tuple_route(gf4, gf8, data):
-    # the powers x^j mod f take one route for every field: a level and the
-    # same level seen through TupleLevel, which is not a Level, agree
-    F = data.draw(st.sampled_from(["GF(2^13)", GF2, gf4, gf8]))
-    if F == "GF(2^13)":
-        F = GF2.extend("a^13+a^4+a^3+a+1")
-    el = st.integers(0, F.order - 1)
-    f = data.draw(st.lists(el, max_size=8)) + [data.draw(st.integers(1, F.order - 1))]
-    assume(len(f) > 1)
-    A, B = csa.commutative_quotient(F, f), csa.commutative_quotient(TupleLevel(F), f)
-    pairs = list(itertools.product(range(A.dim), repeat=2))
-    assert A.dim == B.dim
-    assert [A.product(i, j) for i, j in pairs] == [B.product(i, j) for i, j in pairs]
 
 
 @functools.cache

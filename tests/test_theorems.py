@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -168,6 +169,103 @@ def test_quaternion_algebras_build_no_level(monkeypatch):
     theorems.run_verification("all", seed=5)
     assert len(calls) == 12 and built == []
     theorems.clear_standard_fields()
+
+
+def test_verify_all_classifies_each_shared_algebra_once(monkeypatch):
+    # a cold run builds each crossed product's form once per (E, base,
+    # cocycle), remark3's trivial and cyclic GF(4) products sharing a
+    # label, and each Mat(n) form once per field; thm3 reads Mat(n)'s
+    # Arf and Clifford invariants off the form itself, so it builds its own
+    theorems.clear_standard_fields()
+    built, form, current = [], csa.second_trace_form, [None]
+
+    def tracking(cid, rows):
+        def run(grid, seed):
+            current[0] = cid
+            yield from rows(grid, seed)
+        return run
+
+    def counting(A):
+        data = A.crossed_data
+        if data is not None:
+            built.append((current[0], ("crossed", data["E"], data["F"], repr(data["phi"]))))
+        elif A.label.startswith("Mat("):
+            built.append((current[0], ("mat", A.field, A.degree)))
+        return form(A)
+
+    for cid, c in list(theorems.CLAIMS.items()):
+        claim = theorems.Claim(tracking(cid, c.rows), c.defaults, c.rule, c.degree)
+        monkeypatch.setitem(theorems.CLAIMS, cid, claim)
+    monkeypatch.setattr(csa, "second_trace_form", counting)
+    theorems.run_verification("all", seed=5)
+    keys = [key for cid, key in built if cid != "thm3"]
+    assert len(keys) == len(set(keys))
+    # thm1's six GF(2) products, remark3's four over GF(4); prop1's Mat(2..9)
+    # over GF(2) and GF(4)
+    assert sum(key[0] == "crossed" for key in keys) == 10
+    assert sum(key[0] == "mat" for key in keys) == 16
+    assert {cid for cid, key in built if key[0] == "crossed"} == {"thm1", "remark3"}
+    assert {cid for cid, key in built if key[0] == "mat"} == {"prop1", "thm3"}
+    theorems.clear_standard_fields()
+
+
+def test_each_claim_alone_reports_its_rows_under_all():
+    theorems.clear_standard_fields()
+    merged = {}
+    for r in theorems.run_verification("all", seed=5):
+        merged.setdefault(r.claim, []).append(r.to_json())
+    for cid in theorems.CLAIM_IDS:
+        theorems.clear_standard_fields()
+        assert [r.to_json() for r in theorems.run_verification(cid, seed=5)] == merged[cid]
+    theorems.clear_standard_fields()
+
+
+def test_cor2_draws_polynomials_and_builds_no_level(monkeypatch):
+    # cor2 reads only the drawn polynomial; a later claim that multiplies
+    # in the extension builds its level on that polynomial, drawing none
+    theorems.clear_standard_fields()
+    extended, drawn = [], []
+    extend, find = fields.Level.extend, fields.find_irreducible
+    monkeypatch.setattr(
+        fields.Level, "extend", lambda self, *a, **k: extended.append(self) or extend(self, *a, **k)
+    )
+    monkeypatch.setattr(
+        fields, "find_irreducible", lambda F, d, rng: drawn.append((F, d)) or find(F, d, rng)
+    )
+    theorems.run_verification("cor2", seed=5)
+    gf8 = theorems.standard_field("GF8")
+    # GF2.extend builds the GF(4) and GF(8) shorthands, and nothing else
+    assert extended == [GF2, GF2]
+    assert sorted(drawn, key=repr) == sorted(
+        ((F, n) for F in (GF2, theorems.standard_field("GF4"), gf8) for n in (3, 5, 7, 9)), key=repr
+    )
+    for n in (3, 5, 7, 9):
+        poly = theorems._ext_poly(gf8, n, 5)
+        E = theorems._ext_of_degree(gf8, n, 5)
+        assert E.parent is gf8 and E.poly == poly
+        assert theorems._ext_of_degree(gf8, n, 5) is E
+        assert drawn.count((gf8, n)) == 1
+    assert extended[2:] == [gf8] * 4
+    theorems.clear_standard_fields()
+
+
+def test_pickles_leave_the_harness_memo_out():
+    from t2forms.rational import FunctionField
+
+    theorems.clear_standard_fields()
+    ff = FunctionField(GF2)
+    theorems.run_verification("thm2")
+    theorems.run_verification("cor1", {"n": [3]})
+    E = theorems._ext_of_degree(GF2, 3)
+    assert GF2._tensor_cache and E._tensor_cache
+    warm = [pickle.dumps(x) for x in (ff.t, GF2, E)]
+    for x, data in zip((ff.t, GF2, E), warm):
+        assert pickle.loads(data) == x
+    assert not hasattr(pickle.loads(warm[2]), "_tensor_cache")
+    # the same bytes as once the memo is dropped
+    theorems.clear_standard_fields()
+    del E._tensor_cache
+    assert [pickle.dumps(x) for x in (ff.t, GF2, E)] == warm
 
 
 _SEEDS = (0, 1, 5, -1, -2, -3, 2**61 - 2, 2**61 - 1, 2**61, -(2**61 - 1), -(2**61), 10**20, -(10**20))
