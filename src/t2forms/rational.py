@@ -5,16 +5,20 @@ Only what the Artin-Schreier membership test and the Galois obstruction
 need: exact field arithmetic, perfect-square detection for denominators,
 and :func:`semilinear_solve`, which solves s**2 + r*s = target for a
 polynomial s of bounded degree as one GF(2)-linear system written by the
-packed image of each unknown bit.  Membership in {u**2 + u}
-(:func:`wp_member`) is its one caller; the Arf comparison and the cubic
-splitting oracle of ``theorems`` both reduce to that membership.
+packed image of each unknown bit: the images, each tagged with its
+unknown, go into one ``linalg.PackedEchelon``, and the target is reduced
+against them.  Membership in {u**2 + u} (:func:`wp_member`)
+is its one caller; the Arf comparison and the cubic splitting oracle of
+``theorems`` both reduce to that membership.
 
 ``FunctionField.make`` reduces an arbitrary fraction by a full gcd.
 ``add`` and ``mul`` take operands already in lowest terms and return
 lowest terms without one, by Henrici's formulas (Knuth, TAOCP vol. 2,
 section 4.5.1): only gcds of a numerator against the other denominator,
-or of the two denominators, are taken, and none when a denominator is 1,
-so sums and products of polynomials take no gcd at all.
+or of the two denominators, are taken, and none when a denominator is 1.
+When both denominators are 1 a sum or product of the two polynomials is
+one ring operation, and an operand 0 of a sum or 1 of a product is the
+result itself.
 
 The fraction formulas are written once against the coefficient level's
 ``fields.PolyRing``, and a ``Rat`` keeps its numerator and denominator
@@ -126,6 +130,14 @@ class FunctionField:
         R = self._ring
         one = R.one
         a, b, c, d = x._num, x._den, y._num, y._den
+        if b == one and d == one:
+            # two polynomials: one ring add, and a zero operand none
+            if not a:
+                return y
+            if not c:
+                return x
+            num = R.add(a, c)
+            return Rat(num, one, R) if num else self.zero
         g = one if one in (b, d) else R.gcd(b, d)
         if g == one:
             num = R.add(R.mul(a, d), R.mul(c, b))
@@ -149,6 +161,13 @@ class FunctionField:
             return self.zero
         R = self._ring
         one, mul = R.one, R.mul
+        if b == one and d == one:
+            # two polynomials: one ring product, and a unit operand none
+            if a == one:
+                return y
+            if c == one:
+                return x
+            return Rat(mul(a, c), one, R)
         g1 = one if d == one else R.gcd(a, d)
         g2 = one if b == one else R.gcd(c, b)
         return Rat(mul(_quo(R, a, g1), _quo(R, c, g2)), mul(_quo(R, b, g2), _quo(R, d, g1)), R)
@@ -219,19 +238,33 @@ def semilinear_solve(k, r, target, bound):
     The map s -> s**2 + r*s is GF(2)-linear: unknown bit e t^j of s (e a
     bit of k) maps to e**2 t**(2j) + e t**j r, packed with ``k.bits``
     bits per coefficient (``linalg.pack_row``).  Unknowns run by
-    (degree, bit) and the free ones are zero.
+    (degree, bit).  Each image goes into one ``linalg.PackedEchelon``
+    tagged above its bits with its unknown, unknown i of n at tag bit
+    n - 1 - i.  Reduced against the echelon, the target keeps no image
+    bit exactly when it is a sum of images, and its tag bits then give
+    one solution.  That solution is zero at the echelon's pivots among
+    the tags, the lowest tag of each sum of images that is zero: its
+    last unknown, whose image depends on those before it.  So the
+    dependent unknowns are zero, as they are in a solve on equation rows.
     """
     nbits = k.bits
     deg = max(2 * bound, bound + poly_deg(r), poly_deg(target))
+    width, n = (deg + 1) * nbits, (bound + 1) * nbits
+    ech = linalg.PackedEchelon(fields.GF2, width + n)
     # the images of e t^0, one pair (square part, r part) per bit e; a
     # constant packs to itself
     units = [(k.square(1 << b), linalg.pack_row(k, poly_scale(k, 1 << b, r))) for b in range(nbits)]
-    images = [
-        (s2 << (2 * j * nbits)) ^ (sr << (j * nbits)) for j in range(bound + 1) for s2, sr in units
-    ]
-    rows = linalg.rows_from_images(images, (deg + 1) * nbits)
-    sol = linalg.solve_gf2(rows, len(images), linalg.pack_row(k, target))
-    return None if sol is None else linalg.unpack_row(k, sol, bound + 1)
+    tag = 1 << (width + n - 1)
+    for j in range(bound + 1):
+        for s2, sr in units:
+            ech.insert(((s2 << (2 * j * nbits)) ^ (sr << (j * nbits))) | tag)
+            tag >>= 1
+    rest = ech.reduce(linalg.pack_row(k, target))
+    if rest & ((1 << width) - 1):
+        return None
+    # bit i of sol is unknown i
+    sol = int(format(rest >> width, f"0{n}b")[::-1], 2)
+    return linalg.unpack_row(k, sol, bound + 1)
 
 
 def wp_member(ff, c, witness=False):

@@ -300,6 +300,8 @@ def galois_obstruction(field, fpoly):
         return _galois_obstruction_rational(field, fpoly)
     fpoly = fields.poly_monic(field, fpoly)
     n = fields.poly_deg(fpoly)
+    if not fpoly:
+        raise ValueError("obstruction test is for odd degrees >= 3, not the zero polynomial")
     if n % 2 == 0 or n < 3:
         raise ValueError(f"obstruction test is for odd degrees >= 3, not degree {n}")
     report = {"degree": n, "poly": fields.poly_to_str(field, fpoly, "x")}
@@ -380,20 +382,20 @@ def _galois_obstruction_rational(ff, coeffs):
 def _cubic_rational_root(ff, low_coeffs):
     """Root of a monic cubic with polynomial coefficients over k(t),
     given its three low coefficients as fractions with denominator 1:
-    such roots are polynomial and divide the constant term."""
-    k = ff.coeff
+    such roots are polynomial and divide the constant term.  Each
+    candidate c d (d a monic divisor, c a scalar) is evaluated on the
+    numerators in the field's polynomial ring."""
     if ff.is_zero(low_coeffs[0]):
         return ff.zero
-    const = low_coeffs[0].num
-    cands = [()]  # zero
-    for d in fields.monic_divisors(k, const):
+    k, R = ff.coeff, ff._ring
+    add, mul = R.add, R.mul
+    c0, c1, c2 = (x._num for x in low_coeffs)
+    for d in fields.monic_divisors(k, low_coeffs[0].num):
+        d = R.read(d)
         for c in range(1, k.order):
-            cands.append(fields.poly_scale(k, c, d))
-    f = tuple(low_coeffs) + (ff.one,)
-    for cand in cands:
-        r = ff.make(cand)
-        if ff.is_zero(fields.poly_eval(ff, f, r)):
-            return r
+            r = R.scale(c, d)
+            if not add(mul(add(mul(add(r, c2), r), c1), r), c0):
+                return rational.Rat(r, R.one, R)
     return None
 
 
@@ -542,12 +544,14 @@ def tensor_trace_form(field, n1, n2):
 
 
 def matrix_trace_witt(field, n):
-    """Cached Witt class of the second trace form of M_n."""
+    """Cached Witt class of the second trace form of M_n.  The memo keeps
+    the form's Clifford invariant beside it, for thm3, and not the form."""
     cache = _tensor_form_cache(field)
     key = ("mat", n)
     if key not in cache:
-        cache[key] = quadform.witt_class(csa.second_trace_form(csa.matrix_algebra(field, n)))
-    return cache[key]
+        T = csa.second_trace_form(csa.matrix_algebra(field, n))
+        cache[key] = quadform.witt_class(T), quadform.clifford_invariant(T)
+    return cache[key][0]
 
 
 def crossed_trace_witt(E, base, style, A=None):
@@ -564,13 +568,17 @@ def crossed_trace_witt(E, base, style, A=None):
     return cache[key]
 
 
-def _thm3_algebras(field, n):
-    yield f"Mat({n})", csa.matrix_algebra(field, n)
+def _thm3_invariants(field, n):
+    """(label, Arf, Clifford) of the second trace form of each thm3
+    algebra; Mat(n)'s are read off the :func:`matrix_trace_witt` memo."""
+    yield f"Mat({n})", matrix_trace_witt(field, n).arf, field._tensor_cache[("mat", n)][1]
     quat = csa.quaternion_algebra(field, field.one, field.nonresidue())
     if n == 2:
-        yield "Quat", quat
+        label, A = "Quat", quat
     else:
-        yield f"Quat*Mat({n // 2})", csa.tensor_product(quat, csa.matrix_algebra(field, n // 2))
+        label, A = f"Quat*Mat({n // 2})", csa.tensor_product(quat, csa.matrix_algebra(field, n // 2))
+    T = csa.second_trace_form(A)
+    yield label, quadform.arf(T), quadform.clifford_invariant(T)
 
 
 # -- the claims ----------------------------------------------------------------
@@ -675,10 +683,7 @@ def _thm3_rows(grid, seed):
         fld = standard_field(name)
         for n in ns:
             pred = predicted_invariants(fld, n)
-            for label, A in _thm3_algebras(fld, n):
-                T = csa.second_trace_form(A)
-                rep = quadform.arf(T)
-                cls = quadform.clifford_invariant(T)
+            for label, rep, cls in _thm3_invariants(fld, n):
                 ok = rep == pred.arf and cls == pred.clifford
                 yield (
                     {"field": name, "n": n, "algebra": label},

@@ -2,7 +2,9 @@
 nonsingular quadratic forms, and reference implementations of the field
 multiply, the exp/log tables, the GF(2) linear solve, the kernel of
 list rows (through the packed engine and by Gauss-Jordan), the
-Artin-Schreier solve, the crossed-product structure table,
+Artin-Schreier solve, the semilinear solve over k[t] by transposed
+equation rows, the polynomial root search of a cubic over k(t) by
+fraction arithmetic, the crossed-product structure table,
 the coefficient-tuple polynomial ring (the oracle of the packed
 ``fields.PolyRing``) with GF(2) and any finite level seen through it,
 the splitting representations of the constructed algebras (over the
@@ -32,8 +34,8 @@ from typing import NamedTuple
 from t2forms import csa, linalg
 from t2forms.csa import AlgebraError, t1_vector
 from t2forms.fields import (
-    GF2, FieldError, fresh_gen_name, poly_add, poly_deg, poly_divmod, poly_eval, poly_gcd,
-    poly_mul, poly_scale, poly_trim,
+    GF2, FieldError, fresh_gen_name, monic_divisors, poly_add, poly_deg, poly_divmod, poly_eval,
+    poly_gcd, poly_mul, poly_scale, poly_trim,
 )
 from t2forms.quadform import (
     FormError, QuadraticForm, SingularForm, WittClass, arf_sum, block_decompose, radical,
@@ -444,6 +446,43 @@ def artin_schreier_by_fresh_matrix(level, c):
             if (col >> r) & 1:
                 mat[r] |= 1 << i
     return solve_by_augmented_column(mat, level.bits, c)
+
+
+def semilinear_solve_by_rows(k, r, target, bound):
+    """``rational.semilinear_solve`` by the transposed route: the packed
+    image of each unknown bit, transposed into one equation row per image
+    bit (``linalg.rows_from_images``) and solved by ``linalg.solve_gf2``.
+    Unknowns run by (degree, bit) and the free ones are zero."""
+    nbits = k.bits
+    deg = max(2 * bound, bound + poly_deg(r), poly_deg(target))
+    units = [(k.square(1 << b), linalg.pack_row(k, poly_scale(k, 1 << b, r))) for b in range(nbits)]
+    images = [
+        (s2 << (2 * j * nbits)) ^ (sr << (j * nbits)) for j in range(bound + 1) for s2, sr in units
+    ]
+    rows = linalg.rows_from_images(images, (deg + 1) * nbits)
+    sol = linalg.solve_gf2(rows, len(images), linalg.pack_row(k, target))
+    return None if sol is None else linalg.unpack_row(k, sol, bound + 1)
+
+
+def cubic_root_by_horner(ff, low_coeffs):
+    """The polynomial root of x^3 + c2 x^2 + c1 x + c0 over k(t) that
+    ``theorems.galois_obstruction`` reports, by fraction arithmetic: the
+    candidates 0, then c d for each monic divisor d of c0 and each scalar
+    c = 1, ..., |k| - 1, each made a fraction and evaluated by Horner's
+    rule in ``ff``.  ``low_coeffs`` are (c0, c1, c2) as fractions with
+    denominator 1."""
+    k = ff.coeff
+    if ff.is_zero(low_coeffs[0]):
+        return ff.zero
+    cands = [()]
+    for d in monic_divisors(k, low_coeffs[0].num):
+        cands += [poly_scale(k, c, d) for c in range(1, k.order)]
+    f = tuple(low_coeffs) + (ff.one,)
+    for cand in cands:
+        r = ff.make(cand)
+        if ff.is_zero(poly_eval(ff, f, r)):
+            return r
+    return None
 
 
 def _poly_square(field, h):

@@ -201,6 +201,15 @@ def test_cli_galois_check_refuses_degree_below_three(capsys, monkeypatch):
         assert "cor1" not in err
 
 
+def test_cli_galois_check_names_the_zero_polynomial(capsys):
+    # a polynomial that is zero, written so or cancelling, has no degree
+    for ext in ("0", "x^3+x^3"):
+        code, out, err = run_cli(capsys, "--cmd", "galois-check", "--ext", ext)
+        assert code == 2 and out == ""
+        assert "obstruction test" in err and "the zero polynomial" in err
+        assert "degree -1" not in err
+
+
 def test_cli_huge_exponent_exits_2_at_once(capsys):
     # poly_pow would build a polynomial of degree 999999999; the parser
     # refuses the factor before that.  Timed in-process, so interpreter

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from t2forms import fields, rational, theorems
 from t2forms.fields import GF2, poly_add, poly_mul
 
-from support import TUPLE_GF2, TupleLevel
+from support import TUPLE_GF2, TupleLevel, cubic_root_by_horner, semilinear_solve_by_rows
 
 
 def _clmul(a, b):
@@ -79,6 +79,7 @@ _FUNCTION_FIELDS = (rational.FunctionField(GF2), rational.FunctionField(GF2.exte
 # rings their levels give
 _TUPLE_GF2T = rational.FunctionField(TUPLE_GF2)
 _TUPLE_GF4T = rational.FunctionField(TupleLevel(_FUNCTION_FIELDS[1].coeff))
+_GF8 = GF2.extend("a^3+a+1")
 
 
 def _tuple_route(ff):
@@ -137,6 +138,76 @@ def test_gf2t_int_route_equals_tuple_route(data):
     assert ff.square(x) == _TUPLE_GF2T.square(tx)
     if x.num:
         assert ff.inv(x) == _TUPLE_GF2T.inv(tx)
+
+
+# the polynomial shortcuts of add and mul, and the root search, on both
+# ring forms
+_POLY_ROUTES = _FUNCTION_FIELDS + (_TUPLE_GF2T,)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_polynomial_add_mul_equal_cross_multiplied_make(data):
+    ff = data.draw(st.sampled_from(_POLY_ROUTES))
+    k = ff.coeff
+    coeff = st.integers(0, k.order - 1)
+    poly = st.one_of(st.just(()), st.just((1,)), st.lists(coeff, max_size=6))
+    p = data.draw(poly)
+    q = p if data.draw(st.booleans()) else data.draw(poly)
+    x, y = ff.make(p), ff.make(q)
+    cross = poly_add(k, poly_mul(k, x.num, y.den), poly_mul(k, y.num, x.den))
+    assert ff.add(x, y) == ff.make(cross, poly_mul(k, x.den, y.den))
+    assert ff.mul(x, y) == ff.make(poly_mul(k, x.num, y.num), poly_mul(k, x.den, y.den))
+    assert ff.add(x, x) == ff.zero and ff.add(x, ff.zero) == x and ff.mul(x, ff.one) == x
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_semilinear_solve_equals_transposed_rows(data):
+    # the column-image echelon solve against the transposed equation rows,
+    # solution for solution: the free unknowns are zero on both sides
+    k = data.draw(st.sampled_from((GF2, _FUNCTION_FIELDS[1].coeff, _GF8, TUPLE_GF2)))
+    coeff = st.integers(0, k.order - 1)
+    bound = data.draw(st.integers(0, 6))
+    if data.draw(st.booleans()):
+        r = (k.one,)
+    else:
+        r = tuple(data.draw(st.lists(coeff, max_size=4))) + (data.draw(st.integers(1, k.order - 1)),)
+    if data.draw(st.booleans()):
+        # a target in the image: s**2 + r s for some s of degree <= bound
+        s = data.draw(st.lists(coeff, max_size=bound + 1))
+        target = poly_add(k, poly_mul(k, s, s), poly_mul(k, r, s))
+    else:
+        target = fields.poly_trim(data.draw(st.lists(coeff, max_size=2 * bound + 3)))
+    got = rational.semilinear_solve(k, r, target, bound)
+    assert got == semilinear_solve_by_rows(k, r, target, bound)
+    if got is not None:
+        assert poly_add(k, poly_mul(k, got, got), poly_mul(k, r, got)) == target
+
+
+def _cubic_with_root(rng, k):
+    """(c0, c1, c2) of (x + r)(x^2 + a x + b) for random polynomials r, a
+    and b over k."""
+    r, a, b = (_random_poly(rng, k, d) for d in (2, 1, 2))
+    return [poly_mul(k, r, b), poly_add(k, poly_mul(k, a, r), b), poly_add(k, r, a)]
+
+
+def test_cubic_root_search_equals_fraction_horner():
+    # the ring search returns the root the fraction search finds first, in
+    # the same candidate order; over GF(4) roots with a leading scalar
+    # other than one occur
+    rng = random.Random(44)
+    leads = set()
+    for ff in _POLY_ROUTES:
+        k = ff.coeff
+        for i in range(80):
+            low = _cubic_with_root(rng, k) if i % 2 else [_random_poly(rng, k, 3) for _ in range(3)]
+            coeffs = tuple(ff.make(p) for p in low)
+            root = theorems._cubic_rational_root(ff, coeffs)
+            assert root == cubic_root_by_horner(ff, coeffs), low
+            if root:
+                leads.add((k.order, root.num[-1]))
+    assert {(4, 2), (4, 3)} <= leads
 
 
 def test_rat_contract_across_routes():

@@ -175,7 +175,8 @@ def test_verify_all_classifies_each_shared_algebra_once(monkeypatch):
     # a cold run builds each crossed product's form once per (E, base,
     # cocycle), remark3's trivial and cyclic GF(4) products sharing a
     # label, and each Mat(n) form once per field; thm3 reads Mat(n)'s
-    # Arf and Clifford invariants off the form itself, so it builds its own
+    # Arf and Clifford invariants off the matrix_trace_witt memo, so it
+    # builds Mat(n) only over GF(8), where no other claim does
     theorems.clear_standard_fields()
     built, form, current = [], csa.second_trace_form, [None]
 
@@ -198,14 +199,18 @@ def test_verify_all_classifies_each_shared_algebra_once(monkeypatch):
         monkeypatch.setitem(theorems.CLAIMS, cid, claim)
     monkeypatch.setattr(csa, "second_trace_form", counting)
     theorems.run_verification("all", seed=5)
-    keys = [key for cid, key in built if cid != "thm3"]
+    keys = [key for _, key in built]
     assert len(keys) == len(set(keys))
     # thm1's six GF(2) products, remark3's four over GF(4); prop1's Mat(2..9)
-    # over GF(2) and GF(4)
+    # over GF(2) and GF(4), thm3's Mat(2, 4, 6, 8) over GF(8)
     assert sum(key[0] == "crossed" for key in keys) == 10
-    assert sum(key[0] == "mat" for key in keys) == 16
+    assert sum(key[0] == "mat" for key in keys) == 20
     assert {cid for cid, key in built if key[0] == "crossed"} == {"thm1", "remark3"}
     assert {cid for cid, key in built if key[0] == "mat"} == {"prop1", "thm3"}
+    gf8 = theorems.standard_field("GF8")
+    assert [key for cid, key in built if cid == "thm3" and key[0] == "mat"] == [
+        ("mat", gf8, n) for n in (2, 4, 6, 8)
+    ]
     theorems.clear_standard_fields()
 
 
